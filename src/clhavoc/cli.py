@@ -85,8 +85,6 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--assume-tight", action="store_true")
             p.add_argument("--trace-transducer", action="store_true")
         p.add_argument("-o", "--output")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker cap (this build runs single-process)")
 
     common(sub.add_parser("parse"))
     common(sub.add_parser("analyze"))

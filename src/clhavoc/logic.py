@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction
 
@@ -380,151 +380,147 @@ def _classes_of(vars: Iterable[Var], eqs: Iterable[tuple[Var, Var]]) -> dict[Var
     return {v: find(i) for v, i in index.items()}
 
 
-def eval_pf(g: Configuration, nu: Mapping[Var, str], f: Formula) -> bool:
-    """Does (g, nu) satisfy the predicate-free formula f?
-
-    Existential witnesses outside g are drawn from the infinite pool of
-    absent components: any required state is available on a fresh id.
-    """
-    binders, atoms = prenex(f)
-    fv = free_vars(f)
-    missing = [v for v in fv if v not in nu]
-    if missing:
-        raise UnboundVariable(f"store misses {sorted(var_text(v) for v in missing)}")
-
-    comp_atoms: list[Var] = []
-    inter_atoms: list[Inter] = []
-    state_atoms: list[StateAtom] = []
-    eqs: list[tuple[Var, Var]] = []
-    neqs: list[tuple[Var, Var]] = []
+def split_atoms(atoms: Iterable[Atom]) -> tuple[list[Var], list[Inter], list[StateAtom],
+                                                list[tuple[Var, Var]], list[tuple[Var, Var]]]:
+    """Sort atoms by kind into component variables, interaction atoms, state
+    atoms, equalities and disequalities; predicate atoms are rejected."""
+    kinds: tuple = ([], [], [], [], [])
+    comps, inters, states, eqs, neqs = kinds
     for a in atoms:
         if isinstance(a, Comp):
-            comp_atoms.append(a.var)
+            comps.append(a.var)
         elif isinstance(a, Inter):
-            inter_atoms.append(a)
+            inters.append(a)
         elif isinstance(a, StateAtom):
-            state_atoms.append(a)
+            states.append(a)
         elif isinstance(a, Eq):
             eqs.append((a.left, a.right))
         elif isinstance(a, Neq):
             neqs.append((a.left, a.right))
         elif isinstance(a, Pred):
-            raise ValueError("eval_pf applied to a formula with predicate atoms")
+            raise ValueError("formula still contains predicate atoms")
+    return kinds
 
-    if len(comp_atoms) != len(g.components) or len(inter_atoms) != len(g.interactions):
-        return False
 
-    allvars = set(binders) | fv
+# A compiled satisfaction check of one formula: (g, nu) -> (g, nu) |= f.
+Check = Callable[[Configuration, Mapping[Var, str]], bool]
+
+
+def compile_pf(f: Formula) -> Check:
+    """Compile the predicate-free formula f into a check of (g, nu) |= f.
+
+    What depends on f alone is worked out here; the check does the store
+    lookup (raising UnboundVariable) and the bijective matching.  Existential
+    witnesses outside g are drawn from the infinite pool of absent
+    components: any required state is available on a fresh id.
+    """
+    binders, atoms = prenex(f)
+    fv = tuple(free_vars(f))
+    comp_vars, inters, states, eqs, neqs = split_atoms(atoms)
+
+    allvars = set(binders) | set(fv)
     for a in atoms:
         allvars |= free_vars(a)
     slot_of = _classes_of(allvars, eqs)
+    fv_slots = [(v, slot_of[v]) for v in fv]
 
-    assign: dict[int, str] = {}
-    for v in fv:
-        s = slot_of[v]
-        if s in assign and assign[s] != nu[v]:
-            return False
-        assign[s] = nu[v]
-
+    # a formula whose own atoms contradict each other holds nowhere
     state_req: dict[int, str] = {}
-    for a in state_atoms:
+    consistent = True
+    for a in states:
         s = slot_of[a.var]
-        if state_req.setdefault(s, a.state) != a.state:
-            return False
-    neq_slots = []
+        consistent &= state_req.setdefault(s, a.state) == a.state
+    neq_of: dict[int, list[int]] = {}
     for x, y in neqs:
         sx, sy = slot_of[x], slot_of[y]
-        if sx == sy:
-            return False
-        neq_slots.append((sx, sy))
+        consistent &= sx != sy
+        neq_of.setdefault(sx, []).append(sy)
+        neq_of.setdefault(sy, []).append(sx)
+    comp_slots = [slot_of[v] for v in comp_vars]
+    consistent &= len(set(comp_slots)) == len(comp_slots)
+    inter_atoms = [(tuple(p for _, p in a.bindings), [slot_of[v] for v, _ in a.bindings])
+                   for a in inters]
+    ncomps, ninters = len(comp_slots), len(inter_atoms)
 
-    comp_slots = [slot_of[v] for v in comp_atoms]
-    if len(set(comp_slots)) != len(comp_slots):
-        return False
-
-    rho = g.state_map
-
-    def ok_value(s: int, cid: str) -> bool:
-        if s in state_req:
-            if cid not in rho or rho[cid] != state_req[s]:
-                return False
-        for a, b in neq_slots:
-            if a == s and b in assign and assign[b] == cid:
-                return False
-            if b == s and a in assign and assign[a] == cid:
-                return False
-        return True
-
-    for s, cid in assign.items():
-        if not ok_value(s, cid):
+    def check(g: Configuration, nu: Mapping[Var, str]) -> bool:
+        missing = [v for v in fv if v not in nu]
+        if missing:
+            raise UnboundVariable(f"store misses {sorted(var_text(v) for v in missing)}")
+        if not consistent or len(g.components) != ncomps or len(g.interactions) != ninters:
             return False
 
-    def put(s: int, cid: str, trail: list[int]) -> bool:
-        if s in assign:
-            return assign[s] == cid
-        if not ok_value(s, cid):
-            return False
-        assign[s] = cid
-        trail.append(s)
-        return True
-
-    inters = sorted(g.interactions, key=repr)
-    comps = sorted(g.components)
-
-    def match_inters(k: int, used: set[Interaction]) -> bool:
-        if k == len(inter_atoms):
-            return match_comps(0, set())
-        atom = inter_atoms[k]
-        ports = tuple(p for _, p in atom.bindings)
-        for cand in inters:
-            if cand in used or cand.itype != ports:
-                continue
-            trail: list[int] = []
-            good = all(put(slot_of[v], cid, trail)
-                       for (v, _), cid in zip(atom.bindings, cand.components))
-            if good and match_inters(k + 1, used | {cand}):
-                return True
-            for s in trail:
-                del assign[s]
-        return False
-
-    def match_comps(k: int, used: set[str]) -> bool:
-        if k == len(comp_slots):
-            return len(used) == len(comps) and finalize()
-        s = comp_slots[k]
-        if s in assign:
-            cid = assign[s]
-            if cid in used or cid not in g.components:
+        assign: dict[int, str] = {}
+        for v, s in fv_slots:
+            if s in assign and assign[s] != nu[v]:
                 return False
-            return match_comps(k + 1, used | {cid})
-        for cid in comps:
-            if cid in used:
-                continue
-            trail: list[int] = []
-            if put(s, cid, trail) and match_comps(k + 1, used | {cid}):
-                return True
-            for st in trail:
-                del assign[st]
-        return False
+            assign[s] = nu[v]
 
-    def finalize() -> bool:
-        # remaining slots are spatially unconstrained: the infinite pool of
-        # absent components supplies a distinct witness in any required state
-        return True
+        rho = g.state_map
 
-    return match_inters(0, set())
+        def ok_value(s: int, cid: str) -> bool:
+            if s in state_req and rho.get(cid) != state_req[s]:
+                return False
+            return all(assign.get(t) != cid for t in neq_of.get(s, ()))
+
+        if not all(ok_value(s, cid) for s, cid in assign.items()):
+            return False
+
+        def put(s: int, cid: str, trail: list[int]) -> bool:
+            if s in assign:
+                return assign[s] == cid
+            if not ok_value(s, cid):
+                return False
+            assign[s] = cid
+            trail.append(s)
+            return True
+
+        cands = sorted(g.interactions, key=repr)
+        comps = sorted(g.components)
+
+        def match_inters(k: int, used: set[Interaction]) -> bool:
+            if k == ninters:
+                return match_comps(0, set())
+            ports, slots = inter_atoms[k]
+            for cand in cands:
+                if cand in used or cand.itype != ports:
+                    continue
+                trail: list[int] = []
+                good = all(put(s, cid, trail) for s, cid in zip(slots, cand.components))
+                if good and match_inters(k + 1, used | {cand}):
+                    return True
+                for s in trail:
+                    del assign[s]
+            return False
+
+        # slots left unassigned are spatially unconstrained: the infinite pool
+        # of absent components supplies a distinct witness in any state
+        def match_comps(k: int, used: set[str]) -> bool:
+            if k == ncomps:
+                return len(used) == len(comps)
+            s = comp_slots[k]
+            if s in assign:
+                cid = assign[s]
+                if cid in used or cid not in g.components:
+                    return False
+                return match_comps(k + 1, used | {cid})
+            for cid in comps:
+                if cid in used:
+                    continue
+                trail: list[int] = []
+                if put(s, cid, trail) and match_comps(k + 1, used | {cid}):
+                    return True
+                for st in trail:
+                    del assign[st]
+            return False
+
+        return match_inters(0, set())
+
+    return check
 
 
-def eval_qpf(g: Configuration, nu: Mapping[Var, str], f: Formula) -> bool:
-    """Satisfaction of a quantifier- and predicate-free formula."""
-    def check(h: Formula) -> None:
-        if isinstance(h, Exists):
-            raise ValueError("eval_qpf applied to a quantified formula")
-        if isinstance(h, SepConj):
-            for p in h.parts:
-                check(p)
-    check(f)
-    return eval_pf(g, nu, f)
+def eval_pf(g: Configuration, nu: Mapping[Var, str], f: Formula) -> bool:
+    """Does (g, nu) satisfy the predicate-free formula f?"""
+    return compile_pf(f)(g, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +590,21 @@ def unfold(sid: SID, atom: Pred, depth: int) -> list[tuple[Formula, bool]]:
     return unfold_formula(sid, atom, depth)
 
 
+def unfoldings_checker(unfoldings: Iterable[tuple[Formula, bool]]) -> Check:
+    """A check that holds iff some complete unfolding in the list holds.
+
+    Each complete unfolding is compiled once; the check tries them in order.
+    """
+    checks = [compile_pf(u) for u, complete in unfoldings if complete]
+    return lambda g, nu: any(c(g, nu) for c in checks)
+
+
+def bounded_checker(sid: SID, f: Formula, depth: int) -> Check:
+    """A check that some complete unfolding of f at height <= depth holds;
+    f is unfolded once, when the check is built."""
+    return unfoldings_checker(unfold_formula(sid, f, depth))
+
+
 def eval_bounded(g: Configuration, nu: Mapping[Var, str], f: Formula,
                  sid: SID, depth: int) -> bool:
     """True iff some complete unfolding of f at height <= depth is satisfied.
@@ -601,9 +612,4 @@ def eval_bounded(g: Configuration, nu: Mapping[Var, str], f: Formula,
     Sound for satisfaction; a False answer only rules out models arising
     from unfoldings within the depth bound.
     """
-    if not any(isinstance(a, Pred) for a in atoms_of(f)):
-        return eval_pf(g, nu, f)
-    for formula, complete in unfold_formula(sid, f, depth):
-        if complete and eval_pf(g, nu, formula):
-            return True
-    return False
+    return bounded_checker(sid, f, depth)(g, nu)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction, step
-from .logic import (Atom, Comp, Eq, Formula, Inter, Neq, Pred, SID,
-                    StateAtom, Var, eval_bounded, exists, free_vars, prenex,
-                    unfold_formula, var_text)
+from .logic import (Atom, Formula, Pred, SID, Var, bounded_checker, exists,
+                    free_vars, prenex, split_atoms, unfold_formula,
+                    unfoldings_checker, var_text)
 
 
 # ---------------------------------------------------------------------------
@@ -139,24 +139,7 @@ def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],
     are dropped, since the infinite pool always satisfies them.
     """
     states = sorted(states)
-    comp_atoms: list[Var] = []
-    inter_atoms: list[Inter] = []
-    state_atoms: list[StateAtom] = []
-    eqs: list[tuple[Var, Var]] = []
-    neqs: list[tuple[Var, Var]] = []
-    for a in atoms:
-        if isinstance(a, Comp):
-            comp_atoms.append(a.var)
-        elif isinstance(a, Inter):
-            inter_atoms.append(a)
-        elif isinstance(a, StateAtom):
-            state_atoms.append(a)
-        elif isinstance(a, Eq):
-            eqs.append((a.left, a.right))
-        elif isinstance(a, Neq):
-            neqs.append((a.left, a.right))
-        elif isinstance(a, Pred):
-            raise ValueError("formula still contains predicate atoms")
+    comp_atoms, inter_atoms, state_atoms, eqs, neqs = split_atoms(atoms)
 
     allvars: dict[Var, None] = {}
     for v in list(free) + list(binders):
@@ -258,9 +241,14 @@ def _instantiate(bucket, cls_of, inter_atoms, state_atoms, neq_cls, free,
 
 def enumerate_models(sid: SID, atom: Pred, depth: int) -> ModelSet:
     """Canonical models of a predicate atom over all complete unfoldings."""
+    return _unfolding_models(sid, atom, unfold_formula(sid, atom, depth))
+
+
+def _unfolding_models(sid: SID, atom: Pred,
+                      unfoldings: Sequence[tuple[Formula, bool]]) -> ModelSet:
     ms = ModelSet()
     free = list(atom.args)
-    for k, (formula, complete) in enumerate(unfold_formula(sid, atom, depth)):
+    for k, (formula, complete) in enumerate(unfoldings):
         if not complete:
             continue
         binders, atoms = prenex(formula)
@@ -310,12 +298,14 @@ def havoc_invariant_bounded(sid: SID, pred: str, depth: int) -> HavocReport:
     one-step successor stays in the model set.
     """
     atom = sid.atom(pred)
-    ms = enumerate_models(sid, atom, depth)
+    unfoldings = unfold_formula(sid, atom, depth)
+    ms = _unfolding_models(sid, atom, unfoldings)
+    holds = unfoldings_checker(unfoldings)
     for _, model in _model_order(ms):
         for inter in sorted(model.config.interactions, key=repr):
             for g2 in sorted(step(sid.behavior, model.config, inter),
                              key=lambda c: c.state_pairs):
-                if not eval_bounded(g2, model.store, atom, sid, depth):
+                if not holds(g2, model.store):
                     return HavocReport(False, depth, len(ms),
                                        Counterexample(model.config, model.store,
                                                       inter, g2))
@@ -338,8 +328,11 @@ def entails_bounded(sid: SID, lhs: str, rhs: str, depth: int) -> EntailReport:
     rhs_formula = exists(tuple(Var(f"x{i}") for i in range(na + 1, nb + 1)),
                          sid.atom(rhs))
     ms = enumerate_models(sid, sid.atom(lhs), depth)
+    if not ms:  # no model to check: skip unfolding the right-hand side
+        return EntailReport(True, depth, 0, None)
+    holds = bounded_checker(sid, rhs_formula, depth)
     for _, model in _model_order(ms):
-        if not eval_bounded(model.config, model.store, rhs_formula, sid, depth):
+        if not holds(model.config, model.store):
             return EntailReport(False, depth, len(ms),
                                 Counterexample(model.config, model.store, None, None))
     return EntailReport(True, depth, len(ms), None)

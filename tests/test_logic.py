@@ -16,7 +16,7 @@ from clhavoc.core import Behavior, Configuration, Interaction
 from clhavoc.frontend import parse_system
 from clhavoc.logic import (Comp, Emp, Eq, Exists, Inter, Neq, Pred, SepConj,
                            StateAtom, UnboundVariable, Var, comp_in,
-                           eval_bounded, eval_pf, eval_qpf, exists, free_vars, sep,
+                           eval_bounded, eval_pf, exists, free_vars, sep,
                            substitute, unfold)
 
 X, Y, Z, U = Var("x"), Var("y"), Var("z"), Var("u")
@@ -119,27 +119,27 @@ def test_eval_qpf_two_component_example():
     g = two_ring("H", "T")
     f = sep(comp_in(X, "H"), comp_in(Y, "T"),
             Inter(((X, "out"), (Y, "in"))), Inter(((Y, "out"), (X, "in"))))
-    assert eval_qpf(g, {X: "c1", Y: "c2"}, f)
-    assert not eval_qpf(g, {X: "c2", Y: "c1"}, f)
+    assert eval_pf(g, {X: "c1", Y: "c2"}, f)
+    assert not eval_pf(g, {X: "c2", Y: "c1"}, f)
 
 
 def test_eval_qpf_emp_and_comp():
     empty = Configuration.make([], [], {})
-    assert eval_qpf(empty, {}, Emp())
-    assert not eval_qpf(empty, {X: "c1"}, Comp(X))
+    assert eval_pf(empty, {}, Emp())
+    assert not eval_pf(empty, {X: "c1"}, Comp(X))
 
 
 def test_eval_qpf_disjointness_forces_two():
     g = Configuration.make(["c1"], [], {"c1": "H"})
     f = sep(Comp(X), Comp(Y))
     for cx, cy in itertools.product(["c1"], repeat=2):
-        assert not eval_qpf(g, {X: cx, Y: cy}, f)
+        assert not eval_pf(g, {X: cx, Y: cy}, f)
     assert not naive_eval(g, {X: "c1", Y: "c1"}, f)
 
 
 def test_eval_unbound_variable():
     with pytest.raises(UnboundVariable):
-        eval_qpf(two_ring(), {X: "c1"}, Eq(X, Y))
+        eval_pf(two_ring(), {X: "c1"}, Eq(X, Y))
 
 
 def test_eval_pf_existential_uses_pool():

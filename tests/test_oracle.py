@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from clhavoc.core import Behavior, Configuration, Interaction, step
 from clhavoc.frontend import parse_system
-from clhavoc.logic import Eq, Neq, Pred, SID, Var, comp_in, sep
-from clhavoc.oracle import (canonical_model, enumerate_models,
+from clhavoc.logic import (Eq, Neq, Pred, SID, Var, bounded_checker, comp_in,
+                           eval_bounded, eval_pf, exists, sep, unfold_formula)
+from clhavoc.oracle import (Counterexample, EntailReport, HavocReport,
+                            _model_order, canonical_model, enumerate_models,
                             entails_bounded, havoc_invariant_bounded)
 
 X1, X2 = Var("x1"), Var("x2")
@@ -207,3 +209,103 @@ def test_one_step_closure_iff_multi_step(name, pred, depth, request):
         if not all(canonical_model(g, m.store) in keys for g in seen):
             multi = False
     assert one_step == multi
+
+
+# ---------------------------------------------------------------------------
+# compiled bounded checks against a per-query reference
+
+def one_step_successors(sid, ms):
+    for _, model in _model_order(ms):
+        for inter in sorted(model.config.interactions, key=repr):
+            for g2 in sorted(step(sid.behavior, model.config, inter),
+                             key=lambda c: c.state_pairs):
+                yield model, inter, g2
+
+
+@pytest.mark.parametrize("name,depth", [
+    ("ring", 4), ("bad", 2), ("tll", 3), ("pcring", 4), ("chain", 4),
+])
+def test_bounded_checker_matches_eval_pf_on_successors(name, depth, request):
+    # every model and one-step successor of each predicate, checked against
+    # every predicate of the same arity
+    sid = request.getfixturevalue(name).sid
+    checks = {p: (bounded_checker(sid, sid.atom(p), depth),
+                  [u for u, done in unfold_formula(sid, sid.atom(p), depth) if done])
+              for p in sid.predicates}
+    outcomes = set()
+    for pred in sid.predicates:
+        ms = enumerate_models(sid, sid.atom(pred), depth)
+        candidates = [(m.config, m.store) for m in ms.models()]
+        candidates += [(g2, m.store) for m, _, g2 in one_step_successors(sid, ms)]
+        for other in sid.predicates:
+            if sid.arity(other) != sid.arity(pred):
+                continue
+            holds, complete = checks[other]
+            for g, nu in candidates:
+                want = any(eval_pf(g, nu, u) for u in complete)
+                assert holds(g, nu) == want, (other, g, nu)
+                outcomes.add(want)
+    assert True in outcomes
+
+
+def reference_havoc(sid, pred, depth):
+    atom = sid.atom(pred)
+    ms = enumerate_models(sid, atom, depth)
+    for model, inter, g2 in one_step_successors(sid, ms):
+        if not eval_bounded(g2, model.store, atom, sid, depth):
+            return HavocReport(False, depth, len(ms),
+                               Counterexample(model.config, model.store, inter, g2))
+    return HavocReport(True, depth, len(ms), None)
+
+
+def reference_entails(sid, lhs, rhs, depth):
+    extra = tuple(Var(f"x{i}") for i in range(sid.arity(lhs) + 1, sid.arity(rhs) + 1))
+    ms = enumerate_models(sid, sid.atom(lhs), depth)
+    for _, model in _model_order(ms):
+        if not eval_bounded(model.config, model.store, exists(extra, sid.atom(rhs)),
+                            sid, depth):
+            return EntailReport(False, depth, len(ms),
+                                Counterexample(model.config, model.store, None, None))
+    return EntailReport(True, depth, len(ms), None)
+
+
+# A ring anchored at an H component: firing either of the anchor's
+# interactions moves its token, so every model with interactions fails.
+ANCHORED = """
+behavior {
+  ports in, out;
+  states H, T;
+  trans T -out-> H;
+  trans H -in-> T;
+}
+sid {
+  Anchored(x) <- exists y, z . comp(x : H) * <x.out, z.in> * <y.out, x.in> * Chain[1, 1](z, y);
+  Chain[h=0..1, t=0..1](x, y) <- exists z . comp(x : H) * <x.out, z.in> * Chain[max(h-1, 0), t](z, y);
+  Chain[h=0..1, t=0..1](x, y) <- exists z . comp(x : T) * <x.out, z.in> * Chain[h, max(t-1, 0)](z, y);
+  Chain[0, 1](x, y) <- x = y * comp(x : T);
+  Chain[1, 0](x, y) <- x = y * comp(x : H);
+  Chain[0, 0](x, y) <- x = y * comp(x);
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def anchored():
+    return parse_system(ANCHORED)
+
+
+@pytest.mark.parametrize("name,depth", [("bad", 2), ("ring", 3), ("anchored", 4)])
+def test_reports_match_reference_loops(name, depth, request):
+    sid = request.getfixturevalue(name).sid
+    verdicts = set()
+    for pred in sid.predicates:
+        rep = havoc_invariant_bounded(sid, pred, depth)
+        assert rep == reference_havoc(sid, pred, depth), pred
+        verdicts.add(rep.invariant)
+    for lhs in sid.predicates:
+        for rhs in sid.predicates:
+            if sid.arity(rhs) >= sid.arity(lhs):
+                rep = entails_bounded(sid, lhs, rhs, depth)
+                assert rep == reference_entails(sid, lhs, rhs, depth), (lhs, rhs)
+                verdicts.add(rep.holds)
+    assert verdicts == {True, False}
