@@ -310,27 +310,39 @@ def _reachable_states(ta: TreeAutomaton, t: Tree) -> dict[Address, set]:
 
 
 def ta_trim(ta: TreeAutomaton) -> TreeAutomaton:
-    """Drop non-productive states; with final states, also drop useless ones."""
+    """Drop non-productive states; with final states, also drop useless ones.
+
+    Both passes are worklists (TATA, ch. 1): a transition becomes usable once
+    its count of non-productive child slots drops to zero.
+    """
+    missing = [len(tr.children) for tr in ta.transitions]
+    waiting: dict[object, list[int]] = {}
+    by_result: dict[object, list[int]] = {}
+    for t, tr in enumerate(ta.transitions):
+        for c in tr.children:
+            waiting.setdefault(c, []).append(t)
+        by_result.setdefault(tr.result, []).append(t)
     productive: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for tr in ta.transitions:
-            if tr.result not in productive and all(c in productive for c in tr.children):
-                productive.add(tr.result)
-                changed = True
+    work = [tr.result for tr in ta.transitions if not tr.children]
+    while work:
+        s = work.pop()
+        if s not in productive:
+            productive.add(s)
+            for t in waiting.get(s, ()):
+                missing[t] -= 1
+                if not missing[t]:
+                    work.append(ta.transitions[t].result)
     keep = productive
     if ta.finals:
-        useful = set(ta.finals) & productive
-        changed = True
-        while changed:
-            changed = False
-            for tr in ta.transitions:
-                if tr.result in useful and all(c in productive for c in tr.children):
-                    for c in tr.children:
-                        if c not in useful:
-                            useful.add(c)
-                            changed = True
+        useful: set = set()
+        work = [s for s in ta.finals if s in productive]
+        while work:
+            s = work.pop()
+            if s not in useful:
+                useful.add(s)
+                for t in by_result.get(s, ()):
+                    if not missing[t]:
+                        work.extend(ta.transitions[t].children)
         keep = useful
     transitions = tuple(tr for tr in ta.transitions
                         if tr.result in keep and all(c in keep for c in tr.children))

@@ -9,7 +9,7 @@ every component bound by an interaction, so steps are fully determined.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 
@@ -56,26 +56,23 @@ class Interaction:
     """A joint synchronization binding ports of pairwise distinct components."""
 
     bindings: tuple[tuple[str, str], ...]
+    # derived from bindings once; not part of equality, hashing or repr
+    components: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # the ordered port sequence (the interaction type)
+    itype: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.bindings:
             raise ValueError("interaction must bind at least one port")
-        comps = [c for c, _ in self.bindings]
+        comps = tuple(c for c, _ in self.bindings)
         if len(set(comps)) != len(comps):
-            raise ValueError(f"interaction components must be pairwise distinct: {comps}")
+            raise ValueError(f"interaction components must be pairwise distinct: {list(comps)}")
+        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "itype", tuple(p for _, p in self.bindings))
 
     @staticmethod
     def make(*bindings: tuple[str, str]) -> "Interaction":
         return Interaction(tuple((c, p) for c, p in bindings))
-
-    @property
-    def components(self) -> tuple[str, ...]:
-        return tuple(c for c, _ in self.bindings)
-
-    @property
-    def itype(self) -> tuple[str, ...]:
-        """The ordered port sequence (the interaction type)."""
-        return tuple(p for _, p in self.bindings)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{c}.{p}" for c, p in self.bindings)

@@ -246,19 +246,32 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
     bodies differ by state renaming plus equalities on quantified variables,
     which covers everything the reduction emits.
     """
-    norm1 = [_norm_body(r, d1) for r in d1.rules]
-    norm2 = [_norm_body(r, d2) for r in d2.rules]
+    # rules share few distinct normalised bodies: number each (binders,
+    # atoms) pair once and match each pair of numbers once
+    body_ids: dict[tuple, int] = {}
+    matches: dict[tuple[int, int], bool] = {}
+
+    def norms(sid: SID) -> list:
+        out = []
+        for r in sid.rules:
+            b, a, ph = _norm_body(r, sid)
+            out.append((b, a, ph, body_ids.setdefault((b, a), len(body_ids))))
+        return out
+
+    norm1, norm2 = norms(d1), norms(d2)
 
     def rule_candidates(i: int, r1: Rule, source, targets, norms1, norms2):
-        b1, a1, ph1 = norms1[i]
+        b1, a1, ph1, id1 = norms1[i]
         out = []
         for j, r2 in enumerate(targets.rules):
-            b2, a2, ph2 = norms2[j]
+            b2, a2, ph2, id2 = norms2[j]
             if len(r1.params) != len(r2.params) or len(ph1) != len(ph2):
                 continue
             if any(n1 != n2 for (_, n1), (_, n2) in zip(ph1, ph2)):
                 continue
-            if _atoms_match(a1, a2, b1, b2):
+            if (id1, id2) not in matches:
+                matches[id1, id2] = _atoms_match(a1, a2, b1, b2)
+            if matches[id1, id2]:
                 constraints = [(r1.head, r2.head)]
                 constraints += [(p1, p2) for (p1, _), (p2, _) in zip(ph1, ph2)]
                 out.append((j, constraints))

@@ -235,6 +235,9 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID,
         n = len(tau)
         by_base: dict[object, list[EqFormula]] = {}
         done: set[tuple[int, tuple[EqFormula, ...]]] = set()
+        # a step depends on the symbol and child states only, not on the
+        # transition's result state, so equal symbols share one computation
+        steps: dict[tuple[AlphabetSymbol, tuple[EqFormula, ...]], list] = {}
         changed = True
         while changed:
             changed = False
@@ -247,9 +250,11 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID,
                     if key in done:
                         continue
                     done.add(key)
-                    child_phis = list(combo)
-                    for out_sym, phi, wit in transducer_step(
-                            tau, tr.symbol, child_phis, behavior, maxarity):
+                    skey = (tr.symbol, combo)
+                    if skey not in steps:
+                        steps[skey] = transducer_step(tau, tr.symbol, list(combo),
+                                                      behavior, maxarity)
+                    for out_sym, phi, wit in steps[skey]:
                         ps = ProductState(tr.result, phi, tau)
                         if ps not in discovered:
                             discovered[ps] = None

@@ -8,6 +8,8 @@ characteristic formulas of the trees its automaton state accepts.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clhavoc.automata import (BadAddress, NotSidCompatible,
                               TaTransition, Tree, TreeAutomaton,
@@ -246,6 +248,58 @@ def test_trim_removes_junk_state(tll):
         want = {t for t in enumerate_trees(ta, state, 6)}
         got = {t for t in enumerate_trees(trimmed, state, 6)}
         assert want == got
+
+
+def reference_trim(ta):
+    """Quadratic fixpoint iteration: the reference the worklist trim must match."""
+    productive = set()
+    changed = True
+    while changed:
+        changed = False
+        for tr in ta.transitions:
+            if tr.result not in productive and all(c in productive for c in tr.children):
+                productive.add(tr.result)
+                changed = True
+    keep = productive
+    if ta.finals:
+        useful = set(ta.finals) & productive
+        changed = True
+        while changed:
+            changed = False
+            for tr in ta.transitions:
+                if tr.result in useful and all(c in productive for c in tr.children):
+                    for c in tr.children:
+                        if c not in useful:
+                            useful.add(c)
+                            changed = True
+        keep = useful
+    return TreeAutomaton(
+        tuple(s for s in ta.states if s in keep),
+        frozenset(s for s in ta.finals if s in keep),
+        tuple(tr for tr in ta.transitions
+              if tr.result in keep and all(c in keep for c in tr.children)))
+
+
+_states = st.integers(0, 5)
+_transitions = st.lists(st.tuples(st.lists(_states, max_size=3), _states), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_transitions, st.sets(_states, max_size=3))
+def test_trim_matches_reference_fixpoint(spec, finals):
+    # the symbol is opaque to trimming; numbering keeps transitions distinct
+    ta = TreeAutomaton.make([TaTransition(k, tuple(kids), res)
+                             for k, (kids, res) in enumerate(spec)],
+                            finals=finals, states=range(6))
+    assert ta_trim(ta) == reference_trim(ta)
+
+
+def test_trim_matches_reference_on_images(ring, pcring, tll):
+    from clhavoc.transducer import image
+    for sf, pred in ((ring, "Ring_1_1"), (pcring, "PcRing_1_1"), (tll, "Root")):
+        ta, _ = sid_to_ta(sf.sid)
+        product = image(ta, pred, sf.sid, sf.sid.behavior).automaton
+        assert ta_trim(product) == reference_trim(product)
 
 
 # ---------------------------------------------------------------------------

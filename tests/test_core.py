@@ -58,6 +58,16 @@ def test_interaction_validation():
         Interaction(())
 
 
+def test_interaction_derived_tuples_stay_out_of_identity():
+    a = Interaction.make(("c1", "out"), ("c2", "in"))
+    b = Interaction((("c1", "out"), ("c2", "in")))
+    assert a.components == ("c1", "c2")
+    assert a.itype == ("out", "in")
+    assert a == b and hash(a) == hash(b) == hash((a.bindings,))
+    assert repr(a) == "<c1.out, c2.in>"
+    assert a != Interaction.make(("c1", "in"), ("c2", "out"))
+
+
 def test_step_moves_token():
     g = ring_config(["H", "H", "T"])
     inter = Interaction.make(("c3", "out"), ("c1", "in"))

@@ -1,12 +1,15 @@
 """The havoc-to-entailment pipeline and class equivalence."""
 
+import hashlib
 import json
 
 import pytest
+from conftest import FIXTURES
 
+from clhavoc import transducer
 from clhavoc.core import Behavior
 from clhavoc.frontend import Query, SystemFile, parse_system, render_system
-from clhavoc.logic import Rule, SID, Var, comp_in
+from clhavoc.logic import Comp, Pred, Rule, SID, Var, comp_in, exists, sep
 from clhavoc.oracle import cross_validate_reduction, entails_bounded
 from clhavoc.reduction import (TightnessNotEstablished, class_equiv,
                                manifest_dict, reduce_havoc_to_entailment)
@@ -20,6 +23,24 @@ def ring_reduction(ring):
 @pytest.fixture(scope="module")
 def tll_reduction(tll):
     return reduce_havoc_to_entailment(tll.sid, "Root", assume_tight=True)
+
+
+@pytest.fixture(scope="module")
+def ring3():
+    """The token ring with budgets h, t = 0..3."""
+    text = (FIXTURES / "ring.clsys").read_text().replace("=0..1", "=0..3")
+    return parse_system(text)
+
+
+@pytest.fixture(scope="module")
+def ring3_reduction(ring3):
+    return reduce_havoc_to_entailment(ring3.sid, "Ring_3_3", assume_tight=True)
+
+
+def reduced_text(sf, result):
+    """The text `clhavoc reduce` writes for a reduction."""
+    queries = [Query("entail", lhs, rhs) for lhs, rhs in result.entailments]
+    return render_system(SystemFile(sf.behavior, result.combined_sid, {}, queries))
 
 
 def test_gate_requires_tightness_evidence(ring):
@@ -97,6 +118,39 @@ def test_manifest_is_deterministic(ring_reduction):
     assert set(m["targets"]) <= set(m["states"])
 
 
+# sha256 of the reduced text and of the sorted-key manifest JSON
+PINNED_DIGESTS = {
+    "Ring_1_1": ("19636553348b6134be0e466fcc5e24a28d29a9d9484ef40a545226c7ecb975dd",
+                 "5d13638c177b0f1ce667b77bd346c8e5fbc01de11b399bba6f559c55d4fd6a55"),
+    "Ring_3_3": ("0eb4cf60c4e50bec692ffa2f77b45230ada45f56c81401649109443bfeb85ac9",
+                 "45acedeca80b5c8f7e054ac91f2aac109d069cf8ca61de360236b3ede9a70189"),
+}
+
+
+def test_reduction_output_pinned(pcring, ring, ring_reduction, ring3, ring3_reduction):
+    """Reduction output must not drift between versions, not only between runs."""
+    result = reduce_havoc_to_entailment(pcring.sid, "PcRing_1_1", assume_tight=True)
+    assert reduced_text(pcring, result) == (FIXTURES / "pcring.reduced.clsys").read_text()
+    for sf, result in ((ring, ring_reduction), (ring3, ring3_reduction)):
+        manifest = json.dumps(manifest_dict(result), sort_keys=True)
+        got = tuple(hashlib.sha256(t.encode()).hexdigest()
+                    for t in (reduced_text(sf, result), manifest))
+        assert got == PINNED_DIGESTS[result.predicate]
+
+
+def test_image_steps_each_distinct_input_once(ring3, monkeypatch):
+    calls = []
+    real_step = transducer.transducer_step
+
+    def counting_step(tau, alpha, child_states, behavior, maxarity):
+        calls.append((tau, alpha, tuple(child_states)))
+        return real_step(tau, alpha, child_states, behavior, maxarity)
+
+    monkeypatch.setattr(transducer, "transducer_step", counting_step)
+    reduce_havoc_to_entailment(ring3.sid, "Ring_3_3", assume_tight=True)
+    assert len(calls) == len(set(calls)) == 225
+
+
 def test_namespaces_disjoint(ring_reduction):
     base = set(ring_reduction.base_sid.predicates)
     derived = set(ring_reduction.derived_sid.predicates)
@@ -121,6 +175,27 @@ def test_class_equiv_ring_reduction(ring, ring_reduction):
 def test_class_equiv_tll_reduction(tll, tll_reduction):
     res = class_equiv(tll.sid, tll_reduction.derived_sid)
     assert res.verdict == "equivalent"
+
+
+def test_class_equiv_ring_family(ring3, ring3_reduction):
+    assert class_equiv(ring3.sid, ring3_reduction.derived_sid).verdict == "equivalent"
+
+
+def test_class_equiv_shared_body_needs_matching_arities():
+    """Both P rules and both Q rules normalise to the body comp(x1); only the
+    parameter counts and the arity of the predicate head tell them apart."""
+    x, y, z = Var("x"), Var("y"), Var("z")
+    beh = Behavior.make(["p"], ["q"], [])
+
+    def sid(q_params):
+        q_args = (y, z)[:len(q_params)]
+        return SID((Rule("P", (x,), exists(q_args, sep(Comp(x), Pred("Q", q_args)))),
+                    Rule("Q", q_params, Comp(q_params[0]))), beh)
+
+    unary, binary = sid((y,)), sid((y, z))
+    assert class_equiv(unary, unary).verdict == "equivalent"
+    assert class_equiv(unary, binary).verdict == "inequivalent"
+    assert class_equiv(binary, unary).verdict == "inequivalent"
 
 
 def test_class_equiv_detects_port_change(ring):
