@@ -120,12 +120,6 @@ class Configuration:
     def carrier(self) -> frozenset[str]:
         return frozenset(c for c, _ in self.state_pairs)
 
-    def state_of(self, cid: str) -> str:
-        for c, q in self.state_pairs:
-            if c == cid:
-                return q
-        raise KeyError(f"{cid!r} not in carrier")
-
     def with_states(self, updates: Mapping[str, str]) -> "Configuration":
         rho = self.state_map
         rho.update(updates)

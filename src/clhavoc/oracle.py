@@ -22,55 +22,58 @@ from .logic import (Atom, Formula, Pred, SID, Var, bounded_checker, exists,
 # ---------------------------------------------------------------------------
 # canonical forms
 
-def _signatures(g: Configuration, nu: Mapping[Var, str]) -> dict[str, tuple]:
-    ids = sorted(g.carrier)
-    rho = g.state_map
-    sig = {c: (c in g.components, rho[c],
-               tuple(sorted((i.itype, pos) for i in g.interactions
-                            for pos, cid in enumerate(i.components) if cid == c)),
-               tuple(sorted(var_text(v) for v, cid in nu.items() if cid == c)))
-           for c in ids}
-    # one refinement round over interaction neighborhoods
-    for _ in range(2):
-        sig = {c: (sig[c], tuple(sorted(tuple(sig[d] for d in i.components)
-                                        for i in g.interactions if c in i.components)))
-               for c in ids}
-    return sig
-
-
 def canonical_model(g: Configuration, nu: Mapping[Var, str]) -> tuple:
-    """Least serialized form over all id renamings compatible with signatures."""
-    sig = _signatures(g, nu)
-    groups: dict[tuple, list[str]] = {}
-    for c in sorted(g.carrier):
-        groups.setdefault(sig[c], []).append(c)
-    ordered_groups = [groups[k] for k in sorted(groups)]
+    """Least serialized form over the leaves of an individualisation-refinement
+    search (McKay & Piperno, Practical Graph Isomorphism II, 2014).
 
-    best: tuple | None = None
-    for perm_choice in itertools.product(*[itertools.permutations(grp)
-                                           for grp in ordered_groups]):
-        order = [c for grp in perm_choice for c in grp]
-        ren = {c: f"m{i}" for i, c in enumerate(order)}
-        key = (
+    Colours are isomorphism-invariant: refinement ranks the distinct colour
+    values, and the search branches on every member of an invariantly chosen
+    cell.  So renamed copies reach the same set of leaves.
+    """
+    rho = g.state_map
+    ids = list(rho)
+    inc: dict[str, list] = {c: [] for c in ids}
+    for i in g.interactions:
+        for pos, c in enumerate(i.components):
+            inc[c].append((i.itype, pos, i.components))
+
+    def refine(col: dict) -> dict[str, int]:
+        # rank the distinct colour values, then split each cell by its
+        # neighbourhood; the partition only splits, so it is stable once the
+        # number of cells holds
+        n = 0
+        while True:
+            order = {x: k for k, x in enumerate(sorted(set(col.values())))}
+            col = {c: order[col[c]] for c in ids}
+            if len(order) in (n, len(ids)):
+                return col
+            n = len(order)
+            col = {c: (col[c], tuple(sorted((t, pos, tuple(col[d] for d in comps))
+                                            for t, pos, comps in inc[c])))
+                   for c in ids}
+
+    def search(col: dict[str, int]) -> tuple:
+        cells: dict[int, list[str]] = {}
+        for c in ids:
+            cells.setdefault(col[c], []).append(c)
+        if len(cells) < len(ids):
+            # smallest non-singleton cell, ties broken by colour
+            _, k = min((len(m), k) for k, m in cells.items() if len(m) > 1)
+            return min(search(refine({c: 2 * col[c] + (c == v) for c in ids}))
+                       for v in cells[k])
+        ren = {c: f"m{col[c]}" for c in ids}
+        return (
             tuple(sorted(ren[c] for c in g.components)),
             tuple(sorted(tuple((ren[c], p) for c, p in i.bindings)
                          for i in g.interactions)),
             tuple(sorted((ren[c], q) for c, q in g.state_pairs)),
             tuple(sorted((var_text(v), ren[c]) for v, c in nu.items())),
         )
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
 
-
-def rename_model(g: Configuration, nu: Mapping[Var, str],
-                 ren: Mapping[str, str]) -> tuple[Configuration, dict[Var, str]]:
-    g2 = Configuration.make(
-        (ren[c] for c in g.components),
-        (Interaction(tuple((ren[c], p) for c, p in i.bindings)) for i in g.interactions),
-        {ren[c]: q for c, q in g.state_pairs})
-    return g2, {v: ren[c] for v, c in nu.items()}
+    return search(refine({c: (c in g.components, rho[c],
+                              tuple(sorted((t, pos) for t, pos, _ in inc[c])),
+                              tuple(sorted(var_text(v) for v, d in nu.items() if d == c)))
+                          for c in ids}))
 
 
 @dataclass

@@ -251,24 +251,25 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
     body_ids: dict[tuple, int] = {}
     matches: dict[tuple[int, int], bool] = {}
 
-    def norms(sid: SID) -> list:
-        out = []
-        for r in sid.rules:
+    def norms(sid: SID) -> tuple[list, dict[tuple, list[int]]]:
+        out, by_shape = [], {}
+        for j, r in enumerate(sid.rules):
             b, a, ph = _norm_body(r, sid)
-            out.append((b, a, ph, body_ids.setdefault((b, a), len(body_ids))))
-        return out
+            shape = (len(r.params), tuple(n for _, n in ph))
+            out.append((b, a, ph, body_ids.setdefault((b, a), len(body_ids)), shape))
+            # only rules of one shape (parameter count, head arities) can
+            # pair; each shape lists its rules in ascending order
+            by_shape.setdefault(shape, []).append(j)
+        return out, by_shape
 
-    norm1, norm2 = norms(d1), norms(d2)
+    (norm1, shapes1), (norm2, shapes2) = norms(d1), norms(d2)
 
-    def rule_candidates(i: int, r1: Rule, source, targets, norms1, norms2):
-        b1, a1, ph1, id1 = norms1[i]
+    def rule_candidates(i: int, r1: Rule, targets, norms1, norms2, shapes):
+        b1, a1, ph1, id1, shape1 = norms1[i]
         out = []
-        for j, r2 in enumerate(targets.rules):
-            b2, a2, ph2, id2 = norms2[j]
-            if len(r1.params) != len(r2.params) or len(ph1) != len(ph2):
-                continue
-            if any(n1 != n2 for (_, n1), (_, n2) in zip(ph1, ph2)):
-                continue
+        for j in shapes.get(shape1, ()):
+            r2 = targets.rules[j]
+            b2, a2, ph2, id2, _ = norms2[j]
             if (id1, id2) not in matches:
                 matches[id1, id2] = _atoms_match(a1, a2, b1, b2)
             if matches[id1, id2]:
@@ -277,8 +278,8 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
                 out.append((j, constraints))
         return out
 
-    cand1 = [rule_candidates(i, r, d1, d2, norm1, norm2) for i, r in enumerate(d1.rules)]
-    cand2 = [rule_candidates(j, r, d2, d1, norm2, norm1) for j, r in enumerate(d2.rules)]
+    cand1 = [rule_candidates(i, r, d2, norm1, norm2, shapes2) for i, r in enumerate(d1.rules)]
+    cand2 = [rule_candidates(j, r, d1, norm2, norm1, shapes1) for j, r in enumerate(d2.rules)]
     if any(not c for c in cand1) or any(not c for c in cand2):
         return ClassEquivResult("inequivalent", None, None)
 

@@ -1,5 +1,8 @@
 """Bounded model enumeration and the direct havoc/entailment checks."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 from clhavoc.core import Behavior, Configuration, Interaction, step
 from clhavoc.frontend import parse_system
 from clhavoc.logic import (Eq, Neq, Pred, SID, Var, bounded_checker, comp_in,
-                           eval_bounded, eval_pf, exists, sep, unfold_formula)
+                           eval_bounded, eval_pf, exists, sep, unfold_formula,
+                           var_text)
 from clhavoc.oracle import (Counterexample, EntailReport, HavocReport,
                             _model_order, canonical_model, enumerate_models,
                             entails_bounded, havoc_invariant_bounded)
@@ -309,3 +313,155 @@ def test_reports_match_reference_loops(name, depth, request):
                 assert rep == reference_entails(sid, lhs, rhs, depth), (lhs, rhs)
                 verdicts.add(rep.holds)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# canonical keys against the permutation reference
+
+def reference_key(g, nu):
+    """The least serialization over every id order that keeps each group of
+    equal three-round signatures together, groups in signature order."""
+    ids = sorted(g.carrier)
+    rho = g.state_map
+    sig = {c: (c in g.components, rho[c],
+               tuple(sorted((i.itype, pos) for i in g.interactions
+                            for pos, cid in enumerate(i.components) if cid == c)),
+               tuple(sorted(var_text(v) for v, cid in nu.items() if cid == c)))
+           for c in ids}
+    for _ in range(2):
+        sig = {c: (sig[c], tuple(sorted(tuple(sig[d] for d in i.components)
+                                        for i in g.interactions if c in i.components)))
+               for c in ids}
+    groups = {}
+    for c in ids:
+        groups.setdefault(sig[c], []).append(c)
+    best = None
+    for perm_choice in itertools.product(*[itertools.permutations(groups[k])
+                                           for k in sorted(groups)]):
+        order = [c for grp in perm_choice for c in grp]
+        ren = {c: f"m{i}" for i, c in enumerate(order)}
+        key = (
+            tuple(sorted(ren[c] for c in g.components)),
+            tuple(sorted(tuple((ren[c], p) for c, p in i.bindings)
+                         for i in g.interactions)),
+            tuple(sorted((ren[c], q) for c, q in g.state_pairs)),
+            tuple(sorted((var_text(v), ren[c]) for v, c in nu.items())),
+        )
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def renamed(g, nu, ren):
+    return (Configuration.make(
+        (ren[c] for c in g.components),
+        (Interaction(tuple((ren[c], p) for c, p in i.bindings)) for i in g.interactions),
+        {ren[c]: q for c, q in g.state_pairs}), {v: ren[c] for v, c in nu.items()})
+
+
+def random_renaming(g, rnd):
+    ids = sorted(g.carrier)
+    shuffled = list(ids)
+    rnd.shuffle(shuffled)
+    return {c: "r" + d for c, d in zip(ids, shuffled)}
+
+
+def assert_same_classes(items):
+    """Two items get equal keys exactly when they get equal reference keys."""
+    by_key, by_ref = {}, {}
+    for g, nu in items:
+        key, ref = canonical_model(g, nu), reference_key(g, nu)
+        by_key.setdefault(key, set()).add(ref)
+        by_ref.setdefault(ref, set()).add(key)
+    assert all(len(refs) == 1 for refs in by_key.values())
+    assert all(len(keys) == 1 for keys in by_ref.values())
+    return len(by_key)
+
+
+@pytest.mark.parametrize("name,depth", [
+    ("ring", 6), ("chain", 5), ("tll_pcr", 4), ("pcring", 4), ("bad", 3),
+])
+def test_canonical_model_matches_reference_classes(name, depth, request):
+    # every model and one-step successor of every predicate, plus a seeded
+    # random renaming of each
+    sid = request.getfixturevalue(name).sid
+    rnd = random.Random(f"{name}/{depth}")
+    items = []
+    for pred in sid.predicates:
+        ms = enumerate_models(sid, sid.atom(pred), depth)
+        items += [(m.config, m.store) for m in ms.models()]
+        items += [(g2, m.store) for m, _, g2 in one_step_successors(sid, ms)]
+    items += [renamed(g, nu, random_renaming(g, rnd)) for g, nu in items]
+    assert assert_same_classes(items) <= len(items) // 2
+
+
+@st.composite
+def small_models(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    ids = [f"c{k}" for k in range(n)]
+    binding = st.tuples(st.sampled_from(ids), st.sampled_from(["in", "out"]))
+    inters = draw(st.lists(st.lists(binding, min_size=1, max_size=3,
+                                    unique_by=lambda b: b[0]), max_size=6))
+    g = Configuration.make(
+        draw(st.lists(st.sampled_from(ids), unique=True)),
+        (Interaction(tuple(b)) for b in inters),
+        {c: draw(st.sampled_from(["H", "T"])) for c in ids})
+    nu = draw(st.dictionaries(st.sampled_from([X1, X2, Var("x3")]), st.sampled_from(ids)))
+    return g, nu
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_models(), small_models(), st.randoms(use_true_random=False))
+def test_canonical_model_matches_reference_on_random_models(a, b, rnd):
+    ra = renamed(*a, random_renaming(a[0], rnd))
+    rb = renamed(*b, random_renaming(b[0], rnd))
+    assert canonical_model(*a) == canonical_model(*ra)
+    assert canonical_model(*b) == canonical_model(*rb)
+    assert_same_classes([a, ra, b, rb])
+
+
+def test_canonical_model_symmetric_ring():
+    # all ten components look alike until one is individualised; the
+    # permutation search would try 9! orders per key
+    n = 10
+    ids = [f"c{k}" for k in range(n)]
+
+    def ring_of(order, closed=True):
+        inters = [Interaction.make((order[k], "out"), (order[(k + 1) % n], "in"))
+                  for k in range(n if closed else n - 1)]
+        return Configuration.make(order, inters, {c: "H" for c in order})
+
+    key = canonical_model(ring_of(ids), {})
+    rotated = {ids[k]: ids[(k + 3) % n] for k in range(n)}
+    reflected = {ids[k]: ids[-k % n] for k in range(n)}
+    for ren in (rotated, reflected):
+        assert canonical_model(*renamed(ring_of(ids), {}, ren)) == key
+    assert canonical_model(ring_of(ids, closed=False), {}) != key
+    assert canonical_model(ring_of(ids[::-1]), {}) == key
+
+
+def test_canonical_model_where_refinement_is_blind():
+    # every component of disjoint directed rings looks alike to colour
+    # refinement, yet components of different rings lie in different orbits,
+    # so the key must not depend on which member the search picks first
+    def rings(*sizes, names):
+        it = iter(names)
+        comps, inters = [], []
+        for n in sizes:
+            ring = [next(it) for _ in range(n)]
+            comps += ring
+            inters += [Interaction.make((ring[k], "out"), (ring[(k + 1) % n], "in"))
+                       for k in range(n)]
+        return Configuration.make(comps, inters, {c: "H" for c in comps})
+
+    names = [f"c{k}" for k in range(7)]
+    split = rings(3, 4, names=names)
+    key = canonical_model(split, {})
+    for shift in range(1, 7):
+        moved = rings(3, 4, names=names[shift:] + names[:shift])
+        assert canonical_model(moved, {}) == key
+        assert_same_classes([(split, {}), (moved, {})])
+    six = names[:6]
+    assert canonical_model(rings(3, 3, names=six), {}) != canonical_model(rings(6, names=six), {})
+    assert_same_classes([(rings(3, 3, names=six), {}), (rings(6, names=six), {}),
+                         (rings(3, 3, names=six[::-1]), {})])
