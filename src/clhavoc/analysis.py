@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .eqform import Partition
 from .logic import (Comp, Emp, Eq, Exists, Inter, Neq, Pred, SID, SepConj,
                     StateAtom, Var, atoms_of, prenex, var_text)
 
@@ -110,21 +111,6 @@ class PcrReport:
         return all(r.pcr for r in self.rules)
 
 
-def _x1_closure(x1: Var, eqs: list[tuple[Var, Var]]) -> set[Var]:
-    cls = {x1}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in eqs:
-            if a in cls and b not in cls:
-                cls.add(b)
-                changed = True
-            if b in cls and a not in cls:
-                cls.add(a)
-                changed = True
-    return cls
-
-
 def check_pcr(sid: SID) -> PcrReport:
     """Per-rule progressing / connected / e-restricted classification."""
     prof = profile(sid)
@@ -154,7 +140,8 @@ def check_pcr(sid: SID) -> PcrReport:
                 progressing = False
                 reasons.append("P: state atom on a variable other than x1")
             if progressing:
-                cls = _x1_closure(x1, eqs)
+                roots = Partition([x1], eqs).roots()
+                cls = {v for v, r in roots.items() if r == roots[x1]}
                 zvars = {z for pa in preds for z in pa.args}
                 rhs = set(rule.params[1:]) | set(binders)
                 if zvars - cls != rhs - cls:

@@ -9,9 +9,64 @@ even after every variable it was equated with has been projected away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
 
-from .logic import Var
+if TYPE_CHECKING:
+    from .logic import Var
+
+
+class Partition:
+    """Union-find over hashable items, with path halving (Tarjan 1975).
+
+    Each item is interned to an integer slot the first time it is seen, so
+    the find loop compares integers instead of hashing items.
+    """
+
+    __slots__ = ("index", "items", "parent")
+
+    def __init__(self, items: Iterable[Hashable] = (),
+                 pairs: Iterable[tuple[Hashable, Hashable]] = ()) -> None:
+        self.index: dict[Hashable, int] = {}
+        self.items: list[Hashable] = []
+        self.parent: list[int] = []
+        for v in items:
+            self.find(v)
+        for a, b in pairs:
+            self.union(a, b)
+
+    def find(self, v: Hashable) -> int:
+        """Root slot of v's class; an unseen v becomes a singleton."""
+        i = self.index.get(v)
+        if i is None:
+            i = self.index[v] = len(self.parent)
+            self.items.append(v)
+            self.parent.append(i)
+            return i
+        return self._root(i)
+
+    def _root(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, a: Hashable, b: Hashable) -> None:
+        """Merge the classes of a and b; a's root goes under b's."""
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def roots(self) -> dict[Hashable, int]:
+        """Item -> root slot, items in first-seen order."""
+        return {v: self._root(i) for i, v in enumerate(self.items)}
+
+    def classes(self) -> list[list[Hashable]]:
+        """Classes in ascending root slot, members in first-seen order."""
+        by_root: dict[int, list[Hashable]] = {}
+        for i, v in enumerate(self.items):
+            by_root.setdefault(self._root(i), []).append(v)
+        return [by_root[r] for r in sorted(by_root)]
 
 
 @dataclass(frozen=True)
@@ -32,25 +87,7 @@ class EqFormula:
     @staticmethod
     def make(vars: Iterable[Var] = (), pairs: Iterable[tuple[Var, Var]] = ()) -> "EqFormula":
         """Partition generated by `pairs` over `vars` plus the pair variables."""
-        parent: dict[Var, Var] = {}
-
-        def find(v: Var) -> Var:
-            parent.setdefault(v, v)
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for v in vars:
-            find(v)
-        for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[Var, set[Var]] = {}
-        for v in parent:
-            groups.setdefault(find(v), set()).add(v)
-        return EqFormula(frozenset(frozenset(g) for g in groups.values()))
+        return EqFormula(frozenset(frozenset(c) for c in Partition(vars, pairs).classes()))
 
     @property
     def vars(self) -> frozenset[Var]:
@@ -87,19 +124,12 @@ class EqFormula:
                 out.append(frozenset(kept))
         return EqFormula(frozenset(out))
 
-    def restrict(self, keep: Iterable[Var]) -> "EqFormula":
-        return self.qelim(self.vars - set(keep))
-
     def rename(self, mapping: Mapping[Var, Var]) -> "EqFormula":
         """Apply an injective-on-classes variable renaming."""
         return EqFormula.make(
             (mapping.get(v, v) for v in self.vars),
             [(mapping.get(a, a), mapping.get(b, b))
              for cls in self.classes for a in [next(iter(cls))] for b in cls])
-
-    def add_vars(self, vars: Iterable[Var]) -> "EqFormula":
-        extra = [frozenset([v]) for v in vars if self.class_of(v) is None]
-        return EqFormula(self.classes | frozenset(extra))
 
     def render(self, var_text) -> str:
         parts = sorted("=".join(sorted(var_text(v) for v in cls)) for cls in self.classes)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction
+from .eqform import Partition
 
 
 class UnboundVariable(KeyError):
@@ -355,31 +356,6 @@ class SID:
 # ---------------------------------------------------------------------------
 # satisfaction of predicate-free formulas
 
-def _classes_of(vars: Iterable[Var], eqs: Iterable[tuple[Var, Var]]) -> dict[Var, int]:
-    index: dict[Var, int] = {}
-    parent: list[int] = []
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def slot(v: Var) -> int:
-        if v not in index:
-            index[v] = len(parent)
-            parent.append(len(parent))
-        return find(index[v])
-
-    for v in vars:
-        slot(v)
-    for a, b in eqs:
-        ra, rb = slot(a), slot(b)
-        if ra != rb:
-            parent[ra] = rb
-    return {v: find(i) for v, i in index.items()}
-
-
 def split_atoms(atoms: Iterable[Atom]) -> tuple[list[Var], list[Inter], list[StateAtom],
                                                 list[tuple[Var, Var]], list[tuple[Var, Var]]]:
     """Sort atoms by kind into component variables, interaction atoms, state
@@ -421,7 +397,7 @@ def compile_pf(f: Formula) -> Check:
     allvars = set(binders) | set(fv)
     for a in atoms:
         allvars |= free_vars(a)
-    slot_of = _classes_of(allvars, eqs)
+    slot_of = Partition(allvars, eqs).roots()
     fv_slots = [(v, slot_of[v]) for v in fv]
 
     # a formula whose own atoms contradict each other holds nowhere

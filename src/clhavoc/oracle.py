@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction, step
+from .eqform import Partition
 from .logic import (Atom, Formula, Pred, SID, Var, bounded_checker, exists,
                     free_vars, prenex, split_atoms, unfold_formula,
                     unfoldings_checker, var_text)
@@ -112,26 +113,6 @@ class ModelSet:
 # ---------------------------------------------------------------------------
 # model enumeration for predicate-free formulas
 
-def _base_classes(allvars: list[Var], eqs: list[tuple[Var, Var]]) -> list[set[Var]]:
-    idx = {v: i for i, v in enumerate(allvars)}
-    parent = list(range(len(allvars)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in eqs:
-        ra, rb = find(idx[a]), find(idx[b])
-        if ra != rb:
-            parent[ra] = rb
-    by_root: dict[int, set[Var]] = {}
-    for v, i in idx.items():
-        by_root.setdefault(find(i), set()).add(v)
-    return [by_root[r] for r in sorted(by_root)]
-
-
 def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],
                         free: Sequence[Var],
                         states: Iterable[str]) -> Iterator[tuple[Configuration, dict[Var, str]]]:
@@ -150,7 +131,7 @@ def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],
     for a in atoms:
         for v in sorted(free_vars(a)):
             allvars.setdefault(v)
-    classes = _base_classes(list(allvars), eqs)
+    classes = Partition(allvars, eqs).classes()
 
     cls_of: dict[Var, int] = {}
     for ci, cls in enumerate(classes):

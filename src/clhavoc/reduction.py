@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 from .analysis import check_pcr
 from .automata import sid_to_ta, ta_to_sid, ta_trim
+from .eqform import Partition
 from .logic import (Comp, Eq, Inter, Neq, Pred, Rule, SID, StateAtom, Var,
-                    free_vars, prenex, var_text)
+                    free_vars, prenex, substitute, var_text)
 from .transducer import ProductState, image, interaction_types
 
 
@@ -112,8 +113,7 @@ def manifest_dict(result: ReductionResult) -> dict:
 # ---------------------------------------------------------------------------
 # class equivalence (rule-wise body equivalence modulo state atoms)
 
-def _norm_body(rule: Rule, sid: SID):
-    from .logic import substitute
+def _norm_body(rule: Rule):
     pmap = {p: Var(f"x{i}") for i, p in enumerate(rule.params, start=1)}
     binders, atoms = prenex(substitute(rule.body, pmap))
     preds = [a for a in atoms if isinstance(a, Pred)]
@@ -122,28 +122,12 @@ def _norm_body(rule: Rule, sid: SID):
     rest = [a for a in qpf if not isinstance(a, Eq)]
 
     # collapse existentials through equalities; free variables are kept
-    classes: dict[Var, set[Var]] = {}
-
-    def cls(v: Var) -> set[Var]:
-        return classes.setdefault(v, {v})
-
-    for a in eqs:
-        ca, cb = cls(a.left), cls(a.right)
-        if ca is not cb:
-            ca |= cb
-            for v in cb:
-                classes[v] = ca
     bset = set(binders)
     rep: dict[Var, Var] = {}
     canon_eqs: list[tuple[Var, Var]] = []
-    done: set[frozenset[Var]] = set()
-    for v, c in classes.items():
-        key = frozenset(c)
-        if key in done:
-            continue
-        done.add(key)
-        freevs = sorted(c - bset)
-        r = freevs[0] if freevs else sorted(c)[0]
+    for c in Partition(pairs=[(a.left, a.right) for a in eqs]).classes():
+        freevs = sorted(v for v in c if v not in bset)
+        r = freevs[0] if freevs else min(c)
         for w in c:
             rep[w] = r
         for w in freevs[1:]:
@@ -254,7 +238,7 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
     def norms(sid: SID) -> tuple[list, dict[tuple, list[int]]]:
         out, by_shape = [], {}
         for j, r in enumerate(sid.rules):
-            b, a, ph = _norm_body(r, sid)
+            b, a, ph = _norm_body(r)
             shape = (len(r.params), tuple(n for _, n in ph))
             out.append((b, a, ph, body_ids.setdefault((b, a), len(body_ids)), shape))
             # only rules of one shape (parameter count, head arities) can
@@ -288,23 +272,9 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
         for p in sid.predicates:
             arity[(side, p)] = sid.arity(p)
 
-    parent: dict[tuple, tuple] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return True
-        if arity.get(rx, arity.get(ry)) != arity.get(ry, arity.get(rx)):
-            return False
-        parent[rx] = ry
-        return True
+    # every predicate is registered now (SIDs reject undefined ones), so a
+    # snapshot of the parent slots restores the partition exactly
+    part = Partition(arity)
 
     steps = 0
     pairing: list[tuple[int, int]] = []
@@ -317,14 +287,18 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
         all_c = cand1 + cand2
         if k == len(all_c):
             return True
-        saved = dict(parent)
+        saved = part.parent[:]
+        side1, side2 = ("1", "2") if k < len(cand1) else ("2", "1")
         for j, constraints in all_c[k]:
             ok = True
             for p1, p2 in constraints:
-                side1, side2 = ("1", "2") if k < len(cand1) else ("2", "1")
-                if not union((side1, p1), (side2, p2)):
+                # each class keeps one arity, so comparing the two predicates
+                # compares their classes
+                x, y = (side1, p1), (side2, p2)
+                if arity[x] != arity[y]:
                     ok = False
                     break
+                part.union(x, y)
             if ok:
                 if k < len(cand1):
                     pairing.append((k, j))
@@ -332,17 +306,13 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
                     return True
                 if k < len(cand1):
                     pairing.pop()
-            parent.clear()
-            parent.update(saved)
+            part.parent[:] = saved
         return False
 
-    for p in arity:
-        find(p)
     try:
         if solve(0):
-            rel = sorted({(str(a[1]), str(b[1]))
-                          for a, b in ((x, find(x)) for x in list(parent))
-                          if a != b})
+            rel = sorted({(str(x[1]), str(part.items[r][1]))
+                          for x, r in part.roots().items() if part.items[r] != x})
             return ClassEquivResult("equivalent", list(pairing), rel)
         return ClassEquivResult("inequivalent", None, None)
     except TimeoutError:

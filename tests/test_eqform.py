@@ -3,7 +3,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clhavoc.eqform import EMPTY_EQ, EqFormula
+from clhavoc.eqform import EMPTY_EQ, EqFormula, Partition
 from clhavoc.logic import Var
 
 A, B, C, D, E = (Var(n) for n in "abcde")
@@ -127,3 +127,112 @@ def test_rename():
     out = phi.rename({A: C})
     assert out.entails(C, B)
     assert A not in out.vars
+
+
+# The equality closures that Partition replaced, kept verbatim as references:
+# EqFormula.make, logic._classes_of, oracle._base_classes and
+# analysis._x1_closure.
+
+def reference_make(vars=(), pairs=()):
+    parent = {}
+
+    def find(v):
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for v in vars:
+        find(v)
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups = {}
+    for v in parent:
+        groups.setdefault(find(v), set()).add(v)
+    return EqFormula(frozenset(frozenset(g) for g in groups.values()))
+
+
+def reference_classes_of(vars, eqs):
+    index = {}
+    parent = []
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def slot(v):
+        if v not in index:
+            index[v] = len(parent)
+            parent.append(len(parent))
+        return find(index[v])
+
+    for v in vars:
+        slot(v)
+    for a, b in eqs:
+        ra, rb = slot(a), slot(b)
+        if ra != rb:
+            parent[ra] = rb
+    return {v: find(i) for v, i in index.items()}
+
+
+def reference_base_classes(allvars, eqs):
+    idx = {v: i for i, v in enumerate(allvars)}
+    parent = list(range(len(allvars)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in eqs:
+        ra, rb = find(idx[a]), find(idx[b])
+        if ra != rb:
+            parent[ra] = rb
+    by_root = {}
+    for v, i in idx.items():
+        by_root.setdefault(find(i), set()).add(v)
+    return [by_root[r] for r in sorted(by_root)]
+
+
+def reference_x1_closure(x1, eqs):
+    cls = {x1}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in eqs:
+            if a in cls and b not in cls:
+                cls.add(b)
+                changed = True
+            if b in cls and a not in cls:
+                cls.add(a)
+                changed = True
+    return cls
+
+
+_pool = st.sampled_from([Var(n) for n in "abcdefgh"] + [Var("x", (1,)), Var("x", (2,))])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_pool, max_size=6), st.lists(st.tuples(_pool, _pool), max_size=10))
+def test_partition_matches_reference_closures(items, pairs):
+    # pairs may name items that `items` does not list
+    first_seen = list(dict.fromkeys(items + [v for p in pairs for v in p]))
+
+    assert Partition(items, pairs).roots() == reference_classes_of(items, pairs)
+
+    # same classes in the same order, members in first-seen order
+    assert Partition(items, pairs).classes() == [
+        [v for v in first_seen if v in c] for c in reference_base_classes(first_seen, pairs)]
+
+    assert EqFormula.make(items, pairs) == reference_make(items, pairs)
+
+    for x1 in first_seen or [A]:
+        roots = Partition([x1], pairs).roots()
+        assert {v for v, r in roots.items() if r == roots[x1]} == reference_x1_closure(x1, pairs)
+

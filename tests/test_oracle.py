@@ -1,6 +1,8 @@
 """Bounded model enumeration and the direct havoc/entailment checks."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clhavoc.core import Behavior, Configuration, Interaction, step
-from clhavoc.frontend import parse_system
+from clhavoc.frontend import parse_system, render_config
 from clhavoc.logic import (Eq, Neq, Pred, SID, Var, bounded_checker, comp_in,
                            eval_bounded, eval_pf, exists, sep, unfold_formula,
                            var_text)
@@ -465,3 +467,27 @@ def test_canonical_model_where_refinement_is_blind():
     assert canonical_model(rings(3, 3, names=six), {}) != canonical_model(rings(6, names=six), {})
     assert_same_classes([(rings(3, 3, names=six), {}), (rings(6, names=six), {}),
                          (rings(3, 3, names=six[::-1]), {})])
+
+
+@pytest.mark.parametrize("fixture, pred, depth, count, digest", [
+    ("ring", "Ring_0_0", 6, 21,
+     "98590dd2d1386233692af5354087309002f937ab684796e61b1797785ecb89f4"),
+    ("tll", "Root", 3, 8,
+     "f9df52751bad71c33972a822f88dba432aea44d4da75d0d1d69a045a46a982da"),
+    ("pcring", "PcRing_1_1", 4, 22,
+     "ac011521b7444053771fdae1d1dc5dc94933cae4970405b8486de9daff69cad6"),
+    # the smallest fixture case where visiting the classes in another order
+    # keeps other models (reversing the class order changes this digest)
+    ("tll_original", "Root", 2, 16,
+     "48a619ff2cd6eac00ebbdf69def7d823b16a5806ac448acb2aaeed44585ea78c"),
+])
+def test_enumerated_models_pinned(request, fixture, pred, depth, count, digest):
+    # which concrete model a canonical key keeps depends on the order in which
+    # enumerate_pf_models visits equality classes, and that model is the one a
+    # counterexample reports; the digests were recorded before the equality
+    # closures moved into eqform.Partition
+    sid = request.getfixturevalue(fixture).sid
+    rows = [[render_config("m", m.config), sorted((var_text(v), c) for v, c in m.store.items())]
+            for m in enumerate_models(sid, sid.atom(pred), depth).models()]
+    assert len(rows) == count
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
