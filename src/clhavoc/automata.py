@@ -9,7 +9,7 @@ recognizes exactly the unfolding trees of a SID.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Behavior
@@ -41,6 +41,15 @@ class AlphabetSymbol:
     exvars: tuple[Var, ...]
     atoms: tuple[Atom, ...]
     arities: tuple[int, ...]
+    # the dataclass hash of the fields, computed once: symbols key the
+    # product's dicts and sets, and rehashing the atom tree dominated them
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.exvars, self.atoms, self.arities)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def rank(self) -> int:

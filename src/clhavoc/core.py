@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class StateMapMismatch(ValueError):
@@ -210,14 +210,3 @@ def is_tight(g: Configuration) -> bool:
     """True iff every component bound by an interaction is present."""
     return all(c in g.components for i in g.interactions for c in i.components)
 
-
-def fresh_ids(prefix: str, avoid: Iterable[str]) -> Iterator[str]:
-    """Unbounded supply of ids distinct from `avoid`."""
-    taken = set(avoid)
-    k = 0
-    while True:
-        cid = f"{prefix}{k}"
-        if cid not in taken:
-            taken.add(cid)
-            yield cid
-        k += 1

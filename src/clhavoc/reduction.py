@@ -248,22 +248,19 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
 
     (norm1, shapes1), (norm2, shapes2) = norms(d1), norms(d2)
 
-    def rule_candidates(i: int, r1: Rule, targets, norms1, norms2, shapes):
-        b1, a1, ph1, id1, shape1 = norms1[i]
+    def rule_candidates(i: int, norms1, norms2, shapes) -> list[int]:
+        b1, a1, _, id1, shape1 = norms1[i]
         out = []
         for j in shapes.get(shape1, ()):
-            r2 = targets.rules[j]
-            b2, a2, ph2, id2, _ = norms2[j]
+            b2, a2, _, id2, _ = norms2[j]
             if (id1, id2) not in matches:
                 matches[id1, id2] = _atoms_match(a1, a2, b1, b2)
             if matches[id1, id2]:
-                constraints = [(r1.head, r2.head)]
-                constraints += [(p1, p2) for (p1, _), (p2, _) in zip(ph1, ph2)]
-                out.append((j, constraints))
+                out.append(j)
         return out
 
-    cand1 = [rule_candidates(i, r, d2, norm1, norm2, shapes2) for i, r in enumerate(d1.rules)]
-    cand2 = [rule_candidates(j, r, d1, norm2, norm1, shapes1) for j, r in enumerate(d2.rules)]
+    cand1 = [rule_candidates(i, norm1, norm2, shapes2) for i in range(len(d1.rules))]
+    cand2 = [rule_candidates(j, norm2, norm1, shapes1) for j in range(len(d2.rules))]
     if any(not c for c in cand1) or any(not c for c in cand2):
         return ClassEquivResult("inequivalent", None, None)
 
@@ -276,22 +273,32 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
     # snapshot of the parent slots restores the partition exactly
     part = Partition(arity)
 
+    # each rule's head, then its predicate atoms: paired position by position
+    # with a candidate's, they are the constraints of choosing it
+    def heads(sid: SID, norms) -> list[tuple[str, ...]]:
+        return [(r.head, *(p for p, _ in ph)) for r, (_, _, ph, _, _) in zip(sid.rules, norms)]
+
+    heads1, heads2 = heads(d1, norm1), heads(d2, norm2)
     steps = 0
     pairing: list[tuple[int, int]] = []
+    all_c = cand1 + cand2
+    n1 = len(cand1)
 
     def solve(k: int) -> bool:
         nonlocal steps
         steps += 1
         if steps > 200000:
             raise TimeoutError
-        all_c = cand1 + cand2
         if k == len(all_c):
             return True
         saved = part.parent[:]
-        side1, side2 = ("1", "2") if k < len(cand1) else ("2", "1")
-        for j, constraints in all_c[k]:
+        if k < n1:
+            side1, side2, own, other = "1", "2", heads1[k], heads2
+        else:
+            side1, side2, own, other = "2", "1", heads2[k - n1], heads1
+        for j in all_c[k]:
             ok = True
-            for p1, p2 in constraints:
+            for p1, p2 in zip(own, other[j]):
                 # each class keeps one arity, so comparing the two predicates
                 # compares their classes
                 x, y = (side1, p1), (side2, p2)
@@ -300,11 +307,11 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
                     break
                 part.union(x, y)
             if ok:
-                if k < len(cand1):
+                if k < n1:
                     pairing.append((k, j))
                 if solve(k + 1):
                     return True
-                if k < len(cand1):
+                if k < n1:
                     pairing.pop()
             part.parent[:] = saved
         return False

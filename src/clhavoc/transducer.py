@@ -15,8 +15,8 @@ states reachable from the SID's own trees are ever materialized.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from .core import Behavior
 from .eqform import EqFormula
@@ -208,6 +208,14 @@ class ProductState:
     base: object
     phi: EqFormula
     tau: InteractionType
+    # the dataclass hash of the fields, computed once (see AlphabetSymbol)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.base, self.phi, self.tau)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass
@@ -217,6 +225,28 @@ class ImageResult:
     per_tau_states: dict[InteractionType, int]
 
 
+def new_combos(pools: Sequence[Sequence], seen: Sequence[int] | None) -> Iterator[tuple]:
+    """The tuples of product(*pools) outside the product of the pool prefixes
+    of lengths `seen`, in product order; every tuple when `seen` is None.
+
+    A tuple is new iff some child index is at or past its pool's seen length.
+    """
+    if seen is None:
+        yield from itertools.product(*pools)
+        return
+    if not pools:
+        return
+    head, rest = pools[0], pools[1:]
+    if not rest:
+        for x in head[seen[0]:]:
+            yield (x,)
+        return
+    for i, x in enumerate(head):
+        tails = itertools.product(*rest) if i >= seen[0] else new_combos(rest, seen[1:])
+        for t in tails:
+            yield (x, *t)
+
+
 def image(ta: TreeAutomaton, root_state: object, sid: SID,
           behavior: Behavior) -> ImageResult:
     """Image of the trees accepted at root_state under the union transducer.
@@ -224,17 +254,23 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID,
     One product component per interaction type occurring in the SID; states
     are (rule-automaton state, transducer state) pairs discovered from the
     leaves up.  Final states pair root_state with an accepting partition.
+
+    Rounds are semi-naive: each rule transition remembers how long its child
+    pools were at its last visit and combines only tuples with at least one
+    newer child.  Pools only grow, so states, transitions and witnesses come
+    out in the order a full re-enumeration per round would give.
     """
     maxarity = max((sid.arity(p) for p in sid.predicates), default=0)
     taus = sorted(interaction_types(sid))
     transitions: dict[TaTransition, list[Witness]] = {}
-    discovered: dict[ProductState, None] = {}
+    # each discovered state maps to itself, so equal states share one object
+    discovered: dict[ProductState, ProductState] = {}
     finals: list[ProductState] = []
 
     for tau in taus:
         n = len(tau)
-        by_base: dict[object, list[EqFormula]] = {}
-        done: set[tuple[int, tuple[EqFormula, ...]]] = set()
+        by_base: dict[object, list[ProductState]] = {}
+        seen: dict[int, tuple[int, ...]] = {}
         # a step depends on the symbol and child states only, not on the
         # transition's result state, so equal symbols share one computation
         steps: dict[tuple[AlphabetSymbol, tuple[EqFormula, ...]], list] = {}
@@ -242,29 +278,25 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID,
         while changed:
             changed = False
             for ti, tr in enumerate(ta.transitions):
-                pools = [by_base.get(c, []) for c in tr.children]
-                if any(not p for p in pools):
-                    continue
-                for combo in itertools.product(*pools):
-                    key = (ti, combo)
-                    if key in done:
-                        continue
-                    done.add(key)
-                    skey = (tr.symbol, combo)
+                # a snapshot, as product() takes: states found below join next round
+                pools = [tuple(by_base.get(c, ())) for c in tr.children]
+                combos = new_combos(pools, seen.get(ti))
+                seen[ti] = tuple(map(len, pools))
+                for combo in combos:
+                    phis = tuple(ps.phi for ps in combo)
+                    skey = (tr.symbol, phis)
                     if skey not in steps:
-                        steps[skey] = transducer_step(tau, tr.symbol, list(combo),
+                        steps[skey] = transducer_step(tau, tr.symbol, list(phis),
                                                       behavior, maxarity)
                     for out_sym, phi, wit in steps[skey]:
-                        ps = ProductState(tr.result, phi, tau)
-                        if ps not in discovered:
-                            discovered[ps] = None
-                            by_base.setdefault(tr.result, []).append(phi)
+                        new = ProductState(tr.result, phi, tau)
+                        ps = discovered.setdefault(new, new)
+                        if ps is new:
+                            by_base.setdefault(tr.result, []).append(ps)
                             changed = True
                             if tr.result == root_state and is_final(phi, n):
                                 finals.append(ps)
-                        kids = tuple(ProductState(c, combo[l], tau)
-                                     for l, c in enumerate(tr.children))
-                        ptr = TaTransition(out_sym, kids, ps)
+                        ptr = TaTransition(out_sym, combo, ps)
                         transitions.setdefault(ptr, []).append(wit)
 
     product = TreeAutomaton.make(transitions, finals=finals, states=tuple(discovered))

@@ -124,14 +124,22 @@ PINNED_DIGESTS = {
                  "5d13638c177b0f1ce667b77bd346c8e5fbc01de11b399bba6f559c55d4fd6a55"),
     "Ring_3_3": ("0eb4cf60c4e50bec692ffa2f77b45230ada45f56c81401649109443bfeb85ac9",
                  "45acedeca80b5c8f7e054ac91f2aac109d069cf8ca61de360236b3ede9a70189"),
+    "Root": ("9e56fd551911d8b8bf36af53c0deeade03d223396212fc5b7b5153e956d89747",
+             "2d2fdf4daba5045dbe92287d5e770e12d103c27d522127e0c431eacecdf0d792"),
+    "Ring_5_5": ("31b941166432fea0e9f18990fa13e590aa62f5d4526d3d0b8ffdee355af36c51",
+                 "64f97f49c3869b8795fdf689b9fd8051d9bd0373c75c3a6dbb01eca5a2d02fc2"),
 }
 
 
-def test_reduction_output_pinned(pcring, ring, ring_reduction, ring3, ring3_reduction):
+def test_reduction_output_pinned(pcring, ring, ring_reduction, ring3, ring3_reduction,
+                                 tll, tll_reduction):
     """Reduction output must not drift between versions, not only between runs."""
     result = reduce_havoc_to_entailment(pcring.sid, "PcRing_1_1", assume_tight=True)
     assert reduced_text(pcring, result) == (FIXTURES / "pcring.reduced.clsys").read_text()
-    for sf, result in ((ring, ring_reduction), (ring3, ring3_reduction)):
+    ring5 = parse_system((FIXTURES / "ring.clsys").read_text().replace("=0..1", "=0..5"))
+    ring5_reduction = reduce_havoc_to_entailment(ring5.sid, "Ring_5_5", assume_tight=True)
+    for sf, result in ((ring, ring_reduction), (ring3, ring3_reduction),
+                       (tll, tll_reduction), (ring5, ring5_reduction)):
         manifest = json.dumps(manifest_dict(result), sort_keys=True)
         got = tuple(hashlib.sha256(t.encode()).hexdigest()
                     for t in (reduced_text(sf, result), manifest))

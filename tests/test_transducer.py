@@ -1,13 +1,21 @@
 """The interaction-typed transducer: single steps, constraints, image."""
 
-import pytest
+import itertools
 
-from clhavoc.automata import make_symbol, sid_to_ta, enumerate_trees, ta_trim
+import pytest
+from conftest import FIXTURES
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clhavoc.automata import (AlphabetSymbol, TaTransition, TreeAutomaton,
+                              make_symbol, sid_to_ta, enumerate_trees, ta_trim)
 from clhavoc.core import Behavior
 from clhavoc.eqform import EMPTY_EQ, EqFormula
+from clhavoc.frontend import parse_system
 from clhavoc.logic import Comp, StateAtom, Var, beginvar, endvar, param
-from clhavoc.transducer import (ArityMismatch, image, interaction_types,
-                                is_final, state_ok, transducer_step)
+from clhavoc.transducer import (ArityMismatch, ImageResult, ProductState,
+                                image, interaction_types, is_final, new_combos,
+                                state_ok, transducer_step)
 
 
 def test_interaction_types_ring(ring):
@@ -190,3 +198,120 @@ def test_image_deterministic(ring):
     a = image(ta, "Ring_1_1", ring.sid, ring.sid.behavior)
     b = image(ta, "Ring_1_1", ring.sid, ring.sid.behavior)
     assert a.automaton == b.automaton
+
+
+def reference_image(ta, root_state, sid, behavior):
+    """The round-robin image loop that re-enumerates every pool each round,
+    kept verbatim as the reference for the semi-naive one."""
+    maxarity = max((sid.arity(p) for p in sid.predicates), default=0)
+    taus = sorted(interaction_types(sid))
+    transitions = {}
+    discovered = {}
+    finals = []
+
+    for tau in taus:
+        n = len(tau)
+        by_base = {}
+        done = set()
+        steps = {}
+        changed = True
+        while changed:
+            changed = False
+            for ti, tr in enumerate(ta.transitions):
+                pools = [by_base.get(c, []) for c in tr.children]
+                if any(not p for p in pools):
+                    continue
+                for combo in itertools.product(*pools):
+                    key = (ti, combo)
+                    if key in done:
+                        continue
+                    done.add(key)
+                    skey = (tr.symbol, combo)
+                    if skey not in steps:
+                        steps[skey] = transducer_step(tau, tr.symbol, list(combo),
+                                                      behavior, maxarity)
+                    for out_sym, phi, wit in steps[skey]:
+                        ps = ProductState(tr.result, phi, tau)
+                        if ps not in discovered:
+                            discovered[ps] = None
+                            by_base.setdefault(tr.result, []).append(phi)
+                            changed = True
+                            if tr.result == root_state and is_final(phi, n):
+                                finals.append(ps)
+                        kids = tuple(ProductState(c, combo[l], tau)
+                                     for l, c in enumerate(tr.children))
+                        ptr = TaTransition(out_sym, kids, ps)
+                        transitions.setdefault(ptr, []).append(wit)
+
+    product = TreeAutomaton.make(transitions, finals=finals, states=tuple(discovered))
+    per_tau = {tau: sum(1 for s in discovered if s.tau == tau) for tau in taus}
+    return ImageResult(product, {tr: tuple(ws) for tr, ws in transitions.items()}, per_tau)
+
+
+IMAGE_SYSTEMS = {p.name: p.read_text() for p in FIXTURES.glob("*.clsys")
+                 if "reduced" not in p.name}
+IMAGE_SYSTEMS.update({f"ring{k}": IMAGE_SYSTEMS["ring.clsys"].replace("=0..1", f"=0..{k}")
+                      for k in (2, 3)})
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_SYSTEMS))
+def test_image_matches_reference_fixpoint(name):
+    """Same states, transitions, finals, witnesses and per-type counts, in the
+    same order, for every predicate; tll's rank-2 rules take 15 rounds over
+    its three interaction types."""
+    sid = parse_system(IMAGE_SYSTEMS[name]).sid
+    ta, _ = sid_to_ta(sid)
+    for pred in sid.predicates:
+        got = image(ta, pred, sid, sid.behavior)
+        want = reference_image(ta, pred, sid, sid.behavior)
+        assert got.automaton.states == want.automaton.states
+        assert got.automaton.transitions == want.automaton.transitions
+        assert got.automaton.finals == want.automaton.finals
+        assert list(got.witnesses.items()) == list(want.witnesses.items())
+        assert list(got.per_tau_states.items()) == list(want.per_tau_states.items())
+
+
+@st.composite
+def _pool_growth(draw):
+    """Pools of rank 0..2 and the pool lengths at an earlier visit (None for
+    a first visit); pools only grow, so the earlier lengths are prefixes."""
+    rank = draw(st.integers(0, 2))
+    pools = [[(l, i) for i in range(draw(st.integers(0, 4)))] for l in range(rank)]
+    if draw(st.booleans()):
+        return pools, None
+    return pools, tuple(draw(st.integers(0, len(p))) for p in pools)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pool_growth())
+def test_new_combos_is_product_minus_old_product(case):
+    pools, seen = case
+    old = set() if seen is None else set(itertools.product(*(p[:k] for p, k in zip(pools, seen))))
+    want = [c for c in itertools.product(*pools) if c not in old]
+    assert list(new_combos(pools, seen)) == want
+
+
+def test_new_combos_edge_cases():
+    assert list(new_combos([], None)) == [()]
+    assert list(new_combos([], ())) == []
+    assert list(new_combos([[1, 2]], (2,))) == []
+    assert list(new_combos([[1, 2], [3]], (1, 1))) == [(2, 3)]
+
+
+def test_cached_hash_stays_out_of_identity(ring):
+    ta, _ = sid_to_ta(ring.sid)
+    sym = ta.transitions[0].symbol
+    assert hash(sym) == sym._hash == hash((sym.exvars, sym.atoms, sym.arities))
+    twin = AlphabetSymbol(sym.exvars, sym.atoms, sym.arities)
+    object.__setattr__(twin, "_hash", sym._hash + 1)
+    assert twin == sym
+    assert "_hash" not in repr(sym)
+
+    phi = EqFormula.make([beginvar(1), endvar(1)], [(beginvar(1), endvar(1))])
+    ps = ProductState("Ring_1_1", phi, ("out", "in"))
+    assert hash(ps) == ps._hash == hash((ps.base, ps.phi, ps.tau))
+    other = ProductState("Ring_1_1", phi, ("out", "in"))
+    object.__setattr__(other, "_hash", ps._hash + 1)
+    assert other == ps
+    assert "_hash" not in repr(ps)
+    assert repr(ps) == f"ProductState(base='Ring_1_1', phi={phi!r}, tau=('out', 'in'))"
