@@ -1,7 +1,8 @@
 """Batch command-line driver: parse | analyze | reduce | check | simulate | oracle.
 
 Exit codes: 0 verdict-positive, 1 verdict-negative (counterexample or
-mismatch), 2 unknown/gated (tightness not established), 3 input error.
+mismatch), 2 unknown/gated (tightness not established, or no entailment to
+check), 3 input error.
 Diagnostics go to stderr; results to stdout or the -o path.
 """
 
@@ -147,6 +148,10 @@ def main(argv: list[str] | None = None) -> int:
         except TightnessNotEstablished as e:
             sys.stderr.write(f"TightnessNotEstablished: {e}\n")
             sys.stdout.write("verdict: Unknown\n")
+            return 2
+        if not result.entailments:
+            # no target survived the reduction: nothing was checked
+            _emit("verdict: Unknown (no entailment to check)\n", args.output)
             return 2
         lines = []
         bad = None

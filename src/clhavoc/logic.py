@@ -148,6 +148,8 @@ class Exists:
 
 Formula = Emp | Comp | StateAtom | Inter | Eq | Neq | Pred | SepConj | Exists
 Atom = Emp | Comp | StateAtom | Inter | Eq | Neq | Pred
+# exists binders . *atoms, the form `prenex` returns
+Prenex = tuple[tuple[Var, ...], tuple[Atom, ...]]
 
 
 def sep(*parts: Formula) -> Formula:
@@ -202,26 +204,23 @@ def free_vars(f: Formula) -> frozenset[Var]:
     raise TypeError(f)
 
 
-def _map_var(mapping: Mapping[Var, Var], v: Var) -> Var:
-    return mapping.get(v, v)
-
-
 def substitute(f: Formula, mapping: Mapping[Var, Var]) -> Formula:
     """Simultaneous, capture-avoiding substitution of free occurrences."""
+    get = mapping.get
     if isinstance(f, Emp):
         return f
     if isinstance(f, Comp):
-        return Comp(_map_var(mapping, f.var))
+        return Comp(get(f.var, f.var))
     if isinstance(f, StateAtom):
-        return StateAtom(_map_var(mapping, f.var), f.state)
+        return StateAtom(get(f.var, f.var), f.state)
     if isinstance(f, Inter):
-        return Inter(tuple((_map_var(mapping, v), p) for v, p in f.bindings))
+        return Inter(tuple((get(v, v), p) for v, p in f.bindings))
     if isinstance(f, Eq):
-        return Eq(_map_var(mapping, f.left), _map_var(mapping, f.right))
+        return Eq(get(f.left, f.left), get(f.right, f.right))
     if isinstance(f, Neq):
-        return Neq(_map_var(mapping, f.left), _map_var(mapping, f.right))
+        return Neq(get(f.left, f.left), get(f.right, f.right))
     if isinstance(f, Pred):
-        return Pred(f.name, tuple(_map_var(mapping, v) for v in f.args))
+        return Pred(f.name, tuple(get(v, v) for v in f.args))
     if isinstance(f, SepConj):
         return SepConj(tuple(substitute(p, mapping) for p in f.parts))
     if isinstance(f, Exists):
@@ -259,7 +258,7 @@ def atoms_of(f: Formula) -> Iterator[Atom]:
 
 
 def prenex(f: Formula, counter: itertools.count | None = None,
-           prefix: str = "%q") -> tuple[tuple[Var, ...], tuple[Atom, ...]]:
+           prefix: str = "%q") -> Prenex:
     """Pull every existential to the front, freshly renaming all binders."""
     if counter is None:
         counter = itertools.count()
@@ -383,20 +382,25 @@ Check = Callable[[Configuration, Mapping[Var, str]], bool]
 
 
 def compile_pf(f: Formula) -> Check:
-    """Compile the predicate-free formula f into a check of (g, nu) |= f.
+    """Compile the predicate-free formula f into a check of (g, nu) |= f."""
+    return compile_prenex(*prenex(f))
 
-    What depends on f alone is worked out here; the check does the store
-    lookup (raising UnboundVariable) and the bijective matching.  Existential
+
+def compile_prenex(binders: Sequence[Var], atoms: Sequence[Atom]) -> Check:
+    """Compile the predicate-free prenex form `exists binders . *atoms`.
+
+    What depends on the formula alone is worked out here; the check does the
+    store lookup (raising UnboundVariable for a free variable, one that occurs
+    in an atom and is not bound) and the bijective matching.  Existential
     witnesses outside g are drawn from the infinite pool of absent
     components: any required state is available on a fresh id.
     """
-    binders, atoms = prenex(f)
-    fv = tuple(free_vars(f))
     comp_vars, inters, states, eqs, neqs = split_atoms(atoms)
 
-    allvars = set(binders) | set(fv)
+    allvars = set(binders)
     for a in atoms:
         allvars |= free_vars(a)
+    fv = tuple(allvars.difference(binders))
     slot_of = Partition(allvars, eqs).roots()
     fv_slots = [(v, slot_of[v]) for v in fv]
 
@@ -489,7 +493,13 @@ def compile_pf(f: Formula) -> Check:
                     del assign[st]
             return False
 
-        return match_inters(0, set())
+        try:
+            return match_inters(0, set())
+        finally:
+            # the matchers reach themselves through their closure cells;
+            # emptying the cells frees them, and the configuration they hold,
+            # without waiting for the cycle collector
+            match_inters = match_comps = None
 
     return check
 
@@ -502,76 +512,80 @@ def eval_pf(g: Configuration, nu: Mapping[Var, str], f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # unfolding
 
-@dataclass(frozen=True)
-class _Pending:
-    atom: Pred
-    budget: int
+# A rule body prenexed once: (params, binders, atoms, indices of the
+# predicate atoms).
+_Template = tuple[tuple[Var, ...], tuple[Var, ...], tuple[Atom, ...], tuple[int, ...]]
 
 
-def unfold_formula(sid: SID, f: Formula, depth: int) -> list[tuple[Formula, bool]]:
+def _template(rule: Rule) -> _Template:
+    binders, atoms = prenex(rule.body)
+    return (rule.params, binders, atoms,
+            tuple(i for i, a in enumerate(atoms) if isinstance(a, Pred)))
+
+
+def unfold_formula(sid: SID, f: Formula, depth: int) -> list[tuple[Prenex, bool]]:
     """All partial unfoldings of f, each predicate atom expanded to height <= depth.
 
-    Results are (formula, complete) pairs in deterministic leftmost-innermost
-    order; complete means no predicate atom remains.
+    Results are ((binders, atoms), complete) pairs, the prenex form of each
+    unfolding, in deterministic leftmost-innermost order; complete means no
+    predicate atom remains.  Each rule body is prenexed once, into a template
+    over its parameters and binders; an expansion instantiates it with one
+    simultaneous substitution that also renames the binders apart.
     """
     counter = itertools.count()
     binders0, atoms0 = prenex(f, counter, prefix="%u")
     defined = set(sid.predicates)
+    for a in atoms0:
+        if isinstance(a, Pred) and a.name not in defined:
+            raise UndefinedPredicate(a.name)
 
-    def wrap(items: Sequence[object]) -> list[object]:
-        out: list[object] = []
-        for a in items:
-            if isinstance(a, Pred):
-                if a.name not in defined:
-                    raise UndefinedPredicate(a.name)
-                out.append(_Pending(a, depth))
-            else:
-                out.append(a)
-        return out
+    templates: dict[str, list[_Template]] = {}  # for each predicate reached
 
-    results: list[tuple[Formula, bool]] = []
-    stack: list[tuple[tuple[Var, ...], list[object]]] = [(binders0, wrap(atoms0))]
+    # a state pairs the prenex form with (index, budget) of its predicate
+    # atoms, leftmost first; the leftmost one is expanded next
+    results: list[tuple[Prenex, bool]] = []
+    stack = [(binders0, atoms0, tuple((i, depth) for i, a in enumerate(atoms0)
+                                      if isinstance(a, Pred)))]
     while stack:
-        binders, items = stack.pop()
-        pend_at = next((i for i, a in enumerate(items) if isinstance(a, _Pending)), None)
-        plain = [a.atom if isinstance(a, _Pending) else a for a in items]
-        formula = exists(binders, sep(*plain))
-        results.append((formula, pend_at is None))
-        if pend_at is None:
+        binders, atoms, pending = stack.pop()
+        results.append(((binders, atoms), not pending))
+        if not pending:
             continue
-        pend = items[pend_at]
-        if pend.budget == 0:
+        (at, budget), rest = pending[0], pending[1:]
+        if budget == 0:
             continue
+        pred, head, tail = atoms[at], atoms[:at], atoms[at + 1:]
+        if pred.name not in templates:
+            templates[pred.name] = [_template(r) for r in sid.rules_of(pred.name)]
         successors = []
-        for rule in sid.rules_of(pend.atom.name):
-            rbinders, ratoms = prenex(rule.body, counter, prefix="%u")
-            mapping = dict(zip(rule.params, pend.atom.args))
-            spliced: list[object] = []
-            for a in ratoms:
-                a2 = substitute(a, mapping)
-                if isinstance(a2, Pred):
-                    spliced.append(_Pending(a2, pend.budget - 1))
-                else:
-                    spliced.append(a2)
-            successors.append((binders + rbinders,
-                               items[:pend_at] + spliced + items[pend_at + 1:]))
+        for params, tbinders, tatoms, preds in templates[pred.name]:
+            fresh = tuple(Var("%u", (next(counter),)) for _ in tbinders)
+            mapping = dict(zip(params, pred.args))
+            mapping.update(zip(tbinders, fresh))
+            shift = len(tatoms) - 1
+            successors.append((
+                binders + fresh,
+                head + tuple(substitute(a, mapping) for a in tatoms) + tail,
+                tuple((at + i, budget - 1) for i in preds)
+                + tuple((i + shift, b) for i, b in rest)))
         stack.extend(reversed(successors))
     return results
 
 
 def unfold(sid: SID, atom: Pred, depth: int) -> list[tuple[Formula, bool]]:
-    """Partial and complete unfoldings of a single predicate atom."""
+    """Partial and complete unfoldings of a single predicate atom, as formulas."""
     if atom.name not in sid.predicates:
         raise UndefinedPredicate(atom.name)
-    return unfold_formula(sid, atom, depth)
+    return [(exists(binders, sep(*atoms)), complete)
+            for (binders, atoms), complete in unfold_formula(sid, atom, depth)]
 
 
-def unfoldings_checker(unfoldings: Iterable[tuple[Formula, bool]]) -> Check:
+def unfoldings_checker(unfoldings: Iterable[tuple[Prenex, bool]]) -> Check:
     """A check that holds iff some complete unfolding in the list holds.
 
     Each complete unfolding is compiled once; the check tries them in order.
     """
-    checks = [compile_pf(u) for u, complete in unfoldings if complete]
+    checks = [compile_prenex(*u) for u, complete in unfoldings if complete]
     return lambda g, nu: any(c(g, nu) for c in checks)
 
 

@@ -15,8 +15,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction, step
 from .eqform import Partition
-from .logic import (Atom, Formula, Pred, SID, Var, bounded_checker, exists,
-                    free_vars, prenex, split_atoms, unfold_formula,
+from .logic import (Atom, Formula, Pred, Prenex, SID, Var, bounded_checker,
+                    exists, free_vars, prenex, split_atoms, unfold_formula,
                     unfoldings_checker, var_text)
 
 
@@ -71,10 +71,15 @@ def canonical_model(g: Configuration, nu: Mapping[Var, str]) -> tuple:
             tuple(sorted((var_text(v), ren[c]) for v, c in nu.items())),
         )
 
-    return search(refine({c: (c in g.components, rho[c],
-                              tuple(sorted((t, pos) for t, pos, _ in inc[c])),
-                              tuple(sorted(var_text(v) for v, d in nu.items() if d == c)))
-                          for c in ids}))
+    try:
+        return search(refine({c: (c in g.components, rho[c],
+                                  tuple(sorted((t, pos) for t, pos, _ in inc[c])),
+                                  tuple(sorted(var_text(v) for v, d in nu.items() if d == c)))
+                              for c in ids}))
+    finally:
+        # search reaches itself through its closure cell; emptying the cell
+        # frees it, and the configuration it holds, without the cycle collector
+        search = None
 
 
 @dataclass
@@ -229,13 +234,12 @@ def enumerate_models(sid: SID, atom: Pred, depth: int) -> ModelSet:
 
 
 def _unfolding_models(sid: SID, atom: Pred,
-                      unfoldings: Sequence[tuple[Formula, bool]]) -> ModelSet:
+                      unfoldings: Sequence[tuple[Prenex, bool]]) -> ModelSet:
     ms = ModelSet()
     free = list(atom.args)
-    for k, (formula, complete) in enumerate(unfoldings):
+    for k, ((binders, atoms), complete) in enumerate(unfoldings):
         if not complete:
             continue
-        binders, atoms = prenex(formula)
         for g, nu in enumerate_pf_models(binders, atoms, free, sid.behavior.states):
             ms.add(g, nu, provenance=f"unfolding#{k}")
     return ms

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .core import Behavior
-from .eqform import EqFormula
+from .eqform import EqFormula, Partition
 from .logic import (Comp, Eq, Inter, SID, StateAtom, Var, atoms_of,
                     beginvar, childparam, endvar, param)
 from .automata import AlphabetSymbol, TaTransition, TreeAutomaton
@@ -99,10 +99,18 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
     if alpha.arities[0] > maxarity:
         raise ArityMismatch(f"symbol arity {alpha.arities[0]} exceeds maxarity {maxarity}")
 
-    begin_sets = [{i for i in range(1, n + 1) if beginvar(i) in st.vars}
-                  for st in child_states]
-    end_sets = [{i for i in range(1, n + 1) if endvar(i) in st.vars}
-                for st in child_states]
+    # the walk positions whose begin/end markers each child state carries
+    begin_sets: list[set[int]] = []
+    end_sets: list[set[int]] = []
+    for st in child_states:
+        begins, ends = set(), set()
+        for v in itertools.chain.from_iterable(st.classes):
+            if v.name == "%begin" and v.tag[0] <= n:
+                begins.add(v.tag[0])
+            elif v.name == "%end" and v.tag[0] <= n:
+                ends.add(v.tag[0])
+        begin_sets.append(begins)
+        end_sets.append(ends)
     for s1, s2 in itertools.combinations(begin_sets, 2):
         if s1 & s2:
             return []
@@ -133,42 +141,34 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
 
     avail = [i for i in range(1, n + 1) if i not in used_begin]
 
-    # base conjunction shared by all choices: child states with their
-    # parameters rebased onto this node's childparam variables, plus the
-    # equalities of the symbol itself
-    base_pairs: list[tuple[Var, Var]] = list(eq_pairs)
-    base_vars: set[Var] = set()
-    for a in alpha.atoms:
-        if isinstance(a, Eq):
-            base_vars |= {a.left, a.right}
+    # base conjunction shared by all choices: the equalities of the symbol
+    # itself, plus child states with their parameters rebased onto this
+    # node's childparam variables
+    base = Partition((), eq_pairs)
     for l, st in enumerate(child_states, start=1):
         al = alpha.arities[l]
         ren = {param(j): childparam(l, j) for j in range(1, al + 1)}
-        stray = [v for v in st.vars if v.name == "%in" and v not in ren]
-        if stray:
-            raise ArityMismatch(f"child state mentions parameter beyond arity {al}")
-        st_r = st.rename(ren)
-        base_vars |= st_r.vars
-        for cls in st_r.classes:
-            first = next(iter(cls))
-            base_pairs.extend((first, v) for v in cls)
+        for cls in st.classes:
+            members = [ren.get(v, v) for v in cls]
+            if any(v.name == "%in" for v in members):
+                raise ArityMismatch(f"child state mentions parameter beyond arity {al}")
+            for v in members:
+                base.union(members[0], v)
 
     keepvars = ttvars(tau, maxarity)
     results: list[tuple[AlphabetSymbol, EqFormula, Witness]] = []
 
     def emit(rewrites: list[tuple[int, Var, str, str]], fired: int | None) -> None:
-        pairs = list(base_pairs)
-        vars_all = set(base_vars)
+        conj = base.copy()
         for i, xi, _, _ in rewrites:
-            pairs.append((beginvar(i), xi))
-            vars_all |= {beginvar(i), xi}
+            conj.union(beginvar(i), xi)
         if fired is not None:
             atom = alpha.atoms[fired]
             for pos, (z, _) in enumerate(atom.bindings, start=1):
-                pairs.append((endvar(pos), z))
-                vars_all |= {endvar(pos), z}
-        conj = EqFormula.make(vars_all, pairs)
-        phi = _canonical_state(conj.qelim(conj.vars - keepvars))
+                conj.union(endvar(pos), z)
+        # project onto the tracking variables
+        phi = _canonical_state(EqFormula(frozenset(
+            kept for cls in conj.classes() if (kept := keepvars.intersection(cls)))))
         if not state_ok(phi, n):
             return
         out_atoms = list(alpha.atoms)

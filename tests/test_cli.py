@@ -113,6 +113,16 @@ def test_check_gated_unknown(capsys, tmp_path):
     assert "verdict: Unknown" in out
 
 
+def test_check_without_entailments_unknown(capsys, tmp_path):
+    # the reduction of tll_pcr's Root leaves no target: a positive verdict
+    # would rest on zero checked entailments
+    src = tmp_path / "tll_pcr.clsys"
+    shutil.copy(FIXTURES / "tll_pcr.clsys", src)
+    code, out, _ = run(capsys, "check", str(src), "--pred", "Root", "--depth", "3")
+    assert code == 2
+    assert out == "verdict: Unknown (no entailment to check)\n"
+
+
 def test_simulate_ring3(capsys):
     code, out, _ = run(capsys, "simulate", str(FIXTURES / "ring.clsys"),
                        "--config", "ring3")

@@ -7,6 +7,7 @@ evaluator (bijective matching) must agree with it everywhere.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 from clhavoc.core import Behavior, Configuration, Interaction
 from clhavoc.frontend import parse_system
 from clhavoc.logic import (Comp, Emp, Eq, Exists, Inter, Neq, Pred, SepConj,
-                           StateAtom, UnboundVariable, Var, comp_in,
-                           eval_bounded, eval_pf, exists, free_vars, sep,
-                           substitute, unfold)
+                           StateAtom, UnboundVariable, UndefinedPredicate, Var,
+                           comp_in, eval_bounded, eval_pf, exists, free_vars,
+                           prenex, sep, substitute, unfold, unfold_formula)
+
+from conftest import FIXTURES, load
 
 X, Y, Z, U = Var("x"), Var("y"), Var("z"), Var("u")
 TOKEN = Behavior.make(["in", "out"], ["H", "T"],
@@ -263,7 +266,6 @@ def ring2():
 
 
 def test_unfold_undefined_predicate(ring):
-    from clhavoc.logic import UndefinedPredicate
     with pytest.raises(UndefinedPredicate):
         unfold(ring.sid, Pred("Nope", ()), 2)
 
@@ -321,3 +323,85 @@ def test_eval_bounded_stable_under_depth(ring):
     atom = ring.sid.atom("Ring_1_1")
     assert eval_bounded(g, {}, atom, ring.sid, 3)
     assert eval_bounded(g, {}, atom, ring.sid, 5)
+
+
+# The formula-building unfolding that the template-based one replaced, kept
+# as the reference for names, order and completeness of every unfolding.
+
+@dataclass(frozen=True)
+class _Pending:
+    atom: Pred
+    budget: int
+
+
+def reference_unfold_formula(sid, f, depth):
+    counter = itertools.count()
+    binders0, atoms0 = prenex(f, counter, prefix="%u")
+    defined = set(sid.predicates)
+
+    def wrap(items):
+        out = []
+        for a in items:
+            if isinstance(a, Pred):
+                if a.name not in defined:
+                    raise UndefinedPredicate(a.name)
+                out.append(_Pending(a, depth))
+            else:
+                out.append(a)
+        return out
+
+    results = []
+    stack = [(binders0, wrap(atoms0))]
+    while stack:
+        binders, items = stack.pop()
+        pend_at = next((i for i, a in enumerate(items) if isinstance(a, _Pending)), None)
+        plain = [a.atom if isinstance(a, _Pending) else a for a in items]
+        formula = exists(binders, sep(*plain))
+        results.append((formula, pend_at is None))
+        if pend_at is None:
+            continue
+        pend = items[pend_at]
+        if pend.budget == 0:
+            continue
+        successors = []
+        for rule in sid.rules_of(pend.atom.name):
+            rbinders, ratoms = prenex(rule.body, counter, prefix="%u")
+            mapping = dict(zip(rule.params, pend.atom.args))
+            spliced = []
+            for a in ratoms:
+                a2 = substitute(a, mapping)
+                if isinstance(a2, Pred):
+                    spliced.append(_Pending(a2, pend.budget - 1))
+                else:
+                    spliced.append(a2)
+            successors.append((binders + rbinders,
+                               items[:pend_at] + spliced + items[pend_at + 1:]))
+        stack.extend(reversed(successors))
+    return results
+
+
+# the rank-2 list fixtures have 3,486 unfoldings at depth 4 and millions at 5
+MAX_DEPTH = {"tll.clsys": 4, "tll_original.clsys": 4}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.clsys")))
+def test_unfold_matches_reference(name):
+    sid = load(name).sid
+    for pred in sid.predicates:
+        atom = sid.atom(pred)
+        for depth in range(MAX_DEPTH.get(name, 5) + 1):
+            want = reference_unfold_formula(sid, atom, depth)
+            assert unfold(sid, atom, depth) == want, (pred, depth)
+            forms = unfold_formula(sid, atom, depth)
+            assert [(exists(b, sep(*a)), done) for (b, a), done in forms] == want
+
+
+def test_unfold_formula_matches_reference_under_binders(ring):
+    # a quantified formula with a free variable: its own binders are renamed
+    # before the rule binders, from the same counter
+    sid = ring.sid
+    f = exists([Y], sep(Pred("Chain_1_1", (X, Y)), Pred("Chain_0_1", (Y, X))))
+    for depth in range(5):
+        want = reference_unfold_formula(sid, f, depth)
+        got = unfold_formula(sid, f, depth)
+        assert [(exists(b, sep(*a)), done) for (b, a), done in got] == want

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from clhavoc.core import Behavior, Configuration, Interaction, step
 from clhavoc.frontend import parse_system, render_config
 from clhavoc.logic import (Eq, Neq, Pred, SID, Var, bounded_checker, comp_in,
-                           eval_bounded, eval_pf, exists, sep, unfold_formula,
+                           eval_bounded, eval_pf, exists, sep, unfold,
                            var_text)
 from clhavoc.oracle import (Counterexample, EntailReport, HavocReport,
                             _model_order, canonical_model, enumerate_models,
@@ -236,7 +236,7 @@ def test_bounded_checker_matches_eval_pf_on_successors(name, depth, request):
     # every predicate of the same arity
     sid = request.getfixturevalue(name).sid
     checks = {p: (bounded_checker(sid, sid.atom(p), depth),
-                  [u for u, done in unfold_formula(sid, sid.atom(p), depth) if done])
+                  [u for u, done in unfold(sid, sid.atom(p), depth) if done])
               for p in sid.predicates}
     outcomes = set()
     for pred in sid.predicates:
