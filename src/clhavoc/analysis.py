@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .eqform import Partition
 from .logic import (Comp, Emp, Eq, Exists, Inter, Neq, Pred, SID, SepConj,
-                    StateAtom, Var, atoms_of, prenex, var_text)
+                    StateAtom, atoms_of, prenex, split_atoms, var_text)
 
 
 def formula_size(f) -> int:
@@ -118,14 +118,9 @@ def check_pcr(sid: SID) -> PcrReport:
     for idx, rule in enumerate(sid.rules):
         binders, atoms = prenex(rule.body)
         preds = [a for a in atoms if isinstance(a, Pred)]
-        qpf = [a for a in atoms if not isinstance(a, Pred)]
+        comps, inters, states, eqs, neqs = split_atoms(
+            a for a in atoms if not isinstance(a, Pred))
         reasons: list[str] = []
-
-        comps = [a for a in qpf if isinstance(a, Comp)]
-        inters = [a for a in qpf if isinstance(a, Inter)]
-        states = [a for a in qpf if isinstance(a, StateAtom)]
-        eqs = [(a.left, a.right) for a in qpf if isinstance(a, Eq)]
-        neqs = [a for a in qpf if isinstance(a, Neq)]
 
         progressing = True
         if not rule.params:
@@ -133,7 +128,7 @@ def check_pcr(sid: SID) -> PcrReport:
             reasons.append("P: no parameters, so no allocated comp(x1)")
         else:
             x1 = rule.params[0]
-            if len(comps) != 1 or comps[0].var != x1:
+            if len(comps) != 1 or comps[0] != x1:
                 progressing = False
                 reasons.append("P: body must allocate exactly comp(x1)")
             if any(a.var != x1 for a in states):
@@ -170,10 +165,10 @@ def check_pcr(sid: SID) -> PcrReport:
 
         profparams = {rule.params[i - 1] for i in prof[rule.head]} if rule.params else set()
         erestricted = True
-        for a in neqs:
-            if not ({a.left, a.right} & profparams):
+        for x, y in neqs:
+            if not ({x, y} & profparams):
                 erestricted = False
-                reasons.append(f"R: disequality {var_text(a.left)} != {var_text(a.right)} "
+                reasons.append(f"R: disequality {var_text(x)} != {var_text(y)} "
                                "avoids all profile parameters")
 
         rows.append(RulePcr(rule.head, idx, progressing, connected, erestricted,

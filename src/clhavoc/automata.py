@@ -13,18 +13,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Behavior
-from .logic import (Atom, Comp, Emp, Eq, Formula, Inter, Neq, Pred, Rule,
-                    SID, StateAtom, Var, boundvar, childparam, exists,
-                    free_vars, nodeex, nodevar, param, prenex, sep,
-                    substitute, var_text)
+from .logic import (Atom, Eq, Formula, Pred, Rule, SID, Var, atom_text,
+                    boundvar, childparam, exists, free_vars, nodeex, nodevar,
+                    param, prenex, sep, substitute, var_text)
 
 
 class BadAddress(KeyError):
     """Address outside the tree domain."""
-
-
-class NonNormalizableRule(ValueError):
-    """Rule body cannot be brought into exists-prefix qpf * predicates form."""
 
 
 class NotSidCompatible(ValueError):
@@ -86,29 +81,10 @@ def make_symbol(binders: Sequence[Var], atoms: Sequence[Atom],
 
 
 def symbol_text(sym: AlphabetSymbol) -> str:
-    from .logic import var_text as vt
-
-    def atom_text(a: Atom) -> str:
-        if isinstance(a, Emp):
-            return "emp"
-        if isinstance(a, Comp):
-            return f"comp({vt(a.var)})"
-        if isinstance(a, StateAtom):
-            return f"state({vt(a.var)}:{a.state})"
-        if isinstance(a, Inter):
-            return "<" + ", ".join(f"{vt(v)}.{p}" for v, p in a.bindings) + ">"
-        if isinstance(a, Eq):
-            return f"{vt(a.left)}={vt(a.right)}"
-        if isinstance(a, Neq):
-            return f"{vt(a.left)}!={vt(a.right)}"
-        if isinstance(a, Pred):
-            return f"{a.name}({', '.join(vt(v) for v in a.args)})"
-        raise TypeError(a)
-
     prefix = ""
     if sym.exvars:
-        prefix = "E " + ",".join(vt(v) for v in sym.exvars) + " . "
-    body = " * ".join(atom_text(a) for a in sym.atoms) or "emp"
+        prefix = "E " + ",".join(var_text(v) for v in sym.exvars) + " . "
+    body = " * ".join(atom_text(a, var_text, "") for a in sym.atoms) or "emp"
     return f"<{prefix}{body} | {','.join(map(str, sym.arities))}>"
 
 

@@ -79,10 +79,6 @@ class Interaction:
         return f"<{inner}>"
 
 
-# An interaction type is just the ordered tuple of ports.
-InteractionType = tuple[str, ...]
-
-
 @dataclass(frozen=True)
 class Configuration:
     """A snapshot: present components, interactions, and a finite state table.

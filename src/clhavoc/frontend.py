@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .core import Behavior, Configuration, Interaction
 from .logic import (Comp, Emp, Eq, Exists, Formula, Inter, Neq, Pred, Rule,
-                    SID, SepConj, StateAtom, Var, comp_in, exists, sep)
+                    SID, SepConj, StateAtom, Var, atom_text, comp_in, exists,
+                    sep)
 
 
 class ParseError(ValueError):
@@ -578,23 +579,9 @@ def render_formula(f: Formula) -> str:
 
 
 def _render_atom(a: Formula) -> str:
-    if isinstance(a, Emp):
-        return "emp"
-    if isinstance(a, Comp):
-        return f"comp({render_var(a.var)})"
-    if isinstance(a, StateAtom):
-        return f"state({render_var(a.var)} : {a.state})"
-    if isinstance(a, Inter):
-        return "<" + ", ".join(f"{render_var(v)}.{p}" for v, p in a.bindings) + ">"
-    if isinstance(a, Eq):
-        return f"{render_var(a.left)} = {render_var(a.right)}"
-    if isinstance(a, Neq):
-        return f"{render_var(a.left)} != {render_var(a.right)}"
-    if isinstance(a, Pred):
-        return f"{a.name}({', '.join(render_var(v) for v in a.args)})"
     if isinstance(a, Exists):
         return f"({render_formula(a)})"
-    raise TypeError(a)
+    return atom_text(a, render_var, " ")
 
 
 def render_config(name: str, g: Configuration) -> str:

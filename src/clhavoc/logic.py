@@ -181,19 +181,42 @@ def comp_in(x: Var, q: str) -> Formula:
     return sep(Comp(x), StateAtom(x, q))
 
 
+def atom_vars(a: Atom) -> tuple[Var, ...]:
+    """The variables of an atom in position order, repeats kept."""
+    if isinstance(a, (Comp, StateAtom)):
+        return (a.var,)
+    if isinstance(a, Inter):
+        return tuple(v for v, _ in a.bindings)
+    if isinstance(a, (Eq, Neq)):
+        return (a.left, a.right)
+    if isinstance(a, Pred):
+        return a.args
+    if isinstance(a, Emp):
+        return ()
+    raise TypeError(a)
+
+
+def atom_text(a: Atom, name: Callable[[Var], str], sp: str) -> str:
+    """An atom as text; `name` prints a variable and `sp` pads the `:` of a
+    state atom and the `=`/`!=` of a (dis)equality."""
+    if isinstance(a, Comp):
+        return f"comp({name(a.var)})"
+    if isinstance(a, StateAtom):
+        return f"state({name(a.var)}{sp}:{sp}{a.state})"
+    if isinstance(a, Inter):
+        return "<" + ", ".join(f"{name(v)}.{p}" for v, p in a.bindings) + ">"
+    if isinstance(a, Eq):
+        return f"{name(a.left)}{sp}={sp}{name(a.right)}"
+    if isinstance(a, Neq):
+        return f"{name(a.left)}{sp}!={sp}{name(a.right)}"
+    if isinstance(a, Pred):
+        return f"{a.name}({', '.join(name(v) for v in a.args)})"
+    if isinstance(a, Emp):
+        return "emp"
+    raise TypeError(a)
+
+
 def free_vars(f: Formula) -> frozenset[Var]:
-    if isinstance(f, (Emp,)):
-        return frozenset()
-    if isinstance(f, Comp):
-        return frozenset([f.var])
-    if isinstance(f, StateAtom):
-        return frozenset([f.var])
-    if isinstance(f, Inter):
-        return frozenset(v for v, _ in f.bindings)
-    if isinstance(f, (Eq, Neq)):
-        return frozenset([f.left, f.right])
-    if isinstance(f, Pred):
-        return frozenset(f.args)
     if isinstance(f, SepConj):
         out: frozenset[Var] = frozenset()
         for p in f.parts:
@@ -201,7 +224,7 @@ def free_vars(f: Formula) -> frozenset[Var]:
         return out
     if isinstance(f, Exists):
         return free_vars(f.body) - set(f.vars)
-    raise TypeError(f)
+    return frozenset(atom_vars(f))
 
 
 def substitute(f: Formula, mapping: Mapping[Var, Var]) -> Formula:
@@ -260,29 +283,29 @@ def atoms_of(f: Formula) -> Iterator[Atom]:
 def prenex(f: Formula, counter: itertools.count | None = None,
            prefix: str = "%q") -> Prenex:
     """Pull every existential to the front, freshly renaming all binders."""
-    if counter is None:
-        counter = itertools.count()
     binders: list[Var] = []
-
-    def walk(g: Formula, env: dict[Var, Var]) -> list[Atom]:
-        if isinstance(g, Exists):
-            env = dict(env)
-            for b in g.vars:
-                nb = Var(prefix, (next(counter),))
-                env[b] = nb
-                binders.append(nb)
-            return walk(g.body, env)
-        if isinstance(g, SepConj):
-            out: list[Atom] = []
-            for p in g.parts:
-                out.extend(walk(p, env))
-            return out
-        if isinstance(g, Emp):
-            return []
-        return [substitute(g, env)]
-
-    atoms = walk(f, {})
+    atoms: list[Atom] = []
+    _prenex_into(f, {}, prefix, itertools.count() if counter is None else counter,
+                 binders, atoms)
     return tuple(binders), tuple(atoms)
+
+
+def _prenex_into(g: Formula, env: dict[Var, Var], prefix: str,
+                 counter: itertools.count, binders: list[Var],
+                 atoms: list[Atom]) -> None:
+    """Append g's binders, renamed apart, and its atoms, renamed by env."""
+    if isinstance(g, Exists):
+        env = dict(env)
+        for b in g.vars:
+            nb = Var(prefix, (next(counter),))
+            env[b] = nb
+            binders.append(nb)
+        _prenex_into(g.body, env, prefix, counter, binders, atoms)
+    elif isinstance(g, SepConj):
+        for p in g.parts:
+            _prenex_into(p, env, prefix, counter, binders, atoms)
+    elif not isinstance(g, Emp):
+        atoms.append(substitute(g, env))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +422,7 @@ def compile_prenex(binders: Sequence[Var], atoms: Sequence[Atom]) -> Check:
 
     allvars = set(binders)
     for a in atoms:
-        allvars |= free_vars(a)
+        allvars.update(atom_vars(a))
     fv = tuple(allvars.difference(binders))
     slot_of = Partition(allvars, eqs).roots()
     fv_slots = [(v, slot_of[v]) for v in fv]

@@ -15,9 +15,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction, step
 from .eqform import Partition
-from .logic import (Atom, Formula, Pred, Prenex, SID, Var, bounded_checker,
-                    exists, free_vars, prenex, split_atoms, unfold_formula,
-                    unfoldings_checker, var_text)
+from .logic import (Atom, Formula, Pred, Prenex, SID, Var, atom_vars,
+                    bounded_checker, exists, prenex, split_atoms,
+                    unfold_formula, unfoldings_checker, var_text)
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +130,13 @@ def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],
     states = sorted(states)
     comp_atoms, inter_atoms, state_atoms, eqs, neqs = split_atoms(atoms)
 
-    allvars: dict[Var, None] = {}
-    for v in list(free) + list(binders):
-        allvars.setdefault(v)
+    # free variables and binders first, then each atom's other variables
+    # sorted (none, for an unfolding)
+    allvars = dict.fromkeys([*free, *binders])
     for a in atoms:
-        for v in sorted(free_vars(a)):
-            allvars.setdefault(v)
+        new = {v for v in atom_vars(a) if v not in allvars}
+        if new:
+            allvars.update(dict.fromkeys(sorted(new)))
     classes = Partition(allvars, eqs).classes()
 
     cls_of: dict[Var, int] = {}
@@ -349,12 +350,10 @@ def cross_validate_reduction(sid: SID, pred: str, depth: int,
                 continue
             for g2 in step(sid.behavior, model.config, inter):
                 left.setdefault(canonical_model(g2, model.store))
-    right: dict[tuple, None] = {}
+    right: dict[tuple, Model] = {}
     for target in result.targets:
-        for _, model in _model_order(enumerate_models(result.derived_sid,
-                                                      result.derived_sid.atom(target),
-                                                      depth)):
-            right.setdefault(canonical_model(model.config, model.store))
+        right.update(enumerate_models(result.derived_sid,
+                                      result.derived_sid.atom(target), depth).entries)
     left_only = sorted(k for k in left if k not in right)
     right_only = sorted(k for k in right if k not in left)
     return CrossReport(not left_only and not right_only, depth,

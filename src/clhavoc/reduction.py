@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from .analysis import check_pcr
 from .automata import sid_to_ta, ta_to_sid, ta_trim
 from .eqform import Partition
-from .logic import (Comp, Eq, Inter, Neq, Pred, Rule, SID, StateAtom, Var,
-                    free_vars, prenex, substitute, var_text)
+from .logic import (Eq, Inter, Neq, Pred, Rule, SID, StateAtom, Var,
+                    atom_vars, prenex, substitute, var_text)
 from .transducer import ProductState, image, interaction_types
 
 
@@ -133,24 +133,13 @@ def _norm_body(rule: Rule):
         for w in freevs[1:]:
             canon_eqs.append((r, w))
 
-    def r(v: Var) -> Var:
-        return rep.get(v, v)
-
-    out_atoms: list = []
+    out_atoms = []
     for a in rest:
-        if isinstance(a, Comp):
-            out_atoms.append(Comp(r(a.var)))
-        elif isinstance(a, Inter):
-            out_atoms.append(Inter(tuple((r(v), p) for v, p in a.bindings)))
-        elif isinstance(a, Neq):
-            out_atoms.append(Neq(*sorted((r(a.left), r(a.right)))))
-        else:
-            out_atoms.append(a)
+        a = substitute(a, rep)
+        out_atoms.append(Neq(*sorted((a.left, a.right))) if isinstance(a, Neq) else a)
     out_atoms.extend(Eq(x, y) for x, y in sorted(canon_eqs))
-    live = set()
-    for a in out_atoms:
-        live |= free_vars(a)
-    kept_binders = tuple(sorted({r(b) for b in binders if r(b) in live} & bset))
+    live = {v for a in out_atoms for v in atom_vars(a)}
+    kept_binders = tuple(sorted({rep.get(b, b) for b in binders} & live & bset))
     pred_heads = tuple((p.name, len(p.args)) for p in preds)
     return kept_binders, tuple(out_atoms), pred_heads
 
@@ -161,58 +150,54 @@ def _atoms_match(atoms1, atoms2, binders1, binders2) -> bool:
         return False
     if len(binders1) != len(binders2):
         return False
+    return _match(0, atoms1, atoms2, set(binders1), set(binders2), set(), {}, {})
 
-    def match(i: int, used: set[int], bij: dict[Var, Var], inv: dict[Var, Var]) -> bool:
-        if i == len(atoms1):
+
+def _match(i: int, atoms1, atoms2, bset1: set[Var], bset2: set[Var],
+           used: set[int], bij: dict[Var, Var], inv: dict[Var, Var]) -> bool:
+    """Match atoms1[i:] into the unused atoms2, extending the bijection."""
+    if i == len(atoms1):
+        return True
+    a = atoms1[i]
+    for j, b in enumerate(atoms2):
+        if j in used or type(a) is not type(b):
+            continue
+        pairs = _var_pairs(a, b)
+        if pairs is None:
+            continue
+        added = []
+        ok = True
+        for x, y in pairs:
+            bx, by = x in bset1, y in bset2
+            if bx != by:
+                ok = False
+                break
+            if not bx:
+                if x != y:
+                    ok = False
+                    break
+                continue
+            if bij.get(x, y) != y or inv.get(y, x) != x:
+                ok = False
+                break
+            if x not in bij:
+                bij[x] = y
+                inv[y] = x
+                added.append((x, y))
+        if ok and _match(i + 1, atoms1, atoms2, bset1, bset2, used | {j}, bij, inv):
             return True
-        a = atoms1[i]
-        for j, b in enumerate(atoms2):
-            if j in used or type(a) is not type(b):
-                continue
-            pairs = _var_pairs(a, b)
-            if pairs is None:
-                continue
-            added = []
-            ok = True
-            for x, y in pairs:
-                bx, by = x in set(binders1), y in set(binders2)
-                if bx != by:
-                    ok = False
-                    break
-                if not bx:
-                    if x != y:
-                        ok = False
-                        break
-                    continue
-                if bij.get(x, y) != y or inv.get(y, x) != x:
-                    ok = False
-                    break
-                if x not in bij:
-                    bij[x] = y
-                    inv[y] = x
-                    added.append((x, y))
-            if ok and match(i + 1, used | {j}, bij, inv):
-                return True
-            for x, y in added:
-                del bij[x]
-                del inv[y]
-        return False
-
-    return match(0, set(), {}, {})
+        for x, y in added:
+            del bij[x]
+            del inv[y]
+    return False
 
 
 def _var_pairs(a, b):
-    if isinstance(a, Comp):
-        return [(a.var, b.var)]
-    if isinstance(a, Inter):
-        if len(a.bindings) != len(b.bindings):
-            return None
-        if tuple(p for _, p in a.bindings) != tuple(p for _, p in b.bindings):
-            return None
-        return list(zip((v for v, _ in a.bindings), (v for v, _ in b.bindings)))
-    if isinstance(a, (Eq, Neq)):
-        return [(a.left, b.left), (a.right, b.right)]
-    return []
+    """Positional variable pairs of two atoms of one kind; None if they are
+    interaction atoms over different ports."""
+    if isinstance(a, Inter) and [p for _, p in a.bindings] != [p for _, p in b.bindings]:
+        return None
+    return list(zip(atom_vars(a), atom_vars(b)))
 
 
 @dataclass

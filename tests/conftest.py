@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 
 import pytest
@@ -44,3 +45,13 @@ def tll_original():
 @pytest.fixture(scope="session")
 def tll_pcr():
     return load("tll_pcr.clsys")
+
+
+def source_fixtures():
+    """The hand-written fixtures, without checked-in reduction outputs."""
+    return sorted(p for p in FIXTURES.glob("*.clsys")
+                  if not p.name.endswith(".reduced.clsys"))
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()

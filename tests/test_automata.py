@@ -21,6 +21,8 @@ from clhavoc.logic import (Comp, Emp, Eq, Inter, StateAtom, Var, comp_in,
 from clhavoc.oracle import enumerate_formula_models, enumerate_models
 from clhavoc.reduction import class_equiv
 
+from conftest import load, sha256, source_fixtures
+
 
 def leaf_symbol(q, a0=3):
     return make_symbol([], [Comp(param(1)), StateAtom(param(1), q)], [a0])
@@ -406,3 +408,23 @@ def _pf_models(atoms, free, behavior):
     from clhavoc.oracle import enumerate_pf_models
     return enumerate_pf_models([], atoms, free, behavior.states)
 
+
+
+# sha256 of dump_ta(sid_to_ta(sid)) for every source fixture
+DUMP_TA_DIGESTS = {
+    "bad.clsys": "82623577f14a71a698b01a5c47dc452e3fd81cc1cdfb46a7747baaefaa0e4ea5",
+    "chain.clsys": "8c71d6279307e60cf7ed97de7720015c0e07f9266a28a8e7807248e3ca9f52f1",
+    "misc.clsys": "91cc3fb746764f0b3b79551b2bc68201ba77fd66eea6e000b8ae3c1322245391",
+    "pcring.clsys": "312aa9c19cf7922eb67146230177375029e4dec7e916139ef37001dce7f25ff5",
+    "ring.clsys": "e369e874c8da5af9f0c1c102d40ba100c8c199c2d946d96a273f629a22502e8f",
+    "tll.clsys": "0e4f90eaee17b2e7277b9cc9b6c64a20dc907e4acb2f9dd27db60fa0f8286b96",
+    "tll_original.clsys": "b74a08cb852910e9003864bb7ccc2c715385a9bf300a221efad8195830527cb4",
+    "tll_pcr.clsys": "36f28aef1bd9f8b5a6611902354b2d02824cc3668d71e5cc6134db7fdb48eb1d",
+}
+
+
+@pytest.mark.parametrize("path", source_fixtures(), ids=lambda p: p.name)
+def test_dump_ta_pinned(path):
+    from clhavoc.automata import dump_ta
+    ta, _ = sid_to_ta(load(path.name).sid)
+    assert sha256(dump_ta(ta)) == DUMP_TA_DIGESTS[path.name]

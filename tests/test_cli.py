@@ -3,9 +3,11 @@
 import json
 import shutil
 
+import pytest
+
 from clhavoc.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, sha256, source_fixtures
 
 
 def run(capsys, *argv):
@@ -170,3 +172,33 @@ def test_trace_transducer_emits_witnesses(capsys, tmp_path):
                          "--assume-tight", "--trace-transducer")
     assert code == 0
     assert "trace:" in err
+
+
+# sha256 of `clhavoc analyze` stdout for every source fixture
+ANALYZE_DIGESTS = {
+    "bad.clsys": "59e7ce2d37c0a3a363ca06e5d1f976ca645d7fad793f9cfd6e06e9e60841fa63",
+    "chain.clsys": "04a0a2e26740b7cd248827f9143a397279acadb7e4b2201506b7d342c006818f",
+    "misc.clsys": "a5273b2ab55b2ac28ade8bf9799f7d5767d4101d01bd1bd7dfdc632cf445df89",
+    "pcring.clsys": "bef92592d1fd29c18c22c6dacbda3e264f6f1528bfc774f171f29200a2e331f0",
+    "ring.clsys": "ee846f275619e5f84143e691ae744ce79964423baa62c9714d70a5513a47e44d",
+    "tll.clsys": "b91d8ee4ef573dacd8e2cfe5d7819b179040c9ace3554ebef8a24092445a75f7",
+    "tll_original.clsys": "22a48794cbb0a4c701aa4858ccec7a6440a01e71d5c0c204f4594efa39e26550",
+    "tll_pcr.clsys": "b0727be8a5afc953099a1c145f4b322292e4bf3b69b220a2c643c0bfcc0a940d",
+}
+
+
+@pytest.mark.parametrize("path", source_fixtures(), ids=lambda p: p.name)
+def test_analyze_pinned(path, capsys):
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert sha256(out) == ANALYZE_DIGESTS[path.name]
+
+
+def test_trace_transducer_pinned(capsys, tmp_path):
+    src = tmp_path / "ring.clsys"
+    shutil.copy(FIXTURES / "ring.clsys", src)
+    code, _, err = run(capsys, "reduce", str(src), "--pred", "Ring_1_1",
+                       "--assume-tight", "--trace-transducer")
+    assert code == 0
+    assert err.count("\n") == 932
+    assert sha256(err) == "4ccbe6784c9c2d6cc83b4bfb7b879a6f0974d5ea2975dc44208786ff4ee82399"

@@ -3,7 +3,7 @@ import pytest
 from clhavoc.frontend import ParseError, parse_system, render_system
 from clhavoc.logic import Pred
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load, sha256, source_fixtures
 
 
 def corpus():
@@ -130,3 +130,21 @@ def test_query_names_must_be_defined():
             "query invariant Bogus;")
     with pytest.raises(ParseError):
         parse_system(text)
+
+
+# sha256 of the canonical text (`clhavoc parse`) of every source fixture
+RENDER_DIGESTS = {
+    "bad.clsys": "86c9d1eef07ae3da504e6dc9d5451417f29f23a02c5055f401f0bc0e000a5c98",
+    "chain.clsys": "79dfc7a5fdbbe49d0a2c4f2927088aaf54302b48171495b37847db2bfcae0107",
+    "misc.clsys": "967160aeb1e8f91ca365b6d9b1fd5df2be4561968f8044cea09a0712a63d5666",
+    "pcring.clsys": "ef9ce24d8bb6c291b9bd811b575d9a8251630945d9e01f3e4d7184fc6f1d1c21",
+    "ring.clsys": "10ae1f96a4a98771618518e0474bdea2314a553e44eed9b0ca9a1c652c8a9b61",
+    "tll.clsys": "4a9237962c261a4a5783069f4fd803c5786adda35fe392fdabe73ef4e5a234be",
+    "tll_original.clsys": "3f64ec45a8d3cad190565efd804716ebc12e62bf6539f1db7978d0b241d0a090",
+    "tll_pcr.clsys": "59a3f6d468c0599ca14dcc58713409ddf5b89e4543f76a59a476d6a2333bbfaa",
+}
+
+
+@pytest.mark.parametrize("path", source_fixtures(), ids=lambda p: p.name)
+def test_render_pinned(path):
+    assert sha256(render_system(load(path.name))) == RENDER_DIGESTS[path.name]

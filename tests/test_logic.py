@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clhavoc.core import Behavior, Configuration, Interaction
-from clhavoc.frontend import parse_system
+from clhavoc.frontend import parse_system, render_var
 from clhavoc.logic import (Comp, Emp, Eq, Exists, Inter, Neq, Pred, SepConj,
                            StateAtom, UnboundVariable, UndefinedPredicate, Var,
-                           comp_in, eval_bounded, eval_pf, exists, free_vars,
-                           prenex, sep, substitute, unfold, unfold_formula)
+                           atom_text, atom_vars, comp_in, eval_bounded,
+                           eval_pf, exists, free_vars, prenex, sep,
+                           substitute, unfold, unfold_formula, var_text)
 
 from conftest import FIXTURES, load
 
@@ -105,6 +106,32 @@ def test_substitute_capture_avoiding():
     binder = g.vars[0]
     assert binder != X
     assert g.body == Eq(binder, X)
+
+
+# ---------------------------------------------------------------------------
+# the atom layer: one atom of each kind, with its text in both spellings
+
+ATOMS = [
+    # atom, var_text spelling (automaton dumps), surface spelling
+    (Emp(), "emp", "emp"),
+    (Comp(X), "comp(x)", "comp(x)"),
+    (StateAtom(X, "H"), "state(x:H)", "state(x : H)"),
+    (Inter(((X, "out"), (Y, "in"))), "<x.out, y.in>", "<x.out, y.in>"),
+    (Eq(X, Y), "x=y", "x = y"),
+    (Neq(Y, Var("z", (2,))), "y!=z_2", "y != z_2"),
+    (Pred("Chain", (X, Y, X)), "Chain(x, y, x)", "Chain(x, y, x)"),
+]
+
+
+@pytest.mark.parametrize("atom, dump, surface", ATOMS,
+                         ids=[type(a).__name__ for a, _, _ in ATOMS])
+def test_atom_layer(atom, dump, surface):
+    assert free_vars(atom) == frozenset(atom_vars(atom))
+    mapping = {X: U, Y: Z, Var("z", (2,)): X}
+    assert atom_vars(substitute(atom, mapping)) == tuple(
+        mapping.get(v, v) for v in atom_vars(atom))
+    assert atom_text(atom, var_text, "") == dump
+    assert atom_text(atom, render_var, " ") == surface
 
 
 # ---------------------------------------------------------------------------
