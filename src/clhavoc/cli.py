@@ -1,8 +1,8 @@
 """Batch command-line driver: parse | analyze | reduce | check | simulate | oracle.
 
 Exit codes: 0 verdict-positive, 1 verdict-negative (counterexample or
-mismatch), 2 unknown/gated (tightness not established, or no entailment to
-check), 3 input error.
+mismatch), 2 unknown/gated (tightness not established, or no entailment or
+target to check), 3 input error.
 Diagnostics go to stderr; results to stdout or the -o path.
 """
 
@@ -185,9 +185,13 @@ def main(argv: list[str] | None = None) -> int:
             lines.append(_config_text("successor", ce.successor))
         try:
             result = _reduce(sf, args)
+            # with no target, an empty right side says nothing
+            unknown = None if result.targets else "no target"
         except TightnessNotEstablished as e:
             sys.stderr.write(f"TightnessNotEstablished: {e}\n")
-            lines.append("cross-validation: Unknown (tightness gate)")
+            unknown = "tightness gate"
+        if unknown:
+            lines.append(f"cross-validation: Unknown ({unknown})")
             _emit("\n".join(lines) + "\n", args.output)
             return 2 if rep.invariant else 1
         cross = cross_validate_reduction(sf.sid, args.pred, args.depth, result)

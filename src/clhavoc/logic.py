@@ -11,7 +11,7 @@ store and the state table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction
@@ -332,6 +332,9 @@ class SID:
 
     rules: tuple[Rule, ...]
     behavior: Behavior
+    # bounded model sets and checks built by `oracle`, which alone reads and
+    # fills it; an SID never changes, so they hold as long as it lives
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arities: dict[str, int] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction, step
 from .eqform import Partition
@@ -162,23 +162,25 @@ def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],
         neq_cls.append((ca, cb))
 
     ncomp = len(comp_classes)
-
-    # enumerate merges: each non-component class joins a component bucket, an
-    # earlier absent bucket, or opens a fresh absent bucket (restricted growth)
-    def merges(i: int, assign: dict[int, int], nabs: int) -> Iterator[dict[int, int]]:
-        if i == len(other_classes):
-            yield assign
-            return
-        ci = other_classes[i]
-        for b in range(ncomp + nabs + 1):
-            yield from merges(i + 1, {**assign, ci: b},
-                              nabs + (1 if b == ncomp + nabs else 0))
-
-    for assign in merges(0, {}, 0):
+    for assign in _merges(other_classes, ncomp, 0, {}, 0):
         bucket = {ci: k for k, ci in enumerate(comp_classes)}
         bucket.update(assign)
         yield from _instantiate(bucket, cls_of, inter_atoms, state_atoms,
                                 neq_cls, free, states, ncomp)
+
+
+def _merges(other_classes: Sequence[int], ncomp: int, i: int,
+            assign: dict[int, int], nabs: int) -> Iterator[dict[int, int]]:
+    """Merges of other_classes[i:]: each non-component class joins a component
+    bucket, an earlier absent bucket, or opens a fresh absent bucket
+    (restricted growth)."""
+    if i == len(other_classes):
+        yield assign
+        return
+    ci = other_classes[i]
+    for b in range(ncomp + nabs + 1):
+        yield from _merges(other_classes, ncomp, i + 1, {**assign, ci: b},
+                           nabs + (1 if b == ncomp + nabs else 0))
 
 
 def _instantiate(bucket, cls_of, inter_atoms, state_atoms, neq_cls, free,
@@ -229,9 +231,21 @@ def _instantiate(bucket, cls_of, inter_atoms, state_atoms, neq_cls, free,
         yield g, nu
 
 
+def _memoized(sid: SID, key: tuple, build: Callable):
+    """The entry of sid's memo under key, built on first use: a ModelSet
+    under ("models", atom, depth), a bounded check under ("check", formula,
+    depth).  Entries are shared between callers, so they are read-only."""
+    memo = sid._memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def enumerate_models(sid: SID, atom: Pred, depth: int) -> ModelSet:
-    """Canonical models of a predicate atom over all complete unfoldings."""
-    return _unfolding_models(sid, atom, unfold_formula(sid, atom, depth))
+    """Canonical models of a predicate atom over all complete unfoldings,
+    built once per SID object, atom and depth; do not modify the set."""
+    return _memoized(sid, ("models", atom, depth),
+                     lambda: _unfolding_models(sid, atom, unfold_formula(sid, atom, depth)))
 
 
 def _unfolding_models(sid: SID, atom: Pred,
@@ -288,7 +302,8 @@ def havoc_invariant_bounded(sid: SID, pred: str, depth: int) -> HavocReport:
     """
     atom = sid.atom(pred)
     unfoldings = unfold_formula(sid, atom, depth)
-    ms = _unfolding_models(sid, atom, unfoldings)
+    ms = _memoized(sid, ("models", atom, depth),
+                   lambda: _unfolding_models(sid, atom, unfoldings))
     holds = unfoldings_checker(unfoldings)
     for _, model in _model_order(ms):
         for inter in sorted(model.config.interactions, key=repr):
@@ -319,7 +334,8 @@ def entails_bounded(sid: SID, lhs: str, rhs: str, depth: int) -> EntailReport:
     ms = enumerate_models(sid, sid.atom(lhs), depth)
     if not ms:  # no model to check: skip unfolding the right-hand side
         return EntailReport(True, depth, 0, None)
-    holds = bounded_checker(sid, rhs_formula, depth)
+    holds = _memoized(sid, ("check", rhs_formula, depth),
+                      lambda: bounded_checker(sid, rhs_formula, depth))
     for _, model in _model_order(ms):
         if not holds(model.config, model.store):
             return EntailReport(False, depth, len(ms),
@@ -341,7 +357,11 @@ def cross_validate_reduction(sid: SID, pred: str, depth: int,
                              result) -> CrossReport:
     """Set-equality between one-step successors of the predicate's bounded
     models (all stepped components present) and the bounded models of the
-    derived target predicates, modulo component renaming."""
+    derived target predicates, modulo component renaming.
+
+    Targets are enumerated over the combined SID, reusing the model sets the
+    entailments built there; no derived rule calls a source predicate, so a
+    target unfolds there as in the derived SID."""
     atom = sid.atom(pred)
     left: dict[tuple, None] = {}
     for _, model in _model_order(enumerate_models(sid, atom, depth)):
@@ -352,8 +372,8 @@ def cross_validate_reduction(sid: SID, pred: str, depth: int,
                 left.setdefault(canonical_model(g2, model.store))
     right: dict[tuple, Model] = {}
     for target in result.targets:
-        right.update(enumerate_models(result.derived_sid,
-                                      result.derived_sid.atom(target), depth).entries)
+        right.update(enumerate_models(result.combined_sid,
+                                      result.combined_sid.atom(target), depth).entries)
     left_only = sorted(k for k in left if k not in right)
     right_only = sorted(k for k in right if k not in left)
     return CrossReport(not left_only and not right_only, depth,

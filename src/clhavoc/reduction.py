@@ -9,7 +9,9 @@ entailment `target |= predicate` holds over the combined definitions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .analysis import check_pcr
 from .automata import sid_to_ta, ta_to_sid, ta_trim
@@ -200,6 +202,42 @@ def _var_pairs(a, b):
     return list(zip(atom_vars(a), atom_vars(b)))
 
 
+def _solve(k: int, all_c: list[list[int]], n1: int, heads1, heads2,
+           arity: dict, part: Partition, pairing: list[tuple[int, int]],
+           steps: Iterator[int]) -> bool:
+    """Choose a candidate for rule k onwards (the first n1 rules of all_c are
+    d1's), uniting the paired predicates in part; raises TimeoutError after
+    200000 steps."""
+    if next(steps) > 200000:
+        raise TimeoutError
+    if k == len(all_c):
+        return True
+    saved = part.parent[:]
+    if k < n1:
+        side1, side2, own, other = "1", "2", heads1[k], heads2
+    else:
+        side1, side2, own, other = "2", "1", heads2[k - n1], heads1
+    for j in all_c[k]:
+        ok = True
+        for p1, p2 in zip(own, other[j]):
+            # each class keeps one arity, so comparing the two predicates
+            # compares their classes
+            x, y = (side1, p1), (side2, p2)
+            if arity[x] != arity[y]:
+                ok = False
+                break
+            part.union(x, y)
+        if ok:
+            if k < n1:
+                pairing.append((k, j))
+            if _solve(k + 1, all_c, n1, heads1, heads2, arity, part, pairing, steps):
+                return True
+            if k < n1:
+                pairing.pop()
+        part.parent[:] = saved
+    return False
+
+
 @dataclass
 class ClassEquivResult:
     verdict: str  # "equivalent" | "inequivalent" | "unknown"
@@ -263,46 +301,10 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
     def heads(sid: SID, norms) -> list[tuple[str, ...]]:
         return [(r.head, *(p for p, _ in ph)) for r, (_, _, ph, _, _) in zip(sid.rules, norms)]
 
-    heads1, heads2 = heads(d1, norm1), heads(d2, norm2)
-    steps = 0
     pairing: list[tuple[int, int]] = []
-    all_c = cand1 + cand2
-    n1 = len(cand1)
-
-    def solve(k: int) -> bool:
-        nonlocal steps
-        steps += 1
-        if steps > 200000:
-            raise TimeoutError
-        if k == len(all_c):
-            return True
-        saved = part.parent[:]
-        if k < n1:
-            side1, side2, own, other = "1", "2", heads1[k], heads2
-        else:
-            side1, side2, own, other = "2", "1", heads2[k - n1], heads1
-        for j in all_c[k]:
-            ok = True
-            for p1, p2 in zip(own, other[j]):
-                # each class keeps one arity, so comparing the two predicates
-                # compares their classes
-                x, y = (side1, p1), (side2, p2)
-                if arity[x] != arity[y]:
-                    ok = False
-                    break
-                part.union(x, y)
-            if ok:
-                if k < n1:
-                    pairing.append((k, j))
-                if solve(k + 1):
-                    return True
-                if k < n1:
-                    pairing.pop()
-            part.parent[:] = saved
-        return False
-
     try:
-        if solve(0):
+        if _solve(0, cand1 + cand2, len(cand1), heads(d1, norm1), heads(d2, norm2),
+                  arity, part, pairing, itertools.count(1)):
             rel = sorted({(str(x[1]), str(part.items[r][1]))
                           for x, r in part.roots().items() if part.items[r] != x})
             return ClassEquivResult("equivalent", list(pairing), rel)

@@ -3,7 +3,8 @@ import pathlib
 
 import pytest
 
-from clhavoc.frontend import parse_system
+from clhavoc.frontend import Query, SystemFile, parse_system, render_system
+from clhavoc.reduction import reduce_havoc_to_entailment
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -48,9 +49,32 @@ def tll_pcr():
 
 
 def source_fixtures():
-    """The hand-written fixtures, without checked-in reduction outputs."""
+    """The hand-written fixtures, without the outputs a local `clhavoc
+    reduce` run may leave beside them."""
     return sorted(p for p in FIXTURES.glob("*.clsys")
                   if not p.name.endswith(".reduced.clsys"))
+
+
+def reduced_text(sf, result):
+    """The text `clhavoc reduce` writes for a reduction."""
+    queries = [Query("entail", lhs, rhs) for lhs, rhs in result.entailments]
+    return render_system(SystemFile(sf.behavior, result.combined_sid, {}, queries))
+
+
+# the text `clhavoc reduce fixtures/pcring.clsys --pred PcRing_1_1` writes
+PCRING_REDUCED = "pcring.reduced.clsys"
+
+
+def corpus():
+    """Names of the source fixtures and of the rendered pcring reduction."""
+    return sorted([p.name for p in source_fixtures()] + [PCRING_REDUCED])
+
+
+def corpus_text(name: str) -> str:
+    if name == PCRING_REDUCED:
+        sf = load("pcring.clsys")
+        return reduced_text(sf, reduce_havoc_to_entailment(sf.sid, "PcRing_1_1"))
+    return (FIXTURES / name).read_text()
 
 
 def sha256(text: str) -> str:

@@ -165,6 +165,16 @@ def test_oracle_bad_counterexample(capsys, tmp_path):
     assert "direct: Counterexample" in out
 
 
+def test_oracle_without_targets_unknown(capsys):
+    # the reduction of tll_pcr's Root leaves no target: an empty right side
+    # says nothing about the reduction
+    code, out, _ = run(capsys, "oracle", str(FIXTURES / "tll_pcr.clsys"), "--pred", "Root",
+                       "--depth", "3")
+    assert code == 2
+    assert out.endswith("direct: InvariantUpToDepth(3)\n"
+                        "cross-validation: Unknown (no target)\n")
+
+
 def test_trace_transducer_emits_witnesses(capsys, tmp_path):
     src = tmp_path / "bad.clsys"
     shutil.copy(FIXTURES / "bad.clsys", src)
@@ -202,3 +212,33 @@ def test_trace_transducer_pinned(capsys, tmp_path):
     assert code == 0
     assert err.count("\n") == 932
     assert sha256(err) == "4ccbe6784c9c2d6cc83b4bfb7b879a6f0974d5ea2975dc44208786ff4ee82399"
+
+
+# `clhavoc oracle` arguments, exit code and sha256 of stdout for every source
+# fixture; tll_original stops at the tightness gate
+ORACLE_RUNS = {
+    "bad.clsys": (("TH", "2", "--assume-tight"), 1,
+                  "26253172fa5510f25f69e1fb11a2283ae4cc8b7e2bc635a971ab13a582571162"),
+    "chain.clsys": (("Chain_1_1", "3"), 1,
+                    "118a4d9cef1af0f2192076c9e2e663a8397ea3babf48898161ec218652a525f1"),
+    "misc.clsys": (("Linked", "3", "--assume-tight"), 1,
+                   "f687880b94127ab6b6c525fb66b9cb55832547330c29e327ca1796a98dacd418"),
+    "pcring.clsys": (("PcRing_1_1", "3"), 1,
+                     "3ea7ecc68846b8c698be87f7be0b888b3d0387c74df01270da48a4e94d59c0e0"),
+    "ring.clsys": (("Ring_1_1", "3", "--assume-tight"), 0,
+                   "e11ef90cbbc9107011efdfd81f4973c9cf6335fe98efc06bd411cb5fd8a33b10"),
+    "tll.clsys": (("Node", "3", "--assume-tight"), 0,
+                  "d55783da543224f25aa19c5f2228f4db9f189324623234cc3ceca6559ed85505"),
+    "tll_original.clsys": (("Root", "2"), 2,
+                           "129a0701aaf6e1749884ca868a9438f059cd16952483b2c61edb5560ea20b746"),
+    "tll_pcr.clsys": (("Root", "3"), 2,
+                      "ce3c12d27f3cd6b0e7e74bd259f1ac82435bac4a846a57a5f6ff157128820886"),
+}
+
+
+@pytest.mark.parametrize("path", source_fixtures(), ids=lambda p: p.name)
+def test_oracle_pinned(path, capsys):
+    (pred, depth, *flags), want_code, digest = ORACLE_RUNS[path.name]
+    code, out, _ = run(capsys, "oracle", str(path), "--pred", pred, "--depth", depth, *flags)
+    assert code == want_code
+    assert sha256(out) == digest

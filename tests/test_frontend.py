@@ -3,11 +3,7 @@ import pytest
 from clhavoc.frontend import ParseError, parse_system, render_system
 from clhavoc.logic import Pred
 
-from conftest import FIXTURES, load, sha256, source_fixtures
-
-
-def corpus():
-    return sorted(FIXTURES.glob("*.clsys"))
+from conftest import corpus, corpus_text, load, sha256, source_fixtures
 
 
 def test_ring_expansion_arithmetic(ring):
@@ -103,18 +99,18 @@ def test_duplicate_rule_params_rejected():
         parse_system("behavior { ports p; states q; } sid { A(x, x) <- comp(x); }")
 
 
-@pytest.mark.parametrize("path", corpus(), ids=lambda p: p.name)
-def test_parse_render_parse_fixpoint(path):
-    sf1 = parse_system(path.read_text())
+@pytest.mark.parametrize("name", corpus())
+def test_parse_render_parse_fixpoint(name):
+    sf1 = parse_system(corpus_text(name))
     text1 = render_system(sf1)
     sf2 = parse_system(text1)
     assert render_system(sf2) == text1
 
 
-@pytest.mark.parametrize("path", corpus(), ids=lambda p: p.name)
-def test_render_deterministic(path):
-    a = render_system(parse_system(path.read_text()))
-    b = render_system(parse_system(path.read_text()))
+@pytest.mark.parametrize("name", corpus())
+def test_render_deterministic(name):
+    a = render_system(parse_system(corpus_text(name)))
+    b = render_system(parse_system(corpus_text(name)))
     assert a == b
 
 

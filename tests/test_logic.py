@@ -21,7 +21,7 @@ from clhavoc.logic import (Comp, Emp, Eq, Exists, Inter, Neq, Pred, SepConj,
                            eval_pf, exists, free_vars, prenex, sep,
                            substitute, unfold, unfold_formula, var_text)
 
-from conftest import FIXTURES, load
+from conftest import corpus, corpus_text
 
 X, Y, Z, U = Var("x"), Var("y"), Var("z"), Var("u")
 TOKEN = Behavior.make(["in", "out"], ["H", "T"],
@@ -411,9 +411,9 @@ def reference_unfold_formula(sid, f, depth):
 MAX_DEPTH = {"tll.clsys": 4, "tll_original.clsys": 4}
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.clsys")))
+@pytest.mark.parametrize("name", corpus())
 def test_unfold_matches_reference(name):
-    sid = load(name).sid
+    sid = parse_system(corpus_text(name)).sid
     for pred in sid.predicates:
         atom = sid.atom(pred)
         for depth in range(MAX_DEPTH.get(name, 5) + 1):

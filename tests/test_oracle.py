@@ -1,22 +1,29 @@
 """Bounded model enumeration and the direct havoc/entailment checks."""
 
+import gc
 import hashlib
 import itertools
 import json
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clhavoc import oracle
 from clhavoc.core import Behavior, Configuration, Interaction, step
 from clhavoc.frontend import parse_system, render_config
 from clhavoc.logic import (Eq, Neq, Pred, SID, Var, bounded_checker, comp_in,
                            eval_bounded, eval_pf, exists, sep, unfold,
-                           var_text)
-from clhavoc.oracle import (Counterexample, EntailReport, HavocReport,
-                            _model_order, canonical_model, enumerate_models,
+                           unfold_formula, var_text)
+from clhavoc.oracle import (Counterexample, CrossReport, EntailReport, HavocReport,
+                            Model, _model_order, canonical_model,
+                            cross_validate_reduction, enumerate_models,
                             entails_bounded, havoc_invariant_bounded)
+from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
+
+from conftest import source_fixtures
 
 X1, X2 = Var("x1"), Var("x2")
 
@@ -491,3 +498,110 @@ def test_enumerated_models_pinned(request, fixture, pred, depth, count, digest):
             for m in enumerate_models(sid, sid.atom(pred), depth).models()]
     assert len(rows) == count
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# model sets built once per SID, reused by cross-validation
+
+def reference_cross_validate(sid, pred, depth, result):
+    """cross_validate_reduction as it was before model sets were kept per SID."""
+    atom = sid.atom(pred)
+    left: dict[tuple, None] = {}
+    for _, model in _model_order(enumerate_models(sid, atom, depth)):
+        for inter in sorted(model.config.interactions, key=repr):
+            if not all(c in model.config.components for c in inter.components):
+                continue
+            for g2 in step(sid.behavior, model.config, inter):
+                left.setdefault(canonical_model(g2, model.store))
+    right: dict[tuple, Model] = {}
+    for target in result.targets:
+        right.update(enumerate_models(result.derived_sid,
+                                      result.derived_sid.atom(target), depth).entries)
+    left_only = sorted(k for k in left if k not in right)
+    right_only = sorted(k for k in right if k not in left)
+    return CrossReport(not left_only and not right_only, depth,
+                       len(left), len(right), left_only, right_only)
+
+
+def check_then_validate(sf, pred, depth):
+    """The oracle calls of `clhavoc check` and then `clhavoc oracle` on one
+    parse: entailments, the direct check, cross-validation."""
+    result = reduce_havoc_to_entailment(sf.sid, pred, assume_tight=True)
+    for lhs, rhs in result.entailments:
+        entails_bounded(result.combined_sid, lhs, rhs, depth)
+    havoc_invariant_bounded(sf.sid, pred, depth)
+    return result, cross_validate_reduction(sf.sid, pred, depth, result)
+
+
+XVAL_TEXTS = {p.name: p.read_text() for p in source_fixtures()}
+# every predicate of every source fixture (tll_original's rank-2 loose lists
+# at depth 2), and the ring family's checked predicates
+XVAL_CASES = [(name, pred, 2 if name == "tll_original.clsys" else 3)
+              for name, text in XVAL_TEXTS.items()
+              for pred in parse_system(text).sid.predicates]
+for k in (2, 3):
+    XVAL_TEXTS[f"ring{k}"] = XVAL_TEXTS["ring.clsys"].replace("=0..1", f"=0..{k}")
+    XVAL_CASES.append((f"ring{k}", f"Ring_{k}_{k}", 3))
+
+
+@pytest.mark.parametrize("name,pred,depth", XVAL_CASES)
+def test_cross_validation_matches_reference(name, pred, depth):
+    # the reference runs on a parse of its own, so no model set is shared
+    fresh = parse_system(XVAL_TEXTS[name])
+    fresh_result = reduce_havoc_to_entailment(fresh.sid, pred, assume_tight=True)
+    want = reference_cross_validate(fresh.sid, pred, depth, fresh_result)
+    result, got = check_then_validate(parse_system(XVAL_TEXTS[name]), pred, depth)
+    assert got == want
+    # a target unfolds in the combined SID as in the derived one
+    for t in result.targets:
+        derived = enumerate_models(fresh_result.derived_sid, fresh_result.derived_sid.atom(t),
+                                   depth)
+        combined = enumerate_models(result.combined_sid, result.combined_sid.atom(t), depth)
+        assert derived.keys() == combined.keys(), t
+        assert [m.provenance for m in derived.models()] == \
+            [m.provenance for m in combined.models()], t
+
+
+@pytest.mark.parametrize("name,pred,depth", [
+    ("ring.clsys", "Ring_1_1", 4), ("chain.clsys", "Chain_1_1", 4), ("tll.clsys", "Node", 3),
+])
+def test_cross_validation_reuses_built_models(name, pred, depth, monkeypatch):
+    sf = parse_system(XVAL_TEXTS[name])
+    result = reduce_havoc_to_entailment(sf.sid, pred, assume_tight=True)
+    assert result.targets
+    for lhs, rhs in result.entailments:
+        entails_bounded(result.combined_sid, lhs, rhs, depth)
+    havoc_invariant_bounded(sf.sid, pred, depth)
+    calls = []
+    monkeypatch.setattr(oracle, "unfold_formula",
+                        lambda *args: calls.append(args) or unfold_formula(*args))
+    cross_validate_reduction(sf.sid, pred, depth, result)
+    assert calls == []
+
+
+def test_model_memo_belongs_to_one_sid_object():
+    a, b = parse_system(XVAL_TEXTS["ring.clsys"]).sid, parse_system(XVAL_TEXTS["ring.clsys"]).sid
+    assert a._memo is not b._memo
+    ms = enumerate_models(a, a.atom("Ring_1_1"), 3)
+    assert enumerate_models(a, a.atom("Ring_1_1"), 3) is ms
+    assert a._memo and not b._memo
+    # equality, hash and text ignore the memo
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    other = enumerate_models(b, b.atom("Ring_1_1"), 3)
+    assert other is not ms and other.keys() == ms.keys()
+
+
+def test_recursive_helpers_leave_no_cycles():
+    sf = parse_system(XVAL_TEXTS["ring.clsys"])
+    result = reduce_havoc_to_entailment(sf.sid, "Ring_1_1", assume_tight=True)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert enumerate_models(sf.sid, sf.sid.atom("Ring_1_1"), 3)
+        assert class_equiv(sf.sid, result.derived_sid).verdict == "equivalent"
+        gc.collect()
+        names = {f.__name__ for f in gc.garbage if isinstance(f, types.FunctionType)}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not names & {"merges", "solve"}
