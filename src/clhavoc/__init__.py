@@ -4,9 +4,8 @@ from .core import (Behavior, Configuration, Interaction, compose, degree,
                    havoc_closure, is_tight, step, successors)
 from .eqform import EqFormula
 from .logic import (Comp, Emp, Eq, Exists, Formula, Inter, Neq, Pred, Rule,
-                    SID, SepConj, StateAtom, Var, bounded_checker, comp_in,
-                    compile_pf, eval_bounded, eval_pf, exists, free_vars, sep,
-                    substitute, unfold)
+                    SID, SepConj, StateAtom, Var, comp_in, eval_bounded,
+                    eval_pf, exists, free_vars, sep, substitute, unfold)
 from .frontend import parse_system, render_system
 from .automata import (AlphabetSymbol, Tree, TreeAutomaton, char_formula,
                        char_formula_closed, is_sid_compatible, sid_to_ta,

@@ -14,8 +14,8 @@ import sys
 
 from . import frontend
 from .analysis import render_pcr_table, check_pcr
-from .core import Configuration
-from .frontend import ParseError, SystemFile, parse_system, render_system
+from .frontend import (ParseError, SystemFile, parse_system, render_config,
+                       render_system)
 from .logic import var_text
 from .oracle import (cross_validate_reduction, entails_bounded,
                      havoc_invariant_bounded)
@@ -35,10 +35,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _config_text(name: str, g: Configuration) -> str:
-    return frontend.render_config(name, g)
 
 
 def _reduced_paths(path: str, out: str | None) -> tuple[str, str]:
@@ -124,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         reach = sorted(havoc_closure(sf.behavior, sf.configs[args.config]),
                        key=lambda g: g.state_pairs)
         text = f"reachable: {len(reach)}\n" + "\n".join(
-            _config_text(f"{args.config}_{i}", g) for i, g in enumerate(reach)) + "\n"
+            render_config(f"{args.config}_{i}", g) for i, g in enumerate(reach)) + "\n"
         _emit(text, args.output)
         return 0
 
@@ -168,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(text, args.output)
             return 0
         text += "\nverdict: Counterexample\n"
-        text += _config_text("counterexample", bad.counterexample.config) + "\n"
+        text += render_config("counterexample", bad.counterexample.config) + "\n"
         _emit(text, args.output)
         return 1
 
@@ -180,9 +176,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             ce = rep.counterexample
             lines.append("direct: Counterexample")
-            lines.append(_config_text("model", ce.config))
+            lines.append(render_config("model", ce.config))
             lines.append(f"fires {ce.interaction!r} reaching")
-            lines.append(_config_text("successor", ce.successor))
+            lines.append(render_config("successor", ce.successor))
         try:
             result = _reduce(sf, args)
             # with no target, an empty right side says nothing

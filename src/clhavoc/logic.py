@@ -332,8 +332,8 @@ class SID:
 
     rules: tuple[Rule, ...]
     behavior: Behavior
-    # bounded model sets and checks built by `oracle`, which alone reads and
-    # fills it; an SID never changes, so they hold as long as it lives
+    # bounded model sets built by `oracle`, which alone reads and fills it;
+    # an SID never changes, so they hold as long as it lives
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -405,11 +405,6 @@ def split_atoms(atoms: Iterable[Atom]) -> tuple[list[Var], list[Inter], list[Sta
 
 # A compiled satisfaction check of one formula: (g, nu) -> (g, nu) |= f.
 Check = Callable[[Configuration, Mapping[Var, str]], bool]
-
-
-def compile_pf(f: Formula) -> Check:
-    """Compile the predicate-free formula f into a check of (g, nu) |= f."""
-    return compile_prenex(*prenex(f))
 
 
 def compile_prenex(binders: Sequence[Var], atoms: Sequence[Atom]) -> Check:
@@ -532,7 +527,7 @@ def compile_prenex(binders: Sequence[Var], atoms: Sequence[Atom]) -> Check:
 
 def eval_pf(g: Configuration, nu: Mapping[Var, str], f: Formula) -> bool:
     """Does (g, nu) satisfy the predicate-free formula f?"""
-    return compile_pf(f)(g, nu)
+    return compile_prenex(*prenex(f))(g, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -606,21 +601,6 @@ def unfold(sid: SID, atom: Pred, depth: int) -> list[tuple[Formula, bool]]:
             for (binders, atoms), complete in unfold_formula(sid, atom, depth)]
 
 
-def unfoldings_checker(unfoldings: Iterable[tuple[Prenex, bool]]) -> Check:
-    """A check that holds iff some complete unfolding in the list holds.
-
-    Each complete unfolding is compiled once; the check tries them in order.
-    """
-    checks = [compile_prenex(*u) for u, complete in unfoldings if complete]
-    return lambda g, nu: any(c(g, nu) for c in checks)
-
-
-def bounded_checker(sid: SID, f: Formula, depth: int) -> Check:
-    """A check that some complete unfolding of f at height <= depth holds;
-    f is unfolded once, when the check is built."""
-    return unfoldings_checker(unfold_formula(sid, f, depth))
-
-
 def eval_bounded(g: Configuration, nu: Mapping[Var, str], f: Formula,
                  sid: SID, depth: int) -> bool:
     """True iff some complete unfolding of f at height <= depth is satisfied.
@@ -628,4 +608,5 @@ def eval_bounded(g: Configuration, nu: Mapping[Var, str], f: Formula,
     Sound for satisfaction; a False answer only rules out models arising
     from unfoldings within the depth bound.
     """
-    return bounded_checker(sid, f, depth)(g, nu)
+    return any(compile_prenex(*u)(g, nu)
+               for u, complete in unfold_formula(sid, f, depth) if complete)

@@ -4,20 +4,20 @@ Models of a predicate atom are enumerated from its complete unfoldings: the
 equalities fix a base partition of the variables, the remaining classes are
 optionally merged (a store may identify variables that no atom separates),
 and unpinned carrier ids range over the behavior's states.  Model sets are
-kept canonical up to a component renaming that also rewrites the store.
+kept canonical up to a component renaming that also rewrites the store, so
+the havoc and entailment checks decide membership by canonical key.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction, step
 from .eqform import Partition
-from .logic import (Atom, Formula, Pred, Prenex, SID, Var, atom_vars,
-                    bounded_checker, exists, prenex, split_atoms,
-                    unfold_formula, unfoldings_checker, var_text)
+from .logic import (Atom, Formula, SID, Var, atom_vars, atoms_of, exists,
+                    free_vars, prenex, split_atoms, unfold_formula, var_text)
 
 
 # ---------------------------------------------------------------------------
@@ -231,33 +231,26 @@ def _instantiate(bucket, cls_of, inter_atoms, state_atoms, neq_cls, free,
         yield g, nu
 
 
-def _memoized(sid: SID, key: tuple, build: Callable):
-    """The entry of sid's memo under key, built on first use: a ModelSet
-    under ("models", atom, depth), a bounded check under ("check", formula,
-    depth).  Entries are shared between callers, so they are read-only."""
+def enumerate_models(sid: SID, f: Formula, depth: int) -> ModelSet:
+    """Canonical models over all complete unfoldings of f, a predicate atom
+    or one under existentials; the store ranges over the atom's arguments
+    that f leaves free, in argument order.
+
+    Built once per SID object, formula and depth, in the SID's memo; sets are
+    shared between callers, so do not modify one."""
     memo = sid._memo
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
-
-
-def enumerate_models(sid: SID, atom: Pred, depth: int) -> ModelSet:
-    """Canonical models of a predicate atom over all complete unfoldings,
-    built once per SID object, atom and depth; do not modify the set."""
-    return _memoized(sid, ("models", atom, depth),
-                     lambda: _unfolding_models(sid, atom, unfold_formula(sid, atom, depth)))
-
-
-def _unfolding_models(sid: SID, atom: Pred,
-                      unfoldings: Sequence[tuple[Prenex, bool]]) -> ModelSet:
-    ms = ModelSet()
-    free = list(atom.args)
-    for k, ((binders, atoms), complete) in enumerate(unfoldings):
-        if not complete:
-            continue
-        for g, nu in enumerate_pf_models(binders, atoms, free, sid.behavior.states):
-            ms.add(g, nu, provenance=f"unfolding#{k}")
-    return ms
+    if (f, depth) not in memo:
+        (atom,) = atoms_of(f)
+        fv = free_vars(f)
+        free = [v for v in atom.args if v in fv]
+        ms = ModelSet()
+        for k, ((binders, atoms), complete) in enumerate(unfold_formula(sid, f, depth)):
+            if not complete:
+                continue
+            for g, nu in enumerate_pf_models(binders, atoms, free, sid.behavior.states):
+                ms.add(g, nu, provenance=f"unfolding#{k}")
+        memo[f, depth] = ms
+    return memo[f, depth]
 
 
 def enumerate_formula_models(formula: Formula, free: Sequence[Var],
@@ -298,18 +291,15 @@ def havoc_invariant_bounded(sid: SID, pred: str, depth: int) -> HavocReport:
     """Check closure of the bounded model set under single steps.
 
     One step suffices: multi-step closure follows inductively once every
-    one-step successor stays in the model set.
+    one-step successor stays in the model set, which its canonical key
+    decides.
     """
-    atom = sid.atom(pred)
-    unfoldings = unfold_formula(sid, atom, depth)
-    ms = _memoized(sid, ("models", atom, depth),
-                   lambda: _unfolding_models(sid, atom, unfoldings))
-    holds = unfoldings_checker(unfoldings)
+    ms = enumerate_models(sid, sid.atom(pred), depth)
     for _, model in _model_order(ms):
         for inter in sorted(model.config.interactions, key=repr):
             for g2 in sorted(step(sid.behavior, model.config, inter),
                              key=lambda c: c.state_pairs):
-                if not holds(g2, model.store):
+                if canonical_model(g2, model.store) not in ms:
                     return HavocReport(False, depth, len(ms),
                                        Counterexample(model.config, model.store,
                                                       inter, g2))
@@ -325,19 +315,22 @@ class EntailReport:
 
 
 def entails_bounded(sid: SID, lhs: str, rhs: str, depth: int) -> EntailReport:
-    """Does every bounded model of lhs satisfy rhs (bounded)?"""
+    """Does every bounded model of lhs satisfy rhs (bounded)?
+
+    The right-hand side's extra parameters are existentially closed, so its
+    models are over lhs's parameters and a left model holds iff its key is
+    among them."""
     na, nb = sid.arity(lhs), sid.arity(rhs)
     if nb < na:
         raise ValueError(f"{rhs} has smaller arity than {lhs}")
-    rhs_formula = exists(tuple(Var(f"x{i}") for i in range(na + 1, nb + 1)),
-                         sid.atom(rhs))
     ms = enumerate_models(sid, sid.atom(lhs), depth)
     if not ms:  # no model to check: skip unfolding the right-hand side
         return EntailReport(True, depth, 0, None)
-    holds = _memoized(sid, ("check", rhs_formula, depth),
-                      lambda: bounded_checker(sid, rhs_formula, depth))
-    for _, model in _model_order(ms):
-        if not holds(model.config, model.store):
+    rhs_models = enumerate_models(
+        sid, exists(tuple(Var(f"x{i}") for i in range(na + 1, nb + 1)), sid.atom(rhs)),
+        depth)
+    for key, model in _model_order(ms):
+        if key not in rhs_models:
             return EntailReport(False, depth, len(ms),
                                 Counterexample(model.config, model.store, None, None))
     return EntailReport(True, depth, len(ms), None)

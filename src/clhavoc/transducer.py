@@ -158,49 +158,48 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
     keepvars = ttvars(tau, maxarity)
     results: list[tuple[AlphabetSymbol, EqFormula, Witness]] = []
 
-    def emit(rewrites: list[tuple[int, Var, str, str]], fired: int | None) -> None:
-        conj = base.copy()
-        for i, xi, _, _ in rewrites:
-            conj.union(beginvar(i), xi)
-        if fired is not None:
-            atom = alpha.atoms[fired]
-            for pos, (z, _) in enumerate(atom.bindings, start=1):
-                conj.union(endvar(pos), z)
-        # project onto the tracking variables
-        phi = _canonical_state(EqFormula(frozenset(
-            kept for cls in conj.classes() if (kept := keepvars.intersection(cls)))))
-        if not state_ok(phi, n):
-            return
-        out_atoms = list(alpha.atoms)
-        for _, xi, q, q2 in rewrites:
-            slot = state_idx[xi][0]
-            out_atoms[slot] = StateAtom(xi, q2)
-        out = AlphabetSymbol(alpha.exvars, tuple(out_atoms), alpha.arities)
-        results.append((out, phi,
-                        Witness(tau, tuple((i, xi, q, q2) for i, xi, q, q2 in rewrites),
-                                fired)))
-
-    def choose(idx: int, chosen: list[tuple[int, Var, str, str]],
-               used_vars: set[Var]) -> None:
-        # every subset of available positions, each mapped to a distinct
-        # rewritable variable with an enabled behavior transition
-        fired_opts: list[int | None] = [None]
-        if not ends_present:
-            fired_opts += fired_candidates
+    fired_opts: list[int | None] = [None]
+    if not ends_present:
+        fired_opts += fired_candidates
+    for rewrites in _rewrite_choices(tau, avail, candidates, behavior, 0, (), frozenset()):
         for fired in fired_opts:
-            emit(chosen, fired)
-        for k in range(idx, len(avail)):
-            i = avail[k]
-            port = tau[i - 1]
-            for xi in sorted(set(candidates) - used_vars):
-                q = candidates[xi]
-                for q2 in behavior.targets(q, port):
-                    chosen.append((i, xi, q, q2))
-                    choose(k + 1, chosen, used_vars | {xi})
-                    chosen.pop()
-
-    choose(0, [], set())
+            conj = base.copy()
+            for i, xi, _, _ in rewrites:
+                conj.union(beginvar(i), xi)
+            if fired is not None:
+                atom = alpha.atoms[fired]
+                for pos, (z, _) in enumerate(atom.bindings, start=1):
+                    conj.union(endvar(pos), z)
+            # project onto the tracking variables
+            phi = _canonical_state(EqFormula(frozenset(
+                kept for cls in conj.classes() if (kept := keepvars.intersection(cls)))))
+            if not state_ok(phi, n):
+                continue
+            out_atoms = list(alpha.atoms)
+            for _, xi, q, q2 in rewrites:
+                out_atoms[state_idx[xi][0]] = StateAtom(xi, q2)
+            out = AlphabetSymbol(alpha.exvars, tuple(out_atoms), alpha.arities)
+            results.append((out, phi, Witness(tau, rewrites, fired)))
     return results
+
+
+def _rewrite_choices(tau: InteractionType, avail: Sequence[int],
+                     candidates: dict[Var, str], behavior: Behavior, idx: int,
+                     chosen: tuple[tuple[int, Var, str, str], ...],
+                     used_vars: frozenset[Var]) -> Iterator[tuple[tuple[int, Var, str, str], ...]]:
+    """`chosen` extended by every subset of the positions avail[idx:], each
+    mapped to a distinct rewritable variable with an enabled behavior
+    transition, as (position, var, q, q') rewrites; a choice comes before its
+    extensions."""
+    yield chosen
+    for k in range(idx, len(avail)):
+        i = avail[k]
+        port = tau[i - 1]
+        for xi in sorted(set(candidates) - used_vars):
+            q = candidates[xi]
+            for q2 in behavior.targets(q, port):
+                yield from _rewrite_choices(tau, avail, candidates, behavior, k + 1,
+                                            (*chosen, (i, xi, q, q2)), used_vars | {xi})
 
 
 @dataclass(frozen=True)

@@ -11,17 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clhavoc import oracle
+from clhavoc import logic, oracle
+from clhavoc.automata import sid_to_ta
 from clhavoc.core import Behavior, Configuration, Interaction, step
 from clhavoc.frontend import parse_system, render_config
-from clhavoc.logic import (Eq, Neq, Pred, SID, Var, bounded_checker, comp_in,
-                           eval_bounded, eval_pf, exists, sep, unfold,
-                           unfold_formula, var_text)
+from clhavoc.logic import (Eq, Neq, Pred, SID, Var, comp_in, eval_bounded,
+                           eval_pf, exists, sep, unfold, unfold_formula,
+                           var_text)
 from clhavoc.oracle import (Counterexample, CrossReport, EntailReport, HavocReport,
                             Model, _model_order, canonical_model,
                             cross_validate_reduction, enumerate_models,
                             entails_bounded, havoc_invariant_bounded)
 from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
+from clhavoc.transducer import transducer_step
 
 from conftest import source_fixtures
 
@@ -225,7 +227,7 @@ def test_one_step_closure_iff_multi_step(name, pred, depth, request):
 
 
 # ---------------------------------------------------------------------------
-# compiled bounded checks against a per-query reference
+# membership by canonical key against a per-query reference
 
 def one_step_successors(sid, ms):
     for _, model in _model_order(ms):
@@ -238,13 +240,12 @@ def one_step_successors(sid, ms):
 @pytest.mark.parametrize("name,depth", [
     ("ring", 4), ("bad", 2), ("tll", 3), ("pcring", 4), ("chain", 4),
 ])
-def test_bounded_checker_matches_eval_pf_on_successors(name, depth, request):
-    # every model and one-step successor of each predicate, checked against
-    # every predicate of the same arity
+def test_model_key_membership_matches_eval_pf_on_successors(name, depth, request):
+    # every model and one-step successor of each predicate, looked up by
+    # canonical key in the model set of every predicate of the same arity
     sid = request.getfixturevalue(name).sid
-    checks = {p: (bounded_checker(sid, sid.atom(p), depth),
-                  [u for u, done in unfold(sid, sid.atom(p), depth) if done])
-              for p in sid.predicates}
+    complete = {p: [u for u, done in unfold(sid, sid.atom(p), depth) if done]
+                for p in sid.predicates}
     outcomes = set()
     for pred in sid.predicates:
         ms = enumerate_models(sid, sid.atom(pred), depth)
@@ -253,12 +254,28 @@ def test_bounded_checker_matches_eval_pf_on_successors(name, depth, request):
         for other in sid.predicates:
             if sid.arity(other) != sid.arity(pred):
                 continue
-            holds, complete = checks[other]
+            other_ms = enumerate_models(sid, sid.atom(other), depth)
             for g, nu in candidates:
-                want = any(eval_pf(g, nu, u) for u in complete)
-                assert holds(g, nu) == want, (other, g, nu)
+                want = any(eval_pf(g, nu, u) for u in complete[other])
+                assert (canonical_model(g, nu) in other_ms) == want, (other, g, nu)
                 outcomes.add(want)
     assert True in outcomes
+
+
+def test_oracle_compiles_no_check(monkeypatch):
+    # havoc and entailment look successors and left models up by key in the
+    # model sets; a fresh SID, so no earlier test has built them
+    sid = parse_system(XVAL_TEXTS["ring.clsys"]).sid
+    calls = []
+    compile_prenex = logic.compile_prenex
+    monkeypatch.setattr(logic, "compile_prenex",
+                        lambda *args: calls.append(args) or compile_prenex(*args))
+    assert havoc_invariant_bounded(sid, "Ring_1_1", 4).invariant
+    assert not havoc_invariant_bounded(parse_system(ANCHORED).sid, "Anchored", 4).invariant
+    assert entails_bounded(sid, "Chain_1_1", "Chain_0_1", 4).holds
+    # the right-hand side has two more parameters than the left
+    assert not entails_bounded(sid, "Ring_1_1", "Chain_1_1", 4).holds
+    assert calls == []
 
 
 def reference_havoc(sid, pred, depth):
@@ -594,14 +611,17 @@ def test_model_memo_belongs_to_one_sid_object():
 def test_recursive_helpers_leave_no_cycles():
     sf = parse_system(XVAL_TEXTS["ring.clsys"])
     result = reduce_havoc_to_entailment(sf.sid, "Ring_1_1", assume_tight=True)
+    leaf = next(tr.symbol for tr in sid_to_ta(sf.sid)[0].transitions if not tr.children)
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         assert enumerate_models(sf.sid, sf.sid.atom("Ring_1_1"), 3)
         assert class_equiv(sf.sid, result.derived_sid).verdict == "equivalent"
+        # a leaf with rewrites: the choice of rewrites recurses
+        assert len(transducer_step(("out", "in"), leaf, [], sf.sid.behavior, 2)) > 1
         gc.collect()
         names = {f.__name__ for f in gc.garbage if isinstance(f, types.FunctionType)}
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
-    assert not names & {"merges", "solve"}
+    assert not names & {"merges", "solve", "emit", "choose"}
