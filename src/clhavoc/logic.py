@@ -335,6 +335,9 @@ class SID:
     # bounded model sets built by `oracle`, which alone reads and fills it;
     # an SID never changes, so they hold as long as it lives
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the SID this one extends (see `extend`); its predicates unfold here as
+    # there, so `oracle` keeps their model sets in the base's memo
+    _base: SID | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arities: dict[str, int] = {}
@@ -376,6 +379,20 @@ class SID:
     def atom(self, name: str) -> Pred:
         """The predicate atom over canonical parameters x1..xN."""
         return Pred(name, tuple(Var(f"x{i}") for i in range(1, self.arity(name) + 1)))
+
+    def extend(self, rules: Iterable[Rule]) -> SID:
+        """This SID plus rules for new predicates, linked back to this one.
+
+        A new rule may call this SID's predicates but not define one, so each
+        of them keeps its rules and unfolds in the extension as here."""
+        rules = tuple(rules)
+        own = set(self.predicates)
+        clash = sorted({r.head for r in rules if r.head in own})
+        if clash:
+            raise ValueError(f"extension redefines {', '.join(clash)}")
+        ext = SID(self.rules + rules, self.behavior)
+        object.__setattr__(ext, "_base", self)
+        return ext
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ equalities fix a base partition of the variables, the remaining classes are
 optionally merged (a store may identify variables that no atom separates),
 and unpinned carrier ids range over the behavior's states.  Model sets are
 kept canonical up to a component renaming that also rewrites the store, so
-the havoc and entailment checks decide membership by canonical key.
+the havoc and entailment checks decide membership by canonical key.  Each
+model keeps the keys of its one-step successors, so the direct check and
+cross-validation key each successor once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction, step
@@ -87,6 +89,12 @@ class Model:
     config: Configuration
     store: dict[Var, str]
     provenance: str
+    # its key in its set, which stored successor keys share
+    key: tuple = field(repr=False, compare=False)
+    # canonical keys of the one-step successors, per fired interaction,
+    # filled by `_successor_keys` and freed with the model's set
+    steps: dict[Interaction, tuple[tuple, ...]] = field(
+        default_factory=dict, repr=False, compare=False)
 
 
 class ModelSet:
@@ -99,7 +107,7 @@ class ModelSet:
         key = canonical_model(g, nu)
         if key in self.entries:
             return False
-        self.entries[key] = Model(g, dict(nu), provenance)
+        self.entries[key] = Model(g, dict(nu), provenance, key)
         return True
 
     def keys(self) -> list[tuple]:
@@ -236,11 +244,15 @@ def enumerate_models(sid: SID, f: Formula, depth: int) -> ModelSet:
     or one under existentials; the store ranges over the atom's arguments
     that f leaves free, in argument order.
 
-    Built once per SID object, formula and depth, in the SID's memo; sets are
-    shared between callers, so do not modify one."""
+    Built once per SID object, formula and depth, in the SID's memo, or in
+    its base's memo for a predicate of the base (see `SID.extend`), which
+    unfolds there alike; sets are shared between callers, so do not modify
+    one (successor keys are filled in as they are first asked for)."""
+    (atom,) = atoms_of(f)
+    while sid._base is not None and atom.name in sid._base.predicates:
+        sid = sid._base
     memo = sid._memo
     if (f, depth) not in memo:
-        (atom,) = atoms_of(f)
         fv = free_vars(f)
         free = [v for v in atom.args if v in fv]
         ms = ModelSet()
@@ -283,8 +295,28 @@ class HavocReport:
 
 
 def _model_order(ms: ModelSet) -> list[tuple[tuple, Model]]:
-    keyed = [(k, ms.entries[k]) for k in ms.keys()]
-    return sorted(keyed, key=lambda kv: (len(kv[1].config.components), kv[0]))
+    return sorted(ms.entries.items(), key=lambda kv: (len(kv[1].config.components), kv[0]))
+
+
+def _successors(behavior: Behavior, model: Model, inter: Interaction) -> list[Configuration]:
+    return sorted(step(behavior, model.config, inter), key=lambda c: c.state_pairs)
+
+
+def _successor_keys(behavior: Behavior, ms: ModelSet, model: Model,
+                    inter: Interaction) -> tuple[tuple, ...]:
+    """Canonical keys of the successors of firing inter in the model, a
+    member of ms, in `_successors` order; computed once per model and
+    interaction.  A key that ms holds is stored as its member's own key, so
+    the stored keys copy none of ms's."""
+    keys = model.steps.get(inter)
+    if keys is None:
+        keys = []
+        for g2 in _successors(behavior, model, inter):
+            key = canonical_model(g2, model.store)
+            member = ms.entries.get(key)
+            keys.append(key if member is None else member.key)
+        keys = model.steps[inter] = tuple(keys)
+    return keys
 
 
 def havoc_invariant_bounded(sid: SID, pred: str, depth: int) -> HavocReport:
@@ -297,9 +329,9 @@ def havoc_invariant_bounded(sid: SID, pred: str, depth: int) -> HavocReport:
     ms = enumerate_models(sid, sid.atom(pred), depth)
     for _, model in _model_order(ms):
         for inter in sorted(model.config.interactions, key=repr):
-            for g2 in sorted(step(sid.behavior, model.config, inter),
-                             key=lambda c: c.state_pairs):
-                if canonical_model(g2, model.store) not in ms:
+            for k, key in enumerate(_successor_keys(sid.behavior, ms, model, inter)):
+                if key not in ms:
+                    g2 = _successors(sid.behavior, model, inter)[k]
                     return HavocReport(False, depth, len(ms),
                                        Counterexample(model.config, model.store,
                                                       inter, g2))
@@ -354,15 +386,14 @@ def cross_validate_reduction(sid: SID, pred: str, depth: int,
 
     Targets are enumerated over the combined SID, reusing the model sets the
     entailments built there; no derived rule calls a source predicate, so a
-    target unfolds there as in the derived SID."""
-    atom = sid.atom(pred)
-    left: dict[tuple, None] = {}
-    for _, model in _model_order(enumerate_models(sid, atom, depth)):
-        for inter in sorted(model.config.interactions, key=repr):
-            if not all(c in model.config.components for c in inter.components):
-                continue
-            for g2 in step(sid.behavior, model.config, inter):
-                left.setdefault(canonical_model(g2, model.store))
+    target unfolds there as in the derived SID.  Successor keys are those
+    the direct check stored, where it has run."""
+    left: set[tuple] = set()
+    ms = enumerate_models(sid, sid.atom(pred), depth)
+    for model in ms.entries.values():
+        for inter in model.config.interactions:
+            if all(c in model.config.components for c in inter.components):
+                left.update(_successor_keys(sid.behavior, ms, model, inter))
     right: dict[tuple, Model] = {}
     for target in result.targets:
         right.update(enumerate_models(result.combined_sid,

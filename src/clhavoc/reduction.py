@@ -80,7 +80,7 @@ def reduce_havoc_to_entailment(sid: SID, pred: str,
     targets = tuple(sorted(names[s] for s in trimmed.finals))
     for t in targets:
         assert derived.arity(t) == sid.arity(pred)
-    combined = SID(sid.rules + derived.rules, sid.behavior)
+    combined = sid.extend(derived.rules)
     entailments = tuple((t, pred) for t in targets)
     stats = {
         "interaction_types": ["(" + ",".join(tau) + ")" for tau in

@@ -579,20 +579,29 @@ def test_cross_validation_matches_reference(name, pred, depth):
             [m.provenance for m in combined.models()], t
 
 
-@pytest.mark.parametrize("name,pred,depth", [
-    ("ring.clsys", "Ring_1_1", 4), ("chain.clsys", "Chain_1_1", 4), ("tll.clsys", "Node", 3),
-])
-def test_cross_validation_reuses_built_models(name, pred, depth, monkeypatch):
-    sf = parse_system(XVAL_TEXTS[name])
-    result = reduce_havoc_to_entailment(sf.sid, pred, assume_tight=True)
+def checked(name, pred, depth):
+    """A fresh parse reduced for pred, with every entailment checked, as
+    `clhavoc check` does."""
+    sid = parse_system(XVAL_TEXTS[name]).sid
+    result = reduce_havoc_to_entailment(sid, pred, assume_tight=True)
     assert result.targets
     for lhs, rhs in result.entailments:
         entails_bounded(result.combined_sid, lhs, rhs, depth)
-    havoc_invariant_bounded(sf.sid, pred, depth)
+    return sid, result
+
+
+REUSE_CASES = [("ring.clsys", "Ring_1_1", 4), ("chain.clsys", "Chain_1_1", 4),
+               ("tll.clsys", "Node", 3)]
+
+
+@pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
+def test_cross_validation_reuses_built_models(name, pred, depth, monkeypatch):
+    sid, result = checked(name, pred, depth)
+    havoc_invariant_bounded(sid, pred, depth)
     calls = []
     monkeypatch.setattr(oracle, "unfold_formula",
                         lambda *args: calls.append(args) or unfold_formula(*args))
-    cross_validate_reduction(sf.sid, pred, depth, result)
+    cross_validate_reduction(sid, pred, depth, result)
     assert calls == []
 
 
@@ -606,6 +615,88 @@ def test_model_memo_belongs_to_one_sid_object():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     other = enumerate_models(b, b.atom("Ring_1_1"), 3)
     assert other is not ms and other.keys() == ms.keys()
+
+
+# ---------------------------------------------------------------------------
+# one source model set per instance, one canonical key per successor
+
+@pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
+def test_combined_sid_keeps_source_models_in_source_memo(name, pred, depth):
+    sid, result = checked(name, pred, depth)
+    ms = enumerate_models(sid, sid.atom(pred), depth)
+    assert ms and enumerate_models(result.combined_sid, sid.atom(pred), depth) is ms
+    # the derived predicates' sets stay in the combined SID's memo
+    derived = set(result.derived_sid.predicates)
+    assert not any(next(logic.atoms_of(f)).name in derived for f, _ in sid._memo)
+    assert all(next(logic.atoms_of(f)).name in derived for f, _ in result.combined_sid._memo)
+
+
+@pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
+def test_direct_check_after_entailments_unfolds_nothing(name, pred, depth, monkeypatch):
+    sid, _ = checked(name, pred, depth)
+    calls = []
+    monkeypatch.setattr(oracle, "unfold_formula",
+                        lambda *args: calls.append(args) or unfold_formula(*args))
+    havoc_invariant_bounded(sid, pred, depth)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
+def test_cross_validation_after_direct_check_keys_nothing(name, pred, depth, monkeypatch):
+    sid, result = checked(name, pred, depth)
+    assert havoc_invariant_bounded(sid, pred, depth).invariant
+    calls = []
+    monkeypatch.setattr(oracle, "canonical_model",
+                        lambda *args: calls.append(args) or canonical_model(*args))
+    cross = cross_validate_reduction(sid, pred, depth, result)
+    assert cross.left_size
+    assert calls == []
+    # a stored key that the set holds is the set's own key object
+    ms = enumerate_models(sid, sid.atom(pred), depth)
+    stored = [k for m in ms.entries.values() for keys in m.steps.values() for k in keys]
+    assert stored and all(k is ms.entries[k].key for k in stored if k in ms)
+
+
+def test_reductions_of_one_parse_stay_apart():
+    # both reductions define Chain_1_0__h10 and Chain_1_0__h11, each with
+    # other rules; every derived predicate's models must be those of a
+    # reduction on a parse of its own
+    depth = 4
+    sid = parse_system(XVAL_TEXTS["ring.clsys"]).sid
+    results = [reduce_havoc_to_entailment(sid, p, assume_tight=True)
+               for p in ("Ring_1_0", "Ring_1_1")]
+    a, b = (r.derived_sid for r in results)
+    assert any(a.rules_of(n) != b.rules_of(n)
+               for n in set(a.predicates) & set(b.predicates))
+    for result in results:
+        for lhs, rhs in result.entailments:
+            entails_bounded(result.combined_sid, lhs, rhs, depth)
+    for result in results:
+        fresh = parse_system(XVAL_TEXTS["ring.clsys"]).sid
+        alone = reduce_havoc_to_entailment(fresh, result.predicate, assume_tight=True)
+        for p in result.derived_sid.predicates:
+            got = enumerate_models(result.combined_sid, result.combined_sid.atom(p), depth)
+            want = enumerate_models(alone.combined_sid, alone.combined_sid.atom(p), depth)
+            assert got.keys() == want.keys(), (result.predicate, p)
+            assert [m.provenance for m in got.models()] == \
+                [m.provenance for m in want.models()], (result.predicate, p)
+
+
+def test_extend_refuses_a_rule_for_a_base_predicate(ring):
+    (rule,) = ring.sid.rules_of("Ring_1_1")
+    with pytest.raises(ValueError, match="Ring_1_1"):
+        ring.sid.extend([rule])
+    with pytest.raises(ValueError, match="Chain_0_0"):
+        ring.sid.extend([logic.Rule("Chain_0_0", (X1, X2), Eq(X1, X2))])
+
+
+def test_base_link_is_not_part_of_the_value(ring):
+    sid = ring.sid
+    extra = logic.Rule("Loop", (X1,), comp_in(X1, "H"))
+    linked = sid.extend([extra])
+    plain = SID(sid.rules + (extra,), sid.behavior)
+    assert linked._base is sid and plain._base is None
+    assert linked == plain and hash(linked) == hash(plain) and repr(linked) == repr(plain)
 
 
 def test_recursive_helpers_leave_no_cycles():
