@@ -39,6 +39,10 @@ class AlphabetSymbol:
     # the dataclass hash of the fields, computed once: symbols key the
     # product's dicts and sets, and rehashing the atom tree dominated them
     _hash: int = field(init=False, repr=False, compare=False)
+    # the step plans of `transducer`, which alone reads and fills it, keyed by
+    # (type, behavior, maxarity); a symbol never changes, so they hold as long
+    # as it lives
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.exvars, self.atoms, self.arities)))

@@ -1,8 +1,9 @@
 """Batch command-line driver: parse | analyze | reduce | check | simulate | oracle.
 
 Exit codes: 0 verdict-positive, 1 verdict-negative (counterexample or
-mismatch), 2 unknown/gated (tightness not established, or no entailment or
-target to check), 3 input error.
+mismatch), 2 unknown/gated (tightness not established, a state atom on a
+variable its rule does not allocate, or no entailment or target to check),
+3 input error.
 Diagnostics go to stderr; results to stdout or the -o path.
 """
 
@@ -20,7 +21,8 @@ from .logic import var_text
 from .oracle import (cross_validate_reduction, entails_bounded,
                      havoc_invariant_bounded)
 from .reduction import (ReductionResult, TightnessNotEstablished,
-                        manifest_dict, reduce_havoc_to_entailment)
+                        UnallocatedStateAtom, manifest_dict,
+                        reduce_havoc_to_entailment)
 from .automata import symbol_text
 
 
@@ -43,6 +45,14 @@ def _reduced_paths(path: str, out: str | None) -> tuple[str, str]:
     rstem = reduced[:-len(".reduced.clsys")] if reduced.endswith(".reduced.clsys") \
         else reduced
     return reduced, rstem + ".manifest.json"
+
+
+# the reduction's refusals: it cannot vouch for its answer on such input
+REFUSED = (TightnessNotEstablished, UnallocatedStateAtom)
+
+
+def _refused(e: Exception) -> None:
+    sys.stderr.write(f"{type(e).__name__}: {e}\n")
 
 
 def _reduce(sf: SystemFile, args) -> ReductionResult:
@@ -127,8 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "reduce":
         try:
             result = _reduce(sf, args)
-        except TightnessNotEstablished as e:
-            sys.stderr.write(f"TightnessNotEstablished: {e}\n")
+        except REFUSED as e:
+            _refused(e)
             return 2
         reduced_path = _write_reduction(sf, result, args.file, args.output,
                                         args.trace_transducer)
@@ -141,8 +151,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "check":
         try:
             result = _reduce(sf, args)
-        except TightnessNotEstablished as e:
-            sys.stderr.write(f"TightnessNotEstablished: {e}\n")
+        except REFUSED as e:
+            _refused(e)
             sys.stdout.write("verdict: Unknown\n")
             return 2
         if not result.entailments:
@@ -183,9 +193,10 @@ def main(argv: list[str] | None = None) -> int:
             result = _reduce(sf, args)
             # with no target, an empty right side says nothing
             unknown = None if result.targets else "no target"
-        except TightnessNotEstablished as e:
-            sys.stderr.write(f"TightnessNotEstablished: {e}\n")
-            unknown = "tightness gate"
+        except REFUSED as e:
+            _refused(e)
+            unknown = ("tightness gate" if isinstance(e, TightnessNotEstablished)
+                       else "state atom gate")
         if unknown:
             lines.append(f"cross-validation: Unknown ({unknown})")
             _emit("\n".join(lines) + "\n", args.output)

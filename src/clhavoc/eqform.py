@@ -9,7 +9,7 @@ even after every variable it was equated with has been projected away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
+from typing import TYPE_CHECKING, Container, Hashable, Iterable, Mapping
 
 if TYPE_CHECKING:
     from .logic import Var
@@ -67,11 +67,14 @@ class Partition:
         """Item -> root slot, items in first-seen order."""
         return {v: self._root(i) for i, v in enumerate(self.items)}
 
-    def classes(self) -> list[list[Hashable]]:
-        """Classes in ascending root slot, members in first-seen order."""
+    def classes(self, among: Container[Hashable] | None = None) -> list[list[Hashable]]:
+        """Classes in ascending root slot, members in first-seen order; with
+        `among`, each class cut down to its members in `among`, and classes
+        left empty dropped."""
         by_root: dict[int, list[Hashable]] = {}
         for i, v in enumerate(self.items):
-            by_root.setdefault(self._root(i), []).append(v)
+            if among is None or v in among:
+                by_root.setdefault(self._root(i), []).append(v)
         return [by_root[r] for r in sorted(by_root)]
 
 

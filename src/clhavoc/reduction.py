@@ -16,13 +16,45 @@ from typing import Iterator
 from .analysis import check_pcr
 from .automata import sid_to_ta, ta_to_sid, ta_trim
 from .eqform import Partition
-from .logic import (Eq, Inter, Neq, Pred, Rule, SID, StateAtom, Var,
-                    atom_vars, prenex, substitute, var_text)
+from .logic import (Comp, Eq, Exists, Formula, Inter, Neq, Pred, Rule, SID,
+                    SepConj, StateAtom, Var, atom_vars, prenex, substitute,
+                    var_text)
 from .transducer import ProductState, image, interaction_types
 
 
 class TightnessNotEstablished(RuntimeError):
     """The reduction precondition has no PCR proof and no explicit waiver."""
+
+
+class UnallocatedStateAtom(RuntimeError):
+    """A rule pins the state of a variable that has no component atom in the
+    same body.  The transducer rewrites a state atom only together with the
+    component atom of its variable, so such a pin would keep the old state."""
+
+
+def _binder_names(f: Formula) -> list[Var]:
+    """The binders of f in the order `prenex` renames them."""
+    if isinstance(f, Exists):
+        return [*f.vars, *_binder_names(f.body)]
+    if isinstance(f, SepConj):
+        return [b for p in f.parts for b in _binder_names(p)]
+    return []
+
+
+def check_state_atoms(sid: SID) -> None:
+    """Raise UnallocatedStateAtom for the first rule with a state atom on a
+    variable that no component atom of the same body allocates."""
+    for rule in sid.rules:
+        binders, atoms = prenex(rule.body)
+        comps = {a.var for a in atoms if isinstance(a, Comp)}
+        for a in atoms:
+            if isinstance(a, StateAtom) and a.var not in comps:
+                shown = dict(zip(binders, _binder_names(rule.body))).get(a.var, a.var)
+                k = sid.rules_of(rule.head).index(rule) + 1
+                raise UnallocatedStateAtom(
+                    f"rule {k} of {rule.head} has a state atom on {var_text(shown)}, "
+                    "which has no comp atom in the same body; the reduction "
+                    "rewrites a state only with its component")
 
 
 @dataclass
@@ -45,10 +77,12 @@ def reduce_havoc_to_entailment(sid: SID, pred: str,
 
     Tightness of the predicate is the semantic precondition; the only
     automatic proof is the PCR check.  Callers may assert tightness
-    explicitly, which is recorded in the result.
+    explicitly, which is recorded in the result.  A state atom on a variable
+    its rule does not allocate is refused (see `check_state_atoms`).
     """
     if pred not in sid.predicates:
         raise KeyError(f"unknown predicate {pred!r}")
+    check_state_atoms(sid)
     report = check_pcr(sid)
     if report.sid_pcr:
         tightness = "pcr"

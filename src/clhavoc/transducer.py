@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Behavior
 from .eqform import EqFormula, Partition
@@ -49,19 +49,62 @@ def ttvars(tau: InteractionType, maxarity: int) -> frozenset[Var]:
     return frozenset(vs)
 
 
+def _marker_status(classes: Iterable[Iterable[Var]], n: int) -> tuple[bool, int]:
+    """Whether the classes keep the walk markers of positions 1..n apart (no
+    two begins, no two ends, no begin(i) with end(j) for i != j share a
+    class), and how many positions i have begin(i) and end(i) in one class."""
+    ok, closed = True, 0
+    for cls in classes:
+        begins, ends = [], []
+        for v in cls:
+            if v.name == "%begin" and v.tag[0] <= n:
+                begins.append(v.tag[0])
+            elif v.name == "%end" and v.tag[0] <= n:
+                ends.append(v.tag[0])
+        if begins or ends:
+            if len(begins) > 1 or len(ends) > 1 or (begins and ends and begins != ends):
+                ok = False
+            closed += len(set(begins) & set(ends))
+    return ok, closed
+
+
 def state_ok(phi: EqFormula, n: int) -> bool:
     """The non-entailment conditions on transducer states."""
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and (phi.entails(beginvar(i), beginvar(j))
-                           or phi.entails(endvar(i), endvar(j))
-                           or phi.entails(beginvar(i), endvar(j))):
-                return False
-    return True
+    return _marker_status(phi.classes, n)[0]
 
 
 def is_final(phi: EqFormula, n: int) -> bool:
-    return all(phi.entails(beginvar(i), endvar(i)) for i in range(1, n + 1))
+    """Every walk's begin marker is proven equal to its end marker."""
+    return _marker_status(phi.classes, n)[1] == n
+
+
+MarkerSignature = tuple[int, bool]
+
+
+def marker_signature(phi: EqFormula, n: int) -> MarkerSignature:
+    """The walk markers a state carries for positions 1..n: a bitmask with
+    bit i set for each begin(i), and whether any end(i) occurs."""
+    begins, ends = 0, False
+    for cls in phi.classes:
+        for v in cls:
+            if v.name == "%begin" and v.tag[0] <= n:
+                begins |= 1 << v.tag[0]
+            elif v.name == "%end" and v.tag[0] <= n:
+                ends = True
+    return begins, ends
+
+
+def join_markers(sigs: Iterable[MarkerSignature]) -> MarkerSignature | None:
+    """The markers of child states taken together, or None when two children
+    carry the same begin(i) or more than one carries an end: a walk is then
+    consumed twice, and no transducer step applies."""
+    used, ends = 0, False
+    for begins, end in sigs:
+        if used & begins or (end and ends):
+            return None
+        used |= begins
+        ends = ends or end
+    return used, ends
 
 
 @dataclass(frozen=True)
@@ -73,13 +116,73 @@ class Witness:
     fired_atom: int | None                           # atom index of the guessed interaction
 
 
-def _canonical_state(phi: EqFormula) -> EqFormula:
-    # singleton parameter classes carry no information; marker singletons do
-    keep = []
-    for cls in phi.classes:
-        if len(cls) > 1 or next(iter(cls)).name in ("%begin", "%end"):
-            keep.append(cls)
-    return EqFormula(frozenset(keep))
+Rewrites = tuple[tuple[int, Var, str, str], ...]
+# a choice of rewrites, its output symbol (None: the input symbol itself) and
+# its witnesses for fired atom None and then each fired candidate
+Choice = tuple[Rewrites, AlphabetSymbol | None, tuple[Witness, ...]]
+
+
+class _StepPlan:
+    """What a step needs of its symbol under one type, behavior and maxarity,
+    built once and kept in the symbol's `_plans`.
+
+    It holds no reference to the symbol, so the memo makes no cycle.
+    """
+
+    def __init__(self, tau: InteractionType, alpha: AlphabetSymbol,
+                 behavior: Behavior, maxarity: int) -> None:
+        self.tau = tau
+        self.exvars, self.atoms, self.arities = alpha.exvars, alpha.atoms, alpha.arities
+        # rewrite candidates: variables carrying a component atom and state
+        # atoms that all name one state; a rewrite changes every one of them
+        state_idx: dict[Var, list[int]] = {}
+        comp_vars: set[Var] = set()
+        self.fired: list[int] = []
+        eq_pairs: list[tuple[Var, Var]] = []
+        for idx, a in enumerate(alpha.atoms):
+            if isinstance(a, Comp):
+                comp_vars.add(a.var)
+            elif isinstance(a, StateAtom):
+                state_idx.setdefault(a.var, []).append(idx)
+            elif isinstance(a, Inter) and tuple(p for _, p in a.bindings) == tau:
+                self.fired.append(idx)
+            elif isinstance(a, Eq):
+                eq_pairs.append((a.left, a.right))
+        self.state_idx = state_idx
+        # per candidate in sorted order: its state and, per port of tau, the
+        # states the behavior moves it to
+        self.candidates: dict[Var, tuple[str, dict[str, tuple[str, ...]]]] = {}
+        for v in sorted(comp_vars):
+            states = {alpha.atoms[i].state for i in state_idx.get(v, [])}
+            if len(states) == 1:
+                q = states.pop()
+                self.candidates[v] = (q, {p: behavior.targets(q, p) for p in tau})
+        self.eqs = Partition((), eq_pairs)
+        self.renamings = [{param(j): childparam(l, j) for j in range(1, al + 1)}
+                          for l, al in enumerate(alpha.arities[1:], start=1)]
+        self.keepvars = ttvars(tau, maxarity)
+        self._choices: dict[int, list[Choice]] = {}  # by used begin mask
+
+    def choices(self, used_begin: int) -> list[Choice]:
+        """The choices of rewrites at the positions not in `used_begin`, in
+        `_rewrite_choices` order."""
+        out = self._choices.get(used_begin)
+        if out is None:
+            avail = [i for i in range(1, len(self.tau) + 1) if not used_begin >> i & 1]
+            out = self._choices[used_begin] = []
+            for rewrites in _rewrite_choices(self.tau, avail, self.candidates, 0, (),
+                                             frozenset()):
+                sym = None
+                if rewrites:
+                    atoms = list(self.atoms)
+                    for _, xi, _, q2 in rewrites:
+                        for idx in self.state_idx[xi]:
+                            atoms[idx] = StateAtom(xi, q2)
+                    sym = AlphabetSymbol(self.exvars, tuple(atoms), self.arities)
+                wits = tuple(Witness(self.tau, rewrites, fired)
+                             for fired in (None, *self.fired))
+                out.append((rewrites, sym, wits))
+        return out
 
 
 def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
@@ -90,7 +193,8 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
     Enumerates the choice of rewritten component atoms (one per fresh walk
     position, each backed by a behavior transition over the matching port),
     the optional guess of the fired interaction atom, and discards any result
-    that would merge distinct walk markers.
+    that would merge distinct walk markers.  What depends on the symbol and
+    the type alone comes from the symbol's step plan, built on first use.
     """
     n = len(tau)
     h = alpha.rank
@@ -99,55 +203,19 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
     if alpha.arities[0] > maxarity:
         raise ArityMismatch(f"symbol arity {alpha.arities[0]} exceeds maxarity {maxarity}")
 
-    # the walk positions whose begin/end markers each child state carries
-    begin_sets: list[set[int]] = []
-    end_sets: list[set[int]] = []
-    for st in child_states:
-        begins, ends = set(), set()
-        for v in itertools.chain.from_iterable(st.classes):
-            if v.name == "%begin" and v.tag[0] <= n:
-                begins.add(v.tag[0])
-            elif v.name == "%end" and v.tag[0] <= n:
-                ends.add(v.tag[0])
-        begin_sets.append(begins)
-        end_sets.append(ends)
-    for s1, s2 in itertools.combinations(begin_sets, 2):
-        if s1 & s2:
-            return []
-    if sum(1 for s in end_sets if s) > 1:
+    joined = join_markers(marker_signature(st, n) for st in child_states)
+    if joined is None:
         return []
-    used_begin = set().union(*begin_sets) if begin_sets else set()
-    ends_present = any(end_sets)
-
-    # rewrite candidates: variables carrying both a component and a state atom
-    state_idx: dict[Var, list[int]] = {}
-    comp_vars: set[Var] = set()
-    fired_candidates: list[int] = []
-    eq_pairs: list[tuple[Var, Var]] = []
-    for idx, a in enumerate(alpha.atoms):
-        if isinstance(a, Comp):
-            comp_vars.add(a.var)
-        elif isinstance(a, StateAtom):
-            state_idx.setdefault(a.var, []).append(idx)
-        elif isinstance(a, Inter) and tuple(p for _, p in a.bindings) == tau:
-            fired_candidates.append(idx)
-        elif isinstance(a, Eq):
-            eq_pairs.append((a.left, a.right))
-    candidates: dict[Var, str] = {}
-    for v in sorted(comp_vars):
-        states = {alpha.atoms[i].state for i in state_idx.get(v, [])}
-        if len(states) == 1:
-            candidates[v] = states.pop()
-
-    avail = [i for i in range(1, n + 1) if i not in used_begin]
+    used_begin, ends_present = joined
+    plan = alpha._plans.get((tau, behavior, maxarity))
+    if plan is None:
+        plan = alpha._plans[tau, behavior, maxarity] = _StepPlan(tau, alpha, behavior, maxarity)
 
     # base conjunction shared by all choices: the equalities of the symbol
     # itself, plus child states with their parameters rebased onto this
     # node's childparam variables
-    base = Partition((), eq_pairs)
-    for l, st in enumerate(child_states, start=1):
-        al = alpha.arities[l]
-        ren = {param(j): childparam(l, j) for j in range(1, al + 1)}
+    base = plan.eqs.copy()
+    for ren, st, al in zip(plan.renamings, child_states, alpha.arities[1:]):
         for cls in st.classes:
             members = [ren.get(v, v) for v in cls]
             if any(v.name == "%in" for v in members):
@@ -155,38 +223,35 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
             for v in members:
                 base.union(members[0], v)
 
-    keepvars = ttvars(tau, maxarity)
+    keepvars = plan.keepvars
     results: list[tuple[AlphabetSymbol, EqFormula, Witness]] = []
-
-    fired_opts: list[int | None] = [None]
-    if not ends_present:
-        fired_opts += fired_candidates
-    for rewrites in _rewrite_choices(tau, avail, candidates, behavior, 0, (), frozenset()):
-        for fired in fired_opts:
+    fired_opts = list(enumerate((None, *plan.fired)))
+    if ends_present:
+        fired_opts = fired_opts[:1]
+    for rewrites, sym, wits in plan.choices(used_begin):
+        out = alpha if sym is None else sym
+        for k, fired in fired_opts:
             conj = base.copy()
             for i, xi, _, _ in rewrites:
                 conj.union(beginvar(i), xi)
             if fired is not None:
-                atom = alpha.atoms[fired]
-                for pos, (z, _) in enumerate(atom.bindings, start=1):
+                for pos, (z, _) in enumerate(alpha.atoms[fired].bindings, start=1):
                     conj.union(endvar(pos), z)
-            # project onto the tracking variables
-            phi = _canonical_state(EqFormula(frozenset(
-                kept for cls in conj.classes() if (kept := keepvars.intersection(cls)))))
-            if not state_ok(phi, n):
+            # project onto the tracking variables; singleton parameter classes
+            # carry no information, marker singletons do
+            classes = [cls for cls in conj.classes(keepvars)
+                       if len(cls) > 1 or cls[0].name in ("%begin", "%end")]
+            if not _marker_status(classes, n)[0]:
                 continue
-            out_atoms = list(alpha.atoms)
-            for _, xi, q, q2 in rewrites:
-                out_atoms[state_idx[xi][0]] = StateAtom(xi, q2)
-            out = AlphabetSymbol(alpha.exvars, tuple(out_atoms), alpha.arities)
-            results.append((out, phi, Witness(tau, rewrites, fired)))
+            phi = EqFormula(frozenset(map(frozenset, classes)))
+            results.append((out, phi, wits[k]))
     return results
 
 
 def _rewrite_choices(tau: InteractionType, avail: Sequence[int],
-                     candidates: dict[Var, str], behavior: Behavior, idx: int,
-                     chosen: tuple[tuple[int, Var, str, str], ...],
-                     used_vars: frozenset[Var]) -> Iterator[tuple[tuple[int, Var, str, str], ...]]:
+                     candidates: dict[Var, tuple[str, dict[str, tuple[str, ...]]]],
+                     idx: int, chosen: Rewrites,
+                     used_vars: frozenset[Var]) -> Iterator[Rewrites]:
     """`chosen` extended by every subset of the positions avail[idx:], each
     mapped to a distinct rewritable variable with an enabled behavior
     transition, as (position, var, q, q') rewrites; a choice comes before its
@@ -195,10 +260,11 @@ def _rewrite_choices(tau: InteractionType, avail: Sequence[int],
     for k in range(idx, len(avail)):
         i = avail[k]
         port = tau[i - 1]
-        for xi in sorted(set(candidates) - used_vars):
-            q = candidates[xi]
-            for q2 in behavior.targets(q, port):
-                yield from _rewrite_choices(tau, avail, candidates, behavior, k + 1,
+        for xi, (q, moves) in candidates.items():
+            if xi in used_vars:
+                continue
+            for q2 in moves[port]:
+                yield from _rewrite_choices(tau, avail, candidates, k + 1,
                                             (*chosen, (i, xi, q, q2)), used_vars | {xi})
 
 
@@ -262,13 +328,16 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID,
     maxarity = max((sid.arity(p) for p in sid.predicates), default=0)
     taus = sorted(interaction_types(sid))
     transitions: dict[TaTransition, list[Witness]] = {}
-    # each discovered state maps to itself, so equal states share one object
-    discovered: dict[ProductState, ProductState] = {}
+    discovered: list[ProductState] = []
     finals: list[ProductState] = []
+    per_tau: dict[InteractionType, int] = {}
 
     for tau in taus:
         n = len(tau)
         by_base: dict[object, list[ProductState]] = {}
+        # each discovered state by (base, phi), so equal states share one object
+        found: dict[tuple[object, EqFormula], ProductState] = {}
+        marks: dict[ProductState, MarkerSignature] = {}
         seen: dict[int, tuple[int, ...]] = {}
         # a step depends on the symbol and child states only, not on the
         # transition's result state, so equal symbols share one computation
@@ -282,22 +351,28 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID,
                 combos = new_combos(pools, seen.get(ti))
                 seen[ti] = tuple(map(len, pools))
                 for combo in combos:
+                    # children whose walk markers clash step to nothing
+                    if len(combo) > 1 and join_markers([marks[ps] for ps in combo]) is None:
+                        continue
                     phis = tuple(ps.phi for ps in combo)
                     skey = (tr.symbol, phis)
-                    if skey not in steps:
-                        steps[skey] = transducer_step(tau, tr.symbol, list(phis),
-                                                      behavior, maxarity)
-                    for out_sym, phi, wit in steps[skey]:
-                        new = ProductState(tr.result, phi, tau)
-                        ps = discovered.setdefault(new, new)
-                        if ps is new:
+                    results = steps.get(skey)
+                    if results is None:
+                        results = steps[skey] = transducer_step(tau, tr.symbol, list(phis),
+                                                                behavior, maxarity)
+                    for out_sym, phi, wit in results:
+                        ps = found.get((tr.result, phi))
+                        if ps is None:
+                            ps = found[tr.result, phi] = ProductState(tr.result, phi, tau)
+                            discovered.append(ps)
+                            marks[ps] = marker_signature(phi, n)
                             by_base.setdefault(tr.result, []).append(ps)
                             changed = True
                             if tr.result == root_state and is_final(phi, n):
                                 finals.append(ps)
                         ptr = TaTransition(out_sym, combo, ps)
                         transitions.setdefault(ptr, []).append(wit)
+        per_tau[tau] = len(found)
 
-    product = TreeAutomaton.make(transitions, finals=finals, states=tuple(discovered))
-    per_tau = {tau: sum(1 for s in discovered if s.tau == tau) for tau in taus}
+    product = TreeAutomaton.make(transitions, finals=finals, states=discovered)
     return ImageResult(product, {tr: tuple(ws) for tr, ws in transitions.items()}, per_tau)

@@ -125,6 +125,38 @@ def test_check_without_entailments_unknown(capsys, tmp_path):
     assert out == "verdict: Unknown (no entailment to check)\n"
 
 
+# ring.clsys's behavior with a predicate R whose rewritten component x has a
+# second state atom: a repeat on x, one on a variable equal to x, one in a
+# called rule; the expected refusal names the rule and the variable
+STATE_PINS = {
+    "repeat": ("R() <- exists x, y . comp(x : H) * state(x : H) * comp(y : T) "
+               "* <x.in, y.out>;", None),
+    "equal": ("R() <- exists x, y, w . comp(x : H) * x = w * state(w : H) "
+              "* comp(y : T) * <x.in, y.out>;", "rule 1 of R has a state atom on w,"),
+    "called": ("R() <- exists x, y . comp(x : H) * comp(y : T) * <x.in, y.out> * P(x);\n"
+               "  P(z) <- state(z : H);", "rule 1 of P has a state atom on z,"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_PINS))
+def test_second_state_pin_is_never_invariant(name, capsys, tmp_path):
+    rules, refusal = STATE_PINS[name]
+    behavior = (FIXTURES / "ring.clsys").read_text().split("sid {")[0]
+    src = tmp_path / f"{name}.clsys"
+    src.write_text(f"{behavior}sid {{\n  {rules}\n}}\n")
+    args = (str(src), "--pred", "R", "--depth", "2", "--assume-tight")
+    code, out, err = run(capsys, "check", *args)
+    if refusal is None:
+        assert code == 1 and "verdict: Counterexample" in out
+    else:
+        assert code == 2 and "verdict: Unknown" in out
+        assert f"UnallocatedStateAtom: {refusal}" in err
+    code, out, _ = run(capsys, "oracle", *args)
+    assert code == 1 and "direct: Counterexample" in out
+    assert ("cross-validation: PASS (left=1, right=1)" if refusal is None
+            else "cross-validation: Unknown (state atom gate)") in out
+
+
 def test_simulate_ring3(capsys):
     code, out, _ = run(capsys, "simulate", str(FIXTURES / "ring.clsys"),
                        "--config", "ring3")

@@ -9,10 +9,12 @@ from conftest import FIXTURES, reduced_text
 from clhavoc import transducer
 from clhavoc.core import Behavior
 from clhavoc.frontend import Query, SystemFile, parse_system, render_system
-from clhavoc.logic import Comp, Pred, Rule, SID, Var, comp_in, exists, sep
+from clhavoc.logic import (Comp, Inter, Pred, Rule, SID, StateAtom, Var, comp_in,
+                           exists, sep)
 from clhavoc.oracle import cross_validate_reduction, entails_bounded
-from clhavoc.reduction import (TightnessNotEstablished, class_equiv,
-                               manifest_dict, reduce_havoc_to_entailment)
+from clhavoc.reduction import (TightnessNotEstablished, UnallocatedStateAtom,
+                               class_equiv, manifest_dict,
+                               reduce_havoc_to_entailment)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +42,17 @@ def ring3_reduction(ring3):
 def test_gate_requires_tightness_evidence(ring):
     with pytest.raises(TightnessNotEstablished):
         reduce_havoc_to_entailment(ring.sid, "Ring_1_1")
+
+
+def test_state_atom_on_a_shadowing_binder_is_refused(ring):
+    # the inner x is not the allocated outer x
+    x, y = Var("x"), Var("y")
+    body = exists([x, y], sep(comp_in(x, "H"), comp_in(y, "T"),
+                              Inter(((x, "in"), (y, "out"))),
+                              exists([x], StateAtom(x, "H"))))
+    sid = SID((Rule("R", (), body),), ring.behavior)
+    with pytest.raises(UnallocatedStateAtom, match="rule 1 of R has a state atom on x,"):
+        reduce_havoc_to_entailment(sid, "R", assume_tight=True)
 
 
 def test_pcr_sid_unlocks_gate(pcring):

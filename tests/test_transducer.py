@@ -1,21 +1,25 @@
 """The interaction-typed transducer: single steps, constraints, image."""
 
 import itertools
+from typing import Iterator, Sequence
 
 import pytest
 from conftest import FIXTURES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clhavoc import transducer
 from clhavoc.automata import (AlphabetSymbol, TaTransition, TreeAutomaton,
                               make_symbol, sid_to_ta, enumerate_trees, ta_trim)
 from clhavoc.core import Behavior
-from clhavoc.eqform import EMPTY_EQ, EqFormula
+from clhavoc.eqform import EMPTY_EQ, EqFormula, Partition
 from clhavoc.frontend import parse_system
-from clhavoc.logic import Comp, StateAtom, Var, beginvar, endvar, param
-from clhavoc.transducer import (ArityMismatch, ImageResult, ProductState,
-                                image, interaction_types, is_final, new_combos,
-                                state_ok, transducer_step)
+from clhavoc.logic import (Comp, Eq, Inter, StateAtom, Var, beginvar, childparam,
+                           endvar, param)
+from clhavoc.transducer import (ArityMismatch, ImageResult, InteractionType,
+                                ProductState, Witness, image, interaction_types,
+                                is_final, join_markers, marker_signature,
+                                new_combos, state_ok, transducer_step, ttvars)
 
 
 def test_interaction_types_ring(ring):
@@ -55,6 +59,15 @@ def test_leaf_rewrite_spec_example():
     sym, phi = rewrites[0]
     assert sym == LEAF_Q0
     assert phi.entails(beginvar(1), param(1))
+
+
+def test_rewrite_changes_every_state_atom_of_its_variable():
+    pinned = make_symbol([], [Comp(param(1)), StateAtom(param(1), "q1"),
+                              StateAtom(param(1), "q1")], [3])
+    rewritten = {sym for sym, _, wit in transducer_step(("out", "in"), pinned, [], TOGGLE, 3)
+                 if wit.rewrites}
+    assert rewritten == {make_symbol([], [Comp(param(1)), StateAtom(param(1), "q0"),
+                                          StateAtom(param(1), "q0")], [3])}
 
 
 def test_bookkeeping_step_is_identity():
@@ -315,3 +328,220 @@ def test_cached_hash_stays_out_of_identity(ring):
     assert other == ps
     assert "_hash" not in repr(ps)
     assert repr(ps) == f"ProductState(base='Ring_1_1', phi={phi!r}, tau=('out', 'in'))"
+
+
+# ---------------------------------------------------------------------------
+# the step against its plain form: the step before its per-symbol plan, its
+# marker signatures and its one-pass marker check, kept verbatim
+
+def reference_state_ok(phi: EqFormula, n: int) -> bool:
+    """The non-entailment conditions on transducer states."""
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j and (phi.entails(beginvar(i), beginvar(j))
+                           or phi.entails(endvar(i), endvar(j))
+                           or phi.entails(beginvar(i), endvar(j))):
+                return False
+    return True
+
+
+def _reference_canonical_state(phi: EqFormula) -> EqFormula:
+    # singleton parameter classes carry no information; marker singletons do
+    keep = []
+    for cls in phi.classes:
+        if len(cls) > 1 or next(iter(cls)).name in ("%begin", "%end"):
+            keep.append(cls)
+    return EqFormula(frozenset(keep))
+
+
+def reference_step(tau: InteractionType, alpha: AlphabetSymbol,
+                   child_states: Sequence[EqFormula], behavior: Behavior,
+                   maxarity: int) -> list[tuple[AlphabetSymbol, EqFormula, Witness]]:
+    """All transitions (alpha, alpha')(child_states) -> state for the type tau.
+
+    Enumerates the choice of rewritten component atoms (one per fresh walk
+    position, each backed by a behavior transition over the matching port),
+    the optional guess of the fired interaction atom, and discards any result
+    that would merge distinct walk markers.
+    """
+    n = len(tau)
+    h = alpha.rank
+    if len(child_states) != h:
+        raise ArityMismatch(f"symbol of rank {h} given {len(child_states)} child states")
+    if alpha.arities[0] > maxarity:
+        raise ArityMismatch(f"symbol arity {alpha.arities[0]} exceeds maxarity {maxarity}")
+
+    # the walk positions whose begin/end markers each child state carries
+    begin_sets: list[set[int]] = []
+    end_sets: list[set[int]] = []
+    for st in child_states:
+        begins, ends = set(), set()
+        for v in itertools.chain.from_iterable(st.classes):
+            if v.name == "%begin" and v.tag[0] <= n:
+                begins.add(v.tag[0])
+            elif v.name == "%end" and v.tag[0] <= n:
+                ends.add(v.tag[0])
+        begin_sets.append(begins)
+        end_sets.append(ends)
+    for s1, s2 in itertools.combinations(begin_sets, 2):
+        if s1 & s2:
+            return []
+    if sum(1 for s in end_sets if s) > 1:
+        return []
+    used_begin = set().union(*begin_sets) if begin_sets else set()
+    ends_present = any(end_sets)
+
+    # rewrite candidates: variables carrying both a component and a state atom
+    state_idx: dict[Var, list[int]] = {}
+    comp_vars: set[Var] = set()
+    fired_candidates: list[int] = []
+    eq_pairs: list[tuple[Var, Var]] = []
+    for idx, a in enumerate(alpha.atoms):
+        if isinstance(a, Comp):
+            comp_vars.add(a.var)
+        elif isinstance(a, StateAtom):
+            state_idx.setdefault(a.var, []).append(idx)
+        elif isinstance(a, Inter) and tuple(p for _, p in a.bindings) == tau:
+            fired_candidates.append(idx)
+        elif isinstance(a, Eq):
+            eq_pairs.append((a.left, a.right))
+    candidates: dict[Var, str] = {}
+    for v in sorted(comp_vars):
+        states = {alpha.atoms[i].state for i in state_idx.get(v, [])}
+        if len(states) == 1:
+            candidates[v] = states.pop()
+
+    avail = [i for i in range(1, n + 1) if i not in used_begin]
+
+    # base conjunction shared by all choices: the equalities of the symbol
+    # itself, plus child states with their parameters rebased onto this
+    # node's childparam variables
+    base = Partition((), eq_pairs)
+    for l, st in enumerate(child_states, start=1):
+        al = alpha.arities[l]
+        ren = {param(j): childparam(l, j) for j in range(1, al + 1)}
+        for cls in st.classes:
+            members = [ren.get(v, v) for v in cls]
+            if any(v.name == "%in" for v in members):
+                raise ArityMismatch(f"child state mentions parameter beyond arity {al}")
+            for v in members:
+                base.union(members[0], v)
+
+    keepvars = ttvars(tau, maxarity)
+    results: list[tuple[AlphabetSymbol, EqFormula, Witness]] = []
+
+    fired_opts: list[int | None] = [None]
+    if not ends_present:
+        fired_opts += fired_candidates
+    for rewrites in _reference_rewrite_choices(tau, avail, candidates, behavior, 0, (), frozenset()):
+        for fired in fired_opts:
+            conj = base.copy()
+            for i, xi, _, _ in rewrites:
+                conj.union(beginvar(i), xi)
+            if fired is not None:
+                atom = alpha.atoms[fired]
+                for pos, (z, _) in enumerate(atom.bindings, start=1):
+                    conj.union(endvar(pos), z)
+            # project onto the tracking variables
+            phi = _reference_canonical_state(EqFormula(frozenset(
+                kept for cls in conj.classes() if (kept := keepvars.intersection(cls)))))
+            if not reference_state_ok(phi, n):
+                continue
+            out_atoms = list(alpha.atoms)
+            for _, xi, q, q2 in rewrites:
+                out_atoms[state_idx[xi][0]] = StateAtom(xi, q2)
+            out = AlphabetSymbol(alpha.exvars, tuple(out_atoms), alpha.arities)
+            results.append((out, phi, Witness(tau, rewrites, fired)))
+    return results
+
+
+def _reference_rewrite_choices(tau: InteractionType, avail: Sequence[int],
+                               candidates: dict[Var, str], behavior: Behavior, idx: int,
+                               chosen: tuple[tuple[int, Var, str, str], ...],
+                               used_vars: frozenset[Var]) -> Iterator[tuple[tuple[int, Var, str, str], ...]]:
+    """`chosen` extended by every subset of the positions avail[idx:], each
+    mapped to a distinct rewritable variable with an enabled behavior
+    transition, as (position, var, q, q') rewrites; a choice comes before its
+    extensions."""
+    yield chosen
+    for k in range(idx, len(avail)):
+        i = avail[k]
+        port = tau[i - 1]
+        for xi in sorted(set(candidates) - used_vars):
+            q = candidates[xi]
+            for q2 in behavior.targets(q, port):
+                yield from _reference_rewrite_choices(tau, avail, candidates, behavior, k + 1,
+                                                      (*chosen, (i, xi, q, q2)),
+                                                      used_vars | {xi})
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_SYSTEMS))
+def test_step_matches_reference_on_every_reached_input(name):
+    """Every (symbol, child states) tuple the image reaches, in the product of
+    the final pools, steps to the reference's results in the same order; the
+    tuples that image skips for clashing walk markers step to nothing."""
+    sid = parse_system(IMAGE_SYSTEMS[name]).sid
+    ta, _ = sid_to_ta(sid)
+    maxarity = max(sid.arity(p) for p in sid.predicates)
+    stepped, skipped = set(), 0
+    for pred in sid.predicates:
+        pools = {}
+        for s in image(ta, pred, sid, sid.behavior).automaton.states:
+            pools.setdefault((s.tau, s.base), []).append(s.phi)
+        for tau in sorted(interaction_types(sid)):
+            for tr in ta.transitions:
+                for phis in itertools.product(*(pools.get((tau, c), []) for c in tr.children)):
+                    if (tau, tr.symbol, phis) in stepped:
+                        continue
+                    stepped.add((tau, tr.symbol, phis))
+                    want = reference_step(tau, tr.symbol, list(phis), sid.behavior, maxarity)
+                    got = transducer_step(tau, tr.symbol, list(phis), sid.behavior, maxarity)
+                    assert got == want
+                    if join_markers(marker_signature(phi, len(tau)) for phi in phis) is None:
+                        assert want == []
+                        skipped += 1
+    if name == "tll.clsys":
+        assert (len(stepped), skipped) == (5952, 5098)
+
+
+def test_image_steps_only_children_whose_markers_fit(tll, monkeypatch):
+    calls = []
+    real_step = transducer.transducer_step
+    monkeypatch.setattr(transducer, "transducer_step",
+                        lambda *args: calls.append(args) or real_step(*args))
+    ta, _ = sid_to_ta(tll.sid)
+    image(ta, "Root", tll.sid, tll.behavior)
+    assert len(calls) == 854
+
+
+def test_join_markers():
+    assert join_markers([]) == (0, False)
+    assert join_markers([(0b10, False), (0b100, True)]) == (0b110, True)
+    assert join_markers([(0b10, False), (0b110, False)]) is None
+    assert join_markers([(0, True), (0b10, True)]) is None
+    phi = EqFormula.make([beginvar(1), endvar(2), beginvar(3)], [(beginvar(1), param(1))])
+    assert marker_signature(phi, 2) == (0b10, True)
+    assert marker_signature(phi, 3) == (0b1010, True)
+
+
+def test_marker_checks_match_entailment_form():
+    markers = [beginvar(1), beginvar(2), endvar(1), endvar(2), param(1)]
+    for pairs in itertools.combinations(itertools.combinations(markers, 2), 2):
+        phi = EqFormula.make(markers, pairs)
+        for n in (1, 2):
+            assert state_ok(phi, n) == reference_state_ok(phi, n)
+            assert is_final(phi, n) == all(phi.entails(beginvar(i), endvar(i))
+                                           for i in range(1, n + 1))
+
+
+def test_step_plan_memo_stays_out_of_identity(ring):
+    ta, _ = sid_to_ta(ring.sid)
+    leaf = next(tr.symbol for tr in ta.transitions if not tr.children)
+    twin = AlphabetSymbol(leaf.exvars, leaf.atoms, leaf.arities)
+    results = transducer_step(("out", "in"), leaf, [], ring.behavior, 2)
+    assert leaf._plans and not twin._plans
+    assert twin == leaf and hash(twin) == hash(leaf) and repr(twin) == repr(leaf)
+    assert "_plans" not in repr(leaf)
+    assert transducer_step(("out", "in"), twin, [], ring.behavior, 2) == results
+    # a step that rewrites nothing emits the symbol itself
+    assert any(out is leaf for out, _, wit in results if not wit.rewrites)
