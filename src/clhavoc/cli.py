@@ -2,8 +2,8 @@
 
 Exit codes: 0 verdict-positive, 1 verdict-negative (counterexample or
 mismatch), 2 unknown/gated (tightness not established, a state atom on a
-variable its rule does not allocate, or no entailment or target to check),
-3 input error.
+variable its rule does not allocate, no entailment or target to check, or
+no unfolding of the predicate completes within the depth), 3 input error.
 Diagnostics go to stderr; results to stdout or the -o path.
 """
 
@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import frontend
 from .analysis import render_pcr_table, check_pcr
 from .frontend import (ParseError, SystemFile, parse_system, render_config,
                        render_system)
-from .logic import var_text
+from .logic import least_heights, var_text
 from .oracle import (cross_validate_reduction, entails_bounded,
                      havoc_invariant_bounded)
 from .reduction import (ReductionResult, TightnessNotEstablished,
@@ -78,6 +79,15 @@ def _write_reduction(sf: SystemFile, result: ReductionResult, path: str,
                     f"rewrites={[(i, var_text(x), q, q2) for i, x, q, q2 in w.rewrites]} "
                     f"fired_atom={w.fired_atom}\n")
     return reduced_path
+
+
+def _incomplete(sf: SystemFile, pred: str, depth: int) -> str | None:
+    """Why the bounded check of pred enumerates nothing, if it does not."""
+    height = least_heights(sf.sid, [pred])[pred]
+    if height <= depth:
+        return None
+    least = f"least height {height}" if height < math.inf else "none ever completes"
+    return f"no unfolding of {pred} completes within depth {depth}; {least}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,6 +169,11 @@ def main(argv: list[str] | None = None) -> int:
             # no target survived the reduction: nothing was checked
             _emit("verdict: Unknown (no entailment to check)\n", args.output)
             return 2
+        incomplete = _incomplete(sf, args.pred, args.depth)
+        if incomplete:
+            # every entailment would hold on zero models
+            _emit(f"verdict: Unknown ({incomplete})\n", args.output)
+            return 2
         lines = []
         bad = None
         for lhs, rhs in result.entailments:
@@ -181,7 +196,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "oracle":
         rep = havoc_invariant_bounded(sf.sid, args.pred, args.depth)
         lines = [f"models({args.pred}, depth={args.depth}): {rep.models}"]
-        if rep.invariant:
+        incomplete = _incomplete(sf, args.pred, args.depth)
+        if incomplete:
+            lines.append(f"direct: Unknown ({incomplete})")
+        elif rep.invariant:
             lines.append(f"direct: InvariantUpToDepth({args.depth})")
         else:
             ce = rep.counterexample
@@ -191,8 +209,9 @@ def main(argv: list[str] | None = None) -> int:
             lines.append(render_config("successor", ce.successor))
         try:
             result = _reduce(sf, args)
-            # with no target, an empty right side says nothing
-            unknown = None if result.targets else "no target"
+            # with no target, an empty right side says nothing, and with
+            # no model neither side does
+            unknown = incomplete if result.targets else "no target"
         except REFUSED as e:
             _refused(e)
             unknown = ("tightness gate" if isinstance(e, TightnessNotEstablished)

@@ -11,6 +11,7 @@ store and the state table.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -561,6 +562,40 @@ def _template(rule: Rule) -> _Template:
             tuple(i for i, a in enumerate(atoms) if isinstance(a, Pred)))
 
 
+# A walk state: the prenex form of an unfolding and the (index, budget) of
+# its predicate atoms, leftmost first; the leftmost one is expanded next.
+_State = tuple[tuple[Var, ...], tuple[Atom, ...], tuple[tuple[int, int], ...]]
+
+
+def _start(sid: SID, f: Formula, depth: int, counter: itertools.count) -> _State:
+    """The state an unfolding walk of f starts from."""
+    binders, atoms = prenex(f, counter, prefix="%u")
+    defined = set(sid.predicates)
+    for a in atoms:
+        if isinstance(a, Pred) and a.name not in defined:
+            raise UndefinedPredicate(a.name)
+    return binders, atoms, tuple((i, depth) for i, a in enumerate(atoms)
+                                 if isinstance(a, Pred))
+
+
+def _expand(state: _State, template: _Template, counter: itertools.count) -> _State:
+    """Replace the state's leftmost predicate atom by the template's body:
+    parameters go to the atom's arguments and binders to fresh `%u`
+    variables, in one simultaneous substitution."""
+    binders, atoms, pending = state
+    (at, budget), rest = pending[0], pending[1:]
+    pred = atoms[at]
+    params, tbinders, tatoms, preds = template
+    fresh = tuple(Var("%u", (next(counter),)) for _ in tbinders)
+    mapping = dict(zip(params, pred.args))
+    mapping.update(zip(tbinders, fresh))
+    shift = len(tatoms) - 1
+    return (binders + fresh,
+            atoms[:at] + tuple(substitute(a, mapping) for a in tatoms) + atoms[at + 1:],
+            tuple((at + i, budget - 1) for i in preds)
+            + tuple((i + shift, b) for i, b in rest))
+
+
 def unfold_formula(sid: SID, f: Formula, depth: int) -> list[tuple[Prenex, bool]]:
     """All partial unfoldings of f, each predicate atom expanded to height <= depth.
 
@@ -568,45 +603,106 @@ def unfold_formula(sid: SID, f: Formula, depth: int) -> list[tuple[Prenex, bool]
     unfolding, in deterministic leftmost-innermost order; complete means no
     predicate atom remains.  Each rule body is prenexed once, into a template
     over its parameters and binders; an expansion instantiates it with one
-    simultaneous substitution that also renames the binders apart.
+    simultaneous substitution that also renames the binders apart.  The
+    oracle walks `complete_unfoldings`; this full walk is its reference.
     """
     counter = itertools.count()
-    binders0, atoms0 = prenex(f, counter, prefix="%u")
-    defined = set(sid.predicates)
-    for a in atoms0:
-        if isinstance(a, Pred) and a.name not in defined:
-            raise UndefinedPredicate(a.name)
-
     templates: dict[str, list[_Template]] = {}  # for each predicate reached
-
-    # a state pairs the prenex form with (index, budget) of its predicate
-    # atoms, leftmost first; the leftmost one is expanded next
     results: list[tuple[Prenex, bool]] = []
-    stack = [(binders0, atoms0, tuple((i, depth) for i, a in enumerate(atoms0)
-                                      if isinstance(a, Pred)))]
+    stack = [_start(sid, f, depth, counter)]
     while stack:
-        binders, atoms, pending = stack.pop()
+        state = stack.pop()
+        binders, atoms, pending = state
         results.append(((binders, atoms), not pending))
+        if not pending or pending[0][1] == 0:
+            continue
+        name = atoms[pending[0][0]].name
+        if name not in templates:
+            templates[name] = [_template(r) for r in sid.rules_of(name)]
+        stack.extend(reversed([_expand(state, t, counter) for t in templates[name]]))
+    return results
+
+
+def least_heights(sid: SID, roots: Iterable[str]) -> dict[str, float]:
+    """The least completion height of each predicate reachable from roots.
+
+    A rule with no predicate atom has height 1, any other 1 + the largest
+    height of its body predicates; a predicate takes the least height of
+    its rules, or inf when none of them ever completes.  Heights are found
+    level by level: each rule counts its body predicates still without one.
+    """
+    by_head: dict[str, list[Rule]] = {}
+    for r in sid.rules:
+        by_head.setdefault(r.head, []).append(r)
+    callers: dict[str, list[int]] = {}  # predicate -> rules calling it
+    waiting: list[int] = []  # per rule, its body predicates without a height
+    heads: list[str] = []
+    heights: dict[str, float] = {}
+    level: list[str] = []
+    seen = dict.fromkeys(roots)
+    todo = list(seen)
+    while todo:
+        for r in by_head[todo.pop()]:
+            called = {a.name for a in atoms_of(r.body) if isinstance(a, Pred)}
+            for name in called:
+                callers.setdefault(name, []).append(len(heads))
+                if name not in seen:
+                    seen[name] = None
+                    todo.append(name)
+            waiting.append(len(called))
+            heads.append(r.head)
+            if not called and r.head not in heights:
+                heights[r.head] = 1
+                level.append(r.head)
+    h = 1
+    while level:
+        h += 1
+        done, level = level, []
+        for name in done:
+            for k in callers.get(name, ()):
+                waiting[k] -= 1
+                if waiting[k] == 0 and heads[k] not in heights:
+                    heights[heads[k]] = h
+                    level.append(heads[k])
+    return {name: heights.get(name, math.inf) for name in seen}
+
+
+def complete_unfoldings(sid: SID, f: Formula, depth: int) -> list[Prenex]:
+    """The complete unfoldings of f at height <= depth, as prenex forms.
+
+    They come in the order of the complete entries of `unfold_formula`, but
+    the walk keeps only states from which one is still reachable: it expands
+    an atom with budget b only by rules whose body predicates have least
+    completion heights <= b - 1 (`least_heights`).  Pruned branches draw no
+    fresh names, so binder numbers differ from `unfold_formula`'s.
+    """
+    counter = itertools.count()
+    start = _start(sid, f, depth, counter)
+    _, atoms0, pending0 = start
+    roots = [atoms0[i].name for i, _ in pending0]
+    heights = least_heights(sid, roots)
+    if any(heights[name] > depth for name in roots):
+        return []
+    # for each predicate reached, its rule templates with their heights
+    templates: dict[str, list[tuple[float, _Template]]] = {}
+    results: list[Prenex] = []
+    stack = [start]
+    while stack:
+        state = stack.pop()
+        binders, atoms, pending = state
         if not pending:
+            results.append((binders, atoms))
             continue
-        (at, budget), rest = pending[0], pending[1:]
-        if budget == 0:
-            continue
-        pred, head, tail = atoms[at], atoms[:at], atoms[at + 1:]
-        if pred.name not in templates:
-            templates[pred.name] = [_template(r) for r in sid.rules_of(pred.name)]
-        successors = []
-        for params, tbinders, tatoms, preds in templates[pred.name]:
-            fresh = tuple(Var("%u", (next(counter),)) for _ in tbinders)
-            mapping = dict(zip(params, pred.args))
-            mapping.update(zip(tbinders, fresh))
-            shift = len(tatoms) - 1
-            successors.append((
-                binders + fresh,
-                head + tuple(substitute(a, mapping) for a in tatoms) + tail,
-                tuple((at + i, budget - 1) for i in preds)
-                + tuple((i + shift, b) for i, b in rest)))
-        stack.extend(reversed(successors))
+        at, budget = pending[0]
+        name = atoms[at].name
+        if name not in templates:
+            templates[name] = []
+            for t in map(_template, sid.rules_of(name)):
+                _, _, tatoms, preds = t
+                h = 1 + max((heights[tatoms[i].name] for i in preds), default=0)
+                templates[name].append((h, t))
+        stack.extend(reversed([_expand(state, t, counter)
+                               for h, t in templates[name] if h <= budget]))
     return results
 
 
@@ -625,5 +721,4 @@ def eval_bounded(g: Configuration, nu: Mapping[Var, str], f: Formula,
     Sound for satisfaction; a False answer only rules out models arising
     from unfoldings within the depth bound.
     """
-    return any(compile_prenex(*u)(g, nu)
-               for u, complete in unfold_formula(sid, f, depth) if complete)
+    return any(compile_prenex(*u)(g, nu) for u in complete_unfoldings(sid, f, depth))

@@ -18,8 +18,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction, step
 from .eqform import Partition
-from .logic import (Atom, Formula, SID, Var, atom_vars, atoms_of, exists,
-                    free_vars, prenex, split_atoms, unfold_formula, var_text)
+from .logic import (Atom, Formula, SID, Var, atom_vars, atoms_of,
+                    complete_unfoldings, exists, free_vars, prenex, split_atoms,
+                    var_text)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +257,7 @@ def enumerate_models(sid: SID, f: Formula, depth: int) -> ModelSet:
         fv = free_vars(f)
         free = [v for v in atom.args if v in fv]
         ms = ModelSet()
-        for k, ((binders, atoms), complete) in enumerate(unfold_formula(sid, f, depth)):
-            if not complete:
-                continue
+        for k, (binders, atoms) in enumerate(complete_unfoldings(sid, f, depth)):
             for g, nu in enumerate_pf_models(binders, atoms, free, sid.behavior.states):
                 ms.add(g, nu, provenance=f"unfolding#{k}")
         memo[f, depth] = ms

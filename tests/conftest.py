@@ -2,9 +2,14 @@ import hashlib
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from clhavoc.frontend import Query, SystemFile, parse_system, render_system
 from clhavoc.reduction import reduce_havoc_to_entailment
+
+# CI runs `pytest --hypothesis-profile=ci`: every run, under any hash seed,
+# tries the same examples, so a failure there reproduces locally
+settings.register_profile("ci", derandomize=True)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -75,6 +80,12 @@ def corpus_text(name: str) -> str:
         sf = load("pcring.clsys")
         return reduced_text(sf, reduce_havoc_to_entailment(sf.sid, "PcRing_1_1"))
     return (FIXTURES / name).read_text()
+
+
+# (fixture, predicate, depth) of the reductions whose checks the oracle
+# tests replay, and whose derived predicates the unfolding tests walk
+REUSE_CASES = [("ring.clsys", "Ring_1_1", 4), ("chain.clsys", "Chain_1_1", 4),
+               ("tll.clsys", "Node", 3)]
 
 
 def sha256(text: str) -> str:

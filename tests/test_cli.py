@@ -125,6 +125,24 @@ def test_check_without_entailments_unknown(capsys, tmp_path):
     assert out == "verdict: Unknown (no entailment to check)\n"
 
 
+INCOMPLETE = "no unfolding of Ring_2_2 completes within depth 3; least height 5"
+
+
+def ring2_file(tmp_path):
+    """ring.clsys with budgets 0..2, whose Ring_2_2 has least height 5."""
+    src = tmp_path / "ring2.clsys"
+    src.write_text((FIXTURES / "ring.clsys").read_text().replace("=0..1", "=0..2"))
+    return str(src)
+
+
+def test_check_without_complete_unfoldings_unknown(capsys, tmp_path):
+    # no model within the depth: every entailment would hold vacuously
+    code, out, _ = run(capsys, "check", ring2_file(tmp_path), "--pred", "Ring_2_2",
+                       "--depth", "3", "--assume-tight")
+    assert code == 2
+    assert out == f"verdict: Unknown ({INCOMPLETE})\n"
+
+
 # ring.clsys's behavior with a predicate R whose rewritten component x has a
 # second state atom: a repeat on x, one on a variable equal to x, one in a
 # called rule; the expected refusal names the rule and the variable
@@ -205,6 +223,28 @@ def test_oracle_without_targets_unknown(capsys):
     assert code == 2
     assert out.endswith("direct: InvariantUpToDepth(3)\n"
                         "cross-validation: Unknown (no target)\n")
+
+
+def test_oracle_without_complete_unfoldings_unknown(capsys, tmp_path):
+    # no model within the depth: both the direct check and the comparison
+    # of two empty sides would pass vacuously
+    code, out, _ = run(capsys, "oracle", ring2_file(tmp_path), "--pred", "Ring_2_2",
+                       "--depth", "3", "--assume-tight")
+    assert code == 2
+    assert out == ("models(Ring_2_2, depth=3): 0\n"
+                   f"direct: Unknown ({INCOMPLETE})\n"
+                   f"cross-validation: Unknown ({INCOMPLETE})\n")
+
+
+def test_oracle_predicate_that_never_completes(capsys, tmp_path):
+    src = tmp_path / "loop.clsys"
+    src.write_text((FIXTURES / "ring.clsys").read_text().split("sid {")[0]
+                   + "sid {\n  Loop() <- exists x . comp(x : H) * Loop();\n}\n")
+    code, out, _ = run(capsys, "oracle", str(src), "--pred", "Loop", "--depth", "3",
+                       "--assume-tight")
+    assert code == 2
+    assert "direct: Unknown (no unfolding of Loop completes within depth 3; " \
+        "none ever completes)\n" in out
 
 
 def test_trace_transducer_emits_witnesses(capsys, tmp_path):

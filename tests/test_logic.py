@@ -7,6 +7,7 @@ evaluator (bijective matching) must agree with it everywhere.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -15,13 +16,15 @@ from hypothesis import strategies as st
 
 from clhavoc.core import Behavior, Configuration, Interaction
 from clhavoc.frontend import parse_system, render_var
-from clhavoc.logic import (Comp, Emp, Eq, Exists, Inter, Neq, Pred, SepConj,
-                           StateAtom, UnboundVariable, UndefinedPredicate, Var,
-                           atom_text, atom_vars, comp_in, eval_bounded,
-                           eval_pf, exists, free_vars, prenex, sep,
+from clhavoc.logic import (SID, Comp, Emp, Eq, Exists, Inter, Neq, Pred, Rule,
+                           SepConj, StateAtom, UnboundVariable,
+                           UndefinedPredicate, Var, atom_text, atom_vars,
+                           comp_in, complete_unfoldings, eval_bounded, eval_pf,
+                           exists, free_vars, least_heights, prenex, sep,
                            substitute, unfold, unfold_formula, var_text)
+from clhavoc.reduction import reduce_havoc_to_entailment
 
-from conftest import corpus, corpus_text
+from conftest import REUSE_CASES, corpus, corpus_text, load
 
 X, Y, Z, U = Var("x"), Var("y"), Var("z"), Var("u")
 TOKEN = Behavior.make(["in", "out"], ["H", "T"],
@@ -432,3 +435,70 @@ def test_unfold_formula_matches_reference_under_binders(ring):
         want = reference_unfold_formula(sid, f, depth)
         got = unfold_formula(sid, f, depth)
         assert [(exists(b, sep(*a)), done) for (b, a), done in got] == want
+
+
+# ---------------------------------------------------------------------------
+# the pruned walk to complete unfoldings
+
+def binders_ranked(form):
+    """A prenex form with each binder renamed to its rank among the binders,
+    so two forms agree iff one is the other under an order-preserving
+    renaming of binders."""
+    binders, atoms = form
+    rank = {b: Var("%r", (k,)) for k, b in enumerate(sorted(binders))}
+    return tuple(rank[b] for b in binders), tuple(substitute(a, rank) for a in atoms)
+
+
+def assert_walk_matches_reference(sid, f, depth):
+    want = [binders_ranked(u) for u, done in unfold_formula(sid, f, depth) if done]
+    assert [binders_ranked(u) for u in complete_unfoldings(sid, f, depth)] == want
+
+
+def assert_heights_match_brute_force(sid, preds, max_depth=5):
+    heights = least_heights(sid, preds)
+    for pred in preds:
+        least = next((d for d in range(max_depth + 1)
+                      if any(done for _, done in unfold_formula(sid, sid.atom(pred), d))),
+                     None)
+        if least is None:
+            assert heights[pred] > max_depth, pred
+        else:
+            assert heights[pred] == least, pred
+
+
+@pytest.mark.parametrize("name", corpus())
+def test_complete_unfoldings_match_reference(name):
+    sid = parse_system(corpus_text(name)).sid
+    for pred in sid.predicates:
+        for depth in range(MAX_DEPTH.get(name, 5) + 1):
+            assert_walk_matches_reference(sid, sid.atom(pred), depth)
+    assert_heights_match_brute_force(sid, sid.predicates)
+
+
+def test_complete_unfoldings_match_reference_under_binders(ring):
+    f = exists([Y], sep(Pred("Chain_1_1", (X, Y)), Pred("Chain_0_1", (Y, X))))
+    for depth in range(5):
+        assert_walk_matches_reference(ring.sid, f, depth)
+
+
+@pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
+def test_complete_unfoldings_of_derived_predicates(name, pred, depth):
+    result = reduce_havoc_to_entailment(load(name).sid, pred, assume_tight=True)
+    sid = result.combined_sid
+    for p in result.derived_sid.predicates:
+        for d in range(depth + 1):
+            assert_walk_matches_reference(sid, sid.atom(p), d)
+    assert_heights_match_brute_force(sid, result.derived_sid.predicates)
+
+
+def test_predicate_that_never_completes():
+    # Loop only calls itself; Maybe completes only by its base rule
+    loop = Rule("Loop", (X,), sep(Comp(X), Pred("Loop", (X,))))
+    maybe = [Rule("Maybe", (X,), Pred("Loop", (X,))), Rule("Maybe", (X,), comp_in(X, "H"))]
+    sid = SID((loop, *maybe), TOKEN)
+    assert least_heights(sid, ["Maybe"]) == {"Maybe": 1, "Loop": math.inf}
+    for depth in range(4):
+        assert complete_unfoldings(sid, Pred("Loop", (X,)), depth) == []
+        assert_walk_matches_reference(sid, Pred("Loop", (X,)), depth)
+        assert_walk_matches_reference(sid, Pred("Maybe", (X,)), depth)
+    assert complete_unfoldings(sid, Pred("Maybe", (X,)), 3) == [((), (Comp(X), StateAtom(X, "H")))]

@@ -15,9 +15,8 @@ from clhavoc import logic, oracle
 from clhavoc.automata import sid_to_ta
 from clhavoc.core import Behavior, Configuration, Interaction, step
 from clhavoc.frontend import parse_system, render_config
-from clhavoc.logic import (Eq, Neq, Pred, SID, Var, comp_in, eval_bounded,
-                           eval_pf, exists, sep, unfold, unfold_formula,
-                           var_text)
+from clhavoc.logic import (Eq, Neq, Pred, SID, Var, comp_in, complete_unfoldings,
+                           eval_bounded, eval_pf, exists, sep, unfold, var_text)
 from clhavoc.oracle import (Counterexample, CrossReport, EntailReport, HavocReport,
                             Model, _model_order, canonical_model,
                             cross_validate_reduction, enumerate_models,
@@ -25,7 +24,7 @@ from clhavoc.oracle import (Counterexample, CrossReport, EntailReport, HavocRepo
 from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
 from clhavoc.transducer import transducer_step
 
-from conftest import source_fixtures
+from conftest import REUSE_CASES, source_fixtures
 
 X1, X2 = Var("x1"), Var("x2")
 
@@ -590,17 +589,29 @@ def checked(name, pred, depth):
     return sid, result
 
 
-REUSE_CASES = [("ring.clsys", "Ring_1_1", 4), ("chain.clsys", "Chain_1_1", 4),
-               ("tll.clsys", "Node", 3)]
+def spy_unfoldings(monkeypatch):
+    """Record every unfolding walk the oracle starts from now on."""
+    calls = []
+    monkeypatch.setattr(oracle, "complete_unfoldings",
+                        lambda *args: calls.append(args) or complete_unfoldings(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
+def test_unfolding_spy_sees_a_fresh_enumeration(name, pred, depth, monkeypatch):
+    # the reuse tests below assert that the spy records nothing; this one
+    # fails if the oracle stops calling the walk the spy wraps
+    calls = spy_unfoldings(monkeypatch)
+    sid = parse_system(XVAL_TEXTS[name]).sid
+    assert enumerate_models(sid, sid.atom(pred), depth)
+    assert calls == [(sid, sid.atom(pred), depth)]
 
 
 @pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
 def test_cross_validation_reuses_built_models(name, pred, depth, monkeypatch):
     sid, result = checked(name, pred, depth)
     havoc_invariant_bounded(sid, pred, depth)
-    calls = []
-    monkeypatch.setattr(oracle, "unfold_formula",
-                        lambda *args: calls.append(args) or unfold_formula(*args))
+    calls = spy_unfoldings(monkeypatch)
     cross_validate_reduction(sid, pred, depth, result)
     assert calls == []
 
@@ -634,9 +645,7 @@ def test_combined_sid_keeps_source_models_in_source_memo(name, pred, depth):
 @pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
 def test_direct_check_after_entailments_unfolds_nothing(name, pred, depth, monkeypatch):
     sid, _ = checked(name, pred, depth)
-    calls = []
-    monkeypatch.setattr(oracle, "unfold_formula",
-                        lambda *args: calls.append(args) or unfold_formula(*args))
+    calls = spy_unfoldings(monkeypatch)
     havoc_invariant_bounded(sid, pred, depth)
     assert calls == []
 
