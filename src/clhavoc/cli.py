@@ -57,20 +57,11 @@ def _refused(e: Exception) -> None:
 
 
 def _reduce(sf: SystemFile, args) -> ReductionResult:
-    return reduce_havoc_to_entailment(sf.sid, args.pred,
-                                      assume_tight=args.assume_tight)
-
-
-def _write_reduction(sf: SystemFile, result: ReductionResult, path: str,
-                     out: str | None, trace: bool) -> str:
-    queries = [frontend.Query("entail", lhs, rhs) for lhs, rhs in result.entailments]
-    reduced = frontend.SystemFile(sf.behavior, result.combined_sid, {}, queries)
-    reduced_path, manifest_path = _reduced_paths(path, out)
-    with open(reduced_path, "w", encoding="utf-8") as fh:
-        fh.write(render_system(reduced))
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest_dict(result), indent=2, sort_keys=True) + "\n")
-    if trace:
+    """Reduce args.pred; with --trace-transducer, print each product
+    transition's witnesses to stderr."""
+    result = reduce_havoc_to_entailment(sf.sid, args.pred,
+                                        assume_tight=args.assume_tight)
+    if args.trace_transducer:
         for tr, wits in sorted(result.witnesses.items(),
                                key=lambda kv: symbol_text(kv[0].symbol)):
             for w in wits:
@@ -78,6 +69,18 @@ def _write_reduction(sf: SystemFile, result: ReductionResult, path: str,
                     f"trace: {symbol_text(tr.symbol)} tau=({','.join(w.tau)}) "
                     f"rewrites={[(i, var_text(x), q, q2) for i, x, q, q2 in w.rewrites]} "
                     f"fired_atom={w.fired_atom}\n")
+    return result
+
+
+def _write_reduction(sf: SystemFile, result: ReductionResult, path: str,
+                     out: str | None) -> str:
+    queries = [frontend.Query("entail", lhs, rhs) for lhs, rhs in result.entailments]
+    reduced = frontend.SystemFile(sf.behavior, result.combined_sid, {}, queries)
+    reduced_path, manifest_path = _reduced_paths(path, out)
+    with open(reduced_path, "w", encoding="utf-8") as fh:
+        fh.write(render_system(reduced))
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest_dict(result), indent=2, sort_keys=True) + "\n")
     return reduced_path
 
 
@@ -150,8 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         except REFUSED as e:
             _refused(e)
             return 2
-        reduced_path = _write_reduction(sf, result, args.file, args.output,
-                                        args.trace_transducer)
+        reduced_path = _write_reduction(sf, result, args.file, args.output)
         sys.stdout.write(f"wrote {reduced_path}\n")
         sys.stdout.write(f"targets: {len(result.targets)}\n")
         for t in result.targets:
@@ -163,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
             result = _reduce(sf, args)
         except REFUSED as e:
             _refused(e)
-            sys.stdout.write("verdict: Unknown\n")
+            _emit("verdict: Unknown\n", args.output)
             return 2
         if not result.entailments:
             # no target survived the reduction: nothing was checked

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import Behavior, Configuration, Interaction
+from .core import Behavior, Configuration
 from .eqform import Partition
 
 
@@ -421,131 +421,78 @@ def split_atoms(atoms: Iterable[Atom]) -> tuple[list[Var], list[Inter], list[Sta
     return kinds
 
 
-# A compiled satisfaction check of one formula: (g, nu) -> (g, nu) |= f.
-Check = Callable[[Configuration, Mapping[Var, str]], bool]
+def satisfies(g: Configuration, nu: Mapping[Var, str], binders: Sequence[Var],
+              atoms: Sequence[Atom]) -> bool:
+    """Does (g, nu) satisfy the predicate-free prenex form `exists binders . *atoms`?
 
-
-def compile_prenex(binders: Sequence[Var], atoms: Sequence[Atom]) -> Check:
-    """Compile the predicate-free prenex form `exists binders . *atoms`.
-
-    What depends on the formula alone is worked out here; the check does the
-    store lookup (raising UnboundVariable for a free variable, one that occurs
-    in an atom and is not bound) and the bijective matching.  Existential
-    witnesses outside g are drawn from the infinite pool of absent
-    components: any required state is available on a fresh id.
+    Equalities join the variables into classes, and the store gives the
+    classes of the free variables (those that occur in an atom and are not
+    bound) their values; a free variable missing from the store raises
+    UnboundVariable.  Each interaction atom then takes a distinct
+    interaction of its port tuple and each component atom a distinct present
+    component, consistently per class (`_match`); equal counts make the
+    cover exact.  A class left without a value is a fresh id from the
+    infinite pool of absent components.
     """
-    comp_vars, inters, states, eqs, neqs = split_atoms(atoms)
-
+    comps, inters, states, eqs, neqs = split_atoms(atoms)
     allvars = set(binders)
     for a in atoms:
         allvars.update(atom_vars(a))
-    fv = tuple(allvars.difference(binders))
-    slot_of = Partition(allvars, eqs).roots()
-    fv_slots = [(v, slot_of[v]) for v in fv]
-
-    # a formula whose own atoms contradict each other holds nowhere
-    state_req: dict[int, str] = {}
-    consistent = True
-    for a in states:
-        s = slot_of[a.var]
-        consistent &= state_req.setdefault(s, a.state) == a.state
-    neq_of: dict[int, list[int]] = {}
-    for x, y in neqs:
-        sx, sy = slot_of[x], slot_of[y]
-        consistent &= sx != sy
-        neq_of.setdefault(sx, []).append(sy)
-        neq_of.setdefault(sy, []).append(sx)
-    comp_slots = [slot_of[v] for v in comp_vars]
-    consistent &= len(set(comp_slots)) == len(comp_slots)
-    inter_atoms = [(tuple(p for _, p in a.bindings), [slot_of[v] for v, _ in a.bindings])
-                   for a in inters]
-    ncomps, ninters = len(comp_slots), len(inter_atoms)
-
-    def check(g: Configuration, nu: Mapping[Var, str]) -> bool:
-        missing = [v for v in fv if v not in nu]
-        if missing:
-            raise UnboundVariable(f"store misses {sorted(var_text(v) for v in missing)}")
-        if not consistent or len(g.components) != ncomps or len(g.interactions) != ninters:
+    free = allvars.difference(binders)
+    missing = free.difference(nu)
+    if missing:
+        raise UnboundVariable(f"store misses {sorted(var_text(v) for v in missing)}")
+    if len(g.components) != len(comps) or len(g.interactions) != len(inters):
+        return False
+    cls = Partition(allvars, eqs).roots()
+    value: dict[int, str] = {}
+    for v in free:
+        if value.setdefault(cls[v], nu[v]) != nu[v]:
             return False
+    # per spatial atom, its classes and its candidates (key, ids); interaction
+    # atoms go first, as each binds several classes.  A key is an Interaction
+    # or a component id, and the two never compare equal, so a unary
+    # interaction does not use up the component it binds.
+    spatial = []
+    for a in inters:
+        ports = tuple(p for _, p in a.bindings)
+        spatial.append(([cls[v] for v, _ in a.bindings],
+                        [(i, i.components) for i in g.interactions if i.itype == ports]))
+    spatial += [([cls[v]], [(c, (c,)) for c in g.components]) for v in comps]
+    pure = ([(cls[a.var], a.state) for a in states],
+            [(cls[x], cls[y]) for x, y in neqs], g.state_map)
+    return _match(spatial, 0, value, frozenset(), pure)
 
-        assign: dict[int, str] = {}
-        for v, s in fv_slots:
-            if s in assign and assign[s] != nu[v]:
-                return False
-            assign[s] = nu[v]
 
-        rho = g.state_map
-
-        def ok_value(s: int, cid: str) -> bool:
-            if s in state_req and rho.get(cid) != state_req[s]:
-                return False
-            return all(assign.get(t) != cid for t in neq_of.get(s, ()))
-
-        if not all(ok_value(s, cid) for s, cid in assign.items()):
-            return False
-
-        def put(s: int, cid: str, trail: list[int]) -> bool:
-            if s in assign:
-                return assign[s] == cid
-            if not ok_value(s, cid):
-                return False
-            assign[s] = cid
-            trail.append(s)
-            return True
-
-        cands = sorted(g.interactions, key=repr)
-        comps = sorted(g.components)
-
-        def match_inters(k: int, used: set[Interaction]) -> bool:
-            if k == ninters:
-                return match_comps(0, set())
-            ports, slots = inter_atoms[k]
-            for cand in cands:
-                if cand in used or cand.itype != ports:
-                    continue
-                trail: list[int] = []
-                good = all(put(s, cid, trail) for s, cid in zip(slots, cand.components))
-                if good and match_inters(k + 1, used | {cand}):
-                    return True
-                for s in trail:
-                    del assign[s]
-            return False
-
-        # slots left unassigned are spatially unconstrained: the infinite pool
-        # of absent components supplies a distinct witness in any state
-        def match_comps(k: int, used: set[str]) -> bool:
-            if k == ncomps:
-                return len(used) == len(comps)
-            s = comp_slots[k]
-            if s in assign:
-                cid = assign[s]
-                if cid in used or cid not in g.components:
+def _match(spatial: list, k: int, value: dict[int, str], used: frozenset,
+           pure: tuple) -> bool:
+    """Match spatial[k:] on top of the class values so far, then check the
+    state atoms and disequalities."""
+    if k == len(spatial):
+        states, neqs, rho = pure
+        fresh: dict[int, str] = {}
+        for s, q in states:
+            if s in value:
+                if rho.get(value[s]) != q:
                     return False
-                return match_comps(k + 1, used | {cid})
-            for cid in comps:
-                if cid in used:
-                    continue
-                trail: list[int] = []
-                if put(s, cid, trail) and match_comps(k + 1, used | {cid}):
-                    return True
-                for st in trail:
-                    del assign[st]
-            return False
-
-        try:
-            return match_inters(0, set())
-        finally:
-            # the matchers reach themselves through their closure cells;
-            # emptying the cells frees them, and the configuration they hold,
-            # without waiting for the cycle collector
-            match_inters = match_comps = None
-
-    return check
+            elif fresh.setdefault(s, q) != q:
+                return False
+        return all(a != b and (a not in value or value[a] != value.get(b))
+                   for a, b in neqs)
+    classes, cands = spatial[k]
+    for key, ids in cands:
+        if key in used:
+            continue
+        new = dict(value)
+        if (all(new.setdefault(s, c) == c for s, c in zip(classes, ids))
+                and _match(spatial, k + 1, new, used | {key}, pure)):
+            return True
+    return False
 
 
 def eval_pf(g: Configuration, nu: Mapping[Var, str], f: Formula) -> bool:
     """Does (g, nu) satisfy the predicate-free formula f?"""
-    return compile_prenex(*prenex(f))(g, nu)
+    return satisfies(g, nu, *prenex(f))
 
 
 # ---------------------------------------------------------------------------
@@ -721,4 +668,4 @@ def eval_bounded(g: Configuration, nu: Mapping[Var, str], f: Formula,
     Sound for satisfaction; a False answer only rules out models arising
     from unfoldings within the depth bound.
     """
-    return any(compile_prenex(*u)(g, nu) for u in complete_unfoldings(sid, f, depth))
+    return any(satisfies(g, nu, *u) for u in complete_unfoldings(sid, f, depth))

@@ -115,6 +115,19 @@ def test_check_gated_unknown(capsys, tmp_path):
     assert "verdict: Unknown" in out
 
 
+def test_check_gated_unknown_to_output_file(capsys, tmp_path):
+    # the gated verdict goes to -o like every other verdict of check
+    src = tmp_path / "ring.clsys"
+    shutil.copy(FIXTURES / "ring.clsys", src)
+    dest = tmp_path / "out.txt"
+    code, out, err = run(capsys, "check", str(src), "--pred", "Ring_1_1",
+                         "--depth", "2", "-o", str(dest))
+    assert code == 2
+    assert out == ""
+    assert dest.read_text() == "verdict: Unknown\n"
+    assert "TightnessNotEstablished" in err
+
+
 def test_check_without_entailments_unknown(capsys, tmp_path):
     # the reduction of tll_pcr's Root leaves no target: a positive verdict
     # would rest on zero checked entailments
@@ -254,6 +267,16 @@ def test_trace_transducer_emits_witnesses(capsys, tmp_path):
                          "--assume-tight", "--trace-transducer")
     assert code == 0
     assert "trace:" in err
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_trace_transducer_on_every_reducing_command(command, capsys, tmp_path):
+    src = tmp_path / "bad.clsys"
+    shutil.copy(FIXTURES / "bad.clsys", src)
+    code, _, err = run(capsys, command, str(src), "--pred", "TH", "--depth", "2",
+                       "--assume-tight", "--trace-transducer")
+    assert code == 1
+    assert err.startswith("trace: ")
 
 
 # sha256 of `clhavoc analyze` stdout for every source fixture

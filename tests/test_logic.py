@@ -217,6 +217,17 @@ def test_eval_pf_matches_naive_with_existentials():
         assert eval_pf(g, {}, f) == naive_eval(g, {}, f), f
 
 
+def test_eval_pf_unary_interaction_on_a_present_component():
+    # one component is bound by a component atom and by a unary interaction
+    # atom: the interaction does not use up the component
+    g = Configuration.make(["c1"], [Interaction.make(("c1", "out"))], {"c1": "H"})
+    f = sep(Comp(X), Inter(((X, "out"),)))
+    for case, nu in ((f, {X: "c1"}), (exists([X], f), {})):
+        assert eval_pf(g, nu, case) and naive_eval(g, nu, case)
+    sid = SID((Rule("P", (), exists([X], f)),), TOKEN)
+    assert eval_bounded(g, {}, Pred("P", ()), sid, 1)
+
+
 def test_eval_distributes_over_compose():
     # g |= f1 * f2 iff some split satisfies the parts: the naive evaluator is
     # the split enumeration itself, so agreement on conjunctions proves it
@@ -232,15 +243,18 @@ IDS = ["c1", "c2", "c3"]
 VARS = [X, Y, Z]
 
 
+def _ports(n):
+    return st.tuples(*[st.sampled_from(["in", "out"])] * n)
+
+
 def _configs():
     states = st.sampled_from(["H", "T"])
     comps = st.sets(st.sampled_from(IDS), max_size=3)
-    inter = st.tuples(st.permutations(IDS).map(lambda p: tuple(p[:2])),
-                      st.tuples(st.sampled_from(["in", "out"]),
-                                st.sampled_from(["in", "out"])))
-    inters = st.sets(inter, max_size=2).map(
-        lambda ps: frozenset(Interaction.make((cs[0], ports[0]), (cs[1], ports[1]))
-                             for cs, ports in ps))
+    # interactions of arity 1 to 3 over distinct components
+    inter = st.integers(1, 3).flatmap(lambda n: st.builds(
+        lambda cs, ports: Interaction(tuple(zip(cs, ports))),
+        st.permutations(IDS), _ports(n)))
+    inters = st.sets(inter, max_size=2)
     rho = st.fixed_dictionaries({c: states for c in IDS})
     return st.builds(lambda cs, its, r: Configuration.make(cs, its, r),
                      comps, inters, rho)
@@ -251,8 +265,9 @@ def _atoms_strategy():
     return st.one_of(
         st.builds(Comp, v),
         st.builds(StateAtom, v, st.sampled_from(["H", "T"])),
-        st.builds(lambda a, b, p, q: Inter(((a, p), (b, q))), v, v,
-                  st.sampled_from(["in", "out"]), st.sampled_from(["in", "out"])),
+        st.integers(1, 3).flatmap(lambda n: st.builds(
+            lambda vs, ports: Inter(tuple(zip(vs, ports))),
+            st.lists(v, min_size=n, max_size=n), _ports(n))),
         st.builds(Eq, v, v),
         st.builds(Neq, v, v),
     )

@@ -266,15 +266,18 @@ def test_oracle_compiles_no_check(monkeypatch):
     # model sets; a fresh SID, so no earlier test has built them
     sid = parse_system(XVAL_TEXTS["ring.clsys"]).sid
     calls = []
-    compile_prenex = logic.compile_prenex
-    monkeypatch.setattr(logic, "compile_prenex",
-                        lambda *args: calls.append(args) or compile_prenex(*args))
+    satisfies = logic.satisfies
+    monkeypatch.setattr(logic, "satisfies",
+                        lambda *args: calls.append(args) or satisfies(*args))
     assert havoc_invariant_bounded(sid, "Ring_1_1", 4).invariant
     assert not havoc_invariant_bounded(parse_system(ANCHORED).sid, "Anchored", 4).invariant
     assert entails_bounded(sid, "Chain_1_1", "Chain_0_1", 4).holds
     # the right-hand side has two more parameters than the left
     assert not entails_bounded(sid, "Ring_1_1", "Chain_1_1", 4).holds
     assert calls == []
+    # the reference semantics does match, through the patched matcher
+    assert eval_pf(Configuration.make([], [], {}), {}, sep())
+    assert len(calls) == 1
 
 
 def reference_havoc(sid, pred, depth):
@@ -719,9 +722,16 @@ def test_recursive_helpers_leave_no_cycles():
         assert class_equiv(sf.sid, result.derived_sid).verdict == "equivalent"
         # a leaf with rewrites: the choice of rewrites recurses
         assert len(transducer_step(("out", "in"), leaf, [], sf.sid.behavior, 2)) > 1
+        # the matcher of the reference semantics
+        atom = sf.sid.atom("Ring_1_1")
+        model = enumerate_models(sf.sid, atom, 3).models()[0]
+        assert eval_bounded(model.config, model.store, atom, sf.sid, 3)
+        assert any(eval_pf(model.config, model.store, f)
+                   for f, complete in unfold(sf.sid, atom, 3) if complete)
         gc.collect()
-        names = {f.__name__ for f in gc.garbage if isinstance(f, types.FunctionType)}
+        funcs = [f for f in gc.garbage if isinstance(f, types.FunctionType)]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
-    assert not names & {"merges", "solve", "emit", "choose"}
+    assert not {f.__name__ for f in funcs} & {"merges", "solve", "emit", "choose"}
+    assert not [f for f in funcs if f.__module__ == "clhavoc.logic"]
