@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import degree
 from .eqform import Partition
 from .logic import (Comp, Emp, Eq, Exists, Inter, Neq, Pred, SID, SepConj,
-                    StateAtom, atoms_of, prenex, split_atoms, var_text)
+                    StateAtom, split_atoms, var_text)
+from .oracle import enumerate_models
 
 
 def formula_size(f) -> int:
@@ -42,13 +44,10 @@ def sid_metrics(sid: SID) -> tuple[int, int, int, int]:
     maxinter = 0
     maxpreds = 0
     for r in sid.rules:
-        preds = 0
-        for a in atoms_of(r.body):
+        for a in r.atoms:
             if isinstance(a, Inter):
                 maxinter = max(maxinter, len(a.bindings))
-            if isinstance(a, Pred):
-                preds += 1
-        maxpreds = max(maxpreds, preds)
+        maxpreds = max(maxpreds, len(r.calls))
     return size, maxarity, maxinter, maxpreds
 
 
@@ -65,9 +64,7 @@ def profile(sid: SID) -> dict[str, frozenset[int]]:
         changed = False
         for rule in sid.rules:
             params = rule.params
-            for atom in atoms_of(rule.body):
-                if not isinstance(atom, Pred):
-                    continue
+            for atom in rule.preds:
                 for i in sorted(prof[atom.name]):
                     y = atom.args[i - 1]
                     if not any(params[j - 1] == y for j in prof[rule.head]):
@@ -116,10 +113,8 @@ def check_pcr(sid: SID) -> PcrReport:
     prof = profile(sid)
     rows = []
     for idx, rule in enumerate(sid.rules):
-        binders, atoms = prenex(rule.body)
-        preds = [a for a in atoms if isinstance(a, Pred)]
-        comps, inters, states, eqs, neqs = split_atoms(
-            a for a in atoms if not isinstance(a, Pred))
+        preds = rule.preds
+        comps, inters, states, eqs, neqs = split_atoms(rule.pf_atoms)
         reasons: list[str] = []
 
         progressing = True
@@ -138,7 +133,7 @@ def check_pcr(sid: SID) -> PcrReport:
                 roots = Partition([x1], eqs).roots()
                 cls = {v for v, r in roots.items() if r == roots[x1]}
                 zvars = {z for pa in preds for z in pa.args}
-                rhs = set(rule.params[1:]) | set(binders)
+                rhs = set(rule.params[1:]) | set(rule.binders)
                 if zvars - cls != rhs - cls:
                     progressing = False
                     only_rhs = sorted(var_text(v) for v in (rhs - cls) - zvars)
@@ -201,8 +196,6 @@ def render_pcr_table(sid: SID, report: PcrReport) -> str:
 
 def degree_sample(sid: SID, pred: str, depth: int) -> int:
     """Maximum degree over all bounded models; an empirical lower bound only."""
-    from .oracle import enumerate_models
-    from .core import degree
     best = 0
     for model in enumerate_models(sid, sid.atom(pred), depth).models():
         best = max(best, degree(model.config))

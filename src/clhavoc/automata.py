@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .core import Behavior
 from .logic import (Atom, Eq, Formula, Pred, Rule, SID, Var, atom_text,
                     boundvar, childparam, exists, free_vars, nodeex, nodevar,
-                    param, prenex, sep, substitute, var_text)
+                    param, sep, substitute, var_text)
 
 
 class BadAddress(KeyError):
@@ -222,16 +222,14 @@ def sid_to_ta(sid: SID) -> tuple[TreeAutomaton, dict[str, object]]:
     transitions: list[TaTransition] = []
     symcache: dict[AlphabetSymbol, AlphabetSymbol] = {}
     for rule in sid.rules:
-        binders, atoms = prenex(rule.body)
-        preds = [a for a in atoms if isinstance(a, Pred)]
-        qpf = [a for a in atoms if not isinstance(a, Pred)]
+        preds = rule.preds
         mapping = {x: param(j) for j, x in enumerate(rule.params, start=1)}
-        body = [substitute(a, mapping) for a in qpf]
+        body = [substitute(a, mapping) for a in rule.pf_atoms]
         for l, pa in enumerate(preds, start=1):
             for i, z in enumerate(pa.args, start=1):
                 body.append(Eq(childparam(l, i), mapping.get(z, z)))
         arities = [len(rule.params)] + [sid.arity(p.name) for p in preds]
-        sym = make_symbol(binders, body, arities)
+        sym = make_symbol(rule.binders, body, arities)
         sym = symcache.setdefault(sym, sym)
         transitions.append(TaTransition(sym, tuple(p.name for p in preds), rule.head))
     ta = TreeAutomaton.make(transitions, states=tuple(sid.predicates))

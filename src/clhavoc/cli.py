@@ -16,6 +16,7 @@ import sys
 
 from . import frontend
 from .analysis import render_pcr_table, check_pcr
+from .core import havoc_closure
 from .frontend import (ParseError, SystemFile, parse_system, render_config,
                        render_system)
 from .logic import least_heights, var_text
@@ -139,7 +140,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.config not in sf.configs:
             sys.stderr.write(f"unknown config {args.config!r}\n")
             return 3
-        from .core import havoc_closure
         reach = sorted(havoc_closure(sf.behavior, sf.configs[args.config]),
                        key=lambda g: g.state_pairs)
         text = f"reachable: {len(reach)}\n" + "\n".join(

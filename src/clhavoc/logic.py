@@ -312,19 +312,55 @@ def _prenex_into(g: Formula, env: dict[Var, Var], prefix: str,
 # ---------------------------------------------------------------------------
 # rules and SIDs
 
+def _binder_names(f: Formula) -> list[Var]:
+    """The binders of f in the order `prenex` renames them."""
+    if isinstance(f, Exists):
+        return [*f.vars, *_binder_names(f.body)]
+    if isinstance(f, SepConj):
+        return [b for p in f.parts for b in _binder_names(p)]
+    return []
+
+
 @dataclass(frozen=True)
 class Rule:
+    """head(params) <- body.  The body is read once, here: `prenex(body)` is
+    kept as `binders` and `atoms`, and `calls` holds the positions of the
+    predicate atoms among `atoms`.  Every other reader of a rule uses these."""
+
     head: str
     params: tuple[Var, ...]
     body: Formula
+    binders: tuple[Var, ...] = field(init=False, repr=False, compare=False)
+    atoms: tuple[Atom, ...] = field(init=False, repr=False, compare=False)
+    calls: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"rule for {self.head}: parameters must be distinct")
-        extra = free_vars(self.body) - set(self.params)
+        binders, atoms = prenex(self.body)
+        object.__setattr__(self, "binders", binders)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "calls", tuple(i for i, a in enumerate(atoms)
+                                                if isinstance(a, Pred)))
+        extra = {v for a in atoms for v in atom_vars(a)}.difference(binders, self.params)
         if extra:
             raise ValueError(f"rule for {self.head}: unbound body variables "
                              f"{sorted(var_text(v) for v in extra)}")
+
+    @property
+    def preds(self) -> tuple[Pred, ...]:
+        """The predicate atoms of the body, in order."""
+        return tuple(self.atoms[i] for i in self.calls)
+
+    @property
+    def pf_atoms(self) -> tuple[Atom, ...]:
+        """The predicate-free atoms of the body, in order."""
+        return tuple(a for i, a in enumerate(self.atoms) if i not in self.calls)
+
+    def written_name(self, v: Var) -> Var:
+        """The name a variable of `atoms` has in `body`: binders are renamed
+        apart there, parameters keep theirs."""
+        return dict(zip(self.binders, _binder_names(self.body))).get(v, v)
 
 
 @dataclass(frozen=True)
@@ -333,6 +369,9 @@ class SID:
 
     rules: tuple[Rule, ...]
     behavior: Behavior
+    # each predicate's rules, in order, keyed by head in order of first
+    # definition
+    _by_head: dict[str, tuple[Rule, ...]] = field(init=False, repr=False, compare=False)
     # bounded model sets built by `oracle`, which alone reads and fills it;
     # an SID never changes, so they hold as long as it lives
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -342,12 +381,15 @@ class SID:
 
     def __post_init__(self) -> None:
         arities: dict[str, int] = {}
+        by_head: dict[str, list[Rule]] = {}
         for r in self.rules:
             prev = arities.setdefault(r.head, len(r.params))
             if prev != len(r.params):
                 raise ValueError(f"{r.head} defined with arities {prev} and {len(r.params)}")
+            by_head.setdefault(r.head, []).append(r)
+        object.__setattr__(self, "_by_head", {h: tuple(rs) for h, rs in by_head.items()})
         for r in self.rules:
-            for a in atoms_of(r.body):
+            for a in r.atoms:
                 if isinstance(a, Pred):
                     if a.name not in arities:
                         raise UndefinedPredicate(f"{a.name} used in {r.head} but never defined")
@@ -363,19 +405,15 @@ class SID:
 
     @property
     def predicates(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for r in self.rules:
-            seen.setdefault(r.head)
-        return tuple(seen)
+        return tuple(self._by_head)
 
     def arity(self, name: str) -> int:
-        for r in self.rules:
-            if r.head == name:
-                return len(r.params)
-        raise UndefinedPredicate(name)
+        if name not in self._by_head:
+            raise UndefinedPredicate(name)
+        return len(self._by_head[name][0].params)
 
     def rules_of(self, name: str) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.head == name)
+        return self._by_head.get(name, ())
 
     def atom(self, name: str) -> Pred:
         """The predicate atom over canonical parameters x1..xN."""
@@ -498,17 +536,6 @@ def eval_pf(g: Configuration, nu: Mapping[Var, str], f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # unfolding
 
-# A rule body prenexed once: (params, binders, atoms, indices of the
-# predicate atoms).
-_Template = tuple[tuple[Var, ...], tuple[Var, ...], tuple[Atom, ...], tuple[int, ...]]
-
-
-def _template(rule: Rule) -> _Template:
-    binders, atoms = prenex(rule.body)
-    return (rule.params, binders, atoms,
-            tuple(i for i, a in enumerate(atoms) if isinstance(a, Pred)))
-
-
 # A walk state: the prenex form of an unfolding and the (index, budget) of
 # its predicate atoms, leftmost first; the leftmost one is expanded next.
 _State = tuple[tuple[Var, ...], tuple[Atom, ...], tuple[tuple[int, int], ...]]
@@ -525,21 +552,19 @@ def _start(sid: SID, f: Formula, depth: int, counter: itertools.count) -> _State
                                  if isinstance(a, Pred))
 
 
-def _expand(state: _State, template: _Template, counter: itertools.count) -> _State:
-    """Replace the state's leftmost predicate atom by the template's body:
+def _expand(state: _State, rule: Rule, counter: itertools.count) -> _State:
+    """Replace the state's leftmost predicate atom by the rule's prenex body:
     parameters go to the atom's arguments and binders to fresh `%u`
     variables, in one simultaneous substitution."""
     binders, atoms, pending = state
     (at, budget), rest = pending[0], pending[1:]
-    pred = atoms[at]
-    params, tbinders, tatoms, preds = template
-    fresh = tuple(Var("%u", (next(counter),)) for _ in tbinders)
-    mapping = dict(zip(params, pred.args))
-    mapping.update(zip(tbinders, fresh))
-    shift = len(tatoms) - 1
+    fresh = tuple(Var("%u", (next(counter),)) for _ in rule.binders)
+    mapping = dict(zip(rule.params, atoms[at].args))
+    mapping.update(zip(rule.binders, fresh))
+    shift = len(rule.atoms) - 1
     return (binders + fresh,
-            atoms[:at] + tuple(substitute(a, mapping) for a in tatoms) + atoms[at + 1:],
-            tuple((at + i, budget - 1) for i in preds)
+            atoms[:at] + tuple(substitute(a, mapping) for a in rule.atoms) + atoms[at + 1:],
+            tuple((at + i, budget - 1) for i in rule.calls)
             + tuple((i + shift, b) for i, b in rest))
 
 
@@ -548,13 +573,12 @@ def unfold_formula(sid: SID, f: Formula, depth: int) -> list[tuple[Prenex, bool]
 
     Results are ((binders, atoms), complete) pairs, the prenex form of each
     unfolding, in deterministic leftmost-innermost order; complete means no
-    predicate atom remains.  Each rule body is prenexed once, into a template
-    over its parameters and binders; an expansion instantiates it with one
-    simultaneous substitution that also renames the binders apart.  The
-    oracle walks `complete_unfoldings`; this full walk is its reference.
+    predicate atom remains.  An expansion instantiates a rule's prenex body
+    (`Rule.atoms`) with one simultaneous substitution that also renames the
+    binders apart.  The oracle walks `complete_unfoldings`; this full walk
+    is its reference.
     """
     counter = itertools.count()
-    templates: dict[str, list[_Template]] = {}  # for each predicate reached
     results: list[tuple[Prenex, bool]] = []
     stack = [_start(sid, f, depth, counter)]
     while stack:
@@ -563,10 +587,8 @@ def unfold_formula(sid: SID, f: Formula, depth: int) -> list[tuple[Prenex, bool]
         results.append(((binders, atoms), not pending))
         if not pending or pending[0][1] == 0:
             continue
-        name = atoms[pending[0][0]].name
-        if name not in templates:
-            templates[name] = [_template(r) for r in sid.rules_of(name)]
-        stack.extend(reversed([_expand(state, t, counter) for t in templates[name]]))
+        rules = sid.rules_of(atoms[pending[0][0]].name)
+        stack.extend(reversed([_expand(state, r, counter) for r in rules]))
     return results
 
 
@@ -578,9 +600,6 @@ def least_heights(sid: SID, roots: Iterable[str]) -> dict[str, float]:
     its rules, or inf when none of them ever completes.  Heights are found
     level by level: each rule counts its body predicates still without one.
     """
-    by_head: dict[str, list[Rule]] = {}
-    for r in sid.rules:
-        by_head.setdefault(r.head, []).append(r)
     callers: dict[str, list[int]] = {}  # predicate -> rules calling it
     waiting: list[int] = []  # per rule, its body predicates without a height
     heads: list[str] = []
@@ -589,8 +608,8 @@ def least_heights(sid: SID, roots: Iterable[str]) -> dict[str, float]:
     seen = dict.fromkeys(roots)
     todo = list(seen)
     while todo:
-        for r in by_head[todo.pop()]:
-            called = {a.name for a in atoms_of(r.body) if isinstance(a, Pred)}
+        for r in sid.rules_of(todo.pop()):
+            called = {a.name for a in r.preds}
             for name in called:
                 callers.setdefault(name, []).append(len(heads))
                 if name not in seen:
@@ -630,8 +649,8 @@ def complete_unfoldings(sid: SID, f: Formula, depth: int) -> list[Prenex]:
     heights = least_heights(sid, roots)
     if any(heights[name] > depth for name in roots):
         return []
-    # for each predicate reached, its rule templates with their heights
-    templates: dict[str, list[tuple[float, _Template]]] = {}
+    # for each predicate reached, its rules with their heights
+    ranked: dict[str, list[tuple[float, Rule]]] = {}
     results: list[Prenex] = []
     stack = [start]
     while stack:
@@ -642,14 +661,11 @@ def complete_unfoldings(sid: SID, f: Formula, depth: int) -> list[Prenex]:
             continue
         at, budget = pending[0]
         name = atoms[at].name
-        if name not in templates:
-            templates[name] = []
-            for t in map(_template, sid.rules_of(name)):
-                _, _, tatoms, preds = t
-                h = 1 + max((heights[tatoms[i].name] for i in preds), default=0)
-                templates[name].append((h, t))
-        stack.extend(reversed([_expand(state, t, counter)
-                               for h, t in templates[name] if h <= budget]))
+        if name not in ranked:
+            ranked[name] = [(1 + max((heights[a.name] for a in r.preds), default=0), r)
+                            for r in sid.rules_of(name)]
+        stack.extend(reversed([_expand(state, r, counter)
+                               for h, r in ranked[name] if h <= budget]))
     return results
 
 

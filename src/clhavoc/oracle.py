@@ -40,49 +40,49 @@ def canonical_model(g: Configuration, nu: Mapping[Var, str]) -> tuple:
     for i in g.interactions:
         for pos, c in enumerate(i.components):
             inc[c].append((i.itype, pos, i.components))
+    return _search(g, nu, ids, inc, _refine(
+        ids, inc, {c: (c in g.components, rho[c],
+                       tuple(sorted((t, pos) for t, pos, _ in inc[c])),
+                       tuple(sorted(var_text(v) for v, d in nu.items() if d == c)))
+                   for c in ids}))
 
-    def refine(col: dict) -> dict[str, int]:
-        # rank the distinct colour values, then split each cell by its
-        # neighbourhood; the partition only splits, so it is stable once the
-        # number of cells holds
-        n = 0
-        while True:
-            order = {x: k for k, x in enumerate(sorted(set(col.values())))}
-            col = {c: order[col[c]] for c in ids}
-            if len(order) in (n, len(ids)):
-                return col
-            n = len(order)
-            col = {c: (col[c], tuple(sorted((t, pos, tuple(col[d] for d in comps))
-                                            for t, pos, comps in inc[c])))
-                   for c in ids}
 
-    def search(col: dict[str, int]) -> tuple:
-        cells: dict[int, list[str]] = {}
-        for c in ids:
-            cells.setdefault(col[c], []).append(c)
-        if len(cells) < len(ids):
-            # smallest non-singleton cell, ties broken by colour
-            _, k = min((len(m), k) for k, m in cells.items() if len(m) > 1)
-            return min(search(refine({c: 2 * col[c] + (c == v) for c in ids}))
-                       for v in cells[k])
-        ren = {c: f"m{col[c]}" for c in ids}
-        return (
-            tuple(sorted(ren[c] for c in g.components)),
-            tuple(sorted(tuple((ren[c], p) for c, p in i.bindings)
-                         for i in g.interactions)),
-            tuple(sorted((ren[c], q) for c, q in g.state_pairs)),
-            tuple(sorted((var_text(v), ren[c]) for v, c in nu.items())),
-        )
+def _refine(ids: list[str], inc: dict[str, list], col: dict) -> dict[str, int]:
+    """Rank the distinct colour values, then split each cell by its
+    neighbourhood; the partition only splits, so it is stable once the number
+    of cells holds."""
+    n = 0
+    while True:
+        order = {x: k for k, x in enumerate(sorted(set(col.values())))}
+        col = {c: order[col[c]] for c in ids}
+        if len(order) in (n, len(ids)):
+            return col
+        n = len(order)
+        col = {c: (col[c], tuple(sorted((t, pos, tuple(col[d] for d in comps))
+                                        for t, pos, comps in inc[c])))
+               for c in ids}
 
-    try:
-        return search(refine({c: (c in g.components, rho[c],
-                                  tuple(sorted((t, pos) for t, pos, _ in inc[c])),
-                                  tuple(sorted(var_text(v) for v, d in nu.items() if d == c)))
-                              for c in ids}))
-    finally:
-        # search reaches itself through its closure cell; emptying the cell
-        # frees it, and the configuration it holds, without the cycle collector
-        search = None
+
+def _search(g: Configuration, nu: Mapping[Var, str], ids: list[str],
+            inc: dict[str, list], col: dict[str, int]) -> tuple:
+    """The least serialized leaf below the refined colouring col."""
+    cells: dict[int, list[str]] = {}
+    for c in ids:
+        cells.setdefault(col[c], []).append(c)
+    if len(cells) < len(ids):
+        # smallest non-singleton cell, ties broken by colour
+        _, k = min((len(m), k) for k, m in cells.items() if len(m) > 1)
+        return min(_search(g, nu, ids, inc,
+                           _refine(ids, inc, {c: 2 * col[c] + (c == v) for c in ids}))
+                   for v in cells[k])
+    ren = {c: f"m{col[c]}" for c in ids}
+    return (
+        tuple(sorted(ren[c] for c in g.components)),
+        tuple(sorted(tuple((ren[c], p) for c, p in i.bindings)
+                     for i in g.interactions)),
+        tuple(sorted((ren[c], q) for c, q in g.state_pairs)),
+        tuple(sorted((var_text(v), ren[c]) for v, c in nu.items())),
+    )
 
 
 @dataclass

@@ -16,9 +16,8 @@ from typing import Iterator
 from .analysis import check_pcr
 from .automata import sid_to_ta, ta_to_sid, ta_trim
 from .eqform import Partition
-from .logic import (Comp, Eq, Exists, Formula, Inter, Neq, Pred, Rule, SID,
-                    SepConj, StateAtom, Var, atom_vars, prenex, substitute,
-                    var_text)
+from .logic import (Comp, Eq, Inter, Neq, Rule, SID, StateAtom, Var, atom_vars,
+                    substitute, var_text)
 from .transducer import ProductState, image, interaction_types
 
 
@@ -32,27 +31,17 @@ class UnallocatedStateAtom(RuntimeError):
     component atom of its variable, so such a pin would keep the old state."""
 
 
-def _binder_names(f: Formula) -> list[Var]:
-    """The binders of f in the order `prenex` renames them."""
-    if isinstance(f, Exists):
-        return [*f.vars, *_binder_names(f.body)]
-    if isinstance(f, SepConj):
-        return [b for p in f.parts for b in _binder_names(p)]
-    return []
-
-
 def check_state_atoms(sid: SID) -> None:
     """Raise UnallocatedStateAtom for the first rule with a state atom on a
     variable that no component atom of the same body allocates."""
     for rule in sid.rules:
-        binders, atoms = prenex(rule.body)
-        comps = {a.var for a in atoms if isinstance(a, Comp)}
-        for a in atoms:
+        comps = {a.var for a in rule.atoms if isinstance(a, Comp)}
+        for a in rule.atoms:
             if isinstance(a, StateAtom) and a.var not in comps:
-                shown = dict(zip(binders, _binder_names(rule.body))).get(a.var, a.var)
                 k = sid.rules_of(rule.head).index(rule) + 1
                 raise UnallocatedStateAtom(
-                    f"rule {k} of {rule.head} has a state atom on {var_text(shown)}, "
+                    f"rule {k} of {rule.head} has a state atom on "
+                    f"{var_text(rule.written_name(a.var))}, "
                     "which has no comp atom in the same body; the reduction "
                     "rewrites a state only with its component")
 
@@ -151,14 +140,12 @@ def manifest_dict(result: ReductionResult) -> dict:
 
 def _norm_body(rule: Rule):
     pmap = {p: Var(f"x{i}") for i, p in enumerate(rule.params, start=1)}
-    binders, atoms = prenex(substitute(rule.body, pmap))
-    preds = [a for a in atoms if isinstance(a, Pred)]
-    qpf = [a for a in atoms if not isinstance(a, (Pred, StateAtom))]
+    qpf = [substitute(a, pmap) for a in rule.pf_atoms if not isinstance(a, StateAtom)]
     eqs = [a for a in qpf if isinstance(a, Eq)]
     rest = [a for a in qpf if not isinstance(a, Eq)]
 
     # collapse existentials through equalities; free variables are kept
-    bset = set(binders)
+    bset = set(rule.binders)
     rep: dict[Var, Var] = {}
     canon_eqs: list[tuple[Var, Var]] = []
     for c in Partition(pairs=[(a.left, a.right) for a in eqs]).classes():
@@ -175,8 +162,8 @@ def _norm_body(rule: Rule):
         out_atoms.append(Neq(*sorted((a.left, a.right))) if isinstance(a, Neq) else a)
     out_atoms.extend(Eq(x, y) for x, y in sorted(canon_eqs))
     live = {v for a in out_atoms for v in atom_vars(a)}
-    kept_binders = tuple(sorted({rep.get(b, b) for b in binders} & live & bset))
-    pred_heads = tuple((p.name, len(p.args)) for p in preds)
+    kept_binders = tuple(sorted({rep.get(b, b) for b in rule.binders} & live & bset))
+    pred_heads = tuple((p.name, len(p.args)) for p in rule.preds)
     return kept_binders, tuple(out_atoms), pred_heads
 
 

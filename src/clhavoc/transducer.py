@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import Behavior
 from .eqform import EqFormula, Partition
-from .logic import (Comp, Eq, Inter, SID, StateAtom, Var, atoms_of,
-                    beginvar, childparam, endvar, param)
+from .logic import (Comp, Eq, Inter, SID, StateAtom, Var, beginvar, childparam,
+                    endvar, param)
 from .automata import AlphabetSymbol, TaTransition, TreeAutomaton
 
 
@@ -34,12 +34,8 @@ InteractionType = tuple[str, ...]
 
 def interaction_types(sid: SID) -> frozenset[InteractionType]:
     """All ordered port tuples of interaction atoms occurring in the rules."""
-    out = set()
-    for rule in sid.rules:
-        for a in atoms_of(rule.body):
-            if isinstance(a, Inter):
-                out.add(tuple(p for _, p in a.bindings))
-    return frozenset(out)
+    return frozenset(tuple(p for _, p in a.bindings)
+                     for rule in sid.rules for a in rule.atoms if isinstance(a, Inter))
 
 
 def ttvars(tau: InteractionType, maxarity: int) -> frozenset[Var]:

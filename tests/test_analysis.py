@@ -196,3 +196,19 @@ def test_pcr_sids_have_tight_models(name, request):
     for pred in sf.sid.predicates:
         for model in enumerate_models(sf.sid, sf.sid.atom(pred), 4).models():
             assert is_tight(model.config), (pred, model.config)
+
+
+def test_profile_renames_shadowing_binders():
+    # P's binder y shadows its parameter y, so Q(y) passes the binder, not
+    # a profile parameter: position 1 of Q dies
+    text = """
+    behavior { ports a, b; states q; }
+    sid {
+      P(x, y) <- exists y . comp(x) * <x.a, y.b> * Q(y);
+      Q(x) <- comp(x);
+      R(x) <- exists y . comp(x) * <x.a, y.b> * P(y, x);
+    }
+    """
+    sid = parse_system(text).sid
+    assert profile(sid) == brute_force_profile(sid)
+    assert profile(sid)["Q"] == frozenset()

@@ -517,3 +517,58 @@ def test_predicate_that_never_completes():
         assert_walk_matches_reference(sid, Pred("Loop", (X,)), depth)
         assert_walk_matches_reference(sid, Pred("Maybe", (X,)), depth)
     assert complete_unfoldings(sid, Pred("Maybe", (X,)), 3) == [((), (Comp(X), StateAtom(X, "H")))]
+
+
+# ---------------------------------------------------------------------------
+# rules keep their prenex form; SIDs index their rules by head
+
+def rule_sids():
+    """Every fixture SID, then the combined SID of each reuse reduction."""
+    for name in corpus():
+        yield parse_system(corpus_text(name)).sid
+    for name, pred, _ in REUSE_CASES:
+        yield reduce_havoc_to_entailment(load(name).sid, pred, assume_tight=True).combined_sid
+
+
+def test_rules_keep_their_prenex_form():
+    for sid in rule_sids():
+        for rule in sid.rules:
+            assert (rule.binders, rule.atoms) == prenex(rule.body)
+            assert [rule.atoms[i] for i in rule.calls] == [
+                a for a in rule.atoms if isinstance(a, Pred)]
+            assert list(rule.preds) == [rule.atoms[i] for i in rule.calls]
+            assert list(rule.pf_atoms) == [
+                a for a in rule.atoms if not isinstance(a, Pred)]
+
+
+@pytest.mark.parametrize("name", corpus())
+def test_sid_index_matches_linear_scan(name):
+    sid = parse_system(corpus_text(name)).sid
+    heads = list(dict.fromkeys(r.head for r in sid.rules))
+    assert sid.predicates == tuple(heads)
+    for head in heads:
+        rules = tuple(r for r in sid.rules if r.head == head)
+        assert sid.rules_of(head) == rules
+        assert sid.arity(head) == len(rules[0].params)
+    assert sid.rules_of("Nope") == ()
+    with pytest.raises(UndefinedPredicate):
+        sid.arity("Nope")
+
+
+def test_shadowing_binder_is_renamed_in_rule_atoms():
+    # exists y . comp(x) * <x.in, y.out> * P(y): the P argument is the binder
+    # renamed apart, not the parameter y
+    rule = Rule("P", (X, Y), exists([Y], sep(Comp(X), Inter(((X, "in"), (Y, "out"))),
+                                             Pred("P", (Y, X)))))
+    (b,) = rule.binders
+    assert b != Y
+    assert rule.preds == (Pred("P", (b, X)),)
+    assert rule.written_name(b) == Y
+    assert rule.written_name(X) == X
+
+
+def test_rule_rejects_unbound_body_variables():
+    with pytest.raises(ValueError, match="unbound body variables"):
+        Rule("P", (X,), sep(exists([Y], Comp(Y)), Comp(Y)))
+    with pytest.raises(ValueError, match="must be distinct"):
+        Rule("P", (X, X), Comp(X))
