@@ -186,6 +186,15 @@ class TaTransition:
     symbol: AlphabetSymbol
     children: tuple[object, ...]
     result: object
+    # the dataclass hash of the fields, computed once (see AlphabetSymbol):
+    # product transitions key the image's witness dicts
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.symbol, self.children, self.result)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

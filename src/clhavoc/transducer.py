@@ -8,8 +8,9 @@ guessed; both stay visible afterwards, even as singletons, because their
 presence is what rules out consuming the same walk twice.  A run accepts when
 every begin(i) has been proven equal to end(i).
 
-The product with the rule automaton is built on the fly: only transducer
-states reachable from the SID's own trees are ever materialized.
+The product with the rule automaton is built on the fly: only live transducer
+states reachable from the trees below the checked predicate are ever
+materialized.
 """
 
 from __future__ import annotations
@@ -46,27 +47,33 @@ def ttvars(tau: InteractionType, maxarity: int) -> frozenset[Var]:
 
 
 def _marker_status(classes: Iterable[Iterable[Var]], n: int) -> tuple[bool, int]:
-    """Whether the classes keep the walk markers of positions 1..n apart (no
-    two begins, no two ends, no begin(i) with end(j) for i != j share a
-    class), and how many positions i have begin(i) and end(i) in one class."""
+    """Whether the classes make a live state, and how many positions i have
+    begin(i) and end(i) in one class.
+
+    A state is live when its classes keep the walk markers of positions 1..n
+    apart (no two begins, no two ends, no begin(i) with end(j) for i != j
+    share a class) and every open class, one with begin(i) or end(i) but not
+    both, holds a node parameter.  An open class without one is dead: a
+    parent step renames only parameters, unites begin(j) only for positions
+    not yet begun and end(j) only while no end is present, so nothing can
+    ever close it and no run above it accepts."""
     ok, closed = True, 0
     for cls in classes:
-        begins, ends = [], []
+        begins, ends, has_param = [], [], False
         for v in cls:
             if v.name == "%begin" and v.tag[0] <= n:
                 begins.append(v.tag[0])
             elif v.name == "%end" and v.tag[0] <= n:
                 ends.append(v.tag[0])
+            elif v.name == "%in":
+                has_param = True
         if begins or ends:
             if len(begins) > 1 or len(ends) > 1 or (begins and ends and begins != ends):
                 ok = False
+            elif begins != ends and not has_param:
+                ok = False
             closed += len(set(begins) & set(ends))
     return ok, closed
-
-
-def state_ok(phi: EqFormula, n: int) -> bool:
-    """The non-entailment conditions on transducer states."""
-    return _marker_status(phi.classes, n)[0]
 
 
 def is_final(phi: EqFormula, n: int) -> bool:
@@ -189,8 +196,9 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
     Enumerates the choice of rewritten component atoms (one per fresh walk
     position, each backed by a behavior transition over the matching port),
     the optional guess of the fired interaction atom, and discards any result
-    that would merge distinct walk markers.  What depends on the symbol and
-    the type alone comes from the symbol's step plan, built on first use.
+    that would merge distinct walk markers or leave a walk that can no longer
+    close (see `_marker_status`).  What depends on the symbol and the type
+    alone comes from the symbol's step plan, built on first use.
     """
     n = len(tau)
     h = alpha.rank
@@ -315,6 +323,9 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID,
     One product component per interaction type occurring in the SID; states
     are (rule-automaton state, transducer state) pairs discovered from the
     leaves up.  Final states pair root_state with an accepting partition.
+    Only the rule transitions whose result lies below root_state are
+    stepped, and only live states are built: no other state is on a run
+    accepted at root_state.
 
     Rounds are semi-naive: each rule transition remembers how long its child
     pools were at its last visit and combines only tuples with at least one
@@ -323,6 +334,14 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID,
     """
     maxarity = max((sid.arity(p) for p in sid.predicates), default=0)
     taus = sorted(interaction_types(sid))
+    below, grew = {root_state}, True
+    while grew:
+        grew = False
+        for tr in ta.transitions:
+            if tr.result in below and not below.issuperset(tr.children):
+                below.update(tr.children)
+                grew = True
+    rules = [tr for tr in ta.transitions if tr.result in below]
     transitions: dict[TaTransition, list[Witness]] = {}
     discovered: list[ProductState] = []
     finals: list[ProductState] = []
@@ -341,7 +360,7 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID,
         changed = True
         while changed:
             changed = False
-            for ti, tr in enumerate(ta.transitions):
+            for ti, tr in enumerate(rules):
                 # a snapshot, as product() takes: states found below join next round
                 pools = [tuple(by_base.get(c, ())) for c in tr.children]
                 combos = new_combos(pools, seen.get(ti))

@@ -141,6 +141,18 @@ def childparam_(l, i):
 # ---------------------------------------------------------------------------
 # sid compatibility and ta_to_sid
 
+def test_transition_hash_stays_out_of_identity(ring):
+    ta, _ = sid_to_ta(ring.sid)
+    tr = ta.transitions[-1]
+    assert hash(tr) == tr._hash == hash((tr.symbol, tr.children, tr.result))
+    twin = TaTransition(tr.symbol, tr.children, tr.result)
+    object.__setattr__(twin, "_hash", tr._hash + 1)
+    assert twin == tr
+    assert "_hash" not in repr(tr)
+    assert repr(tr) == (f"TaTransition(symbol={tr.symbol!r}, children={tr.children!r}, "
+                        f"result={tr.result!r})")
+
+
 def test_sid_to_ta_outputs_are_compatible(ring, tll, pcring):
     for sf in (ring, tll, pcring):
         ta, _ = sid_to_ta(sf.sid)

@@ -305,8 +305,8 @@ def test_trace_transducer_pinned(capsys, tmp_path):
     code, _, err = run(capsys, "reduce", str(src), "--pred", "Ring_1_1",
                        "--assume-tight", "--trace-transducer")
     assert code == 0
-    assert err.count("\n") == 932
-    assert sha256(err) == "4ccbe6784c9c2d6cc83b4bfb7b879a6f0974d5ea2975dc44208786ff4ee82399"
+    assert err.count("\n") == 133
+    assert sha256(err) == "ce4c02a229e586fcc018a244bf6ac12f44ef2e205afc2ab0460be9b45e696f92"
 
 
 # `clhavoc oracle` arguments, exit code and sha256 of stdout for every source
