@@ -259,7 +259,14 @@ def is_sid_compatible(ta: TreeAutomaton) -> bool:
 
 def ta_to_sid(ta: TreeAutomaton, behavior: Behavior,
               name_of: Callable[[object], str] = str) -> SID:
-    """One rule per transition, instantiating childparams with fresh variables."""
+    """One rule per transition; the inverse of `sid_to_ta` on its outputs.
+
+    A childparam that the symbol ties to a rule variable `v` by an equality
+    `childparam = v` is passed `v` directly, and that equality is dropped;
+    any other equality on the childparam is renamed to `v`.  Only untied
+    childparams get fresh binders.  So a rule that `sid_to_ta` translated
+    reads back with its own atoms and arguments.
+    """
     if not is_sid_compatible(ta):
         raise NotSidCompatible("states carry inconsistent arities")
     rules = []
@@ -273,14 +280,24 @@ def ta_to_sid(ta: TreeAutomaton, behavior: Behavior,
             nb = Var(f"z{k}")
             mapping[b] = nb
             binders.append(nb)
+        kept: list[Atom] = []
+        for a in sym.atoms:
+            if (isinstance(a, Eq) and a.left.name == "%out" and a.left not in mapping
+                    and a.right.name != "%out"):
+                mapping[a.left] = mapping[a.right]
+            else:
+                kept.append(a)
         childargs: list[tuple[Var, ...]] = []
         for l, al in enumerate(rest, start=1):
-            args = tuple(Var(f"y{l}_{i}") for i in range(1, al + 1))
-            childargs.append(args)
-            for i, v in enumerate(args, start=1):
-                mapping[childparam(l, i)] = v
-                binders.append(v)
-        parts = [substitute(a, mapping) for a in sym.atoms]
+            args = []
+            for i in range(1, al + 1):
+                c = childparam(l, i)
+                if c not in mapping:
+                    mapping[c] = Var(f"y{l}_{i}")
+                    binders.append(mapping[c])
+                args.append(mapping[c])
+            childargs.append(tuple(args))
+        parts = [substitute(a, mapping) for a in kept]
         parts += [Pred(name_of(q), childargs[l]) for l, q in enumerate(tr.children)]
         rules.append(Rule(name_of(tr.result), params, exists(binders, sep(*parts))))
     return SID(tuple(rules), behavior)

@@ -16,12 +16,15 @@ from clhavoc.automata import (BadAddress, NotSidCompatible,
                               char_formula, char_formula_closed,
                               enumerate_trees, is_sid_compatible, make_symbol,
                               sid_to_ta, ta_membership, ta_to_sid, ta_trim)
-from clhavoc.logic import (Comp, Emp, Eq, Inter, StateAtom, Var, comp_in,
-                           free_vars, nodevar, param, prenex, substitute)
+from clhavoc.frontend import parse_system
+from clhavoc.logic import (Comp, Emp, Eq, Inter, Pred, StateAtom, Var, comp_in,
+                           exists, free_vars, nodevar, param, prenex, sep,
+                           substitute)
 from clhavoc.oracle import enumerate_formula_models, enumerate_models
 from clhavoc.reduction import class_equiv
+from clhavoc.transducer import image
 
-from conftest import load, sha256, source_fixtures
+from conftest import FIXTURES, load, sha256, source_fixtures
 
 
 def leaf_symbol(q, a0=3):
@@ -179,6 +182,54 @@ def test_ta_to_sid_single_transition():
     assert len(sid.rules[0].params) == 1
 
 
+def assert_round_trip(ta, behavior):
+    """sid_to_ta(ta_to_sid(ta)) gives back ta's transitions, in order, with
+    each state read back as the predicate named for it."""
+    names = {q: f"S{k}" for k, q in enumerate(ta.states)}
+    back, _ = sid_to_ta(ta_to_sid(ta, behavior, names.__getitem__))
+    assert back.transitions == tuple(
+        TaTransition(tr.symbol, tuple(names[c] for c in tr.children), names[tr.result])
+        for tr in ta.transitions)
+
+
+@pytest.mark.parametrize("path", source_fixtures(), ids=lambda p: p.name)
+def test_ta_to_sid_inverts_sid_to_ta(path):
+    """Exact on the rule automaton and on the trimmed image of every
+    predicate: a derived rule is a source rule with other state atoms."""
+    sid = load(path.name).sid
+    ta, _ = sid_to_ta(sid)
+    assert_round_trip(ta, sid.behavior)
+    for pred in sid.predicates:
+        assert_round_trip(ta_trim(image(ta, pred, sid, sid.behavior).automaton),
+                          sid.behavior)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_ta_to_sid_inverts_sid_to_ta_on_ring_family(k):
+    sid = parse_system((FIXTURES / "ring.clsys").read_text()
+                       .replace("=0..1", f"=0..{k}")).sid
+    ta, _ = sid_to_ta(sid)
+    assert_round_trip(ta_trim(image(ta, f"Ring_{k}_{k}", sid, sid.behavior).automaton),
+                      sid.behavior)
+
+
+def test_ta_to_sid_passes_tied_variables_to_the_call():
+    """c1_1 has two equalities: the first, to y1, makes y1 the call argument
+    and is dropped, the second, to p1, is renamed onto y1; c1_2 is untied and
+    gets a fresh binder."""
+    from clhavoc.core import Behavior
+    from clhavoc.logic import childparam
+    y1 = Var("y1")
+    sym = make_symbol([y1], [Comp(param(1)), Eq(childparam(1, 1), y1),
+                             Eq(childparam(1, 1), param(1))], [1, 2])
+    ta = TreeAutomaton.make([TaTransition(sym, ("P",), "Q"),
+                             TaTransition(make_symbol([], [], [2]), (), "P")])
+    rule = ta_to_sid(ta, Behavior.make(["p"], ["s"], [])).rules[0]
+    x1, z1, y1_2 = Var("x1"), Var("z1"), Var("y1_2")
+    assert rule.body == exists([z1, y1_2], sep(Comp(x1), Eq(z1, x1),
+                                               Pred("P", (z1, y1_2))))
+
+
 def test_ta_to_sid_round_trip_class_equiv(tll, ring):
     for sf in (tll, ring):
         ta, _ = sid_to_ta(sf.sid)
@@ -309,7 +360,6 @@ def test_trim_matches_reference_fixpoint(spec, finals):
 
 
 def test_trim_matches_reference_on_images(ring, pcring, tll):
-    from clhavoc.transducer import image
     for sf, pred in ((ring, "Ring_1_1"), (pcring, "PcRing_1_1"), (tll, "Root")):
         ta, _ = sid_to_ta(sf.sid)
         product = image(ta, pred, sf.sid, sf.sid.behavior).automaton
