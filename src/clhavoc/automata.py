@@ -1,10 +1,11 @@
 """Ranked trees over formula-labeled alphabets and the SID <-> TA translations.
 
 An alphabet symbol packages a predicate-free formula over canonical variables
-(param/childparam families plus positional existentials) with an arity tuple
-(a0, a1..ah).  Trees of symbols denote characteristic formulas whose variables
-are superscripted by node addresses; a tree automaton over such symbols
-recognizes exactly the unfolding trees of a SID.
+(parameters and positional existentials) with the arity of its head and, per
+child, the variables a rule passes to the child's parameters.  Trees of
+symbols denote characteristic formulas whose variables are superscripted by
+node addresses; a tree automaton over such symbols recognizes exactly the
+unfolding trees of a SID.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Behavior
 from .logic import (Atom, Eq, Formula, Pred, Rule, SID, Var, atom_text,
-                    boundvar, childparam, exists, free_vars, nodeex, nodevar,
-                    param, sep, substitute, var_text)
+                    boundvar, exists, free_vars, nodeex, nodevar, param, sep,
+                    substitute, var_text)
 
 
 class BadAddress(KeyError):
@@ -31,11 +32,14 @@ Address = tuple[int, ...]
 
 @dataclass(frozen=True)
 class AlphabetSymbol:
-    """A predicate-free formula with canonical variables plus an arity tuple."""
+    """A predicate-free formula with canonical variables, the arity of its
+    head and, per child, the parameters and binders passed to the child's
+    parameters."""
 
     exvars: tuple[Var, ...]
     atoms: tuple[Atom, ...]
-    arities: tuple[int, ...]
+    arity: int
+    args: tuple[tuple[Var, ...], ...]
     # the dataclass hash of the fields, computed once: symbols key the
     # product's dicts and sets, and rehashing the atom tree dominated them
     _hash: int = field(init=False, repr=False, compare=False)
@@ -45,43 +49,37 @@ class AlphabetSymbol:
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.exvars, self.atoms, self.arities)))
+        object.__setattr__(self, "_hash", hash((self.exvars, self.atoms, self.arity, self.args)))
 
     def __hash__(self) -> int:
         return self._hash
 
     @property
+    def arities(self) -> tuple[int, ...]:
+        """The head's arity, then each child's."""
+        return (self.arity, *map(len, self.args))
+
+    @property
     def rank(self) -> int:
-        return len(self.arities) - 1
-
-    def body(self) -> Formula:
-        return exists(self.exvars, sep(*self.atoms))
+        return len(self.args)
 
 
-def make_symbol(binders: Sequence[Var], atoms: Sequence[Atom],
-                arities: Sequence[int]) -> AlphabetSymbol:
+def make_symbol(binders: Sequence[Var], atoms: Sequence[Atom], arity: int,
+                args: Sequence[Sequence[Var]] = ()) -> AlphabetSymbol:
     """Canonicalize binder names positionally and validate the variable layout."""
-    binders = tuple(binders)
     ren = {b: boundvar(k) for k, b in enumerate(binders, start=1)}
     if len(ren) != len(binders):
         raise ValueError("duplicate existential binders")
     catoms = tuple(substitute(a, ren) for a in atoms)
-    arities = tuple(arities)
-    a0, rest = arities[0], arities[1:]
-    expected = {param(i) for i in range(1, a0 + 1)}
-    expected |= {childparam(l, i) for l, al in enumerate(rest, start=1)
-                 for i in range(1, al + 1)}
-    fv = set()
-    for a in catoms:
-        fv |= free_vars(a)
-    fv -= set(ren.values())
+    cargs = tuple(tuple(ren.get(v, v) for v in vs) for vs in args)
     # a parameter may be unused (leaf rules often ignore trailing parameters),
-    # but no variable outside the announced layout may occur
-    extra = fv - expected
+    # but no variable outside the parameters and binders may occur
+    extra = set().union(*map(free_vars, catoms), *cargs) - set(ren.values())
+    extra -= {param(i) for i in range(1, arity + 1)}
     if extra:
-        raise ValueError(f"symbol variables exceed arities {arities}: "
+        raise ValueError(f"symbol variables exceed arity {arity}: "
                          f"{sorted(var_text(v) for v in extra)}")
-    return AlphabetSymbol(tuple(ren[b] for b in binders), catoms, arities)
+    return AlphabetSymbol(tuple(ren.values()), catoms, arity, cargs)
 
 
 def symbol_text(sym: AlphabetSymbol) -> str:
@@ -89,7 +87,8 @@ def symbol_text(sym: AlphabetSymbol) -> str:
     if sym.exvars:
         prefix = "E " + ",".join(var_text(v) for v in sym.exvars) + " . "
     body = " * ".join(atom_text(a, var_text, "") for a in sym.atoms) or "emp"
-    return f"<{prefix}{body} | {','.join(map(str, sym.arities))}>"
+    args = "".join(f" ({','.join(map(var_text, vs))})" for vs in sym.args)
+    return f"<{prefix}{body} | {sym.arity}{args}>"
 
 
 @dataclass(frozen=True)
@@ -137,31 +136,25 @@ class Tree:
         k = len(u)
         return Tree(tuple(sorted((v[k:], s) for v, s in self.labels if v[:k] == u)))
 
-    def size(self) -> int:
-        return len(self.labels)
-
-
-def _node_substitution(sym: AlphabetSymbol, addr: Address) -> dict[Var, Var]:
-    sub = {param(j): nodevar(addr, j) for j in range(1, sym.arities[0] + 1)}
-    for l, al in enumerate(sym.arities[1:], start=1):
-        sub.update({childparam(l, j): nodevar((*addr, l), j)
-                    for j in range(1, al + 1)})
-    sub.update({v: nodeex(addr, k) for k, v in enumerate(sym.exvars, start=1)})
-    return sub
-
 
 def char_formula(t: Tree, u: Address = ()) -> Formula:
     """Quantifier- and predicate-free characteristic formula of the subtree at u.
 
     Every variable is superscripted by the absolute address of the node that
     introduces it, so formulas of sibling subtrees share no variables except
-    through the explicit childparam equalities of the parent symbol.
+    through the equalities x^{v.l}_j = arg that follow each node's atoms,
+    one per argument its symbol passes to child l.
     """
     sub = t.subtree(u)
     parts: list[Formula] = []
     for w, sym in sub.labels:
-        mapping = _node_substitution(sym, u + w)
+        addr = u + w
+        mapping = {param(j): nodevar(addr, j) for j in range(1, sym.arity + 1)}
+        mapping.update({v: nodeex(addr, k) for k, v in enumerate(sym.exvars, start=1)})
         parts.extend(substitute(a, mapping) for a in sym.atoms)
+        parts.extend(Eq(nodevar((*addr, l), j), mapping[v])
+                     for l, vs in enumerate(sym.args, start=1)
+                     for j, v in enumerate(vs, start=1))
     return sep(*parts)
 
 
@@ -173,7 +166,7 @@ def char_formula_closed(t: Tree, u: Address = ()) -> Formula:
     for w, sym in sub.labels:
         addr = u + w
         if w != ():
-            binders.extend(nodevar(addr, j) for j in range(1, sym.arities[0] + 1))
+            binders.extend(nodevar(addr, j) for j in range(1, sym.arity + 1))
         binders.extend(nodeex(addr, k) for k in range(1, len(sym.exvars) + 1))
     return exists(binders, char_formula(t, u))
 
@@ -224,21 +217,17 @@ class TreeAutomaton:
 def sid_to_ta(sid: SID) -> tuple[TreeAutomaton, dict[str, object]]:
     """One symbol and transition per rule, one state per defined predicate.
 
-    The symbol appends the childparam equalities that record how the rule
-    passes variables to its predicate atoms; structurally equal symbols are
-    shared across rules.
+    The symbol keeps the arguments of the rule's predicate atoms as its
+    `args`; structurally equal symbols are shared across rules.
     """
     transitions: list[TaTransition] = []
     symcache: dict[AlphabetSymbol, AlphabetSymbol] = {}
     for rule in sid.rules:
         preds = rule.preds
         mapping = {x: param(j) for j, x in enumerate(rule.params, start=1)}
-        body = [substitute(a, mapping) for a in rule.pf_atoms]
-        for l, pa in enumerate(preds, start=1):
-            for i, z in enumerate(pa.args, start=1):
-                body.append(Eq(childparam(l, i), mapping.get(z, z)))
-        arities = [len(rule.params)] + [sid.arity(p.name) for p in preds]
-        sym = make_symbol(rule.binders, body, arities)
+        atoms = [substitute(a, mapping) for a in rule.pf_atoms]
+        args = [[mapping.get(z, z) for z in pa.args] for pa in preds]
+        sym = make_symbol(rule.binders, atoms, len(rule.params), args)
         sym = symcache.setdefault(sym, sym)
         transitions.append(TaTransition(sym, tuple(p.name for p in preds), rule.head))
     ta = TreeAutomaton.make(transitions, states=tuple(sid.predicates))
@@ -249,9 +238,7 @@ def is_sid_compatible(ta: TreeAutomaton) -> bool:
     """Each state must be annotated with one arity across all its occurrences."""
     arity: dict[object, int] = {}
     for tr in ta.transitions:
-        slots = [(tr.result, tr.symbol.arities[0])]
-        slots += list(zip(tr.children, tr.symbol.arities[1:]))
-        for s, a in slots:
+        for s, a in zip((tr.result, *tr.children), tr.symbol.arities):
             if arity.setdefault(s, a) != a:
                 return False
     return True
@@ -259,46 +246,20 @@ def is_sid_compatible(ta: TreeAutomaton) -> bool:
 
 def ta_to_sid(ta: TreeAutomaton, behavior: Behavior,
               name_of: Callable[[object], str] = str) -> SID:
-    """One rule per transition; the inverse of `sid_to_ta` on its outputs.
-
-    A childparam that the symbol ties to a rule variable `v` by an equality
-    `childparam = v` is passed `v` directly, and that equality is dropped;
-    any other equality on the childparam is renamed to `v`.  Only untied
-    childparams get fresh binders.  So a rule that `sid_to_ta` translated
-    reads back with its own atoms and arguments.
-    """
+    """One rule per transition, with parameters x_j and binders z_k; the
+    inverse of `sid_to_ta` on its outputs."""
     if not is_sid_compatible(ta):
         raise NotSidCompatible("states carry inconsistent arities")
     rules = []
     for tr in ta.transitions:
         sym = tr.symbol
-        a0, rest = sym.arities[0], sym.arities[1:]
-        params = tuple(Var(f"x{i}") for i in range(1, a0 + 1))
-        mapping: dict[Var, Var] = {param(i): v for i, v in enumerate(params, start=1)}
-        binders: list[Var] = []
-        for k, b in enumerate(sym.exvars, start=1):
-            nb = Var(f"z{k}")
-            mapping[b] = nb
-            binders.append(nb)
-        kept: list[Atom] = []
-        for a in sym.atoms:
-            if (isinstance(a, Eq) and a.left.name == "%out" and a.left not in mapping
-                    and a.right.name != "%out"):
-                mapping[a.left] = mapping[a.right]
-            else:
-                kept.append(a)
-        childargs: list[tuple[Var, ...]] = []
-        for l, al in enumerate(rest, start=1):
-            args = []
-            for i in range(1, al + 1):
-                c = childparam(l, i)
-                if c not in mapping:
-                    mapping[c] = Var(f"y{l}_{i}")
-                    binders.append(mapping[c])
-                args.append(mapping[c])
-            childargs.append(tuple(args))
-        parts = [substitute(a, mapping) for a in kept]
-        parts += [Pred(name_of(q), childargs[l]) for l, q in enumerate(tr.children)]
+        params = tuple(Var(f"x{j}") for j in range(1, sym.arity + 1))
+        binders = tuple(Var(f"z{k}") for k in range(1, len(sym.exvars) + 1))
+        mapping = dict(zip(map(param, range(1, sym.arity + 1)), params))
+        mapping.update(zip(sym.exvars, binders))
+        parts = [substitute(a, mapping) for a in sym.atoms]
+        parts += [Pred(name_of(q), tuple(mapping[v] for v in vs))
+                  for q, vs in zip(tr.children, sym.args)]
         rules.append(Rule(name_of(tr.result), params, exists(binders, sep(*parts))))
     return SID(tuple(rules), behavior)
 

@@ -3,7 +3,8 @@
 Exit codes: 0 verdict-positive, 1 verdict-negative (counterexample or
 mismatch), 2 unknown/gated (tightness not established, a state atom on a
 variable its rule does not allocate, no entailment or target to check, or
-no unfolding of the predicate completes within the depth), 3 input error.
+no unfolding of the predicate completes within the depth), 3 input error
+(malformed input, a usage error, or an -o path that cannot be written).
 Diagnostics go to stderr; results to stdout or the -o path.
 """
 
@@ -116,7 +117,14 @@ def main(argv: list[str] | None = None) -> int:
     sim.add_argument("--config", required=True)
     common(sub.add_parser("oracle"), pred=True)
 
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+        if getattr(args, "depth", 0) < 0:
+            sub.choices[args.command].error(f"argument --depth: must be at least 0, "
+                                            f"not {args.depth}")
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, but 2 means unknown here
+        return 3 if e.code else 0
     try:
         sf = _load(args.file)
     except (OSError, ParseError) as e:
@@ -128,6 +136,16 @@ def main(argv: list[str] | None = None) -> int:
                          f"{', '.join(sf.sid.predicates)}\n")
         return 3
 
+    try:
+        return _run(sf, args)
+    except OSError as e:
+        # the -o path, or a file beside it, cannot be written
+        sys.stderr.write(f"{e.filename}: {e.strerror}\n")
+        return 3
+
+
+def _run(sf: SystemFile, args) -> int:
+    """Run the command on the loaded system; its exit code."""
     if args.command == "parse":
         _emit(render_system(sf), args.output)
         return 0

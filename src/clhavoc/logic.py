@@ -43,11 +43,6 @@ def param(j: int) -> Var:
     return Var("%in", (j,))
 
 
-def childparam(l: int, j: int) -> Var:
-    """Canonical variable for position j of the l-th child predicate atom."""
-    return Var("%out", (l, j))
-
-
 def beginvar(i: int) -> Var:
     """Walk marker: the component atom of walk i has been consumed."""
     return Var("%begin", (i,))
@@ -77,8 +72,6 @@ def var_text(v: Var) -> str:
     """Stable printable name, for debug dumps and partition rendering."""
     if v.name == "%in":
         return f"p{v.tag[0]}"
-    if v.name == "%out":
-        return f"c{v.tag[0]}_{v.tag[1]}"
     if v.name == "%begin":
         return f"b{v.tag[0]}"
     if v.name == "%end":

@@ -6,7 +6,8 @@ the interaction type.  begin(i) enters the state when the component atom
 serving position i is rewritten, end(i) when the fired interaction atom is
 guessed; both stay visible afterwards, even as singletons, because their
 presence is what rules out consuming the same walk twice.  A run accepts when
-every begin(i) has been proven equal to end(i).
+every begin(i) has been proven equal to end(i).  A step renames each child
+state's parameters to the arguments its symbol passes that child.
 
 The product with the rule automaton is built on the fly: only live transducer
 states reachable from the trees below the checked predicate are ever
@@ -21,8 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import Behavior
 from .eqform import EqFormula, Partition
-from .logic import (Comp, Eq, Inter, SID, StateAtom, Var, beginvar, childparam,
-                    endvar, param)
+from .logic import Comp, Eq, Inter, SID, StateAtom, Var, beginvar, endvar, param
 from .automata import AlphabetSymbol, TaTransition, TreeAutomaton
 
 
@@ -135,7 +135,8 @@ class _StepPlan:
     def __init__(self, tau: InteractionType, alpha: AlphabetSymbol,
                  behavior: Behavior, maxarity: int) -> None:
         self.tau = tau
-        self.exvars, self.atoms, self.arities = alpha.exvars, alpha.atoms, alpha.arities
+        self.exvars, self.atoms = alpha.exvars, alpha.atoms
+        self.arity, self.args = alpha.arity, alpha.args
         # rewrite candidates: variables carrying a component atom and state
         # atoms that all name one state; a rewrite changes every one of them
         state_idx: dict[Var, list[int]] = {}
@@ -161,8 +162,9 @@ class _StepPlan:
                 q = states.pop()
                 self.candidates[v] = (q, {p: behavior.targets(q, p) for p in tau})
         self.eqs = Partition((), eq_pairs)
-        self.renamings = [{param(j): childparam(l, j) for j in range(1, al + 1)}
-                          for l, al in enumerate(alpha.arities[1:], start=1)]
+        # child l's parameter j is the variable the symbol passes it
+        self.renamings = [{param(j): v for j, v in enumerate(vs, start=1)}
+                          for vs in alpha.args]
         self.keepvars = ttvars(tau, maxarity)
         self._choices: dict[int, list[Choice]] = {}  # by used begin mask
 
@@ -181,7 +183,7 @@ class _StepPlan:
                     for _, xi, _, q2 in rewrites:
                         for idx in self.state_idx[xi]:
                             atoms[idx] = StateAtom(xi, q2)
-                    sym = AlphabetSymbol(self.exvars, tuple(atoms), self.arities)
+                    sym = AlphabetSymbol(self.exvars, tuple(atoms), self.arity, self.args)
                 wits = tuple(Witness(self.tau, rewrites, fired)
                              for fired in (None, *self.fired))
                 out.append((rewrites, sym, wits))
@@ -204,8 +206,8 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
     h = alpha.rank
     if len(child_states) != h:
         raise ArityMismatch(f"symbol of rank {h} given {len(child_states)} child states")
-    if alpha.arities[0] > maxarity:
-        raise ArityMismatch(f"symbol arity {alpha.arities[0]} exceeds maxarity {maxarity}")
+    if alpha.arity > maxarity:
+        raise ArityMismatch(f"symbol arity {alpha.arity} exceeds maxarity {maxarity}")
 
     joined = join_markers(marker_signature(st, n) for st in child_states)
     if joined is None:
@@ -216,14 +218,14 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
         plan = alpha._plans[tau, behavior, maxarity] = _StepPlan(tau, alpha, behavior, maxarity)
 
     # base conjunction shared by all choices: the equalities of the symbol
-    # itself, plus child states with their parameters rebased onto this
-    # node's childparam variables
+    # itself, plus child states with their parameters renamed to the
+    # variables this node passes them
     base = plan.eqs.copy()
-    for ren, st, al in zip(plan.renamings, child_states, alpha.arities[1:]):
+    for ren, st in zip(plan.renamings, child_states):
         for cls in st.classes:
+            if any(v.name == "%in" and v not in ren for v in cls):
+                raise ArityMismatch(f"child state mentions parameter beyond arity {len(ren)}")
             members = [ren.get(v, v) for v in cls]
-            if any(v.name == "%in" for v in members):
-                raise ArityMismatch(f"child state mentions parameter beyond arity {al}")
             for v in members:
                 base.union(members[0], v)
 

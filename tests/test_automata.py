@@ -17,9 +17,9 @@ from clhavoc.automata import (BadAddress, NotSidCompatible,
                               enumerate_trees, is_sid_compatible, make_symbol,
                               sid_to_ta, ta_membership, ta_to_sid, ta_trim)
 from clhavoc.frontend import parse_system
-from clhavoc.logic import (Comp, Emp, Eq, Inter, Pred, StateAtom, Var, comp_in,
-                           exists, free_vars, nodevar, param, prenex, sep,
-                           substitute)
+from clhavoc.logic import (Comp, Emp, Eq, Inter, Pred, StateAtom, Var, boundvar,
+                           comp_in, exists, free_vars, nodevar, param, prenex,
+                           sep, substitute)
 from clhavoc.oracle import enumerate_formula_models, enumerate_models
 from clhavoc.reduction import class_equiv
 from clhavoc.transducer import image
@@ -28,7 +28,7 @@ from conftest import FIXTURES, load, sha256, source_fixtures
 
 
 def leaf_symbol(q, a0=3):
-    return make_symbol([], [Comp(param(1)), StateAtom(param(1), q)], [a0])
+    return make_symbol([], [Comp(param(1)), StateAtom(param(1), q)], a0)
 
 
 def symbols_of(ta):
@@ -59,7 +59,7 @@ def test_char_formula_single_leaf():
 
 
 def test_char_formula_emp_symbol():
-    sym = make_symbol([], [], [0])
+    sym = make_symbol([], [], 0)
     t = Tree.node(sym)
     assert char_formula(t, ()) == Emp()
 
@@ -131,14 +131,43 @@ def test_symbol_dedup_across_rules(ring):
 
 def test_symbol_canonical_alpha_renaming():
     x, y = Var("u"), Var("w")
-    s1 = make_symbol([x], [Comp(param(1)), Eq(childparam_(1, 1), x)], [1, 2])
-    s2 = make_symbol([y], [Comp(param(1)), Eq(childparam_(1, 1), y)], [1, 2])
+    s1 = make_symbol([x], [Comp(param(1)), Eq(x, param(1))], 1, [(x, param(1))])
+    s2 = make_symbol([y], [Comp(param(1)), Eq(y, param(1))], 1, [(y, param(1))])
     assert s1 == s2
+    assert s1.args == ((boundvar(1), param(1)),)
+    assert s1.arities == (1, 2) and s1.rank == 1
 
 
-def childparam_(l, i):
-    from clhavoc.logic import childparam
-    return childparam(l, i)
+def test_make_symbol_rejects_variables_outside_its_layout():
+    """Atoms and arguments may use the parameters up to the head's arity and
+    the binders, nothing else."""
+    x = Var("u")
+    with pytest.raises(ValueError, match="exceed arity 1"):
+        make_symbol([], [Comp(param(1))], 1, [(param(2),)])
+    with pytest.raises(ValueError, match="exceed arity 1"):
+        make_symbol([], [Comp(param(1))], 1, [(param(1),), (x,)])
+    with pytest.raises(ValueError, match="exceed arity 0"):
+        make_symbol([], [Comp(param(1))], 0)
+    assert make_symbol([x], [], 1, [(x,), ()]).arities == (1, 1, 0)
+
+
+def test_args_length_is_the_child_arity():
+    """A child's arity is the number of arguments its symbol passes it: a
+    tree must give each argument tuple one child, and an automaton whose
+    symbols pass a state different numbers of arguments is not an SID."""
+    from clhavoc.core import Behavior
+    leaf = make_symbol([], [Comp(param(1))], 1)
+    pass_one = make_symbol([], [], 2, [(param(1),)])
+    pass_two = make_symbol([], [], 2, [(param(1), param(2))])
+    with pytest.raises(ValueError, match="rank 1 given 2"):
+        Tree.node(pass_one, Tree.node(leaf), Tree.node(leaf))
+    ta = TreeAutomaton.make([TaTransition(leaf, (), "P"),
+                             TaTransition(pass_two, ("P",), "Q")])
+    assert not is_sid_compatible(ta)
+    with pytest.raises(NotSidCompatible):
+        ta_to_sid(ta, Behavior.make(["p"], ["s"], []))
+    assert is_sid_compatible(TreeAutomaton.make([TaTransition(leaf, (), "P"),
+                                                 TaTransition(pass_one, ("P",), "Q")]))
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +192,8 @@ def test_sid_to_ta_outputs_are_compatible(ring, tll, pcring):
 
 
 def test_incompatible_arities_detected():
-    s2 = make_symbol([], [Comp(param(1))], [2])
-    s3 = make_symbol([], [Comp(param(1))], [3])
+    s2 = make_symbol([], [Comp(param(1))], 2)
+    s3 = make_symbol([], [Comp(param(1))], 3)
     ta = TreeAutomaton.make([TaTransition(s2, (), "q"), TaTransition(s3, (), "q")])
     assert not is_sid_compatible(ta)
     from clhavoc.core import Behavior
@@ -174,7 +203,7 @@ def test_incompatible_arities_detected():
 
 def test_ta_to_sid_single_transition():
     from clhavoc.core import Behavior
-    sym = make_symbol([], [Comp(param(1)), StateAtom(param(1), "s")], [1])
+    sym = make_symbol([], [Comp(param(1)), StateAtom(param(1), "s")], 1)
     ta = TreeAutomaton.make([TaTransition(sym, (), "q")])
     sid = ta_to_sid(ta, Behavior.make(["p"], ["s"], []))
     assert len(sid.rules) == 1
@@ -214,20 +243,16 @@ def test_ta_to_sid_inverts_sid_to_ta_on_ring_family(k):
 
 
 def test_ta_to_sid_passes_tied_variables_to_the_call():
-    """c1_1 has two equalities: the first, to y1, makes y1 the call argument
-    and is dropped, the second, to p1, is renamed onto y1; c1_2 is untied and
-    gets a fresh binder."""
+    """The symbol's arguments, its binder y1 and its parameter p1, become
+    the call's arguments z1 and x1 after the atoms."""
     from clhavoc.core import Behavior
-    from clhavoc.logic import childparam
     y1 = Var("y1")
-    sym = make_symbol([y1], [Comp(param(1)), Eq(childparam(1, 1), y1),
-                             Eq(childparam(1, 1), param(1))], [1, 2])
+    sym = make_symbol([y1], [Comp(param(1)), Eq(y1, param(1))], 1, [(y1, param(1))])
     ta = TreeAutomaton.make([TaTransition(sym, ("P",), "Q"),
-                             TaTransition(make_symbol([], [], [2]), (), "P")])
+                             TaTransition(make_symbol([], [], 2), (), "P")])
     rule = ta_to_sid(ta, Behavior.make(["p"], ["s"], [])).rules[0]
-    x1, z1, y1_2 = Var("x1"), Var("z1"), Var("y1_2")
-    assert rule.body == exists([z1, y1_2], sep(Comp(x1), Eq(z1, x1),
-                                               Pred("P", (z1, y1_2))))
+    x1, z1 = Var("x1"), Var("z1")
+    assert rule.body == exists([z1], sep(Comp(x1), Eq(z1, x1), Pred("P", (z1, x1))))
 
 
 def test_ta_to_sid_round_trip_class_equiv(tll, ring):
@@ -303,7 +328,7 @@ def test_trim_idempotent_and_tll_unchanged(tll):
 
 def test_trim_removes_junk_state(tll):
     ta, _ = sid_to_ta(tll.sid)
-    junk_sym = make_symbol([], [Comp(param(1))], [1, 1])
+    junk_sym = make_symbol([], [Comp(param(1))], 1, [(param(1),)])
     bigger = TreeAutomaton.make(
         list(ta.transitions) + [TaTransition(junk_sym, ("nowhere",), "Root")],
         states=list(ta.states) + ["nowhere"])
@@ -475,13 +500,13 @@ def _pf_models(atoms, free, behavior):
 # sha256 of dump_ta(sid_to_ta(sid)) for every source fixture
 DUMP_TA_DIGESTS = {
     "bad.clsys": "82623577f14a71a698b01a5c47dc452e3fd81cc1cdfb46a7747baaefaa0e4ea5",
-    "chain.clsys": "8c71d6279307e60cf7ed97de7720015c0e07f9266a28a8e7807248e3ca9f52f1",
-    "misc.clsys": "91cc3fb746764f0b3b79551b2bc68201ba77fd66eea6e000b8ae3c1322245391",
-    "pcring.clsys": "312aa9c19cf7922eb67146230177375029e4dec7e916139ef37001dce7f25ff5",
-    "ring.clsys": "e369e874c8da5af9f0c1c102d40ba100c8c199c2d946d96a273f629a22502e8f",
-    "tll.clsys": "0e4f90eaee17b2e7277b9cc9b6c64a20dc907e4acb2f9dd27db60fa0f8286b96",
-    "tll_original.clsys": "b74a08cb852910e9003864bb7ccc2c715385a9bf300a221efad8195830527cb4",
-    "tll_pcr.clsys": "36f28aef1bd9f8b5a6611902354b2d02824cc3668d71e5cc6134db7fdb48eb1d",
+    "chain.clsys": "6b791b2ce971b161167b6ac5f3a1da991a516683f51b784dbff8cf707ecda7b1",
+    "misc.clsys": "8f2866bb897ed387b7b452df1d396405c02e521af20b43e33c8d0ae54ec0a8dc",
+    "pcring.clsys": "802595217b009e7518162b8e53079b1056dba1c23f511258f9f1ea034e53eda9",
+    "ring.clsys": "936b8a7a9c58dcc8b04f8d48b6daec3a2a938c302c119f935054be7eac7477d6",
+    "tll.clsys": "945d03307d0e16bd673c7c79670dd44d298c256ac1f2ee5a82753505e028c2d5",
+    "tll_original.clsys": "c6cacb532f307a012e42cf5c7f03a1069d9cc689e1f8901717cda7caafa32aa2",
+    "tll_pcr.clsys": "1144629a3f920396e2ac33d13a3184e8709cca059ba7b61ad9f890a459d0fd7f",
 }
 
 

@@ -42,6 +42,49 @@ def test_unknown_predicate_exit_3(capsys):
     assert "Nope" in err
 
 
+RING = str(FIXTURES / "ring.clsys")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", RING),
+    ("check", RING, "--pred", "Ring_1_1", "--depth", "x"),
+    ("check", RING, "--pred", "Ring_1_1", "--depth", "-1"),
+    ("oracle", RING, "--pred", "Ring_1_1", "--depth", "-1", "--assume-tight"),
+    ("bogus", RING),
+    (),
+], ids=["no-pred", "depth-x", "depth-negative", "oracle-depth-negative",
+        "unknown-command", "no-command"])
+def test_usage_error_exit_3(argv, capsys):
+    """A usage error is an input error, not the unknown verdict argparse's
+    own exit code 2 would claim."""
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "usage: clhavoc" in err and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("check", "--help")],
+                         ids=["help", "check-help"])
+def test_help_exit_0(argv, capsys):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: clhavoc")
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", RING),
+    ("reduce", RING, "--pred", "Ring_0_0", "--assume-tight"),
+    ("check", RING, "--pred", "Ring_0_0", "--depth", "2", "--assume-tight"),
+], ids=["parse", "reduce", "check"])
+def test_unwritable_output_exit_3(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out.clsys"
+    code, out, err = run(capsys, *argv, "-o", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"{path}: ") and err.count("\n") == 1
+    assert not path.parent.exists()
+
+
 def test_analyze_table(capsys):
     code, out, _ = run(capsys, "analyze", str(FIXTURES / "ring.clsys"))
     assert code == 0
@@ -306,7 +349,7 @@ def test_trace_transducer_pinned(capsys, tmp_path):
                        "--assume-tight", "--trace-transducer")
     assert code == 0
     assert err.count("\n") == 133
-    assert sha256(err) == "ce4c02a229e586fcc018a244bf6ac12f44ef2e205afc2ab0460be9b45e696f92"
+    assert sha256(err) == "8a9c5e9b994561e93c031ef559f8f2d8b41c2039cb18bb8370f45f14027adf8e"
 
 
 # `clhavoc oracle` arguments, exit code and sha256 of stdout for every source

@@ -1,6 +1,7 @@
 """The interaction-typed transducer: single steps, constraints, image."""
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import pytest
@@ -14,8 +15,8 @@ from clhavoc.automata import (AlphabetSymbol, TaTransition, TreeAutomaton,
 from clhavoc.core import Behavior
 from clhavoc.eqform import EMPTY_EQ, EqFormula, Partition
 from clhavoc.frontend import parse_system
-from clhavoc.logic import (Comp, Eq, Inter, StateAtom, Var, beginvar, childparam,
-                           endvar, param)
+from clhavoc.logic import (Comp, Eq, Inter, StateAtom, Var, beginvar, endvar,
+                           param)
 from clhavoc.transducer import (ArityMismatch, ImageResult, InteractionType,
                                 ProductState, Witness, image, interaction_types,
                                 is_final, join_markers, marker_signature,
@@ -44,8 +45,8 @@ def test_interaction_types_empty():
 # ---------------------------------------------------------------------------
 # single transducer steps
 
-LEAF_Q1 = make_symbol([], [Comp(param(1)), StateAtom(param(1), "q1")], [3])
-LEAF_Q0 = make_symbol([], [Comp(param(1)), StateAtom(param(1), "q0")], [3])
+LEAF_Q1 = make_symbol([], [Comp(param(1)), StateAtom(param(1), "q1")], 3)
+LEAF_Q0 = make_symbol([], [Comp(param(1)), StateAtom(param(1), "q0")], 3)
 TOGGLE = Behavior.make(["in", "out"], ["q0", "q1"],
                        [("q1", "out", "q0"), ("q0", "in", "q1")])
 
@@ -63,38 +64,34 @@ def test_leaf_rewrite_spec_example():
 
 def test_rewrite_changes_every_state_atom_of_its_variable():
     pinned = make_symbol([], [Comp(param(1)), StateAtom(param(1), "q1"),
-                              StateAtom(param(1), "q1")], [3])
+                              StateAtom(param(1), "q1")], 3)
     rewritten = {sym for sym, _, wit in transducer_step(("out", "in"), pinned, [], TOGGLE, 3)
                  if wit.rewrites}
     assert rewritten == {make_symbol([], [Comp(param(1)), StateAtom(param(1), "q0"),
-                                          StateAtom(param(1), "q0")], [3])}
+                                          StateAtom(param(1), "q0")], 3)}
 
 
 def test_bookkeeping_step_is_identity():
+    y = Var("y")
     child = EqFormula.make(pairs=[(param(1), param(2))])
-    sym = make_symbol([], [Comp(param(1)), StateAtom(param(1), "q1"),
-                           _eq(1, 1, param(1))], [2, 2])
+    sym = make_symbol([y], [Comp(param(1)), StateAtom(param(1), "q1")], 2,
+                      [(param(1), y)])
     results = transducer_step(("out", "in"), sym, [child], TOGGLE, 2)
     plain = [(s, phi) for s, phi, wit in results
              if not wit.rewrites and wit.fired_atom is None]
     assert len(plain) == 1
     s, phi = plain[0]
     assert s == sym
-    # the child's param(1)=param(2) class maps through childparam(1,1)=param(1)
-    assert phi.entails(param(1), param(1))
-
-
-def _eq(l, i, z):
-    from clhavoc.logic import Eq, childparam
-    return Eq(childparam(l, i), z)
+    # the child's param(1)=param(2) class becomes param(1)=y, and the binder
+    # is projected away
+    assert phi == EMPTY_EQ
 
 
 def test_used_begin_cannot_be_rechosen():
     child = EqFormula.make(vars=[beginvar(1)])
     results = transducer_step(("out", "in"), LEAF_Q1, [], TOGGLE, 3)
     # leaf has no children; simulate the constraint on a unary symbol instead
-    sym = make_symbol([], [Comp(param(1)), StateAtom(param(1), "q1"),
-                           _eq(1, 1, param(1))], [3, 3])
+    sym = make_symbol([], [Comp(param(1)), StateAtom(param(1), "q1")], 3, [(param(1),)])
     results = transducer_step(("out", "in"), sym, [child], TOGGLE, 3)
     for _, _, wit in results:
         assert all(i != 1 for i, *_ in wit.rewrites)
@@ -102,16 +99,16 @@ def test_used_begin_cannot_be_rechosen():
 
 def test_two_children_sharing_begin_blocks_everything():
     child = EqFormula.make(vars=[beginvar(1)])
-    sym = make_symbol([], [Comp(param(1)), StateAtom(param(1), "q1"),
-                           _eq(1, 1, param(1)), _eq(2, 1, param(1))], [3, 3, 3])
+    sym = make_symbol([], [Comp(param(1)), StateAtom(param(1), "q1")], 3,
+                      [(param(1),), (param(1),)])
     assert transducer_step(("out", "in"), sym, [child, child], TOGGLE, 3) == []
 
 
 def test_second_fired_atom_blocked_by_child_ends():
     child = EqFormula.make(vars=[endvar(1), endvar(2)])
     from clhavoc.logic import Inter
-    sym = make_symbol([], [Inter(((param(1), "out"), (param(2), "in"))),
-                           _eq(1, 1, param(1))], [2, 2])
+    sym = make_symbol([], [Inter(((param(1), "out"), (param(2), "in")))], 2,
+                      [(param(1),)])
     for _, _, wit in transducer_step(("out", "in"), sym, [child], TOGGLE, 2):
         assert wit.fired_atom is None
 
@@ -133,7 +130,7 @@ def test_generated_states_satisfy_invariants(ring):
 def test_repeated_variable_interaction_is_rejected():
     # <x.out, x.in> would force end(1)=end(2); no valid component model exists
     from clhavoc.logic import Inter
-    sym = make_symbol([], [Inter(((param(1), "out"), (param(1), "in")))], [1])
+    sym = make_symbol([], [Inter(((param(1), "out"), (param(1), "in")))], 1)
     for _, phi, wit in transducer_step(("out", "in"), sym, [], TOGGLE, 1):
         assert wit.fired_atom is None
 
@@ -330,8 +327,8 @@ def test_new_combos_edge_cases():
 def test_cached_hash_stays_out_of_identity(ring):
     ta, _ = sid_to_ta(ring.sid)
     sym = ta.transitions[0].symbol
-    assert hash(sym) == sym._hash == hash((sym.exvars, sym.atoms, sym.arities))
-    twin = AlphabetSymbol(sym.exvars, sym.atoms, sym.arities)
+    assert hash(sym) == sym._hash == hash((sym.exvars, sym.atoms, sym.arity, sym.args))
+    twin = AlphabetSymbol(sym.exvars, sym.atoms, sym.arity, sym.args)
     object.__setattr__(twin, "_hash", sym._hash + 1)
     assert twin == sym
     assert "_hash" not in repr(sym)
@@ -348,7 +345,50 @@ def test_cached_hash_stays_out_of_identity(ring):
 
 # ---------------------------------------------------------------------------
 # the step against its plain form: the step before its per-symbol plan, its
-# marker signatures and its one-pass marker check, kept verbatim
+# marker signatures and its one-pass marker check, kept verbatim; it reads a
+# symbol's call arguments as trailing equalities on child-parameter variables
+
+def childparam(l: int, j: int) -> Var:
+    """The variable for parameter j of child l in the glued encoding."""
+    return Var("%out", (l, j))
+
+
+@dataclass(frozen=True)
+class GluedSymbol:
+    """A symbol in the encoding the reference step reads: the call arguments
+    as trailing equalities childparam(l, j) = arg, and the arity tuple."""
+
+    exvars: tuple[Var, ...]
+    atoms: tuple
+    arities: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.arities) - 1
+
+
+def glue(alpha: AlphabetSymbol) -> GluedSymbol:
+    eqs = tuple(Eq(childparam(l, j), v) for l, vs in enumerate(alpha.args, start=1)
+                for j, v in enumerate(vs, start=1))
+    return GluedSymbol(alpha.exvars, alpha.atoms + eqs, alpha.arities)
+
+
+def unglue(out: GluedSymbol, alpha: AlphabetSymbol) -> AlphabetSymbol:
+    """An output of the reference step on glue(alpha) as a symbol with
+    alpha's arguments; a step rewrites state atoms only, so the glue stays."""
+    k = len(alpha.atoms)
+    assert out.atoms[k:] == glue(alpha).atoms[k:]
+    return AlphabetSymbol(out.exvars, out.atoms[:k], alpha.arity, alpha.args)
+
+
+def reference_step(tau: InteractionType, alpha: AlphabetSymbol,
+                   child_states: Sequence[EqFormula], behavior: Behavior,
+                   maxarity: int, live_only: bool = True,
+                   ) -> list[tuple[AlphabetSymbol, EqFormula, Witness]]:
+    """`glued_reference_step` on alpha with its arguments glued back."""
+    return [(unglue(out, alpha), phi, wit) for out, phi, wit in
+            glued_reference_step(tau, glue(alpha), child_states, behavior, maxarity,
+                                 live_only)]
 
 def reference_state_ok(phi: EqFormula, n: int) -> bool:
     """The non-entailment conditions on transducer states."""
@@ -383,10 +423,10 @@ def _reference_canonical_state(phi: EqFormula) -> EqFormula:
     return EqFormula(frozenset(keep))
 
 
-def reference_step(tau: InteractionType, alpha: AlphabetSymbol,
-                   child_states: Sequence[EqFormula], behavior: Behavior,
-                   maxarity: int, live_only: bool = True,
-                   ) -> list[tuple[AlphabetSymbol, EqFormula, Witness]]:
+def glued_reference_step(tau: InteractionType, alpha: GluedSymbol,
+                         child_states: Sequence[EqFormula], behavior: Behavior,
+                         maxarity: int, live_only: bool = True,
+                         ) -> list[tuple[GluedSymbol, EqFormula, Witness]]:
     """All transitions (alpha, alpha')(child_states) -> state for the type tau.
 
     Enumerates the choice of rewritten component atoms (one per fresh walk
@@ -483,7 +523,7 @@ def reference_step(tau: InteractionType, alpha: AlphabetSymbol,
             out_atoms = list(alpha.atoms)
             for _, xi, q, q2 in rewrites:
                 out_atoms[state_idx[xi][0]] = StateAtom(xi, q2)
-            out = AlphabetSymbol(alpha.exvars, tuple(out_atoms), alpha.arities)
+            out = GluedSymbol(alpha.exvars, tuple(out_atoms), alpha.arities)
             results.append((out, phi, Witness(tau, rewrites, fired)))
     return results
 
@@ -582,7 +622,7 @@ def test_marker_checks_match_entailment_form():
 def test_step_plan_memo_stays_out_of_identity(ring):
     ta, _ = sid_to_ta(ring.sid)
     leaf = next(tr.symbol for tr in ta.transitions if not tr.children)
-    twin = AlphabetSymbol(leaf.exvars, leaf.atoms, leaf.arities)
+    twin = AlphabetSymbol(leaf.exvars, leaf.atoms, leaf.arity, leaf.args)
     results = transducer_step(("out", "in"), leaf, [], ring.behavior, 2)
     assert leaf._plans and not twin._plans
     assert twin == leaf and hash(twin) == hash(leaf) and repr(twin) == repr(leaf)
