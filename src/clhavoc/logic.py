@@ -371,6 +371,10 @@ class SID:
     # the SID this one extends (see `extend`); its predicates unfold here as
     # there, so `oracle` keeps their model sets in the base's memo
     _base: SID | None = field(default=None, init=False, repr=False, compare=False)
+    # canonical keys of bounded-model candidates by exact form, which
+    # `oracle` alone reads and fills, in the root of the `_base` chain only:
+    # a key is a function of the candidate, so extensions share it
+    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arities: dict[str, int] = {}

@@ -8,6 +8,14 @@ kept canonical up to a component renaming that also rewrites the store, so
 the havoc and entailment checks decide membership by canonical key.  Each
 model keeps the keys of its one-step successors, so the direct check and
 cross-validation key each successor once.
+
+A candidate is written as its exact form (`exact_form`), and its key is
+computed once per distinct exact form: the root of an SID's `_base` chain
+holds a table from exact forms to keys, which enumeration and successor
+keying both read before they call `canonical_model`.  A key depends only on
+the candidate, so the table is shared by every extension of the root, while
+model sets stay per SID.  A configuration is built from an exact form only
+to key it or to keep it in a set.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .core import Behavior, Configuration, Interaction, step
 from .eqform import Partition
 from .logic import (Atom, Formula, SID, Var, atom_vars, atoms_of,
-                    complete_unfoldings, exists, free_vars, prenex, split_atoms,
+                    complete_unfoldings, exists, free_vars, split_atoms,
                     var_text)
 
 
@@ -104,13 +112,6 @@ class ModelSet:
     def __init__(self) -> None:
         self.entries: dict[tuple, Model] = {}
 
-    def add(self, g: Configuration, nu: Mapping[Var, str], provenance: str) -> bool:
-        key = canonical_model(g, nu)
-        if key in self.entries:
-            return False
-        self.entries[key] = Model(g, dict(nu), provenance, key)
-        return True
-
     def keys(self) -> list[tuple]:
         return sorted(self.entries)
 
@@ -125,16 +126,45 @@ class ModelSet:
 
 
 # ---------------------------------------------------------------------------
+# exact forms and the key table
+
+def exact_form(components: Iterable[str], bindings: Iterable[tuple[tuple[str, str], ...]],
+               state_pairs: Iterable[tuple[str, str]],
+               store: Iterable[tuple[Var, str]]) -> tuple:
+    """A candidate (configuration, store) as one hashable value: its present
+    ids, interaction bindings and state pairs, each sorted as text, and its
+    store items in argument order.  Equal forms are equal candidates, so they
+    have one canonical key."""
+    return (tuple(sorted(components)), tuple(sorted(bindings)),
+            tuple(sorted(state_pairs)), tuple(store))
+
+
+def from_exact(exact: tuple) -> tuple[Configuration, dict[Var, str]]:
+    """The configuration and store that an exact form writes out."""
+    comps, bindings, state_pairs, store = exact
+    return (Configuration(frozenset(comps), frozenset(map(Interaction, bindings)),
+                          state_pairs),
+            dict(store))
+
+
+def _key_table(sid: SID) -> dict:
+    """The canonical keys by exact form of the root of sid's `_base` chain."""
+    while sid._base is not None:
+        sid = sid._base
+    return sid._keys
+
+
+# ---------------------------------------------------------------------------
 # model enumeration for predicate-free formulas
 
 def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],
-                        free: Sequence[Var],
-                        states: Iterable[str]) -> Iterator[tuple[Configuration, dict[Var, str]]]:
+                        free: Sequence[Var], states: Iterable[str]) -> Iterator[tuple]:
     """All models of an exists-prefixed qpf formula, up to component renaming.
 
-    Yields (configuration, store) pairs whose carrier covers the store range;
-    junk existentials (classes touching no spatial atom and no free variable)
-    are dropped, since the infinite pool always satisfies them.
+    Yields the exact forms of (configuration, store) pairs whose carrier
+    covers the store range (see `from_exact`); junk existentials (classes
+    touching no spatial atom and no free variable) are dropped, since the
+    infinite pool always satisfies them.
     """
     states = sorted(states)
     comp_atoms, inter_atoms, state_atoms, eqs, neqs = split_atoms(atoms)
@@ -226,18 +256,14 @@ def _instantiate(bucket, cls_of, inter_atoms, state_atoms, neq_cls, free,
 
     # junk buckets (absent, untouched by interactions and store) are sound to
     # drop: the infinite pool supplies them in any pinned state
-    buckets = sorted(relevant)
-    names = {b: f"n{b}" for b in buckets}
-    unpinned = [b for b in buckets if b not in pins]
+    names = {b: f"n{b}" for b in relevant}
+    comps = [names[b] for b in present]
+    bindings = [tuple((names[b], p) for b, p in t) for t in tuples]
+    store = [(v, names[bucket_of_var(v)]) for v in free]
+    pinned = [(names[b], q) for b, q in pins.items() if b in relevant]
+    unpinned = [names[b] for b in sorted(relevant) if b not in pins]
     for choice in itertools.product(states, repeat=len(unpinned)):
-        rho = {names[b]: q for b, q in pins.items() if b in relevant}
-        rho.update({names[b]: q for b, q in zip(unpinned, choice)})
-        g = Configuration.make(
-            (names[b] for b in present),
-            (Interaction(tuple((names[b], p) for b, p in t)) for t in tuples),
-            rho)
-        nu = {v: names[bucket_of_var(v)] for v in free}
-        yield g, nu
+        yield exact_form(comps, bindings, [*pinned, *zip(unpinned, choice)], store)
 
 
 def enumerate_models(sid: SID, f: Formula, depth: int) -> ModelSet:
@@ -248,7 +274,9 @@ def enumerate_models(sid: SID, f: Formula, depth: int) -> ModelSet:
     Built once per SID object, formula and depth, in the SID's memo, or in
     its base's memo for a predicate of the base (see `SID.extend`), which
     unfolds there alike; sets are shared between callers, so do not modify
-    one (successor keys are filled in as they are first asked for)."""
+    one (successor keys are filled in as they are first asked for).  Each
+    distinct candidate is keyed once per root SID (see `_key_table`), and
+    a configuration is built only for a candidate that is keyed or kept."""
     (atom,) = atoms_of(f)
     while sid._base is not None and atom.name in sid._base.predicates:
         sid = sid._base
@@ -256,22 +284,20 @@ def enumerate_models(sid: SID, f: Formula, depth: int) -> ModelSet:
     if (f, depth) not in memo:
         fv = free_vars(f)
         free = [v for v in atom.args if v in fv]
+        table = _key_table(sid)
         ms = ModelSet()
         for k, (binders, atoms) in enumerate(complete_unfoldings(sid, f, depth)):
-            for g, nu in enumerate_pf_models(binders, atoms, free, sid.behavior.states):
-                ms.add(g, nu, provenance=f"unfolding#{k}")
+            for exact in enumerate_pf_models(binders, atoms, free, sid.behavior.states):
+                value = None
+                key = table.get(exact)
+                if key is None:
+                    value = from_exact(exact)
+                    key = table[exact] = canonical_model(*value)
+                if key not in ms.entries:
+                    g, nu = value or from_exact(exact)
+                    ms.entries[key] = Model(g, nu, f"unfolding#{k}", key)
         memo[f, depth] = ms
     return memo[f, depth]
-
-
-def enumerate_formula_models(formula: Formula, free: Sequence[Var],
-                             behavior: Behavior) -> ModelSet:
-    """Canonical models of a predicate-free formula."""
-    ms = ModelSet()
-    binders, atoms = prenex(formula)
-    for g, nu in enumerate_pf_models(binders, atoms, free, behavior.states):
-        ms.add(g, nu, provenance="formula")
-    return ms
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +327,23 @@ def _successors(behavior: Behavior, model: Model, inter: Interaction) -> list[Co
     return sorted(step(behavior, model.config, inter), key=lambda c: c.state_pairs)
 
 
-def _successor_keys(behavior: Behavior, ms: ModelSet, model: Model,
+def _successor_keys(sid: SID, ms: ModelSet, model: Model,
                     inter: Interaction) -> tuple[tuple, ...]:
     """Canonical keys of the successors of firing inter in the model, a
-    member of ms, in `_successors` order; computed once per model and
-    interaction.  A key that ms holds is stored as its member's own key, so
-    the stored keys copy none of ms's."""
+    member of sid's set ms, in `_successors` order; computed once per model
+    and interaction, and looked up by exact form in sid's key table first.
+    A key that ms holds is stored as its member's own key, so the stored
+    keys copy none of ms's."""
     keys = model.steps.get(inter)
     if keys is None:
+        table = _key_table(sid)
         keys = []
-        for g2 in _successors(behavior, model, inter):
-            key = canonical_model(g2, model.store)
+        for g2 in _successors(sid.behavior, model, inter):
+            exact = exact_form(g2.components, (i.bindings for i in g2.interactions),
+                               g2.state_pairs, model.store.items())
+            key = table.get(exact)
+            if key is None:
+                key = table[exact] = canonical_model(g2, model.store)
             member = ms.entries.get(key)
             keys.append(key if member is None else member.key)
         keys = model.steps[inter] = tuple(keys)
@@ -328,7 +360,7 @@ def havoc_invariant_bounded(sid: SID, pred: str, depth: int) -> HavocReport:
     ms = enumerate_models(sid, sid.atom(pred), depth)
     for _, model in _model_order(ms):
         for inter in sorted(model.config.interactions, key=repr):
-            for k, key in enumerate(_successor_keys(sid.behavior, ms, model, inter)):
+            for k, key in enumerate(_successor_keys(sid, ms, model, inter)):
                 if key not in ms:
                     g2 = _successors(sid.behavior, model, inter)[k]
                     return HavocReport(False, depth, len(ms),
@@ -392,7 +424,7 @@ def cross_validate_reduction(sid: SID, pred: str, depth: int,
     for model in ms.entries.values():
         for inter in model.config.interactions:
             if all(c in model.config.components for c in inter.components):
-                left.update(_successor_keys(sid.behavior, ms, model, inter))
+                left.update(_successor_keys(sid, ms, model, inter))
     right: dict[tuple, Model] = {}
     for target in result.targets:
         right.update(enumerate_models(result.combined_sid,

@@ -20,7 +20,8 @@ from clhavoc.frontend import parse_system
 from clhavoc.logic import (Comp, Emp, Eq, Inter, Pred, StateAtom, Var, boundvar,
                            comp_in, exists, free_vars, nodevar, param, prenex,
                            sep, substitute)
-from clhavoc.oracle import enumerate_formula_models, enumerate_models
+from clhavoc.oracle import (canonical_model, enumerate_models, enumerate_pf_models,
+                            from_exact)
 from clhavoc.reduction import class_equiv
 from clhavoc.transducer import image
 
@@ -398,6 +399,13 @@ def height(t: Tree) -> int:
     return 1 + max(len(u) for u in t.dom)
 
 
+def enumerate_formula_models(formula, free, behavior):
+    """The canonical keys of the models of a predicate-free formula."""
+    binders, atoms = prenex(formula)
+    return {canonical_model(*from_exact(exact))
+            for exact in enumerate_pf_models(binders, atoms, free, behavior.states)}
+
+
 def tree_model_keys(sid, ta, state, arity, depth, max_nodes=None):
     # chains have one node per level; binary trees need up to 2**depth nodes
     keys = set()
@@ -407,9 +415,8 @@ def tree_model_keys(sid, ta, state, arity, depth, max_nodes=None):
         closed = char_formula_closed(t, ())
         ren = {nodevar((), j): Var(f"x{j}") for j in range(1, arity + 1)}
         f = substitute(closed, ren)
-        ms = enumerate_formula_models(f, [Var(f"x{j}") for j in range(1, arity + 1)],
-                                      sid.behavior)
-        keys |= set(ms.keys())
+        keys |= enumerate_formula_models(f, [Var(f"x{j}") for j in range(1, arity + 1)],
+                                         sid.behavior)
     return keys
 
 
@@ -492,8 +499,7 @@ def test_loose_leaf_rules_break_the_walk_property(tll_original):
 
 
 def _pf_models(atoms, free, behavior):
-    from clhavoc.oracle import enumerate_pf_models
-    return enumerate_pf_models([], atoms, free, behavior.states)
+    return map(from_exact, enumerate_pf_models([], atoms, free, behavior.states))
 
 
 

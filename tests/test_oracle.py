@@ -18,13 +18,14 @@ from clhavoc.frontend import parse_system, render_config
 from clhavoc.logic import (Eq, Neq, Pred, SID, Var, comp_in, complete_unfoldings,
                            eval_bounded, eval_pf, exists, sep, unfold, var_text)
 from clhavoc.oracle import (Counterexample, CrossReport, EntailReport, HavocReport,
-                            Model, _model_order, canonical_model,
-                            cross_validate_reduction, enumerate_models,
-                            entails_bounded, havoc_invariant_bounded)
+                            Model, _model_order, _successor_keys, _successors,
+                            canonical_model, cross_validate_reduction,
+                            enumerate_models, enumerate_pf_models, entails_bounded,
+                            exact_form, from_exact, havoc_invariant_bounded)
 from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
 from clhavoc.transducer import transducer_step
 
-from conftest import REUSE_CASES, source_fixtures
+from conftest import REUSE_CASES, corpus, corpus_text, source_fixtures
 
 X1, X2 = Var("x1"), Var("x2")
 
@@ -621,11 +622,12 @@ def test_cross_validation_reuses_built_models(name, pred, depth, monkeypatch):
 
 def test_model_memo_belongs_to_one_sid_object():
     a, b = parse_system(XVAL_TEXTS["ring.clsys"]).sid, parse_system(XVAL_TEXTS["ring.clsys"]).sid
-    assert a._memo is not b._memo
+    assert a._memo is not b._memo and a._keys is not b._keys
     ms = enumerate_models(a, a.atom("Ring_1_1"), 3)
     assert enumerate_models(a, a.atom("Ring_1_1"), 3) is ms
     assert a._memo and not b._memo
-    # equality, hash and text ignore the memo
+    assert a._keys and not b._keys
+    # equality, hash and text ignore the memo and the key table
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     other = enumerate_models(b, b.atom("Ring_1_1"), 3)
     assert other is not ms and other.keys() == ms.keys()
@@ -657,9 +659,7 @@ def test_direct_check_after_entailments_unfolds_nothing(name, pred, depth, monke
 def test_cross_validation_after_direct_check_keys_nothing(name, pred, depth, monkeypatch):
     sid, result = checked(name, pred, depth)
     assert havoc_invariant_bounded(sid, pred, depth).invariant
-    calls = []
-    monkeypatch.setattr(oracle, "canonical_model",
-                        lambda *args: calls.append(args) or canonical_model(*args))
+    calls = spy_keys(monkeypatch)
     cross = cross_validate_reduction(sid, pred, depth, result)
     assert cross.left_size
     assert calls == []
@@ -667,6 +667,132 @@ def test_cross_validation_after_direct_check_keys_nothing(name, pred, depth, mon
     ms = enumerate_models(sid, sid.atom(pred), depth)
     stored = [k for m in ms.entries.values() for keys in m.steps.values() for k in keys]
     assert stored and all(k is ms.entries[k].key for k in stored if k in ms)
+
+
+# ---------------------------------------------------------------------------
+# one canonical key per distinct candidate, in the root SID's key table
+
+def spy_keys(monkeypatch):
+    """Record every canonical_model call the oracle makes from now on."""
+    calls = []
+    monkeypatch.setattr(oracle, "canonical_model",
+                        lambda *args: calls.append(args) or canonical_model(*args))
+    return calls
+
+
+def test_entailments_key_each_distinct_candidate_once(monkeypatch):
+    # a target's unfoldings are the source's with other state atoms: 510
+    # candidates are enumerated, and 240 of them are distinct
+    sid = parse_system(XVAL_TEXTS["ring.clsys"]).sid
+    result = reduce_havoc_to_entailment(sid, "Ring_1_1", assume_tight=True)
+    candidates = []
+    monkeypatch.setattr(oracle, "enumerate_pf_models", lambda *args: (
+        candidates.append(c) or c for c in enumerate_pf_models(*args)))
+    calls = spy_keys(monkeypatch)
+    for lhs, rhs in result.entailments:
+        assert entails_bounded(result.combined_sid, lhs, rhs, 8).holds
+    assert len(candidates) == 510
+    assert len(set(candidates)) == len(calls) == 240
+    assert len({exact_form(g.components, (i.bindings for i in g.interactions),
+                           g.state_pairs, nu.items()) for g, nu in calls}) == 240
+    # the table lives in the source SID, and the combined SID keeps none
+    assert set(sid._keys) == set(candidates) and not result.combined_sid._keys
+
+
+@pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
+def test_direct_check_and_cross_validation_after_check_key_nothing(
+        name, pred, depth, monkeypatch):
+    sid, result = checked(name, pred, depth)
+    calls = spy_keys(monkeypatch)
+    havoc_invariant_bounded(sid, pred, depth)
+    assert cross_validate_reduction(sid, pred, depth, result).left_size
+    assert calls == []
+
+
+# a ring with one token; at depth 12 its largest models have 11 carrier
+# ids, where the text order of ids (n10 before n2) is not their number order
+ONE_TOKEN = """
+behavior {
+  ports in, out;
+  states H, T;
+  trans T -out-> H;
+  trans H -in-> T;
+}
+sid {
+  Ring() <- exists x, y . <x.out, y.in> * Seg(y, x);
+  Seg(x, y) <- exists z . comp(x : T) * <x.out, z.in> * Seg(z, y);
+  Seg(x, y) <- exists z . comp(x : H) * <x.out, z.in> * Rest(z, y);
+  Seg(x, y) <- x = y * comp(x : H);
+  Rest(x, y) <- exists z . comp(x : T) * <x.out, z.in> * Rest(z, y);
+  Rest(x, y) <- x = y * comp(x : T);
+}
+"""
+
+
+def test_successor_over_eleven_ids_hits_the_table(monkeypatch):
+    sid = parse_system(ONE_TOKEN).sid
+    result = reduce_havoc_to_entailment(sid, "Ring", assume_tight=True)
+    for lhs, rhs in result.entailments:
+        assert entails_bounded(result.combined_sid, lhs, rhs, 12).holds
+    ms = enumerate_models(sid, sid.atom("Ring"), 12)
+    assert max(len(m.config.state_pairs) for m in ms.entries.values()) >= 11
+    calls = spy_keys(monkeypatch)
+    assert havoc_invariant_bounded(sid, "Ring", 12).invariant
+    assert calls == []
+    assert all(m.steps for m in ms.entries.values())
+
+
+def reference_models(sid, f, depth):
+    """enumerate_models' entries as they were when each candidate was
+    keyed afresh, with no key table and no memo."""
+    (atom,) = logic.atoms_of(f)
+    fv = logic.free_vars(f)
+    free = [v for v in atom.args if v in fv]
+    entries = {}
+    for k, (binders, atoms) in enumerate(complete_unfoldings(sid, f, depth)):
+        for exact in enumerate_pf_models(binders, atoms, free, sid.behavior.states):
+            g, nu = from_exact(exact)
+            key = canonical_model(g, nu)
+            if key not in entries:
+                entries[key] = Model(g, dict(nu), f"unfolding#{k}", key)
+    return entries
+
+
+def assert_models_match_reference(sid, f, depth):
+    """The models, in order, and every stored successor key, against fresh
+    keys per candidate."""
+    ms = enumerate_models(sid, f, depth)
+    want = reference_models(sid, f, depth)
+    got = [(k, m.config, list(m.store.items()), m.provenance, m.key)
+           for k, m in ms.entries.items()]
+    assert got == [(k, m.config, list(m.store.items()), m.provenance, m.key)
+                   for k, m in want.items()]
+    for m in ms.entries.values():
+        for inter in sorted(m.config.interactions, key=repr):
+            keys = _successor_keys(sid, ms, m, inter)
+            assert keys == m.steps[inter] == tuple(
+                canonical_model(g2, m.store) for g2 in _successors(sid.behavior, m, inter))
+
+
+CORPUS_CASES = [(name, pred, 2 if name == "tll_original.clsys" else 3)
+                for name in corpus()
+                for pred in parse_system(corpus_text(name)).sid.predicates]
+
+
+@pytest.mark.parametrize("name,pred,depth", CORPUS_CASES)
+def test_keyed_models_match_fresh_keys(name, pred, depth):
+    sid = parse_system(corpus_text(name)).sid
+    assert_models_match_reference(sid, sid.atom(pred), depth)
+
+
+@pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
+def test_keyed_models_of_combined_sid_match_fresh_keys(name, pred, depth):
+    # after the check, the entailments have filled the table
+    sid, result = checked(name, pred, depth)
+    assert sid._keys
+    combined = result.combined_sid
+    for p in (pred, *result.derived_sid.predicates):
+        assert_models_match_reference(combined, combined.atom(p), depth)
 
 
 def test_reductions_of_one_parse_stay_apart():
