@@ -13,33 +13,25 @@ from dataclasses import dataclass
 
 from .core import degree
 from .eqform import Partition
-from .logic import (Comp, Emp, Eq, Exists, Inter, Neq, Pred, SID, SepConj,
-                    StateAtom, split_atoms, var_text)
+from .logic import Inter, SID, StateAtom, atom_vars, split_atoms, var_text
 from .oracle import enumerate_models
 
 
-def formula_size(f) -> int:
-    """Number of symbol occurrences needed to write the formula down."""
-    if isinstance(f, Emp):
-        return 1
-    if isinstance(f, Comp):
-        return 2
-    if isinstance(f, (Eq, Neq, StateAtom)):
-        return 3
-    if isinstance(f, Inter):
-        return 1 + 2 * len(f.bindings)
-    if isinstance(f, Pred):
-        return 1 + len(f.args)
-    if isinstance(f, SepConj):
-        return sum(formula_size(p) for p in f.parts) + len(f.parts) - 1
-    if isinstance(f, Exists):
-        return 1 + len(f.vars) + formula_size(f.body)
-    raise TypeError(f)
+def formula_size(binders, atoms) -> int:
+    """Number of symbol occurrences needed to write `exists binders . *atoms`
+    down.  An atom counts its symbol, its variables and the ports of an
+    interaction or the state of a state atom; no atoms is `emp`, and a `*`
+    joins two atoms."""
+    body = sum(1 + len(atom_vars(a)) + (len(a.bindings) if isinstance(a, Inter)
+                                        else int(isinstance(a, StateAtom)))
+               for a in atoms)
+    body += len(atoms) - 1 if atoms else 1
+    return 1 + len(binders) + body if binders else body
 
 
 def sid_metrics(sid: SID) -> tuple[int, int, int, int]:
     """(size, maxarity, maxinter, maxpreds), with max over the empty set = 0."""
-    size = sum(formula_size(r.body) + len(r.params) + 1 for r in sid.rules)
+    size = sum(formula_size(r.binders, r.atoms) + len(r.params) + 1 for r in sid.rules)
     maxarity = max((len(r.params) for r in sid.rules), default=0)
     maxinter = 0
     maxpreds = 0

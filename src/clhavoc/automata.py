@@ -257,10 +257,10 @@ def ta_to_sid(ta: TreeAutomaton, behavior: Behavior,
         binders = tuple(Var(f"z{k}") for k in range(1, len(sym.exvars) + 1))
         mapping = dict(zip(map(param, range(1, sym.arity + 1)), params))
         mapping.update(zip(sym.exvars, binders))
-        parts = [substitute(a, mapping) for a in sym.atoms]
-        parts += [Pred(name_of(q), tuple(mapping[v] for v in vs))
+        atoms = [substitute(a, mapping) for a in sym.atoms]
+        atoms += [Pred(name_of(q), tuple(mapping[v] for v in vs))
                   for q, vs in zip(tr.children, sym.args)]
-        rules.append(Rule(name_of(tr.result), params, exists(binders, sep(*parts))))
+        rules.append(Rule(name_of(tr.result), params, binders, tuple(atoms)))
     return SID(tuple(rules), behavior)
 
 

@@ -10,11 +10,14 @@ plain predicates named `Chain_0_1` and so on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from .core import Behavior, Configuration, Interaction
-from .logic import (Comp, Emp, Eq, Exists, Formula, Inter, Neq, Pred, Rule,
-                    SID, SepConj, StateAtom, Var, atom_text, comp_in, exists,
-                    sep)
+from .logic import (Atom, Comp, Eq, Inter, Neq, Pred, Rule, SID, StateAtom,
+                    Var, atom_text)
+
+
+T = TypeVar("T")
 
 
 class ParseError(ValueError):
@@ -146,6 +149,35 @@ def _mangle(base: str, indices: list[int]) -> str:
     return base if not indices else base + "_" + "_".join(map(str, indices))
 
 
+class _Body:
+    """A rule body as it is parsed, in prenex form: written names resolve
+    to the parameters and the binders of the `exists` groups in scope, and
+    each indexed predicate atom leaves a hole that `_expand_rules` fills per
+    instance."""
+
+    def __init__(self, params: list[Var], names: set[str]) -> None:
+        self.scope = {v.name: v for v in params}
+        self.params = params
+        self.names = names  # every name of the rule's text, plus fresh ones
+        self.binders: list[Var] = []
+        self.atoms: list[Atom] = []
+        self.holes: dict[int, PredTemplate] = {}  # atom index -> indexed call
+        self.unbound: Tok | None = None  # the first unbound variable
+
+    def bind(self, name: str) -> Var:
+        """A binder for the written name; a clash with a parameter or an
+        earlier binder gets a fresh name that occurs nowhere in the rule."""
+        v = Var(name)
+        if v in self.params or v in self.binders:
+            k = 1
+            while f"{name}_{k}" in self.names:
+                k += 1
+            v = Var(f"{name}_{k}")
+            self.names.add(v.name)
+        self.binders.append(v)
+        return v
+
+
 # ---------------------------------------------------------------------------
 # parser
 
@@ -187,13 +219,23 @@ class _Parser:
     def ident(self) -> str:
         return self.expect("ident").value
 
+    def var(self) -> Var:
+        """A variable of the rule body being parsed, by its written name: the
+        innermost binder in scope, else the parameter.  An unbound name is
+        reported once the rule has parsed, so syntax errors come first."""
+        t = self.expect("ident")
+        v = self.body.scope.get(t.value)
+        if v is None:
+            self.body.unbound = self.body.unbound or t
+        return v or Var(t.value)
+
     # -- file --------------------------------------------------------------
 
     def parse_file(self) -> SystemFile:
         behavior: Behavior | None = None
         rules: list = []
         configs: dict[str, Configuration] = {}
-        queries: list[Query] = []
+        queries: list[tuple[Query, Tok]] = []
         while self.peek().kind != "eof":
             t = self.peek()
             if t.kind != "ident":
@@ -210,17 +252,17 @@ class _Parser:
                     raise self.error(f"duplicate config {name!r}", t)
                 configs[name] = cfg
             elif t.value == "query":
-                queries.append(self.parse_query())
+                queries.append((self.parse_query(), t))
             else:
                 raise self.error(f"unknown block {t.value!r}")
         if behavior is None:
             raise self.error("file declares no behavior block")
         sid = _expand_rules(rules, behavior)
-        for q in queries:
+        for q, t in queries:
             for name in filter(None, (q.lhs, q.rhs)):
                 if name not in sid.predicates:
-                    raise self.error(f"query names undefined predicate {name!r}")
-        return SystemFile(behavior, sid, configs, queries)
+                    raise self.error(f"query names undefined predicate {name!r}", t)
+        return SystemFile(behavior, sid, configs, [q for q, _ in queries])
 
     # -- behavior ----------------------------------------------------------
 
@@ -233,9 +275,9 @@ class _Parser:
         while not self.eat_punct("}"):
             kw = self.ident()
             if kw == "ports":
-                ports.extend(self.ident_list())
+                ports.extend(self.listed(self.ident))
             elif kw == "states":
-                states.extend(self.ident_list())
+                states.extend(self.listed(self.ident))
             elif kw == "trans":
                 q = self.ident()
                 self.expect("punct", "-")
@@ -251,10 +293,11 @@ class _Parser:
         except ValueError as e:
             raise self.error(str(e))
 
-    def ident_list(self) -> list[str]:
-        out = [self.ident()]
+    def listed(self, item: Callable[[], T]) -> list[T]:
+        """One or more items, separated by commas."""
+        out = [item()]
         while self.eat_punct(","):
-            out.append(self.ident())
+            out.append(item())
         return out
 
     # -- sid ---------------------------------------------------------------
@@ -269,17 +312,23 @@ class _Parser:
 
     def parse_rule(self):
         where = self.peek()
+        end = self.pos
+        while self.toks[end].value not in (";", ""):  # "" is the end of the text
+            end += 1
+        names = {t.value for t in self.toks[self.pos:end] if t.kind == "ident"}
         base = self.ident()
         binders, indices = self.parse_head_indices()
         self.expect("punct", "(")
-        params: list[Var] = []
-        if not self.at_punct(")"):
-            params = [Var(v) for v in self.ident_list()]
+        params = [Var(v) for v in self.listed(self.ident)] if not self.at_punct(")") else []
         self.expect("punct", ")")
         self.expect("punct", "<-")
-        body = self.parse_formula()
+        self.body = _Body(params, names)
+        self.parse_formula()
         self.expect("punct", ";")
-        return (base, binders, indices, tuple(params), body, where)
+        if self.body.unbound:
+            raise self.error(f"unbound variable {self.body.unbound.value!r}",
+                             self.body.unbound)
+        return (base, binders, indices, tuple(params), self.body, where)
 
     def parse_head_indices(self):
         """Head indices: either range binders i=lo..hi or constant expressions."""
@@ -332,96 +381,83 @@ class _Parser:
 
     # -- formulas ------------------------------------------------------------
 
-    def parse_formula(self) -> Formula:
+    def parse_formula(self) -> None:
+        """Append the formula's binders and atoms to the rule body."""
         if self.peek().kind == "ident" and self.peek().value == "exists":
             self.next()
-            vars = [Var(v) for v in self.ident_list()]
+            names = self.listed(self.ident)
             self.expect("punct", ".")
-            return exists(tuple(vars), self.parse_formula())
-        parts = [self.parse_factor()]
+            outer = self.body.scope
+            self.body.scope = {**outer, **{n: self.body.bind(n) for n in names}}
+            self.parse_formula()
+            self.body.scope = outer
+            return
+        self.parse_factor()
         while self.eat_punct("*"):
-            parts.append(self.parse_factor())
-        return sep(*parts)
+            self.parse_factor()
 
-    def parse_factor(self) -> Formula:
+    def parse_factor(self) -> None:
         t = self.peek()
+        atoms = self.body.atoms
         if self.eat_punct("("):
-            f = self.parse_formula()
+            self.parse_formula()
             self.expect("punct", ")")
-            return f
-        if self.at_punct("<"):
-            return self.parse_interaction()
-        if t.kind != "ident":
+        elif self.at_punct("<"):
+            atoms.append(self.parse_interaction())
+        elif t.kind != "ident":
             raise self.error(f"expected an atom, found {t.value or t.kind!r}")
-        if t.value == "emp":
+        elif t.value == "emp":
             self.next()
-            return Emp()
-        if t.value == "comp":
-            self.next()
-            self.expect("punct", "(")
-            x = Var(self.ident())
-            state = None
-            if self.eat_punct(":"):
-                state = self.ident()
-            self.expect("punct", ")")
-            return comp_in(x, state) if state else Comp(x)
-        if t.value == "state":
+        elif t.value in ("comp", "state"):
+            # comp(x), comp(x : q) for comp(x) * state(x : q), or state(x : q)
             self.next()
             self.expect("punct", "(")
-            x = Var(self.ident())
-            self.expect("punct", ":")
-            q = self.ident()
+            x = self.var()
+            if t.value == "comp":
+                atoms.append(Comp(x))
+            if t.value == "state" or self.at_punct(":"):
+                self.expect("punct", ":")
+                atoms.append(StateAtom(x, self.ident()))
             self.expect("punct", ")")
-            return StateAtom(x, q)
-        if t.value == "exists":
+        elif t.value == "exists":
             raise self.error("exists must start the formula or be parenthesized")
-        # predicate atom or (dis)equality
-        nxt = self.peek(1)
-        if nxt.kind == "punct" and nxt.value in ("(", "["):
-            return self.parse_pred_atom()
-        name = self.ident()
-        if self.eat_punct("="):
-            return Eq(Var(name), Var(self.ident()))
-        if self.eat_punct("!="):
-            return Neq(Var(name), Var(self.ident()))
-        raise self.error(f"expected '=', '!=', or a predicate after {name!r}")
+        elif self.peek(1).kind == "punct" and self.peek(1).value in ("(", "["):
+            self.parse_pred_atom()
+        else:
+            x = self.var()
+            if self.eat_punct("="):
+                atoms.append(Eq(x, self.var()))
+            elif self.eat_punct("!="):
+                atoms.append(Neq(x, self.var()))
+            else:
+                raise self.error(f"expected '=', '!=', or a predicate after {t.value!r}")
 
     def parse_interaction(self) -> Inter:
         self.expect("punct", "<")
-        bindings = [self.parse_binding()]
-        while True:
-            if self.eat_punct(","):
-                bindings.append(self.parse_binding())
-            elif self.eat_punct(">"):
-                break
-            else:
-                raise self.error("expected ',' or '>' in interaction atom")
+        bindings = self.listed(self.parse_binding)
+        if not self.eat_punct(">"):
+            raise self.error("expected ',' or '>' in interaction atom")
         return Inter(tuple(bindings))
 
     def parse_binding(self) -> tuple[Var, str]:
-        x = Var(self.ident())
+        x = self.var()
         self.expect("punct", ".")
-        p = self.ident()
-        return (x, p)
+        return (x, self.ident())
 
-    def parse_pred_atom(self) -> Formula:
+    def parse_pred_atom(self) -> None:
         where = self.peek()
         base = self.ident()
         indices: tuple[IExpr, ...] = ()
         if self.eat_punct("["):
-            ixs = [self.parse_iexpr()]
-            while self.eat_punct(","):
-                ixs.append(self.parse_iexpr())
+            indices = tuple(self.listed(self.parse_iexpr))
             self.expect("punct", "]")
-            indices = tuple(ixs)
         self.expect("punct", "(")
-        args: list[Var] = []
-        if not self.at_punct(")"):
-            args = [Var(v) for v in self.ident_list()]
+        args = self.listed(self.var) if not self.at_punct(")") else []
         self.expect("punct", ")")
+        atoms = self.body.atoms
         if indices:
-            return _PredHole(PredTemplate(base, indices, tuple(args), where))
-        return Pred(base, tuple(args))
+            self.body.holes[len(atoms)] = PredTemplate(base, indices, tuple(args), where)
+        atoms.append(Pred(base, tuple(args)))
 
     # -- configs and queries -------------------------------------------------
 
@@ -437,7 +473,7 @@ class _Parser:
         while not self.eat_punct("}"):
             kw = self.ident()
             if kw == "comps":
-                comps.extend(self.ident_list())
+                comps.extend(self.listed(self.ident))
             elif kw == "inters":
                 inters.append(self.parse_config_interaction(behavior))
                 while self.eat_punct(","):
@@ -496,51 +532,38 @@ class _Parser:
     def parse_predref(self) -> str:
         base = self.ident()
         if self.eat_punct("["):
-            vals = [int(self.expect("int").value)]
-            while self.eat_punct(","):
-                vals.append(int(self.expect("int").value))
+            vals = self.listed(lambda: int(self.expect("int").value))
             self.expect("punct", "]")
             return _mangle(base, vals)
         return base
 
 
-@dataclass(frozen=True)
-class _PredHole:
-    """Placeholder atom for an indexed predicate reference inside a body."""
-    template: PredTemplate
-
-
-def _instantiate_formula(f: Formula, env: dict[str, int]) -> Formula:
-    if isinstance(f, _PredHole):
-        return f.template.instantiate(env)
-    if isinstance(f, SepConj):
-        return SepConj(tuple(_instantiate_formula(p, env) for p in f.parts))
-    if isinstance(f, Exists):
-        return Exists(f.vars, _instantiate_formula(f.body, env))
-    return f
-
-
 def _expand_rules(templates: list, behavior: Behavior) -> SID:
     rules: list[Rule] = []
-    for base, binders, indices, params, body, where in templates:
+    wheres: list[Tok] = []  # the head token of each rule
+    for base, ranges, indices, params, body, where in templates:
         envs: list[dict[str, int]] = [{}]
-        for name, lo, hi in binders:
+        for name, lo, hi in ranges:
             envs = [{**e, name: v} for e in envs for v in range(lo, hi + 1)]
         for env in envs:
-            if binders:
-                vals = [env[name] for name, _, _ in binders]
+            if ranges:
+                vals = [env[name] for name, _, _ in ranges]
             else:
                 vals = [ix.eval({}, where) for ix in indices]
-            name = _mangle(base, vals)
-            concrete = _instantiate_formula(body, env)
+            atoms = list(body.atoms)
+            for i, template in body.holes.items():
+                atoms[i] = template.instantiate(env)
             try:
-                rules.append(Rule(name, params, concrete))
+                rules.append(Rule(_mangle(base, vals), params, tuple(body.binders),
+                                  tuple(atoms)))
             except ValueError as e:
                 raise ParseError(str(e), where.line, where.col)
+            wheres.append(where)
     try:
         return SID(tuple(rules), behavior)
     except ValueError as e:
-        raise ParseError(str(e), 1, 1)
+        where = wheres[e.rule]
+        raise ParseError(str(e), where.line, where.col)
 
 
 def parse_system(text: str) -> SystemFile:
@@ -558,30 +581,18 @@ def render_var(v: Var) -> str:
     return v.name
 
 
-def render_formula(f: Formula) -> str:
-    if isinstance(f, Exists):
-        vs = ", ".join(render_var(v) for v in f.vars)
-        return f"exists {vs} . {render_formula(f.body)}"
-    parts = f.parts if isinstance(f, SepConj) else (f,)
+def render_body(rule: Rule) -> str:
+    """`exists binders . *atoms`, with comp(x) * state(x : q) as comp(x : q)."""
     out: list[str] = []
-    i = 0
-    while i < len(parts):
-        a = parts[i]
-        if (isinstance(a, Comp) and i + 1 < len(parts)
-                and isinstance(parts[i + 1], StateAtom)
-                and parts[i + 1].var == a.var):
-            out.append(f"comp({render_var(a.var)} : {parts[i + 1].state})")
-            i += 2
-            continue
-        out.append(_render_atom(a))
-        i += 1
-    return " * ".join(out) if out else "emp"
-
-
-def _render_atom(a: Formula) -> str:
-    if isinstance(a, Exists):
-        return f"({render_formula(a)})"
-    return atom_text(a, render_var, " ")
+    for i, a in enumerate(rule.atoms):
+        if isinstance(a, StateAtom) and i and rule.atoms[i - 1] == Comp(a.var):
+            out[-1] = f"comp({render_var(a.var)} : {a.state})"
+        else:
+            out.append(atom_text(a, render_var, " "))
+    body = " * ".join(out) or "emp"
+    if not rule.binders:
+        return body
+    return f"exists {', '.join(map(render_var, rule.binders))} . {body}"
 
 
 def render_config(name: str, g: Configuration) -> str:
@@ -612,7 +623,7 @@ def render_system(sf: SystemFile) -> str:
     lines.append("sid {")
     for r in sf.sid.rules:
         params = ", ".join(render_var(v) for v in r.params)
-        lines.append(f"  {r.head}({params}) <- {render_formula(r.body)};")
+        lines.append(f"  {r.head}({params}) <- {render_body(r)};")
     lines.append("}")
     for name in sf.configs:
         lines.append("")

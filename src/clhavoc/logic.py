@@ -305,37 +305,26 @@ def _prenex_into(g: Formula, env: dict[Var, Var], prefix: str,
 # ---------------------------------------------------------------------------
 # rules and SIDs
 
-def _binder_names(f: Formula) -> list[Var]:
-    """The binders of f in the order `prenex` renames them."""
-    if isinstance(f, Exists):
-        return [*f.vars, *_binder_names(f.body)]
-    if isinstance(f, SepConj):
-        return [b for p in f.parts for b in _binder_names(p)]
-    return []
-
-
 @dataclass(frozen=True)
 class Rule:
-    """head(params) <- body.  The body is read once, here: `prenex(body)` is
-    kept as `binders` and `atoms`, and `calls` holds the positions of the
-    predicate atoms among `atoms`.  Every other reader of a rule uses these."""
+    """head(params) <- exists binders . *atoms, the one form of a rule.
+
+    Binders keep their written names; `calls` holds the positions of the
+    predicate atoms among `atoms`."""
 
     head: str
     params: tuple[Var, ...]
-    body: Formula
-    binders: tuple[Var, ...] = field(init=False, repr=False, compare=False)
-    atoms: tuple[Atom, ...] = field(init=False, repr=False, compare=False)
+    binders: tuple[Var, ...]
+    atoms: tuple[Atom, ...]
     calls: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.params)) != len(self.params):
-            raise ValueError(f"rule for {self.head}: parameters must be distinct")
-        binders, atoms = prenex(self.body)
-        object.__setattr__(self, "binders", binders)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "calls", tuple(i for i, a in enumerate(atoms)
+        names = self.params + self.binders
+        if len(set(names)) != len(names):
+            raise ValueError(f"rule for {self.head}: parameters and binders must be distinct")
+        object.__setattr__(self, "calls", tuple(i for i, a in enumerate(self.atoms)
                                                 if isinstance(a, Pred)))
-        extra = {v for a in atoms for v in atom_vars(a)}.difference(binders, self.params)
+        extra = {v for a in self.atoms for v in atom_vars(a)}.difference(names)
         if extra:
             raise ValueError(f"rule for {self.head}: unbound body variables "
                              f"{sorted(var_text(v) for v in extra)}")
@@ -349,11 +338,6 @@ class Rule:
     def pf_atoms(self) -> tuple[Atom, ...]:
         """The predicate-free atoms of the body, in order."""
         return tuple(a for i, a in enumerate(self.atoms) if i not in self.calls)
-
-    def written_name(self, v: Var) -> Var:
-        """The name a variable of `atoms` has in `body`: binders are renamed
-        apart there, parameters keep theirs."""
-        return dict(zip(self.binders, _binder_names(self.body))).get(v, v)
 
 
 @dataclass(frozen=True)
@@ -379,26 +363,31 @@ class SID:
     def __post_init__(self) -> None:
         arities: dict[str, int] = {}
         by_head: dict[str, list[Rule]] = {}
-        for r in self.rules:
-            prev = arities.setdefault(r.head, len(r.params))
-            if prev != len(r.params):
-                raise ValueError(f"{r.head} defined with arities {prev} and {len(r.params)}")
-            by_head.setdefault(r.head, []).append(r)
+        try:
+            for k, r in enumerate(self.rules):
+                prev = arities.setdefault(r.head, len(r.params))
+                if prev != len(r.params):
+                    raise ValueError(f"{r.head} defined with arities {prev} and {len(r.params)}")
+                by_head.setdefault(r.head, []).append(r)
+            for k, r in enumerate(self.rules):
+                for a in r.atoms:
+                    if isinstance(a, Pred):
+                        if a.name not in arities:
+                            raise UndefinedPredicate(
+                                f"{a.name} used in {r.head} but never defined")
+                        if len(a.args) != arities[a.name]:
+                            raise ValueError(f"{a.name} used with arity {len(a.args)}, "
+                                             f"defined with {arities[a.name]}")
+                    if isinstance(a, StateAtom) and a.state not in self.behavior.states:
+                        raise ValueError(f"undeclared state {a.state!r} in rule for {r.head}")
+                    if isinstance(a, Inter):
+                        for _, p in a.bindings:
+                            if p not in self.behavior.ports:
+                                raise ValueError(f"undeclared port {p!r} in rule for {r.head}")
+        except ValueError as e:
+            e.rule = k  # the offending rule's position in `rules`
+            raise
         object.__setattr__(self, "_by_head", {h: tuple(rs) for h, rs in by_head.items()})
-        for r in self.rules:
-            for a in r.atoms:
-                if isinstance(a, Pred):
-                    if a.name not in arities:
-                        raise UndefinedPredicate(f"{a.name} used in {r.head} but never defined")
-                    if len(a.args) != arities[a.name]:
-                        raise ValueError(f"{a.name} used with arity {len(a.args)}, "
-                                         f"defined with {arities[a.name]}")
-                if isinstance(a, StateAtom) and a.state not in self.behavior.states:
-                    raise ValueError(f"undeclared state {a.state!r} in rule for {r.head}")
-                if isinstance(a, Inter):
-                    for _, p in a.bindings:
-                        if p not in self.behavior.ports:
-                            raise ValueError(f"undeclared port {p!r} in rule for {r.head}")
 
     @property
     def predicates(self) -> tuple[str, ...]:

@@ -39,7 +39,7 @@ def check_state_atoms(sid: SID) -> None:
                 k = sid.rules_of(rule.head).index(rule) + 1
                 raise UnallocatedStateAtom(
                     f"rule {k} of {rule.head} has a state atom on "
-                    f"{var_text(rule.written_name(a.var))}, "
+                    f"{var_text(a.var)}, "
                     "which has no comp atom in the same body; the reduction "
                     "rewrites a state only with its component")
 

@@ -6,7 +6,7 @@ from clhavoc.analysis import (check_pcr, degree_sample, profile,
                               render_pcr_table, sid_metrics)
 from clhavoc.core import Behavior
 from clhavoc.frontend import parse_system
-from clhavoc.logic import Emp, Pred, Rule, SID, Var, atoms_of, unfold
+from clhavoc.logic import Pred, Rule, SID, Var, atoms_of, unfold
 
 
 def rules_for(report, sid, head):
@@ -17,7 +17,7 @@ def rules_for(report, sid, head):
 # profile
 
 def test_profile_unconstrained():
-    sid = SID((Rule("A", (Var("x1"), Var("x2")), Emp()),),
+    sid = SID((Rule("A", (Var("x1"), Var("x2")), (), ()),),
               Behavior.make(["p"], ["q"], []))
     assert profile(sid)["A"] == frozenset({1, 2})
 
@@ -169,7 +169,7 @@ def test_degree_ring(ring):
 
 def test_degree_single_component():
     from clhavoc.logic import Comp
-    sid = SID((Rule("A", (Var("x"),), Comp(Var("x"))),),
+    sid = SID((Rule("A", (Var("x"),), (), (Comp(Var("x")),)),),
               Behavior.make(["p"], ["q"], []))
     assert degree_sample(sid, "A", 2) == 0
 
@@ -196,6 +196,20 @@ def test_pcr_sids_have_tight_models(name, request):
     for pred in sf.sid.predicates:
         for model in enumerate_models(sf.sid, sf.sid.atom(pred), 4).models():
             assert is_tight(model.config), (pred, model.config)
+
+
+def test_pcr_reasons_name_binders_as_written():
+    text = """
+    behavior { ports a, b; states q; }
+    sid {
+      P(x) <- exists y, w . comp(x) * <x.a, y.b> * Q(y) * y != w;
+      Q(x) <- comp(x);
+    }
+    """
+    (row, _) = check_pcr(parse_system(text).sid).rules
+    assert row.reasons == (
+        "P: passed variables differ from parameters+existentials (unpassed=['w'], stray=[])",
+        "R: disequality y != w avoids all profile parameters")
 
 
 def test_profile_renames_shadowing_binders():

@@ -18,8 +18,7 @@ from clhavoc.automata import (BadAddress, NotSidCompatible,
                               sid_to_ta, ta_membership, ta_to_sid, ta_trim)
 from clhavoc.frontend import parse_system
 from clhavoc.logic import (Comp, Emp, Eq, Inter, Pred, StateAtom, Var, boundvar,
-                           comp_in, exists, free_vars, nodevar, param, prenex,
-                           sep, substitute)
+                           comp_in, free_vars, nodevar, param, prenex, substitute)
 from clhavoc.oracle import (canonical_model, enumerate_models, enumerate_pf_models,
                             from_exact)
 from clhavoc.reduction import class_equiv
@@ -115,8 +114,8 @@ def test_tll_original_automaton_shape(tll_original):
 
 def test_single_emp_rule():
     from clhavoc.core import Behavior
-    from clhavoc.logic import Emp, Rule, SID
-    sid = SID((Rule("A", (), Emp()),), Behavior.make(["p"], ["q"], []))
+    from clhavoc.logic import Rule, SID
+    sid = SID((Rule("A", (), (), ()),), Behavior.make(["p"], ["q"], []))
     ta, smap = sid_to_ta(sid)
     assert len(ta.transitions) == 1
     assert len(ta.states) == 1
@@ -253,7 +252,8 @@ def test_ta_to_sid_passes_tied_variables_to_the_call():
                              TaTransition(make_symbol([], [], 2), (), "P")])
     rule = ta_to_sid(ta, Behavior.make(["p"], ["s"], [])).rules[0]
     x1, z1 = Var("x1"), Var("z1")
-    assert rule.body == exists([z1], sep(Comp(x1), Eq(z1, x1), Pred("P", (z1, x1))))
+    assert rule.binders == (z1,)
+    assert rule.atoms == (Comp(x1), Eq(z1, x1), Pred("P", (z1, x1)))
 
 
 def test_ta_to_sid_round_trip_class_equiv(tll, ring):

@@ -342,6 +342,15 @@ def test_analyze_pinned(path, capsys):
     assert sha256(out) == ANALYZE_DIGESTS[path.name]
 
 
+@pytest.mark.parametrize("path", source_fixtures(), ids=lambda p: p.name)
+def test_outputs_show_no_canonical_names(path, capsys):
+    # canonical variables all start with %; rules keep their written names
+    for cmd in ("parse", "analyze"):
+        code, out, _ = run(capsys, cmd, str(path))
+        assert code == 0
+        assert "%" not in out, cmd
+
+
 def test_trace_transducer_pinned(capsys, tmp_path):
     src = tmp_path / "ring.clsys"
     shutil.copy(FIXTURES / "ring.clsys", src)

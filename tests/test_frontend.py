@@ -1,7 +1,6 @@
 import pytest
 
 from clhavoc.frontend import ParseError, parse_system, render_system
-from clhavoc.logic import Pred
 
 from conftest import corpus, corpus_text, load, sha256, source_fixtures
 
@@ -17,14 +16,9 @@ def test_ring_expansion_arithmetic(ring):
 def test_macro_guard_clamps_at_zero(ring):
     # Chain_0_t recursion via q=H stays at h'=max(-1,0)=0
     heads = [r for r in ring.sid.rules_of("Chain_0_1")]
-    rec = [r for r in heads if any(isinstance(a, Pred) for a in _atoms(r.body))]
-    callees = {a.name for r in rec for a in _atoms(r.body) if isinstance(a, Pred)}
+    rec = [r for r in heads if r.calls]
+    callees = {a.name for r in rec for a in r.preds}
     assert callees == {"Chain_0_1", "Chain_0_0"}
-
-
-def _atoms(f):
-    from clhavoc.logic import atoms_of
-    return list(atoms_of(f))
 
 
 def test_wider_instantiation_arithmetic():
@@ -144,3 +138,96 @@ RENDER_DIGESTS = {
 @pytest.mark.parametrize("path", source_fixtures(), ids=lambda p: p.name)
 def test_render_pinned(path):
     assert sha256(render_system(load(path.name))) == RENDER_DIGESTS[path.name]
+
+
+# ---------------------------------------------------------------------------
+# SID-level errors point at the offending rule's head
+
+BEHAVIOR = "behavior { ports a, b; states q; }\n"
+
+
+def parse_error(text):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    return err.value
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("  B(x) <- comp(x) * Nope(x);", "Nope used in B but never defined"),
+    ("  A(x, y) <- comp(x) * comp(y);", "A defined with arities 1 and 2"),
+    ("  B(x) <- comp(x : bogus);", "undeclared state 'bogus'"),
+    ("  B(x) <- comp(x) * <x.bogus>;", "undeclared port 'bogus'"),
+])
+def test_sid_error_is_reported_at_the_rule_head(rule, message):
+    text = BEHAVIOR + "sid {\n  A(x) <- comp(x);\n" + rule + "\n  C(x) <- comp(x);\n}\n"
+    err = parse_error(text)
+    assert (err.line, err.col) == (4, 3)
+    assert message in str(err)
+
+
+def test_sid_error_in_an_indexed_family_points_at_its_head():
+    text = BEHAVIOR + "sid {\n  A(x) <- comp(x);\n  B[i=0..1](x) <- comp(x) * B[i+1](x);\n}\n"
+    err = parse_error(text)
+    assert (err.line, err.col) == (4, 3)
+    assert "B_2 used in B_1 but never defined" in str(err)
+
+
+def test_undefined_query_is_reported_at_the_query():
+    text = (BEHAVIOR + "sid {\n  A(x) <- comp(x);\n}\n"
+            "query invariant Nope;\n\n\n# trailing comment\n\n")
+    err = parse_error(text)
+    assert (err.line, err.col) == (5, 1)
+    assert "'Nope'" in str(err)
+
+
+# ---------------------------------------------------------------------------
+# binders keep their written names; a clashing one gets a fresh name
+
+SHADOW = (BEHAVIOR + "sid {\n"
+          "  P(x, y) <- exists y . comp(x) * <x.a, y.b> * Q(y);\n"
+          "  Q(x) <- comp(x);\n}\n")
+
+
+def test_shadowing_binder_renders_fresh_and_reparses_equal():
+    sf = parse_system(SHADOW)
+    text = render_system(sf)
+    assert "P(x, y) <- exists y_1 . comp(x) * <x.a, y_1.b> * Q(y_1);" in text
+    again = parse_system(text)
+    assert again.sid == sf.sid
+    assert render_system(again) == text
+
+
+def test_shadowing_binder_has_the_models_of_a_renamed_one():
+    from clhavoc.oracle import enumerate_models
+    renamed = parse_system(SHADOW.replace("exists y . comp(x) * <x.a, y.b> * Q(y)",
+                                          "exists z . comp(x) * <x.a, z.b> * Q(z)"))
+    sid = parse_system(SHADOW).sid
+    for depth in range(4):
+        got = enumerate_models(sid, sid.atom("P"), depth)
+        want = enumerate_models(renamed.sid, renamed.sid.atom("P"), depth)
+        assert set(got.entries) == set(want.entries)
+        assert len(got) == len(want)
+
+
+def test_fresh_binder_name_does_not_capture_a_written_variable():
+    text = (BEHAVIOR + "sid {\n"
+            "  P(x) <- exists y . comp(x) * (exists y . comp(y)) * <x.a, y_1.b>;\n}\n")
+    err = parse_error(text)
+    assert "unbound variable 'y_1'" in str(err)
+    assert (err.line, err.col) == (3, 61)
+
+
+def test_an_exists_group_binds_only_inside_its_scope():
+    err = parse_error(BEHAVIOR + "sid { P(x) <- comp(x) * (exists y . comp(y)) * y != x; }")
+    assert "unbound variable 'y'" in str(err)
+
+
+def test_nested_exists_groups_render_as_one():
+    text = (BEHAVIOR + "sid {\n"
+            "  P(x) <- exists y . comp(x) * <x.a, y.b> * (exists y . comp(y) * <y.a, x.b>);\n}\n")
+    sf = parse_system(text)
+    (rule,) = sf.sid.rules
+    assert [v.name for v in rule.binders] == ["y", "y_1"]
+    assert ("P(x) <- exists y, y_1 . comp(x) * <x.a, y.b> * comp(y_1) * <y_1.a, x.b>;"
+            in render_system(sf))
+    assert parse_system(render_system(sf)).sid == sf.sid

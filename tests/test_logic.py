@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clhavoc.core import Behavior, Configuration, Interaction
-from clhavoc.frontend import parse_system, render_var
+from clhavoc.frontend import ParseError, parse_system, render_var
 from clhavoc.logic import (SID, Comp, Emp, Eq, Exists, Inter, Neq, Pred, Rule,
                            SepConj, StateAtom, UnboundVariable,
                            UndefinedPredicate, Var, atom_text, atom_vars,
@@ -224,7 +224,7 @@ def test_eval_pf_unary_interaction_on_a_present_component():
     f = sep(Comp(X), Inter(((X, "out"),)))
     for case, nu in ((f, {X: "c1"}), (exists([X], f), {})):
         assert eval_pf(g, nu, case) and naive_eval(g, nu, case)
-    sid = SID((Rule("P", (), exists([X], f)),), TOKEN)
+    sid = SID((Rule("P", (), (X,), f.parts),), TOKEN)
     assert eval_bounded(g, {}, Pred("P", ()), sid, 1)
 
 
@@ -410,7 +410,8 @@ def reference_unfold_formula(sid, f, depth):
             continue
         successors = []
         for rule in sid.rules_of(pend.atom.name):
-            rbinders, ratoms = prenex(rule.body, counter, prefix="%u")
+            rbinders, ratoms = prenex(exists(rule.binders, sep(*rule.atoms)), counter,
+                                      prefix="%u")
             mapping = dict(zip(rule.params, pend.atom.args))
             spliced = []
             for a in ratoms:
@@ -508,8 +509,9 @@ def test_complete_unfoldings_of_derived_predicates(name, pred, depth):
 
 def test_predicate_that_never_completes():
     # Loop only calls itself; Maybe completes only by its base rule
-    loop = Rule("Loop", (X,), sep(Comp(X), Pred("Loop", (X,))))
-    maybe = [Rule("Maybe", (X,), Pred("Loop", (X,))), Rule("Maybe", (X,), comp_in(X, "H"))]
+    loop = Rule("Loop", (X,), (), (Comp(X), Pred("Loop", (X,))))
+    maybe = [Rule("Maybe", (X,), (), (Pred("Loop", (X,)),)),
+             Rule("Maybe", (X,), (), (Comp(X), StateAtom(X, "H")))]
     sid = SID((loop, *maybe), TOKEN)
     assert least_heights(sid, ["Maybe"]) == {"Maybe": 1, "Loop": math.inf}
     for depth in range(4):
@@ -520,7 +522,7 @@ def test_predicate_that_never_completes():
 
 
 # ---------------------------------------------------------------------------
-# rules keep their prenex form; SIDs index their rules by head
+# a rule is its prenex form; SIDs index their rules by head
 
 def rule_sids():
     """Every fixture SID, then the combined SID of each reuse reduction."""
@@ -533,7 +535,14 @@ def rule_sids():
 def test_rules_keep_their_prenex_form():
     for sid in rule_sids():
         for rule in sid.rules:
-            assert (rule.binders, rule.atoms) == prenex(rule.body)
+            # binders keep written, plain names, apart from the parameters
+            names = rule.params + rule.binders
+            assert len(set(names)) == len(names)
+            assert not any(v.name.startswith("%") for v in names)
+            # the rule is already prenex: prenexing it again only renames binders
+            binders, atoms = prenex(exists(rule.binders, sep(*rule.atoms)))
+            ren = dict(zip(rule.binders, binders))
+            assert atoms == tuple(substitute(a, ren) for a in rule.atoms)
             assert [rule.atoms[i] for i in rule.calls] == [
                 a for a in rule.atoms if isinstance(a, Pred)]
             assert list(rule.preds) == [rule.atoms[i] for i in rule.calls]
@@ -556,19 +565,34 @@ def test_sid_index_matches_linear_scan(name):
 
 
 def test_shadowing_binder_is_renamed_in_rule_atoms():
-    # exists y . comp(x) * <x.in, y.out> * P(y): the P argument is the binder
-    # renamed apart, not the parameter y
-    rule = Rule("P", (X, Y), exists([Y], sep(Comp(X), Inter(((X, "in"), (Y, "out"))),
-                                             Pred("P", (Y, X)))))
-    (b,) = rule.binders
-    assert b != Y
-    assert rule.preds == (Pred("P", (b, X)),)
-    assert rule.written_name(b) == Y
-    assert rule.written_name(X) == X
+    # exists y . comp(x) * <x.in, y.out> * P(y, x): the binder clashes with
+    # the parameter y, so it takes the fresh name y_1 in every atom it binds
+    text = ("behavior { ports in, out; states H; } "
+            "sid { P(x, y) <- exists y . comp(x) * <x.in, y.out> * P(y, x); }")
+    (rule,) = parse_system(text).sid.rules
+    y1 = Var("y_1")
+    assert rule.params == (X, Y)
+    assert rule.binders == (y1,)
+    assert rule.atoms == (Comp(X), Inter(((X, "in"), (y1, "out"))), Pred("P", (y1, X)))
+
+
+def test_written_binder_names_are_kept():
+    text = ("behavior { ports in, out; states H; } "
+            "sid { P(x) <- exists w, y . comp(x) * <x.in, w.out> * P(w) * y != x; }")
+    (rule,) = parse_system(text).sid.rules
+    assert rule.binders == (Var("w"), Y)
+    assert rule.atoms[-1] == Neq(Y, X)
 
 
 def test_rule_rejects_unbound_body_variables():
     with pytest.raises(ValueError, match="unbound body variables"):
-        Rule("P", (X,), sep(exists([Y], Comp(Y)), Comp(Y)))
+        Rule("P", (X,), (), (Comp(Y),))
+    with pytest.raises(ParseError, match="unbound variable 'y'"):
+        parse_system("behavior { ports p; states q; } "
+                     "sid { P(x) <- (exists y . comp(y)) * comp(y); }")
     with pytest.raises(ValueError, match="must be distinct"):
-        Rule("P", (X, X), Comp(X))
+        Rule("P", (X, X), (), (Comp(X),))
+    with pytest.raises(ValueError, match="must be distinct"):
+        Rule("P", (X,), (X,), (Comp(X),))
+    with pytest.raises(ValueError, match="must be distinct"):
+        Rule("P", (X,), (Y, Y), (Comp(X),))

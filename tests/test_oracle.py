@@ -15,7 +15,7 @@ from clhavoc import logic, oracle
 from clhavoc.automata import sid_to_ta
 from clhavoc.core import Behavior, Configuration, Interaction, step
 from clhavoc.frontend import parse_system, render_config
-from clhavoc.logic import (Eq, Neq, Pred, SID, Var, comp_in, complete_unfoldings,
+from clhavoc.logic import (Comp, Eq, Neq, Pred, SID, StateAtom, Var, complete_unfoldings,
                            eval_bounded, eval_pf, exists, sep, unfold, var_text)
 from clhavoc.oracle import (Counterexample, CrossReport, EntailReport, HavocReport,
                             Model, _model_order, _successor_keys, _successors,
@@ -68,7 +68,7 @@ def test_chain_base_single_model(ring):
 
 def test_unsatisfiable_body_has_no_models():
     from clhavoc.logic import Rule
-    sid = SID((Rule("A", (X1, X2), sep(Eq(X1, X2), Neq(X1, X2))),),
+    sid = SID((Rule("A", (X1, X2), (), (Eq(X1, X2), Neq(X1, X2))),),
               Behavior.make(["p"], ["q"], []))
     assert len(enumerate_models(sid, sid.atom("A"), 1)) == 0
 
@@ -150,8 +150,8 @@ def test_th_counterexample_one_step(bad):
 
 
 def test_no_interactions_vacuously_invariant():
-    from clhavoc.logic import Comp, Rule
-    sid = SID((Rule("A", (X1,), comp_in(X1, "q")),),
+    from clhavoc.logic import Rule
+    sid = SID((Rule("A", (X1,), (), (Comp(X1), StateAtom(X1, "q"))),),
               Behavior.make(["p"], ["q"], []))
     rep = havoc_invariant_bounded(sid, "A", 3)
     assert rep.invariant
@@ -825,12 +825,12 @@ def test_extend_refuses_a_rule_for_a_base_predicate(ring):
     with pytest.raises(ValueError, match="Ring_1_1"):
         ring.sid.extend([rule])
     with pytest.raises(ValueError, match="Chain_0_0"):
-        ring.sid.extend([logic.Rule("Chain_0_0", (X1, X2), Eq(X1, X2))])
+        ring.sid.extend([logic.Rule("Chain_0_0", (X1, X2), (), (Eq(X1, X2),))])
 
 
 def test_base_link_is_not_part_of_the_value(ring):
     sid = ring.sid
-    extra = logic.Rule("Loop", (X1,), comp_in(X1, "H"))
+    extra = logic.Rule("Loop", (X1,), (), (Comp(X1), StateAtom(X1, "H")))
     linked = sid.extend([extra])
     plain = SID(sid.rules + (extra,), sid.behavior)
     assert linked._base is sid and plain._base is None

@@ -13,7 +13,7 @@ from clhavoc.core import Behavior
 from clhavoc.eqform import Partition
 from clhavoc.frontend import Query, SystemFile, parse_system, render_system
 from clhavoc.logic import (Comp, Eq, Inter, Neq, Pred, Rule, SID, StateAtom, Var,
-                           atom_vars, comp_in, exists, sep, substitute)
+                           atom_vars, substitute)
 from clhavoc.oracle import cross_validate_reduction, entails_bounded
 from clhavoc.reduction import (ClassEquivResult, TightnessNotEstablished,
                                UnallocatedStateAtom, class_equiv, manifest_dict,
@@ -47,14 +47,16 @@ def test_gate_requires_tightness_evidence(ring):
         reduce_havoc_to_entailment(ring.sid, "Ring_1_1")
 
 
-def test_state_atom_on_a_shadowing_binder_is_refused(ring):
-    # the inner x is not the allocated outer x
-    x, y = Var("x"), Var("y")
-    body = exists([x, y], sep(comp_in(x, "H"), comp_in(y, "T"),
-                              Inter(((x, "in"), (y, "out"))),
-                              exists([x], StateAtom(x, "H"))))
-    sid = SID((Rule("R", (), body),), ring.behavior)
-    with pytest.raises(UnallocatedStateAtom, match="rule 1 of R has a state atom on x,"):
+def test_state_atom_on_a_shadowing_binder_is_refused():
+    # the inner x is not the allocated outer x: it is bound as the fresh x_1
+    sid = parse_system("""
+    behavior { ports in, out; states H, T; trans T -out-> H; trans H -in-> T; }
+    sid {
+      R() <- exists x, y . comp(x : H) * comp(y : T) * <x.in, y.out>
+                           * (exists x . state(x : H));
+    }
+    """).sid
+    with pytest.raises(UnallocatedStateAtom, match="rule 1 of R has a state atom on x_1,"):
         reduce_havoc_to_entailment(sid, "R", assume_tight=True)
 
 
@@ -86,7 +88,7 @@ def test_th_reduction_entailment_fails(bad):
 
 
 def test_no_interaction_atoms_vacuous():
-    sid = SID((Rule("A", (Var("x1"),), comp_in(Var("x1"), "q")),),
+    sid = SID((Rule("A", (Var("x1"),), (), (Comp(Var("x1")), StateAtom(Var("x1"), "q"))),),
               Behavior.make(["p"], ["q"], []))
     result = reduce_havoc_to_entailment(sid, "A")
     assert result.targets == ()
@@ -110,7 +112,7 @@ def test_cross_validation_pcring_bare_comp_boundary(pcring):
 
 
 def test_cross_validation_no_interactions():
-    sid = SID((Rule("A", (Var("x1"),), comp_in(Var("x1"), "q")),),
+    sid = SID((Rule("A", (Var("x1"),), (), (Comp(Var("x1")), StateAtom(Var("x1"), "q"))),),
               Behavior.make(["p"], ["q"], []))
     result = reduce_havoc_to_entailment(sid, "A")
     cross = cross_validate_reduction(sid, "A", 2, result)
@@ -210,8 +212,8 @@ def test_class_equiv_shared_body_needs_matching_arities():
 
     def sid(q_params):
         q_args = (y, z)[:len(q_params)]
-        return SID((Rule("P", (x,), exists(q_args, sep(Comp(x), Pred("Q", q_args)))),
-                    Rule("Q", q_params, Comp(q_params[0]))), beh)
+        return SID((Rule("P", (x,), q_args, (Comp(x), Pred("Q", q_args))),
+                    Rule("Q", q_params, (), (Comp(q_params[0]),))), beh)
 
     unary, binary = sid((y,)), sid((y, z))
     assert class_equiv(unary, unary).verdict == "equivalent"
@@ -478,7 +480,7 @@ def test_class_equiv_is_syntactic_in_atom_order():
     x, y = Var("x"), Var("y")
     beh = Behavior.make(["p"], ["q"], [])
     link = Inter(((x, "p"), (y, "p")))
-    written = SID((Rule("P", (x,), exists([y], sep(Comp(x), Comp(y), link))),), beh)
-    reordered = SID((Rule("P", (x,), exists([y], sep(Comp(y), Comp(x), link))),), beh)
+    written = SID((Rule("P", (x,), (y,), (Comp(x), Comp(y), link)),), beh)
+    reordered = SID((Rule("P", (x,), (y,), (Comp(y), Comp(x), link)),), beh)
     assert class_equiv(written, reordered).verdict == "inequivalent"
     assert reference_class_equiv(written, reordered).verdict == "equivalent"

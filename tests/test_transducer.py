@@ -37,7 +37,7 @@ def test_interaction_types_tll(tll):
 
 def test_interaction_types_empty():
     from clhavoc.logic import Rule, SID, Emp
-    sid = SID((Rule("A", (Var("x"),), Comp(Var("x"))),),
+    sid = SID((Rule("A", (Var("x"),), (), (Comp(Var("x")),)),),
               Behavior.make(["p"], ["q"], []))
     assert interaction_types(sid) == frozenset()
 
@@ -185,7 +185,7 @@ def test_tll_two_leaf_rewrite_run(tll):
 
 def test_image_empty_without_interactions():
     from clhavoc.logic import Rule, SID
-    sid = SID((Rule("A", (Var("x"),), Comp(Var("x"))),),
+    sid = SID((Rule("A", (Var("x"),), (), (Comp(Var("x")),)),),
               Behavior.make(["p"], ["q"], []))
     ta, _ = sid_to_ta(sid)
     info = image(ta, "A", sid, sid.behavior)
