@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import degree
 from .eqform import Partition
 from .logic import Inter, SID, StateAtom, atom_vars, split_atoms, var_text
-from .oracle import enumerate_models
 
 
 def formula_size(binders, atoms) -> int:
@@ -184,11 +182,3 @@ def render_pcr_table(sid: SID, report: PcrReport) -> str:
     lines.append(f"metrics: size={size} maxarity={maxarity} "
                  f"maxinter={maxinter} maxpreds={maxpreds}")
     return "\n".join(lines) + "\n"
-
-
-def degree_sample(sid: SID, pred: str, depth: int) -> int:
-    """Maximum degree over all bounded models; an empirical lower bound only."""
-    best = 0
-    for model in enumerate_models(sid, sid.atom(pred), depth).models():
-        best = max(best, degree(model.config))
-    return best

@@ -1,33 +1,20 @@
-"""Ranked trees over formula-labeled alphabets and the SID <-> TA translations.
+"""Tree automata over formula-labeled alphabets and the SID <-> TA translations.
 
 An alphabet symbol packages a predicate-free formula over canonical variables
 (parameters and positional existentials) with the arity of its head and, per
-child, the variables a rule passes to the child's parameters.  Trees of
-symbols denote characteristic formulas whose variables are superscripted by
-node addresses; a tree automaton over such symbols recognizes exactly the
-unfolding trees of a SID.
+child, the variables a rule passes to the child's parameters.  A tree
+automaton over such symbols recognizes exactly the unfolding trees of a SID;
+the tests check that lemma against the tree semantics of `tests/reference.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Behavior
-from .logic import (Atom, Eq, Formula, Pred, Rule, SID, Var, atom_text,
-                    boundvar, exists, free_vars, nodeex, nodevar, param, sep,
-                    substitute, var_text)
-
-
-class BadAddress(KeyError):
-    """Address outside the tree domain."""
-
-
-class NotSidCompatible(ValueError):
-    """Tree automaton states carry inconsistent arity annotations."""
-
-
-Address = tuple[int, ...]
+from .logic import (Atom, Pred, Rule, SID, Var, atom_text, boundvar, free_vars,
+                    param, substitute, var_text)
 
 
 @dataclass(frozen=True)
@@ -89,86 +76,6 @@ def symbol_text(sym: AlphabetSymbol) -> str:
     body = " * ".join(atom_text(a, var_text, "") for a in sym.atoms) or "emp"
     args = "".join(f" ({','.join(map(var_text, vs))})" for vs in sym.args)
     return f"<{prefix}{body} | {sym.arity}{args}>"
-
-
-@dataclass(frozen=True)
-class Tree:
-    """A finite prefix-closed, rank-complete map from addresses to symbols."""
-
-    labels: tuple[tuple[Address, AlphabetSymbol], ...]
-
-    def __post_init__(self) -> None:
-        dom = dict(self.labels)
-        if len(dom) != len(self.labels):
-            raise ValueError("duplicate addresses")
-        if () not in dom:
-            raise ValueError("tree has no root")
-        for u, sym in dom.items():
-            if u and u[:-1] not in dom:
-                raise ValueError(f"domain not prefix-closed at {u}")
-            children = {v[-1] for v in dom if len(v) == len(u) + 1 and v[:-1] == u}
-            if children != set(range(1, sym.rank + 1)):
-                raise ValueError(f"node {u} has children {sorted(children)}, "
-                                 f"rank {sym.rank}")
-
-    @staticmethod
-    def node(sym: AlphabetSymbol, *children: "Tree") -> "Tree":
-        if len(children) != sym.rank:
-            raise ValueError(f"symbol of rank {sym.rank} given {len(children)} children")
-        labels: list[tuple[Address, AlphabetSymbol]] = [((), sym)]
-        for l, ch in enumerate(children, start=1):
-            labels.extend(((l, *u), s) for u, s in ch.labels)
-        return Tree(tuple(sorted(labels)))
-
-    @property
-    def dom(self) -> tuple[Address, ...]:
-        return tuple(u for u, _ in self.labels)
-
-    def label(self, u: Address) -> AlphabetSymbol:
-        for v, s in self.labels:
-            if v == u:
-                return s
-        raise BadAddress(u)
-
-    def subtree(self, u: Address) -> "Tree":
-        if u not in self.dom:
-            raise BadAddress(u)
-        k = len(u)
-        return Tree(tuple(sorted((v[k:], s) for v, s in self.labels if v[:k] == u)))
-
-
-def char_formula(t: Tree, u: Address = ()) -> Formula:
-    """Quantifier- and predicate-free characteristic formula of the subtree at u.
-
-    Every variable is superscripted by the absolute address of the node that
-    introduces it, so formulas of sibling subtrees share no variables except
-    through the equalities x^{v.l}_j = arg that follow each node's atoms,
-    one per argument its symbol passes to child l.
-    """
-    sub = t.subtree(u)
-    parts: list[Formula] = []
-    for w, sym in sub.labels:
-        addr = u + w
-        mapping = {param(j): nodevar(addr, j) for j in range(1, sym.arity + 1)}
-        mapping.update({v: nodeex(addr, k) for k, v in enumerate(sym.exvars, start=1)})
-        parts.extend(substitute(a, mapping) for a in sym.atoms)
-        parts.extend(Eq(nodevar((*addr, l), j), mapping[v])
-                     for l, vs in enumerate(sym.args, start=1)
-                     for j, v in enumerate(vs, start=1))
-    return sep(*parts)
-
-
-def char_formula_closed(t: Tree, u: Address = ()) -> Formula:
-    """The existentially closed characteristic formula: only the root
-    parameters x_j^u remain free."""
-    sub = t.subtree(u)
-    binders: list[Var] = []
-    for w, sym in sub.labels:
-        addr = u + w
-        if w != ():
-            binders.extend(nodevar(addr, j) for j in range(1, sym.arity + 1))
-        binders.extend(nodeex(addr, k) for k in range(1, len(sym.exvars) + 1))
-    return exists(binders, char_formula(t, u))
 
 
 # ---------------------------------------------------------------------------
@@ -234,22 +141,11 @@ def sid_to_ta(sid: SID) -> tuple[TreeAutomaton, dict[str, object]]:
     return ta, {p: p for p in sid.predicates}
 
 
-def is_sid_compatible(ta: TreeAutomaton) -> bool:
-    """Each state must be annotated with one arity across all its occurrences."""
-    arity: dict[object, int] = {}
-    for tr in ta.transitions:
-        for s, a in zip((tr.result, *tr.children), tr.symbol.arities):
-            if arity.setdefault(s, a) != a:
-                return False
-    return True
-
-
 def ta_to_sid(ta: TreeAutomaton, behavior: Behavior,
               name_of: Callable[[object], str] = str) -> SID:
     """One rule per transition, with parameters x_j and binders z_k; the
-    inverse of `sid_to_ta` on its outputs."""
-    if not is_sid_compatible(ta):
-        raise NotSidCompatible("states carry inconsistent arities")
+    inverse of `sid_to_ta` on its outputs.  A state used with two arities
+    makes no SID: its arity check raises ValueError."""
     rules = []
     for tr in ta.transitions:
         sym = tr.symbol
@@ -262,25 +158,6 @@ def ta_to_sid(ta: TreeAutomaton, behavior: Behavior,
                   for q, vs in zip(tr.children, sym.args)]
         rules.append(Rule(name_of(tr.result), params, binders, tuple(atoms)))
     return SID(tuple(rules), behavior)
-
-
-def ta_membership(ta: TreeAutomaton, t: Tree, state: object) -> bool:
-    """Standard bottom-up run existence."""
-    return state in _reachable_states(ta, t)[()]
-
-
-def _reachable_states(ta: TreeAutomaton, t: Tree) -> dict[Address, set]:
-    by_symbol: dict[AlphabetSymbol, list[TaTransition]] = {}
-    for tr in ta.transitions:
-        by_symbol.setdefault(tr.symbol, []).append(tr)
-    out: dict[Address, set] = {}
-    for u, sym in sorted(t.labels, key=lambda x: (-len(x[0]), x[0])):
-        got: set = set()
-        for tr in by_symbol.get(sym, []):
-            if all(tr.children[l - 1] in out[(*u, l)] for l in range(1, sym.rank + 1)):
-                got.add(tr.result)
-        out[u] = got
-    return out
 
 
 def ta_trim(ta: TreeAutomaton) -> TreeAutomaton:
@@ -322,48 +199,3 @@ def ta_trim(ta: TreeAutomaton) -> TreeAutomaton:
                         if tr.result in keep and all(c in keep for c in tr.children))
     states = tuple(s for s in ta.states if s in keep)
     return TreeAutomaton(states, frozenset(s for s in ta.finals if s in keep), transitions)
-
-
-def enumerate_trees(ta: TreeAutomaton, state: object, max_nodes: int) -> list[Tree]:
-    """All trees of at most max_nodes nodes accepted at `state` (brute force)."""
-    by_result: dict[object, list[TaTransition]] = {}
-    for tr in ta.transitions:
-        by_result.setdefault(tr.result, []).append(tr)
-
-    def gen(q: object, budget: int) -> Iterator[tuple[Tree, int]]:
-        for tr in by_result.get(q, []):
-            h = tr.symbol.rank
-            if budget < 1 + h:
-                continue
-            if h == 0:
-                yield Tree.node(tr.symbol), 1
-                continue
-            for combo in _child_combos(tr.children, budget - 1):
-                trees, size = combo
-                yield Tree.node(tr.symbol, *trees), size + 1
-
-    def _child_combos(children: tuple, budget: int) -> Iterator[tuple[list[Tree], int]]:
-        if not children:
-            yield [], 0
-            return
-        head, rest = children[0], children[1:]
-        min_rest = len(rest)
-        for t0, s0 in gen(head, budget - min_rest):
-            for ts, s in _child_combos(rest, budget - s0):
-                yield [t0] + ts, s0 + s
-
-    seen: dict[Tree, None] = {}
-    for t, _ in gen(state, max_nodes):
-        seen.setdefault(t)
-    return list(seen)
-
-
-def dump_ta(ta: TreeAutomaton, name_of: Callable[[object], str] = str) -> str:
-    lines = [f"states: {', '.join(name_of(s) for s in ta.states)}"]
-    if ta.finals:
-        finals = sorted(name_of(s) for s in ta.finals)
-        lines.append(f"finals: {', '.join(finals)}")
-    for tr in ta.transitions:
-        kids = ", ".join(name_of(c) for c in tr.children)
-        lines.append(f"  {symbol_text(tr.symbol)}({kids}) -> {name_of(tr.result)}")
-    return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ even after every variable it was equated with has been projected away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Container, Hashable, Iterable, Mapping
+from typing import TYPE_CHECKING, Container, Hashable, Iterable
 
 if TYPE_CHECKING:
     from .logic import Var
@@ -115,14 +115,6 @@ class EqFormula:
         cx = self.class_of(x)
         return cx is not None and y in cx
 
-    def conjoin(self, other: "EqFormula") -> "EqFormula":
-        """Join of the two partitions: transitive closure of their union."""
-        pairs = []
-        for cls in list(self.classes) + list(other.classes):
-            first = next(iter(cls))
-            pairs.extend((first, v) for v in cls)
-        return EqFormula.make(self.vars | other.vars, pairs)
-
     def qelim(self, drop: Iterable[Var]) -> "EqFormula":
         """Existentially project away `drop`; kept singletons survive."""
         dropped = set(drop)
@@ -132,13 +124,6 @@ class EqFormula:
             if kept:
                 out.append(frozenset(kept))
         return EqFormula(frozenset(out))
-
-    def rename(self, mapping: Mapping[Var, Var]) -> "EqFormula":
-        """Apply an injective-on-classes variable renaming."""
-        return EqFormula.make(
-            (mapping.get(v, v) for v in self.vars),
-            [(mapping.get(a, a), mapping.get(b, b))
-             for cls in self.classes for a in [next(iter(cls))] for b in cls])
 
     def render(self, var_text) -> str:
         parts = sorted("=".join(sorted(var_text(v) for v in cls)) for cls in self.classes)

@@ -58,16 +58,6 @@ def boundvar(k: int) -> Var:
     return Var("%y", (k,))
 
 
-def nodevar(addr: tuple[int, ...], j: int) -> Var:
-    """Characteristic-formula parameter x_j superscripted with a tree address."""
-    return Var("%x", (*addr, j))
-
-
-def nodeex(addr: tuple[int, ...], j: int) -> Var:
-    """Characteristic-formula existential y_j superscripted with an address."""
-    return Var("%ya", (*addr, j))
-
-
 def var_text(v: Var) -> str:
     """Stable printable name, for debug dumps and partition rendering."""
     if v.name == "%in":
@@ -78,10 +68,6 @@ def var_text(v: Var) -> str:
         return f"e{v.tag[0]}"
     if v.name == "%y":
         return f"y{v.tag[0]}"
-    if v.name in ("%x", "%ya"):
-        addr = ".".join(map(str, v.tag[:-1])) or "eps"
-        base = "x" if v.name == "%x" else "y"
-        return f"{base}{v.tag[-1]}^{addr}"
     if v.tag:
         return f"{v.name}_{'_'.join(map(str, v.tag))}"
     return v.name
@@ -168,11 +154,6 @@ def exists(vars: Sequence[Var], body: Formula) -> Formula:
     if isinstance(body, Exists):
         return Exists(vars + body.vars, body.body)
     return Exists(vars, body)
-
-
-def comp_in(x: Var, q: str) -> Formula:
-    """The component-in-state shorthand: comp(x) * state(x, q)."""
-    return sep(Comp(x), StateAtom(x, q))
 
 
 def atom_vars(a: Atom) -> tuple[Var, ...]:
@@ -653,14 +634,6 @@ def complete_unfoldings(sid: SID, f: Formula, depth: int) -> list[Prenex]:
         stack.extend(reversed([_expand(state, r, counter)
                                for h, r in ranked[name] if h <= budget]))
     return results
-
-
-def unfold(sid: SID, atom: Pred, depth: int) -> list[tuple[Formula, bool]]:
-    """Partial and complete unfoldings of a single predicate atom, as formulas."""
-    if atom.name not in sid.predicates:
-        raise UndefinedPredicate(atom.name)
-    return [(exists(binders, sep(*atoms)), complete)
-            for (binders, atoms), complete in unfold_formula(sid, atom, depth)]
 
 
 def eval_bounded(g: Configuration, nu: Mapping[Var, str], f: Formula,

@@ -46,55 +46,42 @@ def ttvars(tau: InteractionType, maxarity: int) -> frozenset[Var]:
     return frozenset(vs)
 
 
-def _marker_status(classes: Iterable[Iterable[Var]], n: int) -> tuple[bool, int]:
-    """Whether the classes make a live state, and how many positions i have
-    begin(i) and end(i) in one class.
+MarkerSignature = tuple[int, bool]
+MarkerStatus = tuple[int, bool, int]
 
-    A state is live when its classes keep the walk markers of positions 1..n
-    apart (no two begins, no two ends, no begin(i) with end(j) for i != j
-    share a class) and every open class, one with begin(i) or end(i) but not
-    both, holds a node parameter.  An open class without one is dead: a
-    parent step renames only parameters, unites begin(j) only for positions
-    not yet begun and end(j) only while no end is present, so nothing can
-    ever close it and no run above it accepts."""
-    ok, closed = True, 0
+
+def marker_status(classes: Iterable[Iterable[Var]], n: int) -> MarkerStatus | None:
+    """The walk markers a state's classes carry for positions 1..n: a bitmask
+    with bit i set for each begin(i), whether any end(i) occurs, and how many
+    positions have begin(i) and end(i) in one class; None for a dead state.
+
+    A state is live when its classes keep the walk markers apart (no two
+    begins, no two ends, no begin(i) with end(j) for i != j share a class)
+    and every open class, one with begin(i) or end(i) but not both, holds a
+    node parameter.  An open class without one is dead: a parent step
+    renames only parameters, unites begin(j) only for positions not yet
+    begun and end(j) only while no end is present, so nothing can ever close
+    it and no run above it accepts."""
+    mask, ends, closed = 0, False, 0
     for cls in classes:
-        begins, ends, has_param = [], [], False
+        begins, cends, has_param = [], [], False
         for v in cls:
             if v.name == "%begin" and v.tag[0] <= n:
                 begins.append(v.tag[0])
             elif v.name == "%end" and v.tag[0] <= n:
-                ends.append(v.tag[0])
+                cends.append(v.tag[0])
             elif v.name == "%in":
                 has_param = True
-        if begins or ends:
-            if len(begins) > 1 or len(ends) > 1 or (begins and ends and begins != ends):
-                ok = False
-            elif begins != ends and not has_param:
-                ok = False
-            closed += len(set(begins) & set(ends))
-    return ok, closed
-
-
-def is_final(phi: EqFormula, n: int) -> bool:
-    """Every walk's begin marker is proven equal to its end marker."""
-    return _marker_status(phi.classes, n)[1] == n
-
-
-MarkerSignature = tuple[int, bool]
-
-
-def marker_signature(phi: EqFormula, n: int) -> MarkerSignature:
-    """The walk markers a state carries for positions 1..n: a bitmask with
-    bit i set for each begin(i), and whether any end(i) occurs."""
-    begins, ends = 0, False
-    for cls in phi.classes:
-        for v in cls:
-            if v.name == "%begin" and v.tag[0] <= n:
-                begins |= 1 << v.tag[0]
-            elif v.name == "%end" and v.tag[0] <= n:
-                ends = True
-    return begins, ends
+        if begins or cends:
+            if len(begins) > 1 or len(cends) > 1 or (begins and cends and begins != cends):
+                return None
+            if begins != cends and not has_param:
+                return None
+            if begins:
+                mask |= 1 << begins[0]
+            ends = ends or bool(cends)
+            closed += begins == cends
+    return mask, ends, closed
 
 
 def join_markers(sigs: Iterable[MarkerSignature]) -> MarkerSignature | None:
@@ -199,7 +186,7 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
     position, each backed by a behavior transition over the matching port),
     the optional guess of the fired interaction atom, and discards any result
     that would merge distinct walk markers or leave a walk that can no longer
-    close (see `_marker_status`).  What depends on the symbol and the type
+    close (see `marker_status`).  What depends on the symbol and the type
     alone comes from the symbol's step plan, built on first use.
     """
     n = len(tau)
@@ -209,7 +196,11 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
     if alpha.arity > maxarity:
         raise ArityMismatch(f"symbol arity {alpha.arity} exceeds maxarity {maxarity}")
 
-    joined = join_markers(marker_signature(st, n) for st in child_states)
+    statuses = [marker_status(st.classes, n) for st in child_states]
+    # nothing above a dead child is live
+    if None in statuses:
+        return []
+    joined = join_markers(st[:2] for st in statuses)
     if joined is None:
         return []
     used_begin, ends_present = joined
@@ -247,7 +238,7 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
             # carry no information, marker singletons do
             classes = [cls for cls in conj.classes(keepvars)
                        if len(cls) > 1 or cls[0].name in ("%begin", "%end")]
-            if not _marker_status(classes, n)[0]:
+            if marker_status(classes, n) is None:
                 continue
             phi = EqFormula(frozenset(map(frozenset, classes)))
             results.append((out, phi, wits[k]))
@@ -382,10 +373,12 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID,
                         if ps is None:
                             ps = found[tr.result, phi] = ProductState(tr.result, phi, tau)
                             discovered.append(ps)
-                            marks[ps] = marker_signature(phi, n)
+                            begins, ends, closed = marker_status(phi.classes, n)
+                            marks[ps] = begins, ends
                             by_base.setdefault(tr.result, []).append(ps)
                             changed = True
-                            if tr.result == root_state and is_final(phi, n):
+                            # final: every walk's begin is proven equal to its end
+                            if tr.result == root_state and closed == n:
                                 finals.append(ps)
                         ptr = TaTransition(out_sym, combo, ps)
                         transitions.setdefault(ptr, []).append(wit)

@@ -53,6 +53,32 @@ def tll_pcr():
     return load("tll_pcr.clsys")
 
 
+# a two-budget token ring with a side predicate, for entailments between
+# differently budgeted rings
+RING2 = """
+behavior {
+  ports in, out;
+  states H, T;
+  trans T -out-> H;
+  trans H -in-> T;
+}
+sid {
+  Ring[h=0..2, t=0..1]() <- exists x, y . <x.out, y.in> * Chain[h, t](y, x);
+  Chain[h=0..2, t=0..1](x, y) <- exists z . comp(x : H) * <x.out, z.in> * Chain[max(h-1, 0), t](z, y);
+  Chain[h=0..2, t=0..1](x, y) <- exists z . comp(x : T) * <x.out, z.in> * Chain[h, max(t-1, 0)](z, y);
+  Chain[0, 1](x, y) <- x = y * comp(x : T);
+  Chain[1, 0](x, y) <- x = y * comp(x : H);
+  Chain[0, 0](x, y) <- x = y * comp(x);
+  Side() <- exists x, y . <x.out, y.in> * Chain[1, 1](y, x);
+}
+"""
+
+
+@pytest.fixture(scope="session")
+def ring2():
+    return parse_system(RING2)
+
+
 def source_fixtures():
     """The hand-written fixtures, without the outputs a local `clhavoc
     reduce` run may leave beside them."""

@@ -10,8 +10,8 @@ import time
 import pytest
 
 from clhavoc.analysis import check_pcr, profile
-from clhavoc.core import (Behavior, Configuration, Interaction, compose,
-                          degree, havoc_closure, is_tight, step)
+from clhavoc.core import (Configuration, Interaction, compose, degree, havoc_closure,
+                          is_tight, step)
 from clhavoc.frontend import Query, SystemFile, parse_system, render_system
 from clhavoc.logic import Var
 from clhavoc.oracle import (canonical_model, cross_validate_reduction,
@@ -21,6 +21,7 @@ from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
 from clhavoc.automata import sid_to_ta
 
 from conftest import FIXTURES
+from reference import TOKEN, all_partitions, brute_force_profile, models, ring_config
 
 
 class Budget:
@@ -41,18 +42,6 @@ class Budget:
         if exc_type is None:
             assert elapsed <= self.seconds, f"criterion {self.n} over budget"
         return False
-
-
-TOKEN = Behavior.make(["in", "out"], ["H", "T"],
-                      [("T", "out", "H"), ("H", "in", "T")])
-
-
-def ring_config(states):
-    n = len(states)
-    comps = [f"c{i+1}" for i in range(n)]
-    inters = [Interaction.make((comps[i], "out"), (comps[(i + 1) % n], "in"))
-              for i in range(n)]
-    return Configuration.make(comps, inters, dict(zip(comps, states)))
 
 
 def test_criterion_01_composition():
@@ -175,7 +164,6 @@ def test_criterion_10_one_step_iff_multi_step(name, pred, depth, request):
 
 def test_criterion_11_eqformula_oracle():
     with Budget(11, "partition ops agree with brute force on <=4 variables", 10):
-        from test_eqform import all_partitions, models
         vars = [Var(c) for c in "abcd"]
         for phi in all_partitions(vars):
             sem = models(phi, vars, 4)
@@ -194,7 +182,6 @@ def test_criterion_11_eqformula_oracle():
 def test_criterion_12_profile_oracle(name, request):
     sf = request.getfixturevalue(name)
     with Budget(12, f"profile fixpoint == unfolding brute force [{name}]", 30):
-        from test_analysis import brute_force_profile
         assert profile(sf.sid) == brute_force_profile(sf.sid, 4)
 
 

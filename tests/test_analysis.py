@@ -2,11 +2,11 @@
 
 import pytest
 
-from clhavoc.analysis import (check_pcr, degree_sample, profile,
-                              render_pcr_table, sid_metrics)
+from clhavoc.analysis import check_pcr, profile, render_pcr_table, sid_metrics
 from clhavoc.core import Behavior
 from clhavoc.frontend import parse_system
-from clhavoc.logic import Pred, Rule, SID, Var, atoms_of, unfold
+from clhavoc.logic import Rule, SID, Var
+from reference import brute_force_profile, degree_sample
 
 
 def rules_for(report, sid, head):
@@ -38,21 +38,6 @@ def test_profile_dies_through_ring_existentials(ring):
     prof = profile(ring.sid)
     assert prof["Chain_1_1"] == frozenset()
     assert prof["Ring_1_1"] == frozenset()
-
-
-def brute_force_profile(sid, depth=4):
-    """Position i survives for B iff no partial unfolding of any root passes a
-    non-root-parameter variable at position i of a B atom."""
-    alive = {p: set(range(1, sid.arity(p) + 1)) for p in sid.predicates}
-    for root in sid.predicates:
-        params = set(sid.atom(root).args)
-        for formula, _ in unfold(sid, sid.atom(root), depth):
-            for a in atoms_of(formula):
-                if isinstance(a, Pred):
-                    for i, v in enumerate(a.args, start=1):
-                        if v not in params:
-                            alive[a.name].discard(i)
-    return {p: frozenset(s) for p, s in alive.items()}
 
 
 @pytest.mark.parametrize("name", ["ring", "chain", "pcring", "tll",

@@ -5,26 +5,23 @@ predicate atom must coincide, up to renaming, with the models of the closed
 characteristic formulas of the trees its automaton state accepts.
 """
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clhavoc.automata import (BadAddress, NotSidCompatible,
-                              TaTransition, Tree, TreeAutomaton,
-                              char_formula, char_formula_closed,
-                              enumerate_trees, is_sid_compatible, make_symbol,
-                              sid_to_ta, ta_membership, ta_to_sid, ta_trim)
+from clhavoc.automata import (TaTransition, TreeAutomaton, make_symbol, sid_to_ta,
+                              ta_to_sid, ta_trim)
 from clhavoc.frontend import parse_system
 from clhavoc.logic import (Comp, Emp, Eq, Inter, Pred, StateAtom, Var, boundvar,
-                           comp_in, free_vars, nodevar, param, prenex, substitute)
+                           free_vars, param, prenex, substitute)
 from clhavoc.oracle import (canonical_model, enumerate_models, enumerate_pf_models,
                             from_exact)
 from clhavoc.reduction import class_equiv
 from clhavoc.transducer import image
 
 from conftest import FIXTURES, load, sha256, source_fixtures
+from reference import (BadAddress, Tree, char_formula, char_formula_closed, comp_in,
+                       dump_ta, enumerate_trees, nodevar)
 
 
 def leaf_symbol(q, a0=3):
@@ -161,13 +158,13 @@ def test_args_length_is_the_child_arity():
     pass_two = make_symbol([], [], 2, [(param(1), param(2))])
     with pytest.raises(ValueError, match="rank 1 given 2"):
         Tree.node(pass_one, Tree.node(leaf), Tree.node(leaf))
+    behavior = Behavior.make(["p"], ["s"], [])
     ta = TreeAutomaton.make([TaTransition(leaf, (), "P"),
                              TaTransition(pass_two, ("P",), "Q")])
-    assert not is_sid_compatible(ta)
-    with pytest.raises(NotSidCompatible):
-        ta_to_sid(ta, Behavior.make(["p"], ["s"], []))
-    assert is_sid_compatible(TreeAutomaton.make([TaTransition(leaf, (), "P"),
-                                                 TaTransition(pass_one, ("P",), "Q")]))
+    with pytest.raises(ValueError, match="P used with arity 2, defined with 1"):
+        ta_to_sid(ta, behavior)
+    ta_to_sid(TreeAutomaton.make([TaTransition(leaf, (), "P"),
+                                  TaTransition(pass_one, ("P",), "Q")]), behavior)
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +183,18 @@ def test_transition_hash_stays_out_of_identity(ring):
 
 
 def test_sid_to_ta_outputs_are_compatible(ring, tll, pcring):
+    """Every state keeps one arity, so the automaton reads back as an SID."""
     for sf in (ring, tll, pcring):
         ta, _ = sid_to_ta(sf.sid)
-        assert is_sid_compatible(ta)
+        assert ta_to_sid(ta, sf.behavior).predicates == sf.sid.predicates
 
 
 def test_incompatible_arities_detected():
     s2 = make_symbol([], [Comp(param(1))], 2)
     s3 = make_symbol([], [Comp(param(1))], 3)
     ta = TreeAutomaton.make([TaTransition(s2, (), "q"), TaTransition(s3, (), "q")])
-    assert not is_sid_compatible(ta)
     from clhavoc.core import Behavior
-    with pytest.raises(NotSidCompatible):
+    with pytest.raises(ValueError, match="q defined with arities 2 and 3"):
         ta_to_sid(ta, Behavior.make(["p"], ["s"], []))
 
 
@@ -264,53 +261,9 @@ def test_ta_to_sid_round_trip_class_equiv(tll, ring):
 
 
 # ---------------------------------------------------------------------------
-# membership and trim
-
-def naive_root_states(ta, t):
-    """All-runs enumeration: every assignment of states to nodes."""
-    dom = t.dom
-    states = list(ta.states)
-    out = set()
-    for combo in itertools.product(states, repeat=len(dom)):
-        pi = dict(zip(dom, combo))
-        ok = True
-        for u in dom:
-            sym = t.label(u)
-            kids = tuple(pi[(*u, l)] for l in range(1, sym.rank + 1))
-            if not any(tr.symbol == sym and tr.children == kids
-                       and tr.result == pi[u] for tr in ta.transitions):
-                ok = False
-                break
-        if ok:
-            out.add(pi[()])
-    return out
-
-
-def test_membership_tll_tree(tll):
-    ta, alpha, beta, g0, g1 = tll_symbols(tll.sid)
-    t = Tree.node(alpha, Tree.node(beta, Tree.node(g0), Tree.node(g1)))
-    assert ta_membership(ta, t, "Root")
-    assert not ta_membership(ta, t, "Node")
-    assert not ta_membership(ta, Tree.node(g0), "Root")
-
-
-def test_membership_agrees_with_all_runs(ring, tll):
-    for sf, bound in ((ring, 3), (tll, 5)):
-        ta, _ = sid_to_ta(sf.sid)
-        seen = set()
-        for state in ta.states:
-            for t in enumerate_trees(ta, state, bound):
-                if t in seen:
-                    continue
-                seen.add(t)
-                naive = naive_root_states(ta, t)
-                assert state in naive
-                for q in ta.states:
-                    assert ta_membership(ta, t, q) == (q in naive)
-
+# dump and trim
 
 def test_dump_ta_golden(tll):
-    from clhavoc.automata import dump_ta
     ta, _ = sid_to_ta(tll.sid)
     text = dump_ta(ta)
     assert text == dump_ta(ta)
@@ -518,6 +471,5 @@ DUMP_TA_DIGESTS = {
 
 @pytest.mark.parametrize("path", source_fixtures(), ids=lambda p: p.name)
 def test_dump_ta_pinned(path):
-    from clhavoc.automata import dump_ta
     ta, _ = sid_to_ta(load(path.name).sid)
     assert sha256(dump_ta(ta)) == DUMP_TA_DIGESTS[path.name]

@@ -6,17 +6,7 @@ from clhavoc.core import (EMPTY, Behavior, Configuration, Interaction,
                           StateMapMismatch, UnknownInteraction, compose,
                           degree, havoc_closure, is_tight, step, successors)
 
-TOKEN = Behavior.make(["in", "out"], ["H", "T"],
-                      [("T", "out", "H"), ("H", "in", "T")])
-
-
-def ring_config(states):
-    n = len(states)
-    comps = [f"c{i+1}" for i in range(n)]
-    inters = [Interaction.make((comps[i], "out"), (comps[(i + 1) % n], "in"))
-              for i in range(n)]
-    return Configuration.make(comps, inters, dict(zip(comps, states)))
-
+from reference import TOKEN, ring_config
 
 def test_compose_two_half_rings():
     rho = {"c1": "H", "c2": "T"}

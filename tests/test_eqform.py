@@ -5,64 +5,9 @@ from hypothesis import strategies as st
 
 from clhavoc.eqform import EMPTY_EQ, EqFormula, Partition
 from clhavoc.logic import Var
+from reference import all_partitions, models
 
 A, B, C, D, E = (Var(n) for n in "abcde")
-
-
-def all_partitions(vars):
-    """Every partition of `vars`, as a list of EqFormula."""
-    vars = list(vars)
-    if not vars:
-        return [EMPTY_EQ]
-    out = []
-
-    def go(i, blocks):
-        if i == len(vars):
-            out.append(EqFormula(frozenset(frozenset(b) for b in blocks)))
-            return
-        v = vars[i]
-        for b in blocks:
-            b.add(v)
-            go(i + 1, blocks)
-            b.remove(v)
-        blocks.append({v})
-        go(i + 1, blocks)
-        blocks.pop()
-
-    go(0, [])
-    return out
-
-
-def models(phi: EqFormula, universe, domain_size):
-    """All assignments of the universe consistent with the partition."""
-    universe = sorted(universe)
-    out = []
-    for values in itertools.product(range(domain_size), repeat=len(universe)):
-        nu = dict(zip(universe, values))
-        if all(nu[x] == nu[y]
-               for cls in phi.classes
-               for x in cls for y in cls
-               if x in nu and y in nu):
-            out.append(tuple(nu[v] for v in universe))
-    return set(out)
-
-
-def test_conjoin_transitivity():
-    a = EqFormula.make(pairs=[(A, B)])
-    b = EqFormula.make(pairs=[(B, C)])
-    j = a.conjoin(b)
-    assert j.entails(A, C)
-
-
-def test_conjoin_unit():
-    a = EqFormula.make(pairs=[(A, B)])
-    assert a.conjoin(EMPTY_EQ) == a
-
-
-def test_marker_chain_closure():
-    a = EqFormula.make(pairs=[(Var("b1"), A), (Var("e1"), B)])
-    b = EqFormula.make(pairs=[(A, B)])
-    assert a.conjoin(b).entails(Var("b1"), Var("e1"))
 
 
 def test_qelim_example():
@@ -101,15 +46,6 @@ def test_exhaustive_vs_brute_force_small():
                 assert got == proj, (phi, drop)
 
 
-def test_exhaustive_conjoin_vs_intersection():
-    vars = [A, B, C]
-    parts = all_partitions(vars)
-    for p1 in parts:
-        for p2 in parts:
-            sem = models(p1, vars, 3) & models(p2, vars, 3)
-            assert models(p1.conjoin(p2), vars, 3) == sem
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from([A, B, C, D, E]),
                           st.sampled_from([A, B, C, D, E])), max_size=6))
@@ -120,13 +56,6 @@ def test_random_partitions_vs_brute_force(pairs):
     for x, y in itertools.combinations(vars, 2):
         i, j = vars.index(x), vars.index(y)
         assert phi.entails(x, y) == all(m[i] == m[j] for m in sem)
-
-
-def test_rename():
-    phi = EqFormula.make(pairs=[(A, B)])
-    out = phi.rename({A: C})
-    assert out.entails(C, B)
-    assert A not in out.vars
 
 
 # The equality closures that Partition replaced, kept verbatim as references:

@@ -14,21 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clhavoc.core import Behavior, Configuration, Interaction
+from clhavoc.core import Configuration, Interaction
 from clhavoc.frontend import ParseError, parse_system, render_var
 from clhavoc.logic import (SID, Comp, Emp, Eq, Exists, Inter, Neq, Pred, Rule,
                            SepConj, StateAtom, UnboundVariable,
                            UndefinedPredicate, Var, atom_text, atom_vars,
-                           comp_in, complete_unfoldings, eval_bounded, eval_pf,
+                           complete_unfoldings, eval_bounded, eval_pf,
                            exists, free_vars, least_heights, prenex, sep,
-                           substitute, unfold, unfold_formula, var_text)
+                           substitute, unfold_formula, var_text)
 from clhavoc.reduction import reduce_havoc_to_entailment
 
 from conftest import REUSE_CASES, corpus, corpus_text, load
+from reference import TOKEN, comp_in, unfold
 
 X, Y, Z, U = Var("x"), Var("y"), Var("z"), Var("u")
-TOKEN = Behavior.make(["in", "out"], ["H", "T"],
-                      [("T", "out", "H"), ("H", "in", "T")])
 
 
 # ---------------------------------------------------------------------------
@@ -285,30 +284,6 @@ def test_eval_pf_matches_naive_randomized(g, atoms, exvars, nu):
 
 # ---------------------------------------------------------------------------
 # unfolding
-
-RING2 = """
-behavior {
-  ports in, out;
-  states H, T;
-  trans T -out-> H;
-  trans H -in-> T;
-}
-sid {
-  Ring[h=0..2, t=0..1]() <- exists x, y . <x.out, y.in> * Chain[h, t](y, x);
-  Chain[h=0..2, t=0..1](x, y) <- exists z . comp(x : H) * <x.out, z.in> * Chain[max(h-1, 0), t](z, y);
-  Chain[h=0..2, t=0..1](x, y) <- exists z . comp(x : T) * <x.out, z.in> * Chain[h, max(t-1, 0)](z, y);
-  Chain[0, 1](x, y) <- x = y * comp(x : T);
-  Chain[1, 0](x, y) <- x = y * comp(x : H);
-  Chain[0, 0](x, y) <- x = y * comp(x);
-  Side() <- exists x, y . <x.out, y.in> * Chain[1, 1](y, x);
-}
-"""
-
-
-@pytest.fixture(scope="module")
-def ring2():
-    return parse_system(RING2)
-
 
 def test_unfold_undefined_predicate(ring):
     with pytest.raises(UndefinedPredicate):

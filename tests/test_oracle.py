@@ -16,7 +16,7 @@ from clhavoc.automata import sid_to_ta
 from clhavoc.core import Behavior, Configuration, Interaction, step
 from clhavoc.frontend import parse_system, render_config
 from clhavoc.logic import (Comp, Eq, Neq, Pred, SID, StateAtom, Var, complete_unfoldings,
-                           eval_bounded, eval_pf, exists, sep, unfold, var_text)
+                           eval_bounded, eval_pf, exists, sep, var_text)
 from clhavoc.oracle import (Counterexample, CrossReport, EntailReport, HavocReport,
                             Model, _model_order, _successor_keys, _successors,
                             canonical_model, cross_validate_reduction,
@@ -26,32 +26,9 @@ from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
 from clhavoc.transducer import transducer_step
 
 from conftest import REUSE_CASES, corpus, corpus_text, source_fixtures
+from reference import unfold
 
 X1, X2 = Var("x1"), Var("x2")
-
-
-RING2 = """
-behavior {
-  ports in, out;
-  states H, T;
-  trans T -out-> H;
-  trans H -in-> T;
-}
-sid {
-  Ring[h=0..2, t=0..1]() <- exists x, y . <x.out, y.in> * Chain[h, t](y, x);
-  Chain[h=0..2, t=0..1](x, y) <- exists z . comp(x : H) * <x.out, z.in> * Chain[max(h-1, 0), t](z, y);
-  Chain[h=0..2, t=0..1](x, y) <- exists z . comp(x : T) * <x.out, z.in> * Chain[h, max(t-1, 0)](z, y);
-  Chain[0, 1](x, y) <- x = y * comp(x : T);
-  Chain[1, 0](x, y) <- x = y * comp(x : H);
-  Chain[0, 0](x, y) <- x = y * comp(x);
-  Side() <- exists x, y . <x.out, y.in> * Chain[1, 1](y, x);
-}
-"""
-
-
-@pytest.fixture(scope="module")
-def ring2():
-    return parse_system(RING2)
 
 
 def test_chain_base_single_model(ring):

@@ -6,12 +6,13 @@ from typing import Iterator, Sequence
 
 import pytest
 from conftest import FIXTURES
+from reference import enumerate_trees
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clhavoc import transducer
 from clhavoc.automata import (AlphabetSymbol, TaTransition, TreeAutomaton,
-                              make_symbol, sid_to_ta, enumerate_trees, ta_trim)
+                              make_symbol, sid_to_ta, ta_trim)
 from clhavoc.core import Behavior
 from clhavoc.eqform import EMPTY_EQ, EqFormula, Partition
 from clhavoc.frontend import parse_system
@@ -19,8 +20,8 @@ from clhavoc.logic import (Comp, Eq, Inter, StateAtom, Var, beginvar, endvar,
                            param)
 from clhavoc.transducer import (ArityMismatch, ImageResult, InteractionType,
                                 ProductState, Witness, image, interaction_types,
-                                is_final, join_markers, marker_signature,
-                                new_combos, transducer_step, ttvars)
+                                join_markers, marker_status, new_combos,
+                                transducer_step, ttvars)
 
 
 def test_interaction_types_ring(ring):
@@ -105,18 +106,31 @@ def test_two_children_sharing_begin_blocks_everything():
 
 
 def test_second_fired_atom_blocked_by_child_ends():
-    child = EqFormula.make(vars=[endvar(1), endvar(2)])
-    from clhavoc.logic import Inter
+    child = EqFormula.make(pairs=[(endvar(1), param(1)), (endvar(2), param(2))])
+    sym = make_symbol([], [Inter(((param(1), "out"), (param(2), "in")))], 2,
+                      [(param(1), param(2))])
+    results = transducer_step(("out", "in"), sym, [child], TOGGLE, 2)
+    assert results
+    for _, _, wit in results:
+        assert wit.fired_atom is None
+
+
+def test_step_above_a_dead_child_is_empty():
+    """A child class with end(1) alone and no node parameter can never close:
+    every result above it keeps that class, so the step emits nothing."""
+    child = EqFormula.make(vars=[endvar(1)])
     sym = make_symbol([], [Inter(((param(1), "out"), (param(2), "in")))], 2,
                       [(param(1),)])
-    for _, _, wit in transducer_step(("out", "in"), sym, [child], TOGGLE, 2):
-        assert wit.fired_atom is None
+    assert marker_status(child.classes, 2) is None
+    assert reference_step(("out", "in"), sym, [child], TOGGLE, 2, live_only=False)
+    assert reference_step(("out", "in"), sym, [child], TOGGLE, 2) == []
+    assert transducer_step(("out", "in"), sym, [child], TOGGLE, 2) == []
 
 
 def state_ok(phi: EqFormula, n: int) -> bool:
     """The step's own check that a state is live: its walk markers stay apart
     and every open marker class holds a node parameter."""
-    return transducer._marker_status(phi.classes, n)[0]
+    return marker_status(phi.classes, n) is not None
 
 
 def test_generated_states_satisfy_invariants(ring):
@@ -177,7 +191,7 @@ def test_tll_two_leaf_rewrite_run(tll):
     assert roots
     asym, aphi, wit = roots[0]
     assert asym == alpha  # the interaction atom itself is not rewritten
-    assert is_final(aphi, 2)
+    assert marker_status(aphi.classes, 2)[2] == 2
     # exactly one node of the run guessed the fired interaction
     fired_nodes = [w for w in (wit,) if w.fired_atom is not None]
     assert len(fired_nodes) == 1
@@ -253,7 +267,9 @@ def reference_image(ta, root_state, sid, behavior):
                             discovered[ps] = None
                             by_base.setdefault(tr.result, []).append(phi)
                             changed = True
-                            if tr.result == root_state and is_final(phi, n):
+                            if tr.result == root_state and all(
+                                    phi.entails(beginvar(i), endvar(i))
+                                    for i in range(1, n + 1)):
                                 finals.append(ps)
                         kids = tuple(ProductState(c, combo[l], tau)
                                      for l, c in enumerate(tr.children))
@@ -570,7 +586,8 @@ def test_step_matches_reference_on_every_reached_input(name):
                     want = reference_step(tau, tr.symbol, list(phis), sid.behavior, maxarity)
                     got = transducer_step(tau, tr.symbol, list(phis), sid.behavior, maxarity)
                     assert got == want
-                    if join_markers(marker_signature(phi, len(tau)) for phi in phis) is None:
+                    if join_markers(marker_status(phi.classes, len(tau))[:2]
+                                    for phi in phis) is None:
                         assert want == []
                         skipped += 1
     if name == "tll.clsys":
@@ -592,9 +609,10 @@ def test_join_markers():
     assert join_markers([(0b10, False), (0b100, True)]) == (0b110, True)
     assert join_markers([(0b10, False), (0b110, False)]) is None
     assert join_markers([(0, True), (0b10, True)]) is None
-    phi = EqFormula.make([beginvar(1), endvar(2), beginvar(3)], [(beginvar(1), param(1))])
-    assert marker_signature(phi, 2) == (0b10, True)
-    assert marker_signature(phi, 3) == (0b1010, True)
+    phi = EqFormula.make([beginvar(1), endvar(2), beginvar(3)],
+                         [(beginvar(1), param(1)), (endvar(2), param(2)), (beginvar(3), param(3))])
+    assert marker_status(phi.classes, 2) == (0b10, True, 0)
+    assert marker_status(phi.classes, 3) == (0b1010, True, 0)
 
 
 def test_marker_checks_match_entailment_form():
@@ -614,8 +632,14 @@ def test_marker_checks_match_entailment_form():
                         live = reference_state_live(phi, n, 2)
                         assert state_ok(phi, n) == (apart and live)
                         dead += apart and not live
-                        assert is_final(phi, n) == all(phi.entails(beginvar(i), endvar(i))
-                                                       for i in range(1, n + 1))
+                        status = marker_status(phi.classes, n)
+                        if status is not None:
+                            begins = sum(1 << i for i in range(1, n + 1)
+                                         if beginvar(i) in phi.vars)
+                            ends = any(endvar(i) in phi.vars for i in range(1, n + 1))
+                            assert status[:2] == (begins, ends)
+                            assert (status[2] == n) == all(phi.entails(beginvar(i), endvar(i))
+                                                           for i in range(1, n + 1))
     assert dead
 
 
