@@ -3,9 +3,8 @@
 from .core import (Behavior, Configuration, Interaction, compose, degree,
                    havoc_closure, is_tight, step, successors)
 from .eqform import EqFormula
-from .logic import (Comp, Emp, Eq, Exists, Formula, Inter, Neq, Pred, Rule,
-                    SID, SepConj, StateAtom, Var, eval_bounded, eval_pf, exists,
-                    free_vars, sep, substitute)
+from .logic import (Comp, Eq, Inter, Neq, Pred, Rule, SID, StateAtom, Var,
+                    eval_bounded, eval_pf, substitute)
 from .frontend import parse_system, render_system
 from .automata import AlphabetSymbol, TreeAutomaton, sid_to_ta, ta_to_sid, ta_trim
 from .transducer import image, interaction_types, transducer_step

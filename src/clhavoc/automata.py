@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .core import Behavior
-from .logic import (Atom, Pred, Rule, SID, Var, atom_text, boundvar, free_vars,
+from .logic import (Atom, Pred, Rule, SID, Var, atom_text, atom_vars, boundvar,
                     param, substitute, var_text)
 
 
@@ -61,7 +61,7 @@ def make_symbol(binders: Sequence[Var], atoms: Sequence[Atom], arity: int,
     cargs = tuple(tuple(ren.get(v, v) for v in vs) for vs in args)
     # a parameter may be unused (leaf rules often ignore trailing parameters),
     # but no variable outside the parameters and binders may occur
-    extra = set().union(*map(free_vars, catoms), *cargs) - set(ren.values())
+    extra = set().union(*map(atom_vars, catoms), *cargs) - set(ren.values())
     extra -= {param(i) for i in range(1, arity + 1)}
     if extra:
         raise ValueError(f"symbol variables exceed arity {arity}: "

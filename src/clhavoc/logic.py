@@ -1,8 +1,8 @@
 """Configuration logic: syntax, inductive definitions, satisfaction, unfolding.
 
-Formulas are immutable trees over six atom kinds plus separating conjunction
-and existential quantification.  Satisfaction of predicate-free formulas is
-decided by bijective matching: component atoms must cover the present
+A formula is a prenex form `exists binders . atom_1 * ... * atom_n` over six
+immutable atom kinds; no atoms is emp.  Satisfaction of predicate-free forms
+is decided by bijective matching: component atoms must cover the present
 components exactly once, interaction atoms the interactions, while state and
 (dis)equality atoms hold on empty sub-configurations and only constrain the
 store and the state table.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .core import Behavior, Configuration
 from .eqform import Partition
@@ -77,11 +77,6 @@ def var_text(v: Var) -> str:
 # formulas
 
 @dataclass(frozen=True)
-class Emp:
-    pass
-
-
-@dataclass(frozen=True)
 class Comp:
     var: Var
 
@@ -115,45 +110,9 @@ class Pred:
     args: tuple[Var, ...]
 
 
-@dataclass(frozen=True)
-class SepConj:
-    parts: tuple["Formula", ...]
-
-
-@dataclass(frozen=True)
-class Exists:
-    vars: tuple[Var, ...]
-    body: "Formula"
-
-
-Formula = Emp | Comp | StateAtom | Inter | Eq | Neq | Pred | SepConj | Exists
-Atom = Emp | Comp | StateAtom | Inter | Eq | Neq | Pred
-# exists binders . *atoms, the form `prenex` returns
+Atom = Comp | StateAtom | Inter | Eq | Neq | Pred
+# exists binders . *atoms, the one form of a formula; no atoms is emp
 Prenex = tuple[tuple[Var, ...], tuple[Atom, ...]]
-
-
-def sep(*parts: Formula) -> Formula:
-    """Flattened separating conjunction; emp units are dropped."""
-    flat: list[Formula] = []
-    for p in parts:
-        if isinstance(p, SepConj):
-            flat.extend(p.parts)
-        elif not isinstance(p, Emp):
-            flat.append(p)
-    if not flat:
-        return Emp()
-    if len(flat) == 1:
-        return flat[0]
-    return SepConj(tuple(flat))
-
-
-def exists(vars: Sequence[Var], body: Formula) -> Formula:
-    vars = tuple(vars)
-    if not vars:
-        return body
-    if isinstance(body, Exists):
-        return Exists(vars + body.vars, body.body)
-    return Exists(vars, body)
 
 
 def atom_vars(a: Atom) -> tuple[Var, ...]:
@@ -166,8 +125,6 @@ def atom_vars(a: Atom) -> tuple[Var, ...]:
         return (a.left, a.right)
     if isinstance(a, Pred):
         return a.args
-    if isinstance(a, Emp):
-        return ()
     raise TypeError(a)
 
 
@@ -186,101 +143,36 @@ def atom_text(a: Atom, name: Callable[[Var], str], sp: str) -> str:
         return f"{name(a.left)}{sp}!={sp}{name(a.right)}"
     if isinstance(a, Pred):
         return f"{a.name}({', '.join(name(v) for v in a.args)})"
-    if isinstance(a, Emp):
-        return "emp"
     raise TypeError(a)
 
 
-def free_vars(f: Formula) -> frozenset[Var]:
-    if isinstance(f, SepConj):
-        out: frozenset[Var] = frozenset()
-        for p in f.parts:
-            out |= free_vars(p)
-        return out
-    if isinstance(f, Exists):
-        return free_vars(f.body) - set(f.vars)
-    return frozenset(atom_vars(f))
-
-
-def substitute(f: Formula, mapping: Mapping[Var, Var]) -> Formula:
-    """Simultaneous, capture-avoiding substitution of free occurrences."""
+def substitute(a: Atom, mapping: Mapping[Var, Var]) -> Atom:
+    """Simultaneous substitution of an atom's variables."""
     get = mapping.get
-    if isinstance(f, Emp):
-        return f
-    if isinstance(f, Comp):
-        return Comp(get(f.var, f.var))
-    if isinstance(f, StateAtom):
-        return StateAtom(get(f.var, f.var), f.state)
-    if isinstance(f, Inter):
-        return Inter(tuple((get(v, v), p) for v, p in f.bindings))
-    if isinstance(f, Eq):
-        return Eq(get(f.left, f.left), get(f.right, f.right))
-    if isinstance(f, Neq):
-        return Neq(get(f.left, f.left), get(f.right, f.right))
-    if isinstance(f, Pred):
-        return Pred(f.name, tuple(get(v, v) for v in f.args))
-    if isinstance(f, SepConj):
-        return SepConj(tuple(substitute(p, mapping) for p in f.parts))
-    if isinstance(f, Exists):
-        inner = {k: v for k, v in mapping.items() if k not in f.vars}
-        targets = set(inner.values())
-        binders = list(f.vars)
-        body = f.body
-        if targets & set(binders):
-            # rename binders that would capture a substituted variable
-            taken = {v.name for v in targets | free_vars(f.body) | set(binders)}
-            renames: dict[Var, Var] = {}
-            for i, b in enumerate(binders):
-                if b in targets:
-                    k = 0
-                    while f"{b.name}~{k}" in taken:
-                        k += 1
-                    nb = Var(f"{b.name}~{k}", b.tag)
-                    taken.add(nb.name)
-                    renames[b] = nb
-                    binders[i] = nb
-            body = substitute(body, renames)
-        return Exists(tuple(binders), substitute(body, inner))
-    raise TypeError(f)
+    if isinstance(a, Comp):
+        return Comp(get(a.var, a.var))
+    if isinstance(a, StateAtom):
+        return StateAtom(get(a.var, a.var), a.state)
+    if isinstance(a, Inter):
+        return Inter(tuple((get(v, v), p) for v, p in a.bindings))
+    if isinstance(a, Eq):
+        return Eq(get(a.left, a.left), get(a.right, a.right))
+    if isinstance(a, Neq):
+        return Neq(get(a.left, a.left), get(a.right, a.right))
+    if isinstance(a, Pred):
+        return Pred(a.name, tuple(get(v, v) for v in a.args))
+    raise TypeError(a)
 
 
-def atoms_of(f: Formula) -> Iterator[Atom]:
-    """Leaf atoms of a formula in syntactic order (quantifiers transparent)."""
-    if isinstance(f, SepConj):
-        for p in f.parts:
-            yield from atoms_of(p)
-    elif isinstance(f, Exists):
-        yield from atoms_of(f.body)
-    else:
-        yield f
-
-
-def prenex(f: Formula, counter: itertools.count | None = None,
+def prenex(f: Prenex, counter: itertools.count | None = None,
            prefix: str = "%q") -> Prenex:
-    """Pull every existential to the front, freshly renaming all binders."""
-    binders: list[Var] = []
-    atoms: list[Atom] = []
-    _prenex_into(f, {}, prefix, itertools.count() if counter is None else counter,
-                 binders, atoms)
-    return tuple(binders), tuple(atoms)
-
-
-def _prenex_into(g: Formula, env: dict[Var, Var], prefix: str,
-                 counter: itertools.count, binders: list[Var],
-                 atoms: list[Atom]) -> None:
-    """Append g's binders, renamed apart, and its atoms, renamed by env."""
-    if isinstance(g, Exists):
-        env = dict(env)
-        for b in g.vars:
-            nb = Var(prefix, (next(counter),))
-            env[b] = nb
-            binders.append(nb)
-        _prenex_into(g.body, env, prefix, counter, binders, atoms)
-    elif isinstance(g, SepConj):
-        for p in g.parts:
-            _prenex_into(p, env, prefix, counter, binders, atoms)
-    elif not isinstance(g, Emp):
-        atoms.append(substitute(g, env))
+    """f with its binders renamed apart, in order, to fresh `prefix` variables."""
+    binders, atoms = f
+    if counter is None:
+        counter = itertools.count()
+    fresh = tuple(Var(prefix, (next(counter),)) for _ in binders)
+    mapping = dict(zip(binders, fresh))
+    return fresh, tuple(substitute(a, mapping) for a in atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +318,8 @@ def split_atoms(atoms: Iterable[Atom]) -> tuple[list[Var], list[Inter], list[Sta
     return kinds
 
 
-def satisfies(g: Configuration, nu: Mapping[Var, str], binders: Sequence[Var],
-              atoms: Sequence[Atom]) -> bool:
-    """Does (g, nu) satisfy the predicate-free prenex form `exists binders . *atoms`?
+def eval_pf(g: Configuration, nu: Mapping[Var, str], f: Prenex) -> bool:
+    """Does (g, nu) satisfy the predicate-free prenex form f = (binders, atoms)?
 
     Equalities join the variables into classes, and the store gives the
     classes of the free variables (those that occur in an atom and are not
@@ -439,6 +330,7 @@ def satisfies(g: Configuration, nu: Mapping[Var, str], binders: Sequence[Var],
     cover exact.  A class left without a value is a fresh id from the
     infinite pool of absent components.
     """
+    binders, atoms = f
     comps, inters, states, eqs, neqs = split_atoms(atoms)
     allvars = set(binders)
     for a in atoms:
@@ -495,11 +387,6 @@ def _match(spatial: list, k: int, value: dict[int, str], used: frozenset,
     return False
 
 
-def eval_pf(g: Configuration, nu: Mapping[Var, str], f: Formula) -> bool:
-    """Does (g, nu) satisfy the predicate-free formula f?"""
-    return satisfies(g, nu, *prenex(f))
-
-
 # ---------------------------------------------------------------------------
 # unfolding
 
@@ -508,7 +395,7 @@ def eval_pf(g: Configuration, nu: Mapping[Var, str], f: Formula) -> bool:
 _State = tuple[tuple[Var, ...], tuple[Atom, ...], tuple[tuple[int, int], ...]]
 
 
-def _start(sid: SID, f: Formula, depth: int, counter: itertools.count) -> _State:
+def _start(sid: SID, f: Prenex, depth: int, counter: itertools.count) -> _State:
     """The state an unfolding walk of f starts from."""
     binders, atoms = prenex(f, counter, prefix="%u")
     defined = set(sid.predicates)
@@ -535,7 +422,7 @@ def _expand(state: _State, rule: Rule, counter: itertools.count) -> _State:
             + tuple((i + shift, b) for i, b in rest))
 
 
-def unfold_formula(sid: SID, f: Formula, depth: int) -> list[tuple[Prenex, bool]]:
+def unfold_formula(sid: SID, f: Prenex, depth: int) -> list[tuple[Prenex, bool]]:
     """All partial unfoldings of f, each predicate atom expanded to height <= depth.
 
     Results are ((binders, atoms), complete) pairs, the prenex form of each
@@ -600,7 +487,7 @@ def least_heights(sid: SID, roots: Iterable[str]) -> dict[str, float]:
     return {name: heights.get(name, math.inf) for name in seen}
 
 
-def complete_unfoldings(sid: SID, f: Formula, depth: int) -> list[Prenex]:
+def complete_unfoldings(sid: SID, f: Prenex, depth: int) -> list[Prenex]:
     """The complete unfoldings of f at height <= depth, as prenex forms.
 
     They come in the order of the complete entries of `unfold_formula`, but
@@ -636,11 +523,11 @@ def complete_unfoldings(sid: SID, f: Formula, depth: int) -> list[Prenex]:
     return results
 
 
-def eval_bounded(g: Configuration, nu: Mapping[Var, str], f: Formula,
+def eval_bounded(g: Configuration, nu: Mapping[Var, str], f: Prenex,
                  sid: SID, depth: int) -> bool:
     """True iff some complete unfolding of f at height <= depth is satisfied.
 
     Sound for satisfaction; a False answer only rules out models arising
     from unfoldings within the depth bound.
     """
-    return any(satisfies(g, nu, *u) for u in complete_unfoldings(sid, f, depth))
+    return any(eval_pf(g, nu, u) for u in complete_unfoldings(sid, f, depth))

@@ -26,9 +26,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction, step
 from .eqform import Partition
-from .logic import (Atom, Formula, SID, Var, atom_vars, atoms_of,
-                    complete_unfoldings, exists, free_vars, split_atoms,
-                    var_text)
+from .logic import (Atom, Prenex, SID, Var, atom_vars, complete_unfoldings,
+                    split_atoms, var_text)
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +265,10 @@ def _instantiate(bucket, cls_of, inter_atoms, state_atoms, neq_cls, free,
         yield exact_form(comps, bindings, [*pinned, *zip(unpinned, choice)], store)
 
 
-def enumerate_models(sid: SID, f: Formula, depth: int) -> ModelSet:
-    """Canonical models over all complete unfoldings of f, a predicate atom
-    or one under existentials; the store ranges over the atom's arguments
-    that f leaves free, in argument order.
+def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
+    """Canonical models over all complete unfoldings of f = (closed, (atom,)),
+    one predicate atom with some of its arguments existentially closed; the
+    store ranges over the atom's other arguments, in argument order.
 
     Built once per SID object, formula and depth, in the SID's memo, or in
     its base's memo for a predicate of the base (see `SID.extend`), which
@@ -277,13 +276,12 @@ def enumerate_models(sid: SID, f: Formula, depth: int) -> ModelSet:
     one (successor keys are filled in as they are first asked for).  Each
     distinct candidate is keyed once per root SID (see `_key_table`), and
     a configuration is built only for a candidate that is keyed or kept."""
-    (atom,) = atoms_of(f)
+    closed, (atom,) = f
     while sid._base is not None and atom.name in sid._base.predicates:
         sid = sid._base
     memo = sid._memo
     if (f, depth) not in memo:
-        fv = free_vars(f)
-        free = [v for v in atom.args if v in fv]
+        free = [v for v in atom.args if v not in closed]
         table = _key_table(sid)
         ms = ModelSet()
         for k, (binders, atoms) in enumerate(complete_unfoldings(sid, f, depth)):
@@ -357,7 +355,7 @@ def havoc_invariant_bounded(sid: SID, pred: str, depth: int) -> HavocReport:
     one-step successor stays in the model set, which its canonical key
     decides.
     """
-    ms = enumerate_models(sid, sid.atom(pred), depth)
+    ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
     for _, model in _model_order(ms):
         for inter in sorted(model.config.interactions, key=repr):
             for k, key in enumerate(_successor_keys(sid, ms, model, inter)):
@@ -386,11 +384,11 @@ def entails_bounded(sid: SID, lhs: str, rhs: str, depth: int) -> EntailReport:
     na, nb = sid.arity(lhs), sid.arity(rhs)
     if nb < na:
         raise ValueError(f"{rhs} has smaller arity than {lhs}")
-    ms = enumerate_models(sid, sid.atom(lhs), depth)
+    ms = enumerate_models(sid, ((), (sid.atom(lhs),)), depth)
     if not ms:  # no model to check: skip unfolding the right-hand side
         return EntailReport(True, depth, 0, None)
     rhs_models = enumerate_models(
-        sid, exists(tuple(Var(f"x{i}") for i in range(na + 1, nb + 1)), sid.atom(rhs)),
+        sid, (tuple(Var(f"x{i}") for i in range(na + 1, nb + 1)), (sid.atom(rhs),)),
         depth)
     for key, model in _model_order(ms):
         if key not in rhs_models:
@@ -420,7 +418,7 @@ def cross_validate_reduction(sid: SID, pred: str, depth: int,
     target unfolds there as in the derived SID.  Successor keys are those
     the direct check stored, where it has run."""
     left: set[tuple] = set()
-    ms = enumerate_models(sid, sid.atom(pred), depth)
+    ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
     for model in ms.entries.values():
         for inter in model.config.interactions:
             if all(c in model.config.components for c in inter.components):
@@ -428,7 +426,8 @@ def cross_validate_reduction(sid: SID, pred: str, depth: int,
     right: dict[tuple, Model] = {}
     for target in result.targets:
         right.update(enumerate_models(result.combined_sid,
-                                      result.combined_sid.atom(target), depth).entries)
+                                      ((), (result.combined_sid.atom(target),)),
+                                      depth).entries)
     left_only = sorted(k for k in left if k not in right)
     right_only = sorted(k for k in right if k not in left)
     return CrossReport(not left_only and not right_only, depth,

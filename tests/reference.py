@@ -18,9 +18,8 @@ from typing import Callable, Iterator
 from clhavoc.automata import AlphabetSymbol, TaTransition, TreeAutomaton, symbol_text
 from clhavoc.core import Behavior, Configuration, Interaction, degree
 from clhavoc.eqform import EMPTY_EQ, EqFormula
-from clhavoc.logic import (Comp, Eq, Formula, Pred, SID, StateAtom, UndefinedPredicate,
-                           Var, atoms_of, exists, param, sep, substitute,
-                           unfold_formula)
+from clhavoc.logic import (Atom, Comp, Eq, Pred, Prenex, SID, StateAtom, Var, param,
+                           substitute, unfold_formula)
 from clhavoc.oracle import enumerate_models
 
 
@@ -37,17 +36,9 @@ def nodeex(addr: tuple[int, ...], j: int) -> Var:
     return Var("%ya", (*addr, j))
 
 
-def comp_in(x: Var, q: str) -> Formula:
-    """The component-in-state shorthand: comp(x) * state(x, q)."""
-    return sep(Comp(x), StateAtom(x, q))
-
-
-def unfold(sid: SID, atom: Pred, depth: int) -> list[tuple[Formula, bool]]:
-    """Partial and complete unfoldings of a single predicate atom, as formulas."""
-    if atom.name not in sid.predicates:
-        raise UndefinedPredicate(atom.name)
-    return [(exists(binders, sep(*atoms)), complete)
-            for (binders, atoms), complete in unfold_formula(sid, atom, depth)]
+def comp_in(x: Var, q: str) -> tuple[Atom, Atom]:
+    """The atoms of the component-in-state shorthand: comp(x) * state(x, q)."""
+    return Comp(x), StateAtom(x, q)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +97,7 @@ class Tree:
         return Tree(tuple(sorted((v[k:], s) for v, s in self.labels if v[:k] == u)))
 
 
-def char_formula(t: Tree, u: Address = ()) -> Formula:
+def char_formula(t: Tree, u: Address = ()) -> Prenex:
     """Quantifier- and predicate-free characteristic formula of the subtree at u.
 
     Every variable is superscripted by the absolute address of the node that
@@ -115,7 +106,7 @@ def char_formula(t: Tree, u: Address = ()) -> Formula:
     one per argument its symbol passes to child l.
     """
     sub = t.subtree(u)
-    parts: list[Formula] = []
+    parts: list[Atom] = []
     for w, sym in sub.labels:
         addr = u + w
         mapping = {param(j): nodevar(addr, j) for j in range(1, sym.arity + 1)}
@@ -124,10 +115,10 @@ def char_formula(t: Tree, u: Address = ()) -> Formula:
         parts.extend(Eq(nodevar((*addr, l), j), mapping[v])
                      for l, vs in enumerate(sym.args, start=1)
                      for j, v in enumerate(vs, start=1))
-    return sep(*parts)
+    return (), tuple(parts)
 
 
-def char_formula_closed(t: Tree, u: Address = ()) -> Formula:
+def char_formula_closed(t: Tree, u: Address = ()) -> Prenex:
     """The existentially closed characteristic formula: only the root
     parameters x_j^u remain free."""
     sub = t.subtree(u)
@@ -137,7 +128,7 @@ def char_formula_closed(t: Tree, u: Address = ()) -> Formula:
         if w != ():
             binders.extend(nodevar(addr, j) for j in range(1, sym.arity + 1))
         binders.extend(nodeex(addr, k) for k in range(1, len(sym.exvars) + 1))
-    return exists(binders, char_formula(t, u))
+    return tuple(binders), char_formula(t, u)[1]
 
 
 def enumerate_trees(ta: TreeAutomaton, state: object, max_nodes: int) -> list[Tree]:
@@ -232,8 +223,8 @@ def brute_force_profile(sid, depth=4):
     alive = {p: set(range(1, sid.arity(p) + 1)) for p in sid.predicates}
     for root in sid.predicates:
         params = set(sid.atom(root).args)
-        for formula, _ in unfold(sid, sid.atom(root), depth):
-            for a in atoms_of(formula):
+        for (_, atoms), _ in unfold_formula(sid, ((), (sid.atom(root),)), depth):
+            for a in atoms:
                 if isinstance(a, Pred):
                     for i, v in enumerate(a.args, start=1):
                         if v not in params:
@@ -244,7 +235,7 @@ def brute_force_profile(sid, depth=4):
 def degree_sample(sid: SID, pred: str, depth: int) -> int:
     """Maximum degree over all bounded models; an empirical lower bound only."""
     best = 0
-    for model in enumerate_models(sid, sid.atom(pred), depth).models():
+    for model in enumerate_models(sid, ((), (sid.atom(pred),)), depth).models():
         best = max(best, degree(model.config))
     return best
 

@@ -147,7 +147,7 @@ def test_criterion_10_one_step_iff_multi_step(name, pred, depth, request):
     sf = request.getfixturevalue(name)
     with Budget(10, f"one-step closure iff multi-step closure [{name}]", 30):
         sid = sf.sid
-        ms = enumerate_models(sid, sid.atom(pred), depth)
+        ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
         keys = set(ms.keys())
         one = True
         multi = True
@@ -191,7 +191,7 @@ def test_criterion_13_pcr_tight_sampling(name, request):
     with Budget(13, f"all bounded models of the PCR fixture are tight [{name}]", 60):
         assert check_pcr(sf.sid).sid_pcr
         for pred in sf.sid.predicates:
-            for m in enumerate_models(sf.sid, sf.sid.atom(pred), 4).models():
+            for m in enumerate_models(sf.sid, ((), (sf.sid.atom(pred),)), 4).models():
                 assert is_tight(m.config)
 
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from clhavoc.automata import (TaTransition, TreeAutomaton, make_symbol, sid_to_ta,
                               ta_to_sid, ta_trim)
 from clhavoc.frontend import parse_system
-from clhavoc.logic import (Comp, Emp, Eq, Inter, Pred, StateAtom, Var, boundvar,
-                           free_vars, param, prenex, substitute)
+from clhavoc.logic import (Comp, Eq, Inter, Pred, StateAtom, Var, atom_vars, boundvar,
+                           param, substitute)
 from clhavoc.oracle import (canonical_model, enumerate_models, enumerate_pf_models,
                             from_exact)
 from clhavoc.reduction import class_equiv
@@ -26,6 +26,10 @@ from reference import (BadAddress, Tree, char_formula, char_formula_closed, comp
 
 def leaf_symbol(q, a0=3):
     return make_symbol([], [Comp(param(1)), StateAtom(param(1), q)], a0)
+
+
+def vars_of(atoms):
+    return {v for a in atoms for v in atom_vars(a)}
 
 
 def symbols_of(ta):
@@ -52,13 +56,13 @@ def test_char_formula_single_leaf():
     t = Tree.node(leaf_symbol("q0"))
     f = char_formula(t, ())
     x1 = nodevar((), 1)
-    assert f == comp_in(x1, "q0")
+    assert f == ((), comp_in(x1, "q0"))
 
 
 def test_char_formula_emp_symbol():
     sym = make_symbol([], [], 0)
     t = Tree.node(sym)
-    assert char_formula(t, ()) == Emp()
+    assert char_formula(t, ()) == ((), ())
 
 
 def test_char_formula_bad_address():
@@ -70,12 +74,12 @@ def test_char_formula_bad_address():
 def test_char_formula_addresses_are_disjoint(tll):
     ta, alpha, beta, g0, g1 = tll_symbols(tll.sid)
     t = Tree.node(alpha, Tree.node(beta, Tree.node(g0), Tree.node(g1)))
-    f = char_formula(t, ())
-    closed = char_formula_closed(t, ())
+    _, atoms = char_formula(t, ())
+    binders, closed_atoms = char_formula_closed(t, ())
     # closed form has no free variables at the root (Root has arity 0)
-    assert free_vars(closed) == frozenset()
+    assert vars_of(closed_atoms) <= set(binders)
     # sibling leaves use distinct address-tagged parameters
-    vars_all = free_vars(f)
+    vars_all = vars_of(atoms)
     assert nodevar((1, 1), 1) in vars_all and nodevar((1, 2), 1) in vars_all
 
 
@@ -353,8 +357,8 @@ def height(t: Tree) -> int:
 
 
 def enumerate_formula_models(formula, free, behavior):
-    """The canonical keys of the models of a predicate-free formula."""
-    binders, atoms = prenex(formula)
+    """The canonical keys of the models of a predicate-free prenex form."""
+    binders, atoms = formula
     return {canonical_model(*from_exact(exact))
             for exact in enumerate_pf_models(binders, atoms, free, behavior.states)}
 
@@ -365,9 +369,9 @@ def tree_model_keys(sid, ta, state, arity, depth, max_nodes=None):
     for t in enumerate_trees(ta, state, max_nodes or 2 ** depth):
         if height(t) > depth:
             continue
-        closed = char_formula_closed(t, ())
+        binders, atoms = char_formula_closed(t, ())
         ren = {nodevar((), j): Var(f"x{j}") for j in range(1, arity + 1)}
-        f = substitute(closed, ren)
+        f = binders, tuple(substitute(a, ren) for a in atoms)
         keys |= enumerate_formula_models(f, [Var(f"x{j}") for j in range(1, arity + 1)],
                                          sid.behavior)
     return keys
@@ -379,7 +383,7 @@ def test_sid_ta_lemma_ring(ring, pred, depth):
     # ring trees are chains, so a height-d tree has at most d+1 nodes
     sid = ring.sid
     ta, smap = sid_to_ta(sid)
-    left = set(enumerate_models(sid, sid.atom(pred), depth).keys())
+    left = set(enumerate_models(sid, ((), (sid.atom(pred),)), depth).keys())
     right = tree_model_keys(sid, ta, smap[pred], sid.arity(pred), depth,
                             max_nodes=depth + 1)
     assert left == right
@@ -388,7 +392,7 @@ def test_sid_ta_lemma_ring(ring, pred, depth):
 def test_sid_ta_lemma_tll(tll):
     sid = tll.sid
     ta, smap = sid_to_ta(sid)
-    left = set(enumerate_models(sid, sid.atom("Root"), 3).keys())
+    left = set(enumerate_models(sid, ((), (sid.atom("Root"),)), 3).keys())
     right = tree_model_keys(sid, ta, "Root", 0, 3)
     assert left == right
 
@@ -398,7 +402,7 @@ def test_ta_sid_lemma_round_trip(ring):
     sid = ring.sid
     ta, smap = sid_to_ta(sid)
     back = ta_to_sid(ta, sid.behavior, lambda q: f"P_{q}")
-    left = set(enumerate_models(back, back.atom("P_Ring_1_1"), 3).keys())
+    left = set(enumerate_models(back, ((), (back.atom("P_Ring_1_1"),)), 3).keys())
     right = tree_model_keys(sid, ta, "Ring_1_1", 0, 3)
     assert left == right
 
@@ -409,10 +413,7 @@ def test_ta_sid_lemma_round_trip(ring):
 def eq_closure_classes(atoms):
     from clhavoc.eqform import EqFormula
     pairs = [(a.left, a.right) for a in atoms if isinstance(a, Eq)]
-    vars_all = set()
-    for a in atoms:
-        vars_all |= free_vars(a)
-    return EqFormula.make(vars_all, pairs)
+    return EqFormula.make(vars_of(atoms), pairs)
 
 
 def test_walks_witness_store_coincidences(tll):
@@ -422,12 +423,12 @@ def test_walks_witness_store_coincidences(tll):
     from clhavoc.core import is_tight
     checked = 0
     for t in enumerate_trees(ta, "Root", 7):
-        binders, atoms = prenex(char_formula(t, ()))
+        binders, atoms = char_formula(t, ())
         assert not binders
         eq = eq_closure_classes(atoms)
         comp_vars = {a.var for a in atoms if isinstance(a, Comp)}
         inter_vars = {v for a in atoms if isinstance(a, Inter) for v, _ in a.bindings}
-        free = sorted(free_vars(char_formula(t, ())))
+        free = sorted(vars_of(atoms))
         for g, nu in _pf_models(atoms, free, tll.behavior):
             assert is_tight(g)
             for v in comp_vars:
@@ -442,8 +443,8 @@ def test_loose_leaf_rules_break_the_walk_property(tll_original):
     ta, _ = sid_to_ta(tll_original.sid)
     found_loose = False
     for t in enumerate_trees(ta, "Root", 4):
-        binders, atoms = prenex(char_formula(t, ()))
-        free = sorted(free_vars(char_formula(t, ())))
+        _, atoms = char_formula(t, ())
+        free = sorted(vars_of(atoms))
         from clhavoc.core import is_tight
         for g, nu in _pf_models(atoms, free, tll_original.behavior):
             if not is_tight(g):

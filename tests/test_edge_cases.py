@@ -5,8 +5,7 @@ at one node, and steps through absent components."""
 from conftest import FIXTURES
 
 from clhavoc.frontend import parse_system
-from clhavoc.oracle import (cross_validate_reduction, enumerate_models,
-                            havoc_invariant_bounded)
+from clhavoc.oracle import cross_validate_reduction, havoc_invariant_bounded
 from clhavoc.reduction import reduce_havoc_to_entailment
 
 NONDET_RING = """

@@ -203,8 +203,8 @@ def test_shadowing_binder_has_the_models_of_a_renamed_one():
                                           "exists z . comp(x) * <x.a, z.b> * Q(z)"))
     sid = parse_system(SHADOW).sid
     for depth in range(4):
-        got = enumerate_models(sid, sid.atom("P"), depth)
-        want = enumerate_models(renamed.sid, renamed.sid.atom("P"), depth)
+        got = enumerate_models(sid, ((), (sid.atom("P"),)), depth)
+        want = enumerate_models(renamed.sid, ((), (renamed.sid.atom("P"),)), depth)
         assert set(got.entries) == set(want.entries)
         assert len(got) == len(want)
 

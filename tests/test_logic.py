@@ -1,9 +1,10 @@
 """Logic-level tests, including a naive reference evaluator for satisfaction.
 
-The reference evaluator follows the satisfaction table literally: separating
-conjunction enumerates every split of the configuration, existentials range
-over the carrier plus one fresh absent id per state.  The production
-evaluator (bijective matching) must agree with it everywhere.
+The reference evaluator follows the satisfaction table literally: the
+binders of a prenex form range over the carrier plus fresh absent ids in
+each state, and separating conjunction enumerates every split of the
+configuration over the atom list.  The production evaluator (bijective
+matching) must agree with it everywhere.
 """
 
 import itertools
@@ -16,16 +17,15 @@ from hypothesis import strategies as st
 
 from clhavoc.core import Configuration, Interaction
 from clhavoc.frontend import ParseError, parse_system, render_var
-from clhavoc.logic import (SID, Comp, Emp, Eq, Exists, Inter, Neq, Pred, Rule,
-                           SepConj, StateAtom, UnboundVariable,
-                           UndefinedPredicate, Var, atom_text, atom_vars,
-                           complete_unfoldings, eval_bounded, eval_pf,
-                           exists, free_vars, least_heights, prenex, sep,
-                           substitute, unfold_formula, var_text)
+from clhavoc.logic import (SID, Comp, Eq, Inter, Neq, Pred, Rule, StateAtom,
+                           UnboundVariable, UndefinedPredicate, Var, atom_text,
+                           atom_vars, complete_unfoldings, eval_bounded, eval_pf,
+                           least_heights, prenex, substitute, unfold_formula,
+                           var_text)
 from clhavoc.reduction import reduce_havoc_to_entailment
 
 from conftest import REUSE_CASES, corpus, corpus_text, load
-from reference import TOKEN, comp_in, unfold
+from reference import TOKEN, comp_in
 
 X, Y, Z, U = Var("x"), Var("y"), Var("z"), Var("u")
 
@@ -34,31 +34,40 @@ X, Y, Z, U = Var("x"), Var("y"), Var("z"), Var("u")
 # reference evaluator
 
 def naive_eval(g, nu, f, states=("H", "T")):
-    if isinstance(f, Exists):
-        pool = set(g.carrier) | set(nu.values())
-        fresh = {}
-        for k, q in enumerate(sorted(states)):
-            for i in range(len(f.vars)):
-                fresh[f"~{q}~{i}"] = q
-        g2 = g.extend_carrier(fresh)
-        body = f.body if len(f.vars) == 1 else Exists(f.vars[1:], f.body)
-        v = f.vars[0]
-        return any(naive_eval(g2, {**nu, v: c}, body, states)
-                   for c in sorted(pool | set(fresh)))
-    if isinstance(f, SepConj):
-        head, rest = f.parts[0], sep(*f.parts[1:])
-        comps = sorted(g.components)
-        inters = sorted(g.interactions, key=repr)
-        for cs in _subsets(comps):
-            for its in _subsets(inters):
-                g1 = Configuration.make(cs, its, g.state_map)
-                g2 = Configuration.make(set(comps) - set(cs),
-                                        set(inters) - set(its), g.state_map)
-                if naive_eval(g1, nu, head, states) and naive_eval(g2, nu, rest, states):
-                    return True
-        return False
-    if isinstance(f, Emp):
+    """(g, nu) |= exists binders . *atoms: some values of the binders, drawn
+    from the carrier, the store and fresh absent ids, satisfy the atoms."""
+    binders, atoms = f
+    if not binders:
+        return naive_sep(g, nu, atoms)
+    pool = set(g.carrier) | set(nu.values())
+    fresh = {f"~{q}~{i}": q for q in sorted(states) for i in range(len(binders))}
+    g2 = g.extend_carrier(fresh)
+    return any(naive_sep(g2, {**nu, **dict(zip(binders, values))}, atoms)
+               for values in itertools.product(sorted(pool | set(fresh)),
+                                               repeat=len(binders)))
+
+
+def naive_sep(g, nu, atoms):
+    """(g, nu) |= atom_1 * ... * atom_n: no atoms is emp, and otherwise some
+    split of g satisfies the first atom and the rest."""
+    if not atoms:
         return not g.components and not g.interactions
+    if len(atoms) == 1:
+        return naive_atom(g, nu, atoms[0])
+    head, rest = atoms[0], atoms[1:]
+    comps = sorted(g.components)
+    inters = sorted(g.interactions, key=repr)
+    for cs in _subsets(comps):
+        for its in _subsets(inters):
+            g1 = Configuration.make(cs, its, g.state_map)
+            g2 = Configuration.make(set(comps) - set(cs),
+                                    set(inters) - set(its), g.state_map)
+            if naive_atom(g1, nu, head) and naive_sep(g2, nu, rest):
+                return True
+    return False
+
+
+def naive_atom(g, nu, f):
     if isinstance(f, Comp):
         return g.components == {nu[f.var]} and not g.interactions
     if isinstance(f, Inter):
@@ -91,23 +100,22 @@ def test_substitute_free():
     assert substitute(Eq(X, Y), {X: Z}) == Eq(Z, Y)
 
 
-def test_substitute_bound_untouched():
-    f = exists([X], Eq(X, Y))
-    assert substitute(f, {X: Z}) == f
-
-
 def test_substitute_simultaneous():
     f = Pred("Chain", (X, Y))
     assert substitute(f, {X: U, Y: X}) == Pred("Chain", (U, X))
 
 
-def test_substitute_capture_avoiding():
-    f = exists([X], Eq(X, Y))
-    g = substitute(f, {Y: X})
-    assert isinstance(g, Exists)
-    binder = g.vars[0]
-    assert binder != X
-    assert g.body == Eq(binder, X)
+def test_prenex_renames_binders_apart():
+    # exists y, z . P(x, y) * y != z: the binders take fresh names from the
+    # counter, in order, in every atom; the free x is left alone
+    counter = itertools.count(3)
+    u3, u4 = Var("%u", (3,)), Var("%u", (4,))
+    f = ((Y, Z), (Pred("P", (X, Y)), Neq(Y, Z)))
+    assert prenex(f, counter, prefix="%u") == ((u3, u4), (Pred("P", (X, u3)), Neq(u3, u4)))
+    assert next(counter) == 5
+    assert prenex(((X,), (Comp(X), Comp(Y)))) == ((Var("%q", (0,)),),
+                                                 (Comp(Var("%q", (0,))), Comp(Y)))
+    assert prenex(((), (Eq(X, Y),))) == ((), (Eq(X, Y),))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +123,6 @@ def test_substitute_capture_avoiding():
 
 ATOMS = [
     # atom, var_text spelling (automaton dumps), surface spelling
-    (Emp(), "emp", "emp"),
     (Comp(X), "comp(x)", "comp(x)"),
     (StateAtom(X, "H"), "state(x:H)", "state(x : H)"),
     (Inter(((X, "out"), (Y, "in"))), "<x.out, y.in>", "<x.out, y.in>"),
@@ -128,7 +135,6 @@ ATOMS = [
 @pytest.mark.parametrize("atom, dump, surface", ATOMS,
                          ids=[type(a).__name__ for a, _, _ in ATOMS])
 def test_atom_layer(atom, dump, surface):
-    assert free_vars(atom) == frozenset(atom_vars(atom))
     mapping = {X: U, Y: Z, Var("z", (2,)): X}
     assert atom_vars(substitute(atom, mapping)) == tuple(
         mapping.get(v, v) for v in atom_vars(atom))
@@ -149,21 +155,21 @@ def two_ring(qx="H", qy="T"):
 
 def test_eval_qpf_two_component_example():
     g = two_ring("H", "T")
-    f = sep(comp_in(X, "H"), comp_in(Y, "T"),
-            Inter(((X, "out"), (Y, "in"))), Inter(((Y, "out"), (X, "in"))))
+    f = ((), (*comp_in(X, "H"), *comp_in(Y, "T"),
+              Inter(((X, "out"), (Y, "in"))), Inter(((Y, "out"), (X, "in")))))
     assert eval_pf(g, {X: "c1", Y: "c2"}, f)
     assert not eval_pf(g, {X: "c2", Y: "c1"}, f)
 
 
 def test_eval_qpf_emp_and_comp():
     empty = Configuration.make([], [], {})
-    assert eval_pf(empty, {}, Emp())
-    assert not eval_pf(empty, {X: "c1"}, Comp(X))
+    assert eval_pf(empty, {}, ((), ()))
+    assert not eval_pf(empty, {X: "c1"}, ((), (Comp(X),)))
 
 
 def test_eval_qpf_disjointness_forces_two():
     g = Configuration.make(["c1"], [], {"c1": "H"})
-    f = sep(Comp(X), Comp(Y))
+    f = ((), (Comp(X), Comp(Y)))
     for cx, cy in itertools.product(["c1"], repeat=2):
         assert not eval_pf(g, {X: cx, Y: cy}, f)
     assert not naive_eval(g, {X: "c1", Y: "c1"}, f)
@@ -171,15 +177,15 @@ def test_eval_qpf_disjointness_forces_two():
 
 def test_eval_unbound_variable():
     with pytest.raises(UnboundVariable):
-        eval_pf(two_ring(), {X: "c1"}, Eq(X, Y))
+        eval_pf(two_ring(), {X: "c1"}, ((), (Eq(X, Y),)))
 
 
 def test_eval_pf_existential_uses_pool():
     # a fresh absent component in any state is always available
     empty = Configuration.make([], [], {})
-    f = exists([X], StateAtom(X, "T"))
+    f = ((X,), (StateAtom(X, "T"),))
     assert eval_pf(empty, {}, f)
-    f2 = exists([X, Y], sep(StateAtom(X, "T"), StateAtom(Y, "T"), Neq(X, Y)))
+    f2 = ((X, Y), (StateAtom(X, "T"), StateAtom(Y, "T"), Neq(X, Y)))
     assert eval_pf(empty, {}, f2)
 
 
@@ -187,13 +193,14 @@ def test_eval_pf_matches_naive_on_enumerated_formulas():
     g = two_ring("H", "T")
     vars = [X, Y]
     nus = [{X: a, Y: b} for a in ("c1", "c2") for b in ("c1", "c2")]
-    atoms = [Comp(X), Comp(Y), comp_in(X, "H"), comp_in(Y, "T"),
-             Inter(((X, "out"), (Y, "in"))), Inter(((Y, "out"), (X, "in"))),
-             Eq(X, Y), Neq(X, Y), StateAtom(X, "H")]
+    # each part is the atoms of one conjunct
+    parts = [(Comp(X),), (Comp(Y),), comp_in(X, "H"), comp_in(Y, "T"),
+             (Inter(((X, "out"), (Y, "in"))),), (Inter(((Y, "out"), (X, "in"))),),
+             (Eq(X, Y),), (Neq(X, Y),), (StateAtom(X, "H"),)]
     checked = 0
     for k in (2, 3, 4):
-        for combo in itertools.combinations(atoms, k):
-            f = sep(*combo)
+        for combo in itertools.combinations(parts, k):
+            f = ((), sum(combo, ()))
             for nu in nus:
                 assert eval_pf(g, nu, f) == naive_eval(g, nu, f), (f, nu)
                 checked += 1
@@ -203,14 +210,14 @@ def test_eval_pf_matches_naive_on_enumerated_formulas():
 def test_eval_pf_matches_naive_with_existentials():
     g = two_ring("H", "T")
     cases = [
-        exists([X, Y], sep(comp_in(X, "H"), comp_in(Y, "T"),
-                           Inter(((X, "out"), (Y, "in"))),
-                           Inter(((Y, "out"), (X, "in"))))),
-        exists([X, Y], sep(Comp(X), Comp(Y),
-                           Inter(((X, "out"), (Y, "in"))),
-                           Inter(((Y, "out"), (X, "in"))), Neq(X, Y))),
-        exists([X], sep(Comp(X), StateAtom(X, "T"))),
-        exists([X], StateAtom(X, "T")),
+        ((X, Y), (*comp_in(X, "H"), *comp_in(Y, "T"),
+                  Inter(((X, "out"), (Y, "in"))),
+                  Inter(((Y, "out"), (X, "in"))))),
+        ((X, Y), (Comp(X), Comp(Y),
+                  Inter(((X, "out"), (Y, "in"))),
+                  Inter(((Y, "out"), (X, "in"))), Neq(X, Y))),
+        ((X,), (Comp(X), StateAtom(X, "T"))),
+        ((X,), (StateAtom(X, "T"),)),
     ]
     for f in cases:
         assert eval_pf(g, {}, f) == naive_eval(g, {}, f), f
@@ -220,11 +227,11 @@ def test_eval_pf_unary_interaction_on_a_present_component():
     # one component is bound by a component atom and by a unary interaction
     # atom: the interaction does not use up the component
     g = Configuration.make(["c1"], [Interaction.make(("c1", "out"))], {"c1": "H"})
-    f = sep(Comp(X), Inter(((X, "out"),)))
-    for case, nu in ((f, {X: "c1"}), (exists([X], f), {})):
+    atoms = (Comp(X), Inter(((X, "out"),)))
+    for case, nu in ((((), atoms), {X: "c1"}), (((X,), atoms), {})):
         assert eval_pf(g, nu, case) and naive_eval(g, nu, case)
-    sid = SID((Rule("P", (), (X,), f.parts),), TOKEN)
-    assert eval_bounded(g, {}, Pred("P", ()), sid, 1)
+    sid = SID((Rule("P", (), (X,), atoms),), TOKEN)
+    assert eval_bounded(g, {}, ((), (Pred("P", ()),)), sid, 1)
 
 
 def test_eval_distributes_over_compose():
@@ -232,10 +239,11 @@ def test_eval_distributes_over_compose():
     # the split enumeration itself, so agreement on conjunctions proves it
     g = two_ring("H", "T")
     f1 = comp_in(X, "H")
-    f2 = sep(comp_in(Y, "T"), Inter(((X, "out"), (Y, "in"))),
-             Inter(((Y, "out"), (X, "in"))))
+    f2 = (*comp_in(Y, "T"), Inter(((X, "out"), (Y, "in"))),
+          Inter(((Y, "out"), (X, "in"))))
     nu = {X: "c1", Y: "c2"}
-    assert eval_pf(g, nu, sep(f1, f2)) == naive_eval(g, nu, sep(f1, f2)) is True
+    f = ((), f1 + f2)
+    assert eval_pf(g, nu, f) == naive_eval(g, nu, f) is True
 
 
 IDS = ["c1", "c2", "c3"]
@@ -277,8 +285,9 @@ def _atoms_strategy():
        st.sets(st.sampled_from(VARS), max_size=2),
        st.fixed_dictionaries({v: st.sampled_from(IDS) for v in VARS}))
 def test_eval_pf_matches_naive_randomized(g, atoms, exvars, nu):
-    f = exists(tuple(sorted(exvars)), sep(*atoms))
-    nu = {v: c for v, c in nu.items() if v in free_vars(f)}
+    f = (tuple(sorted(exvars)), tuple(atoms))
+    free = {v for a in atoms for v in atom_vars(a)} - exvars
+    nu = {v: c for v, c in nu.items() if v in free}
     assert eval_pf(g, nu, f) == naive_eval(g, nu, f)
 
 
@@ -287,32 +296,33 @@ def test_eval_pf_matches_naive_randomized(g, atoms, exvars, nu):
 
 def test_unfold_undefined_predicate(ring):
     with pytest.raises(UndefinedPredicate):
-        unfold(ring.sid, Pred("Nope", ()), 2)
+        unfold_formula(ring.sid, ((), (Pred("Nope", ()),)), 2)
 
 
 def test_unfold_depth_zero(ring):
-    atom = ring.sid.atom("Ring_1_1")
-    out = unfold(ring.sid, atom, 0)
-    assert out == [(atom, False)]
+    f = ((), (ring.sid.atom("Ring_1_1"),))
+    assert unfold_formula(ring.sid, f, 0) == [(f, False)]
 
 
 def test_unfold_base_depth_one(ring):
-    atom = Pred("Chain_0_1", (X, X))
-    complete = [f for f, c in unfold(ring.sid, atom, 1) if c]
-    want = sep(Eq(X, X), comp_in(X, "T"))
+    f = ((), (Pred("Chain_0_1", (X, X)),))
+    complete = [u for u, c in unfold_formula(ring.sid, f, 1) if c]
+    want = ((), (Eq(X, X), *comp_in(X, "T")))
     assert want in complete
 
 
 def test_unfold_ring_hand_count(ring):
     # complete unfoldings at height 4 = rings of size 2 and 3 with state
     # choices along the chain: 2 + 4 by hand
-    complete = [f for f, c in unfold(ring.sid, ring.sid.atom("Ring_1_1"), 4) if c]
+    complete = [u for u, c in unfold_formula(ring.sid, ((), (ring.sid.atom("Ring_1_1"),)), 4)
+                if c]
     assert len(complete) == 6
 
 
 def test_unfold_monotone_in_depth(ring):
-    a = {f for f, c in unfold(ring.sid, ring.sid.atom("Ring_1_1"), 3) if c}
-    b = {f for f, c in unfold(ring.sid, ring.sid.atom("Ring_1_1"), 4) if c}
+    f = ((), (ring.sid.atom("Ring_1_1"),))
+    a = {u for u, c in unfold_formula(ring.sid, f, 3) if c}
+    b = {u for u, c in unfold_formula(ring.sid, f, 4) if c}
     assert a <= b
 
 
@@ -323,26 +333,26 @@ def test_eval_bounded_three_ring(ring):
         [Interaction.make(("c1", "out"), ("c2", "in")),
          Interaction.make(("c2", "out"), ("c3", "in")),
          Interaction.make(("c3", "out"), ("c1", "in"))], rho)
-    assert eval_bounded(g, {}, ring.sid.atom("Ring_1_1"), ring.sid, 4)
+    assert eval_bounded(g, {}, ((), (ring.sid.atom("Ring_1_1"),)), ring.sid, 4)
 
 
 def test_eval_bounded_empty_config(ring):
     empty = Configuration.make([], [], {})
     nu = {Var("x1"): "c1", Var("x2"): "c2"}
-    assert not eval_bounded(empty, nu, ring.sid.atom("Chain_1_1"), ring.sid, 4)
+    assert not eval_bounded(empty, nu, ((), (ring.sid.atom("Chain_1_1"),)), ring.sid, 4)
 
 
 def test_eval_bounded_two_ring_needs_three_components(ring2):
     g = two_ring("H", "T")
-    assert eval_bounded(g, {}, ring2.sid.atom("Ring_1_1"), ring2.sid, 5)
-    assert not eval_bounded(g, {}, ring2.sid.atom("Ring_2_1"), ring2.sid, 5)
+    assert eval_bounded(g, {}, ((), (ring2.sid.atom("Ring_1_1"),)), ring2.sid, 5)
+    assert not eval_bounded(g, {}, ((), (ring2.sid.atom("Ring_2_1"),)), ring2.sid, 5)
 
 
 def test_eval_bounded_stable_under_depth(ring):
     g = two_ring("H", "T")
-    atom = ring.sid.atom("Ring_1_1")
-    assert eval_bounded(g, {}, atom, ring.sid, 3)
-    assert eval_bounded(g, {}, atom, ring.sid, 5)
+    f = ((), (ring.sid.atom("Ring_1_1"),))
+    assert eval_bounded(g, {}, f, ring.sid, 3)
+    assert eval_bounded(g, {}, f, ring.sid, 5)
 
 
 # The formula-building unfolding that the template-based one replaced, kept
@@ -376,8 +386,7 @@ def reference_unfold_formula(sid, f, depth):
         binders, items = stack.pop()
         pend_at = next((i for i, a in enumerate(items) if isinstance(a, _Pending)), None)
         plain = [a.atom if isinstance(a, _Pending) else a for a in items]
-        formula = exists(binders, sep(*plain))
-        results.append((formula, pend_at is None))
+        results.append(((binders, tuple(plain)), pend_at is None))
         if pend_at is None:
             continue
         pend = items[pend_at]
@@ -385,8 +394,7 @@ def reference_unfold_formula(sid, f, depth):
             continue
         successors = []
         for rule in sid.rules_of(pend.atom.name):
-            rbinders, ratoms = prenex(exists(rule.binders, sep(*rule.atoms)), counter,
-                                      prefix="%u")
+            rbinders, ratoms = prenex((rule.binders, rule.atoms), counter, prefix="%u")
             mapping = dict(zip(rule.params, pend.atom.args))
             spliced = []
             for a in ratoms:
@@ -409,23 +417,19 @@ MAX_DEPTH = {"tll.clsys": 4, "tll_original.clsys": 4}
 def test_unfold_matches_reference(name):
     sid = parse_system(corpus_text(name)).sid
     for pred in sid.predicates:
-        atom = sid.atom(pred)
+        f = ((), (sid.atom(pred),))
         for depth in range(MAX_DEPTH.get(name, 5) + 1):
-            want = reference_unfold_formula(sid, atom, depth)
-            assert unfold(sid, atom, depth) == want, (pred, depth)
-            forms = unfold_formula(sid, atom, depth)
-            assert [(exists(b, sep(*a)), done) for (b, a), done in forms] == want
+            want = reference_unfold_formula(sid, f, depth)
+            assert unfold_formula(sid, f, depth) == want, (pred, depth)
 
 
 def test_unfold_formula_matches_reference_under_binders(ring):
     # a quantified formula with a free variable: its own binders are renamed
     # before the rule binders, from the same counter
     sid = ring.sid
-    f = exists([Y], sep(Pred("Chain_1_1", (X, Y)), Pred("Chain_0_1", (Y, X))))
+    f = ((Y,), (Pred("Chain_1_1", (X, Y)), Pred("Chain_0_1", (Y, X))))
     for depth in range(5):
-        want = reference_unfold_formula(sid, f, depth)
-        got = unfold_formula(sid, f, depth)
-        assert [(exists(b, sep(*a)), done) for (b, a), done in got] == want
+        assert unfold_formula(sid, f, depth) == reference_unfold_formula(sid, f, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +453,8 @@ def assert_heights_match_brute_force(sid, preds, max_depth=5):
     heights = least_heights(sid, preds)
     for pred in preds:
         least = next((d for d in range(max_depth + 1)
-                      if any(done for _, done in unfold_formula(sid, sid.atom(pred), d))),
+                      if any(done for _, done in
+                             unfold_formula(sid, ((), (sid.atom(pred),)), d))),
                      None)
         if least is None:
             assert heights[pred] > max_depth, pred
@@ -462,12 +467,12 @@ def test_complete_unfoldings_match_reference(name):
     sid = parse_system(corpus_text(name)).sid
     for pred in sid.predicates:
         for depth in range(MAX_DEPTH.get(name, 5) + 1):
-            assert_walk_matches_reference(sid, sid.atom(pred), depth)
+            assert_walk_matches_reference(sid, ((), (sid.atom(pred),)), depth)
     assert_heights_match_brute_force(sid, sid.predicates)
 
 
 def test_complete_unfoldings_match_reference_under_binders(ring):
-    f = exists([Y], sep(Pred("Chain_1_1", (X, Y)), Pred("Chain_0_1", (Y, X))))
+    f = ((Y,), (Pred("Chain_1_1", (X, Y)), Pred("Chain_0_1", (Y, X))))
     for depth in range(5):
         assert_walk_matches_reference(ring.sid, f, depth)
 
@@ -478,7 +483,7 @@ def test_complete_unfoldings_of_derived_predicates(name, pred, depth):
     sid = result.combined_sid
     for p in result.derived_sid.predicates:
         for d in range(depth + 1):
-            assert_walk_matches_reference(sid, sid.atom(p), d)
+            assert_walk_matches_reference(sid, ((), (sid.atom(p),)), d)
     assert_heights_match_brute_force(sid, result.derived_sid.predicates)
 
 
@@ -489,11 +494,12 @@ def test_predicate_that_never_completes():
              Rule("Maybe", (X,), (), (Comp(X), StateAtom(X, "H")))]
     sid = SID((loop, *maybe), TOKEN)
     assert least_heights(sid, ["Maybe"]) == {"Maybe": 1, "Loop": math.inf}
+    loop_f, maybe_f = ((), (Pred("Loop", (X,)),)), ((), (Pred("Maybe", (X,)),))
     for depth in range(4):
-        assert complete_unfoldings(sid, Pred("Loop", (X,)), depth) == []
-        assert_walk_matches_reference(sid, Pred("Loop", (X,)), depth)
-        assert_walk_matches_reference(sid, Pred("Maybe", (X,)), depth)
-    assert complete_unfoldings(sid, Pred("Maybe", (X,)), 3) == [((), (Comp(X), StateAtom(X, "H")))]
+        assert complete_unfoldings(sid, loop_f, depth) == []
+        assert_walk_matches_reference(sid, loop_f, depth)
+        assert_walk_matches_reference(sid, maybe_f, depth)
+    assert complete_unfoldings(sid, maybe_f, 3) == [((), (Comp(X), StateAtom(X, "H")))]
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +521,7 @@ def test_rules_keep_their_prenex_form():
             assert len(set(names)) == len(names)
             assert not any(v.name.startswith("%") for v in names)
             # the rule is already prenex: prenexing it again only renames binders
-            binders, atoms = prenex(exists(rule.binders, sep(*rule.atoms)))
+            binders, atoms = prenex((rule.binders, rule.atoms))
             ren = dict(zip(rule.binders, binders))
             assert atoms == tuple(substitute(a, ren) for a in rule.atoms)
             assert [rule.atoms[i] for i in rule.calls] == [

@@ -16,7 +16,7 @@ from clhavoc.automata import sid_to_ta
 from clhavoc.core import Behavior, Configuration, Interaction, step
 from clhavoc.frontend import parse_system, render_config
 from clhavoc.logic import (Comp, Eq, Neq, Pred, SID, StateAtom, Var, complete_unfoldings,
-                           eval_bounded, eval_pf, exists, sep, var_text)
+                           eval_bounded, eval_pf, unfold_formula, var_text)
 from clhavoc.oracle import (Counterexample, CrossReport, EntailReport, HavocReport,
                             Model, _model_order, _successor_keys, _successors,
                             canonical_model, cross_validate_reduction,
@@ -26,14 +26,12 @@ from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
 from clhavoc.transducer import transducer_step
 
 from conftest import REUSE_CASES, corpus, corpus_text, source_fixtures
-from reference import unfold
 
 X1, X2 = Var("x1"), Var("x2")
 
 
 def test_chain_base_single_model(ring):
-    atom = Pred("Chain_0_1", (X1, X1))
-    ms = enumerate_models(ring.sid, atom, 1)
+    ms = enumerate_models(ring.sid, ((), (Pred("Chain_0_1", (X1, X1)),)), 1)
     assert len(ms) == 1
     m = ms.models()[0]
     assert len(m.config.components) == 1
@@ -47,25 +45,25 @@ def test_unsatisfiable_body_has_no_models():
     from clhavoc.logic import Rule
     sid = SID((Rule("A", (X1, X2), (), (Eq(X1, X2), Neq(X1, X2))),),
               Behavior.make(["p"], ["q"], []))
-    assert len(enumerate_models(sid, sid.atom("A"), 1)) == 0
+    assert len(enumerate_models(sid, ((), (sid.atom("A"),)), 1)) == 0
 
 
 def test_ring_model_count_matches_hand_count(ring):
     # rings of size 2 and 3 with at least one H and one T, up to renaming:
     # (H,T), (H,H,T), (H,T,T)
-    ms = enumerate_models(ring.sid, ring.sid.atom("Ring_1_1"), 4)
+    ms = enumerate_models(ring.sid, ((), (ring.sid.atom("Ring_1_1"),)), 4)
     assert len(ms) == 3
     # one size further: add the three size-4 necklaces (H,H,H,T), (H,H,T,T),
     # (H,T,H,T), (H,T,T,T)
-    ms5 = enumerate_models(ring.sid, ring.sid.atom("Ring_1_1"), 5)
+    ms5 = enumerate_models(ring.sid, ((), (ring.sid.atom("Ring_1_1"),)), 5)
     assert len(ms5) == 7
 
 
 def test_canonicalization_ignores_rule_order(ring):
     sid = ring.sid
     shuffled = SID(tuple(reversed(sid.rules)), sid.behavior)
-    a = set(enumerate_models(sid, sid.atom("Ring_1_1"), 4).keys())
-    b = set(enumerate_models(shuffled, shuffled.atom("Ring_1_1"), 4).keys())
+    a = set(enumerate_models(sid, ((), (sid.atom("Ring_1_1"),)), 4).keys())
+    b = set(enumerate_models(shuffled, ((), (shuffled.atom("Ring_1_1"),)), 4).keys())
     assert a == b
 
 
@@ -101,7 +99,7 @@ def test_canonical_model_invariant_under_renaming(perm, states, store_pick):
 
 def test_loose_models_enumerate_absent_states(tll_original):
     sid = tll_original.sid
-    ms = enumerate_models(sid, sid.atom("Root"), 2)
+    ms = enumerate_models(sid, ((), (sid.atom("Root"),)), 2)
     assert len(ms) > 0
     assert any(not all(c in m.config.components
                        for i in m.config.interactions for c in i.components)
@@ -175,7 +173,7 @@ def test_entails_smaller_rhs_arity_rejected(ring2):
 def test_one_step_closure_iff_multi_step(name, pred, depth, request):
     sf = request.getfixturevalue(name)
     sid = sf.sid
-    ms = enumerate_models(sid, sid.atom(pred), depth)
+    ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
     keys = set(ms.keys())
 
     def successors_of(model):
@@ -221,17 +219,17 @@ def test_model_key_membership_matches_eval_pf_on_successors(name, depth, request
     # every model and one-step successor of each predicate, looked up by
     # canonical key in the model set of every predicate of the same arity
     sid = request.getfixturevalue(name).sid
-    complete = {p: [u for u, done in unfold(sid, sid.atom(p), depth) if done]
+    complete = {p: [u for u, done in unfold_formula(sid, ((), (sid.atom(p),)), depth) if done]
                 for p in sid.predicates}
     outcomes = set()
     for pred in sid.predicates:
-        ms = enumerate_models(sid, sid.atom(pred), depth)
+        ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
         candidates = [(m.config, m.store) for m in ms.models()]
         candidates += [(g2, m.store) for m, _, g2 in one_step_successors(sid, ms)]
         for other in sid.predicates:
             if sid.arity(other) != sid.arity(pred):
                 continue
-            other_ms = enumerate_models(sid, sid.atom(other), depth)
+            other_ms = enumerate_models(sid, ((), (sid.atom(other),)), depth)
             for g, nu in candidates:
                 want = any(eval_pf(g, nu, u) for u in complete[other])
                 assert (canonical_model(g, nu) in other_ms) == want, (other, g, nu)
@@ -244,9 +242,8 @@ def test_oracle_compiles_no_check(monkeypatch):
     # model sets; a fresh SID, so no earlier test has built them
     sid = parse_system(XVAL_TEXTS["ring.clsys"]).sid
     calls = []
-    satisfies = logic.satisfies
-    monkeypatch.setattr(logic, "satisfies",
-                        lambda *args: calls.append(args) or satisfies(*args))
+    match = logic.eval_pf
+    monkeypatch.setattr(logic, "eval_pf", lambda *args: calls.append(args) or match(*args))
     assert havoc_invariant_bounded(sid, "Ring_1_1", 4).invariant
     assert not havoc_invariant_bounded(parse_system(ANCHORED).sid, "Anchored", 4).invariant
     assert entails_bounded(sid, "Chain_1_1", "Chain_0_1", 4).holds
@@ -254,15 +251,15 @@ def test_oracle_compiles_no_check(monkeypatch):
     assert not entails_bounded(sid, "Ring_1_1", "Chain_1_1", 4).holds
     assert calls == []
     # the reference semantics does match, through the patched matcher
-    assert eval_pf(Configuration.make([], [], {}), {}, sep())
+    assert eval_bounded(Configuration.make([], [], {}), {}, ((), ()), sid, 0)
     assert len(calls) == 1
 
 
 def reference_havoc(sid, pred, depth):
-    atom = sid.atom(pred)
-    ms = enumerate_models(sid, atom, depth)
+    f = ((), (sid.atom(pred),))
+    ms = enumerate_models(sid, f, depth)
     for model, inter, g2 in one_step_successors(sid, ms):
-        if not eval_bounded(g2, model.store, atom, sid, depth):
+        if not eval_bounded(g2, model.store, f, sid, depth):
             return HavocReport(False, depth, len(ms),
                                Counterexample(model.config, model.store, inter, g2))
     return HavocReport(True, depth, len(ms), None)
@@ -270,9 +267,9 @@ def reference_havoc(sid, pred, depth):
 
 def reference_entails(sid, lhs, rhs, depth):
     extra = tuple(Var(f"x{i}") for i in range(sid.arity(lhs) + 1, sid.arity(rhs) + 1))
-    ms = enumerate_models(sid, sid.atom(lhs), depth)
+    ms = enumerate_models(sid, ((), (sid.atom(lhs),)), depth)
     for _, model in _model_order(ms):
-        if not eval_bounded(model.config, model.store, exists(extra, sid.atom(rhs)),
+        if not eval_bounded(model.config, model.store, (extra, (sid.atom(rhs),)),
                             sid, depth):
             return EntailReport(False, depth, len(ms),
                                 Counterexample(model.config, model.store, None, None))
@@ -394,7 +391,7 @@ def test_canonical_model_matches_reference_classes(name, depth, request):
     rnd = random.Random(f"{name}/{depth}")
     items = []
     for pred in sid.predicates:
-        ms = enumerate_models(sid, sid.atom(pred), depth)
+        ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
         items += [(m.config, m.store) for m in ms.models()]
         items += [(g2, m.store) for m, _, g2 in one_step_successors(sid, ms)]
     items += [renamed(g, nu, random_renaming(g, rnd)) for g, nu in items]
@@ -492,7 +489,7 @@ def test_enumerated_models_pinned(request, fixture, pred, depth, count, digest):
     # closures moved into eqform.Partition
     sid = request.getfixturevalue(fixture).sid
     rows = [[render_config("m", m.config), sorted((var_text(v), c) for v, c in m.store.items())]
-            for m in enumerate_models(sid, sid.atom(pred), depth).models()]
+            for m in enumerate_models(sid, ((), (sid.atom(pred),)), depth).models()]
     assert len(rows) == count
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
@@ -502,9 +499,8 @@ def test_enumerated_models_pinned(request, fixture, pred, depth, count, digest):
 
 def reference_cross_validate(sid, pred, depth, result):
     """cross_validate_reduction as it was before model sets were kept per SID."""
-    atom = sid.atom(pred)
     left: dict[tuple, None] = {}
-    for _, model in _model_order(enumerate_models(sid, atom, depth)):
+    for _, model in _model_order(enumerate_models(sid, ((), (sid.atom(pred),)), depth)):
         for inter in sorted(model.config.interactions, key=repr):
             if not all(c in model.config.components for c in inter.components):
                 continue
@@ -513,7 +509,7 @@ def reference_cross_validate(sid, pred, depth, result):
     right: dict[tuple, Model] = {}
     for target in result.targets:
         right.update(enumerate_models(result.derived_sid,
-                                      result.derived_sid.atom(target), depth).entries)
+                                      ((), (result.derived_sid.atom(target),)), depth).entries)
     left_only = sorted(k for k in left if k not in right)
     right_only = sorted(k for k in right if k not in left)
     return CrossReport(not left_only and not right_only, depth,
@@ -551,9 +547,9 @@ def test_cross_validation_matches_reference(name, pred, depth):
     assert got == want
     # a target unfolds in the combined SID as in the derived one
     for t in result.targets:
-        derived = enumerate_models(fresh_result.derived_sid, fresh_result.derived_sid.atom(t),
+        derived = enumerate_models(fresh_result.derived_sid, ((), (fresh_result.derived_sid.atom(t),)),
                                    depth)
-        combined = enumerate_models(result.combined_sid, result.combined_sid.atom(t), depth)
+        combined = enumerate_models(result.combined_sid, ((), (result.combined_sid.atom(t),)), depth)
         assert derived.keys() == combined.keys(), t
         assert [m.provenance for m in derived.models()] == \
             [m.provenance for m in combined.models()], t
@@ -584,8 +580,8 @@ def test_unfolding_spy_sees_a_fresh_enumeration(name, pred, depth, monkeypatch):
     # fails if the oracle stops calling the walk the spy wraps
     calls = spy_unfoldings(monkeypatch)
     sid = parse_system(XVAL_TEXTS[name]).sid
-    assert enumerate_models(sid, sid.atom(pred), depth)
-    assert calls == [(sid, sid.atom(pred), depth)]
+    assert enumerate_models(sid, ((), (sid.atom(pred),)), depth)
+    assert calls == [(sid, ((), (sid.atom(pred),)), depth)]
 
 
 @pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
@@ -600,13 +596,13 @@ def test_cross_validation_reuses_built_models(name, pred, depth, monkeypatch):
 def test_model_memo_belongs_to_one_sid_object():
     a, b = parse_system(XVAL_TEXTS["ring.clsys"]).sid, parse_system(XVAL_TEXTS["ring.clsys"]).sid
     assert a._memo is not b._memo and a._keys is not b._keys
-    ms = enumerate_models(a, a.atom("Ring_1_1"), 3)
-    assert enumerate_models(a, a.atom("Ring_1_1"), 3) is ms
+    ms = enumerate_models(a, ((), (a.atom("Ring_1_1"),)), 3)
+    assert enumerate_models(a, ((), (a.atom("Ring_1_1"),)), 3) is ms
     assert a._memo and not b._memo
     assert a._keys and not b._keys
     # equality, hash and text ignore the memo and the key table
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    other = enumerate_models(b, b.atom("Ring_1_1"), 3)
+    other = enumerate_models(b, ((), (b.atom("Ring_1_1"),)), 3)
     assert other is not ms and other.keys() == ms.keys()
 
 
@@ -616,12 +612,12 @@ def test_model_memo_belongs_to_one_sid_object():
 @pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
 def test_combined_sid_keeps_source_models_in_source_memo(name, pred, depth):
     sid, result = checked(name, pred, depth)
-    ms = enumerate_models(sid, sid.atom(pred), depth)
-    assert ms and enumerate_models(result.combined_sid, sid.atom(pred), depth) is ms
+    ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
+    assert ms and enumerate_models(result.combined_sid, ((), (sid.atom(pred),)), depth) is ms
     # the derived predicates' sets stay in the combined SID's memo
     derived = set(result.derived_sid.predicates)
-    assert not any(next(logic.atoms_of(f)).name in derived for f, _ in sid._memo)
-    assert all(next(logic.atoms_of(f)).name in derived for f, _ in result.combined_sid._memo)
+    assert not any(f[1][0].name in derived for f, _ in sid._memo)
+    assert all(f[1][0].name in derived for f, _ in result.combined_sid._memo)
 
 
 @pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
@@ -641,7 +637,7 @@ def test_cross_validation_after_direct_check_keys_nothing(name, pred, depth, mon
     assert cross.left_size
     assert calls == []
     # a stored key that the set holds is the set's own key object
-    ms = enumerate_models(sid, sid.atom(pred), depth)
+    ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
     stored = [k for m in ms.entries.values() for keys in m.steps.values() for k in keys]
     assert stored and all(k is ms.entries[k].key for k in stored if k in ms)
 
@@ -711,7 +707,7 @@ def test_successor_over_eleven_ids_hits_the_table(monkeypatch):
     result = reduce_havoc_to_entailment(sid, "Ring", assume_tight=True)
     for lhs, rhs in result.entailments:
         assert entails_bounded(result.combined_sid, lhs, rhs, 12).holds
-    ms = enumerate_models(sid, sid.atom("Ring"), 12)
+    ms = enumerate_models(sid, ((), (sid.atom("Ring"),)), 12)
     assert max(len(m.config.state_pairs) for m in ms.entries.values()) >= 11
     calls = spy_keys(monkeypatch)
     assert havoc_invariant_bounded(sid, "Ring", 12).invariant
@@ -722,9 +718,8 @@ def test_successor_over_eleven_ids_hits_the_table(monkeypatch):
 def reference_models(sid, f, depth):
     """enumerate_models' entries as they were when each candidate was
     keyed afresh, with no key table and no memo."""
-    (atom,) = logic.atoms_of(f)
-    fv = logic.free_vars(f)
-    free = [v for v in atom.args if v in fv]
+    closed, (atom,) = f
+    free = [v for v in atom.args if v not in closed]
     entries = {}
     for k, (binders, atoms) in enumerate(complete_unfoldings(sid, f, depth)):
         for exact in enumerate_pf_models(binders, atoms, free, sid.behavior.states):
@@ -759,7 +754,7 @@ CORPUS_CASES = [(name, pred, 2 if name == "tll_original.clsys" else 3)
 @pytest.mark.parametrize("name,pred,depth", CORPUS_CASES)
 def test_keyed_models_match_fresh_keys(name, pred, depth):
     sid = parse_system(corpus_text(name)).sid
-    assert_models_match_reference(sid, sid.atom(pred), depth)
+    assert_models_match_reference(sid, ((), (sid.atom(pred),)), depth)
 
 
 @pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
@@ -769,7 +764,7 @@ def test_keyed_models_of_combined_sid_match_fresh_keys(name, pred, depth):
     assert sid._keys
     combined = result.combined_sid
     for p in (pred, *result.derived_sid.predicates):
-        assert_models_match_reference(combined, combined.atom(p), depth)
+        assert_models_match_reference(combined, ((), (combined.atom(p),)), depth)
 
 
 def test_reductions_of_one_parse_stay_apart():
@@ -790,8 +785,8 @@ def test_reductions_of_one_parse_stay_apart():
         fresh = parse_system(XVAL_TEXTS["ring.clsys"]).sid
         alone = reduce_havoc_to_entailment(fresh, result.predicate, assume_tight=True)
         for p in result.derived_sid.predicates:
-            got = enumerate_models(result.combined_sid, result.combined_sid.atom(p), depth)
-            want = enumerate_models(alone.combined_sid, alone.combined_sid.atom(p), depth)
+            got = enumerate_models(result.combined_sid, ((), (result.combined_sid.atom(p),)), depth)
+            want = enumerate_models(alone.combined_sid, ((), (alone.combined_sid.atom(p),)), depth)
             assert got.keys() == want.keys(), (result.predicate, p)
             assert [m.provenance for m in got.models()] == \
                 [m.provenance for m in want.models()], (result.predicate, p)
@@ -821,16 +816,16 @@ def test_recursive_helpers_leave_no_cycles():
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        assert enumerate_models(sf.sid, sf.sid.atom("Ring_1_1"), 3)
+        assert enumerate_models(sf.sid, ((), (sf.sid.atom("Ring_1_1"),)), 3)
         assert class_equiv(sf.sid, result.derived_sid).verdict == "equivalent"
         # a leaf with rewrites: the choice of rewrites recurses
         assert len(transducer_step(("out", "in"), leaf, [], sf.sid.behavior, 2)) > 1
         # the matcher of the reference semantics
-        atom = sf.sid.atom("Ring_1_1")
-        model = enumerate_models(sf.sid, atom, 3).models()[0]
-        assert eval_bounded(model.config, model.store, atom, sf.sid, 3)
-        assert any(eval_pf(model.config, model.store, f)
-                   for f, complete in unfold(sf.sid, atom, 3) if complete)
+        f = ((), (sf.sid.atom("Ring_1_1"),))
+        model = enumerate_models(sf.sid, f, 3).models()[0]
+        assert eval_bounded(model.config, model.store, f, sf.sid, 3)
+        assert any(eval_pf(model.config, model.store, u)
+                   for u, complete in unfold_formula(sf.sid, f, 3) if complete)
         gc.collect()
         funcs = [f for f in gc.garbage if isinstance(f, types.FunctionType)]
     finally:

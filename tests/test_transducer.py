@@ -37,7 +37,7 @@ def test_interaction_types_tll(tll):
 
 
 def test_interaction_types_empty():
-    from clhavoc.logic import Rule, SID, Emp
+    from clhavoc.logic import Rule, SID
     sid = SID((Rule("A", (Var("x"),), (), (Comp(Var("x")),)),),
               Behavior.make(["p"], ["q"], []))
     assert interaction_types(sid) == frozenset()
