@@ -145,18 +145,25 @@ def ta_to_sid(ta: TreeAutomaton, behavior: Behavior,
               name_of: Callable[[object], str] = str) -> SID:
     """One rule per transition, with parameters x_j and binders z_k; the
     inverse of `sid_to_ta` on its outputs.  A state used with two arities
-    makes no SID: its arity check raises ValueError."""
+    makes no SID: its arity check raises ValueError.
+
+    Transitions share few symbols (394 trimmed transitions of `Ring_5_5`
+    carry 6), so each distinct symbol's body is instantiated once and each
+    transition adds only its predicate names."""
+    bodies: dict[AlphabetSymbol, tuple] = {}
     rules = []
     for tr in ta.transitions:
         sym = tr.symbol
-        params = tuple(Var(f"x{j}") for j in range(1, sym.arity + 1))
-        binders = tuple(Var(f"z{k}") for k in range(1, len(sym.exvars) + 1))
-        mapping = dict(zip(map(param, range(1, sym.arity + 1)), params))
-        mapping.update(zip(sym.exvars, binders))
-        atoms = [substitute(a, mapping) for a in sym.atoms]
-        atoms += [Pred(name_of(q), tuple(mapping[v] for v in vs))
-                  for q, vs in zip(tr.children, sym.args)]
-        rules.append(Rule(name_of(tr.result), params, binders, tuple(atoms)))
+        if sym not in bodies:
+            params = tuple(Var(f"x{j}") for j in range(1, sym.arity + 1))
+            binders = tuple(Var(f"z{k}") for k in range(1, len(sym.exvars) + 1))
+            mapping = dict(zip(map(param, range(1, sym.arity + 1)), params))
+            mapping.update(zip(sym.exvars, binders))
+            bodies[sym] = (params, binders, tuple(substitute(a, mapping) for a in sym.atoms),
+                           tuple(tuple(mapping[v] for v in vs) for vs in sym.args))
+        params, binders, atoms, args = bodies[sym]
+        calls = tuple(Pred(name_of(q), vs) for q, vs in zip(tr.children, args))
+        rules.append(Rule(name_of(tr.result), params, binders, atoms + calls))
     return SID(tuple(rules), behavior)
 
 

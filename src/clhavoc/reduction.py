@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from .analysis import check_pcr
 from .automata import sid_to_ta, ta_to_sid, ta_trim
 from .eqform import Partition
-from .logic import (Comp, Rule, SID, StateAtom, boundvar, param, substitute,
-                    var_text)
+from .logic import Comp, Inter, Pred, Rule, SID, StateAtom, atom_vars, var_text
 from .transducer import ProductState, image, interaction_types
 
 
@@ -144,13 +143,24 @@ class ClassEquivResult:
 
 
 def _rule_key(rule: Rule) -> tuple:
-    """The rule with parameters and binders renamed by position, its state
-    atoms dropped and its calls reduced to their arguments."""
-    ren = {p: param(j) for j, p in enumerate(rule.params, start=1)}
-    ren.update((b, boundvar(k)) for k, b in enumerate(rule.binders, start=1))
-    return (len(rule.params), len(rule.binders),
-            tuple(substitute(a, ren) for a in rule.pf_atoms if not isinstance(a, StateAtom)),
-            tuple(substitute(p, ren).args for p in rule.preds))
+    """The rule as plain data, its parameters and binders numbered by
+    position: the two counts, each non-state atom as its kind, its
+    variables' positions and an interaction's ports, then each call's
+    argument positions.  State atoms and predicate names are left out."""
+    pos = {v: i for i, v in enumerate(rule.params + rule.binders)}
+    atoms, calls = [], []
+    for a in rule.atoms:
+        kind = type(a)
+        if kind is StateAtom:
+            continue
+        at = tuple(map(pos.__getitem__, atom_vars(a)))
+        if kind is Pred:
+            calls.append(at)
+        elif kind is Inter:
+            atoms.append((kind, at, tuple(p for _, p in a.bindings)))
+        else:
+            atoms.append((kind, at))
+    return len(rule.params), len(rule.binders), tuple(atoms), tuple(calls)
 
 
 def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
@@ -158,12 +168,14 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
 
     Each rule pairs with the first rule of the other SID whose body is equal
     to its own up to state atoms and predicate names: the same atoms in the
-    same order, parameters and binders renamed by position (`_rule_key`).
-    The pairs unite their heads and calls position by position into the class
-    relation.  Equality is syntactic, so atoms written in another order do not
-    pair; a derived rule is its source rule with other state atoms and
-    predicate names (`ta_to_sid` inverts `sid_to_ta`), so the reduction's
-    output always pairs with its source.
+    same order, parameters and binders numbered by position.  The key
+    (`_rule_key`) is plain data built in one pass over the body: tuples of
+    atom kinds, variable positions and ports, so no atom is rebuilt or
+    hashed.  The pairs unite their heads and calls position by position
+    into the class relation.  Equality is syntactic, so atoms written in
+    another order do not pair; a derived rule is its source rule with other
+    state atoms and predicate names (`ta_to_sid` inverts `sid_to_ta`), so
+    the reduction's output always pairs with its source.
     """
     keys1 = [_rule_key(r) for r in d1.rules]
     keys2 = [_rule_key(r) for r in d2.rules]

@@ -18,8 +18,8 @@ from typing import Callable, Iterator
 from clhavoc.automata import AlphabetSymbol, TaTransition, TreeAutomaton, symbol_text
 from clhavoc.core import Behavior, Configuration, Interaction, degree
 from clhavoc.eqform import EMPTY_EQ, EqFormula
-from clhavoc.logic import (Atom, Comp, Eq, Pred, Prenex, SID, StateAtom, Var, param,
-                           substitute, unfold_formula)
+from clhavoc.logic import (Atom, Comp, Eq, Pred, Prenex, Rule, SID, StateAtom, Var,
+                           param, substitute, unfold_formula)
 from clhavoc.oracle import enumerate_models
 
 
@@ -174,6 +174,24 @@ def dump_ta(ta: TreeAutomaton, name_of: Callable[[object], str] = str) -> str:
         kids = ", ".join(name_of(c) for c in tr.children)
         lines.append(f"  {symbol_text(tr.symbol)}({kids}) -> {name_of(tr.result)}")
     return "\n".join(lines) + "\n"
+
+
+def reference_ta_to_sid(ta: TreeAutomaton, behavior: Behavior,
+                        name_of: Callable[[object], str] = str) -> SID:
+    """`ta_to_sid` as one instantiation per transition: each rule renames
+    its symbol's canonical variables to x_j and z_k afresh."""
+    rules = []
+    for tr in ta.transitions:
+        sym = tr.symbol
+        params = tuple(Var(f"x{j}") for j in range(1, sym.arity + 1))
+        binders = tuple(Var(f"z{k}") for k in range(1, len(sym.exvars) + 1))
+        mapping = dict(zip(map(param, range(1, sym.arity + 1)), params))
+        mapping.update(zip(sym.exvars, binders))
+        atoms = [substitute(a, mapping) for a in sym.atoms]
+        atoms += [Pred(name_of(q), tuple(mapping[v] for v in vs))
+                  for q, vs in zip(tr.children, sym.args)]
+        rules.append(Rule(name_of(tr.result), params, binders, tuple(atoms)))
+    return SID(tuple(rules), behavior)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from clhavoc.transducer import image
 
 from conftest import FIXTURES, load, sha256, source_fixtures
 from reference import (BadAddress, Tree, char_formula, char_formula_closed, comp_in,
-                       dump_ta, enumerate_trees, nodevar)
+                       dump_ta, enumerate_trees, nodevar, reference_ta_to_sid)
 
 
 def leaf_symbol(q, a0=3):
@@ -214,9 +214,12 @@ def test_ta_to_sid_single_transition():
 
 def assert_round_trip(ta, behavior):
     """sid_to_ta(ta_to_sid(ta)) gives back ta's transitions, in order, with
-    each state read back as the predicate named for it."""
+    each state read back as the predicate named for it; ta_to_sid's rules
+    equal the reference's one instantiation per transition, in order."""
     names = {q: f"S{k}" for k, q in enumerate(ta.states)}
-    back, _ = sid_to_ta(ta_to_sid(ta, behavior, names.__getitem__))
+    derived = ta_to_sid(ta, behavior, names.__getitem__)
+    assert derived.rules == reference_ta_to_sid(ta, behavior, names.__getitem__).rules
+    back, _ = sid_to_ta(derived)
     assert back.transitions == tuple(
         TaTransition(tr.symbol, tuple(names[c] for c in tr.children), names[tr.result])
         for tr in ta.transitions)
@@ -234,7 +237,7 @@ def test_ta_to_sid_inverts_sid_to_ta(path):
                           sid.behavior)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_ta_to_sid_inverts_sid_to_ta_on_ring_family(k):
     sid = parse_system((FIXTURES / "ring.clsys").read_text()
                        .replace("=0..1", f"=0..{k}")).sid

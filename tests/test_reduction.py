@@ -255,12 +255,17 @@ def test_reduced_file_reparses_and_rereduces(ring, ring_reduction, tmp_path):
 
 # ---------------------------------------------------------------------------
 # the reference: the rule-pairing search that class_equiv's key lookup
-# replaced, verbatim.  It normalises each body through its equalities and
-# matches atoms as multisets under a bijection of the binders.
+# replaced.  It normalises each body through its equalities and matches atoms
+# as multisets under a bijection of the binders.  Each call joins the atoms
+# as a predicate atom named by its position, so calls pair position by
+# position, as their predicates do, and their arguments match under the same
+# bijection.
 
 def _norm_body(rule: Rule):
     pmap = {p: Var(f"x{i}") for i, p in enumerate(rule.params, start=1)}
-    qpf = [substitute(a, pmap) for a in rule.pf_atoms if not isinstance(a, StateAtom)]
+    calls = [Pred(str(k), p.args) for k, p in enumerate(rule.preds)]
+    qpf = [substitute(a, pmap) for a in (*rule.pf_atoms, *calls)
+           if not isinstance(a, StateAtom)]
     eqs = [a for a in qpf if isinstance(a, Eq)]
     rest = [a for a in qpf if not isinstance(a, Eq)]
 
@@ -337,8 +342,10 @@ def _match(i: int, atoms1, atoms2, bset1: set[Var], bset2: set[Var],
 
 def _var_pairs(a, b):
     """Positional variable pairs of two atoms of one kind; None if they are
-    interaction atoms over different ports."""
+    interaction atoms over different ports or calls at different positions."""
     if isinstance(a, Inter) and [p for _, p in a.bindings] != [p for _, p in b.bindings]:
+        return None
+    if isinstance(a, Pred) and a.name != b.name:
         return None
     return list(zip(atom_vars(a), atom_vars(b)))
 
@@ -484,3 +491,39 @@ def test_class_equiv_is_syntactic_in_atom_order():
     reordered = SID((Rule("P", (x,), (y,), (Comp(y), Comp(x), link)),), beh)
     assert class_equiv(written, reordered).verdict == "inequivalent"
     assert reference_class_equiv(written, reordered).verdict == "equivalent"
+
+
+def _key_edge_cases():
+    """Pairs of one-predicate SIDs whose rule bodies differ in one thing the
+    class key must see."""
+    x, y = Var("x"), Var("y")
+    beh = Behavior.make(["p", "q"], ["s"], [])
+
+    def one(params, binders, *atoms):
+        return SID((Rule("P", params, binders, atoms),), beh)
+
+    def calling(*args):
+        return SID((Rule("P", (x,), (y,), (Comp(x), Comp(y), Pred("Q", args))),
+                    Rule("Q", (x, y), (), (Comp(x), Inter(((x, "p"), (y, "q")))))), beh)
+
+    return {
+        "eq-vs-neq": (one((x, y), (), Comp(x), Eq(x, y)),
+                      one((x, y), (), Comp(x), Neq(x, y))),
+        "comp-vs-unary-interaction": (one((x,), (), Comp(x)),
+                                      one((x,), (), Inter(((x, "p"),)))),
+        "parameter-vs-binder": (one((x, y), (), Comp(x), Comp(y)),
+                                one((x,), (y,), Comp(x), Comp(y))),
+        "permuted-ports": (one((x, y), (), Inter(((x, "p"), (y, "q")))),
+                           one((x, y), (), Inter(((x, "q"), (y, "p"))))),
+        "swapped-call-arguments": (calling(x, y), calling(y, x)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_key_edge_cases()))
+def test_class_equiv_key_edge_cases(case):
+    d1, d2 = _key_edge_cases()[case]
+    for a, b in ((d1, d2), (d2, d1)):
+        assert class_equiv(a, b).verdict == "inequivalent"
+        assert reference_class_equiv(a, b).verdict == "inequivalent"
+    assert class_equiv(d1, d1).verdict == "equivalent"
+    assert class_equiv(d2, d2).verdict == "equivalent"
