@@ -493,11 +493,11 @@ def complete_unfoldings(sid: SID, f: Prenex, depth: int) -> list[Prenex]:
     They come in the order of the complete entries of `unfold_formula`, but
     the walk keeps only states from which one is still reachable: it expands
     an atom with budget b only by rules whose body predicates have least
-    completion heights <= b - 1 (`least_heights`).  Pruned branches draw no
-    fresh names, so binder numbers differ from `unfold_formula`'s.
+    completion heights <= b - 1 (`least_heights`).  Binder k of each
+    unfolding is `%u`k, so unfoldings of one structure have equal atoms
+    except for their state atoms; the names rank as `unfold_formula`'s do.
     """
-    counter = itertools.count()
-    start = _start(sid, f, depth, counter)
+    start = _start(sid, f, depth, itertools.count())
     _, atoms0, pending0 = start
     roots = [atoms0[i].name for i, _ in pending0]
     heights = least_heights(sid, roots)
@@ -518,7 +518,7 @@ def complete_unfoldings(sid: SID, f: Prenex, depth: int) -> list[Prenex]:
         if name not in ranked:
             ranked[name] = [(1 + max((heights[a.name] for a in r.preds), default=0), r)
                             for r in sid.rules_of(name)]
-        stack.extend(reversed([_expand(state, r, counter)
+        stack.extend(reversed([_expand(state, r, itertools.count(len(binders)))
                                for h, r in ranked[name] if h <= budget]))
     return results
 

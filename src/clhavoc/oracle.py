@@ -3,9 +3,13 @@
 Models of a predicate atom are enumerated from its complete unfoldings: the
 equalities fix a base partition of the variables, the remaining classes are
 optionally merged (a store may identify variables that no atom separates),
-and unpinned carrier ids range over the behavior's states.  Model sets are
-kept canonical up to a component renaming that also rewrites the store, so
-the havoc and entailment checks decide membership by canonical key.  Each
+and unpinned carrier ids range over the behavior's states.  The state-free
+part of that work is a plan per skeleton, the unfolding without its state
+atoms: `complete_unfoldings` names binders by position, so unfoldings that
+differ only in state atoms share one plan, which `enumerate_models` keeps
+for the length of one call.  Model sets are kept canonical up to a
+component renaming that also rewrites the store, so the havoc and
+entailment checks decide membership by canonical key.  Each
 model keeps the keys of its one-step successors, so the direct check and
 cross-validation key each successor once.
 
@@ -26,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction, step
 from .eqform import Partition
-from .logic import (Atom, Prenex, SID, Var, atom_vars, complete_unfoldings,
+from .logic import (Atom, Inter, Prenex, SID, StateAtom, Var, complete_unfoldings,
                     split_atoms, var_text)
 
 
@@ -138,12 +142,19 @@ def exact_form(components: Iterable[str], bindings: Iterable[tuple[tuple[str, st
             tuple(sorted(state_pairs)), tuple(store))
 
 
-def from_exact(exact: tuple) -> tuple[Configuration, dict[Var, str]]:
-    """The configuration and store that an exact form writes out."""
+def from_exact(exact: tuple, parts: dict | None = None
+               ) -> tuple[Configuration, dict[Var, str]]:
+    """The configuration and store that an exact form writes out.  `parts`
+    keeps the component and interaction sets per (components, bindings), so
+    candidates of one skeleton share them."""
     comps, bindings, state_pairs, store = exact
-    return (Configuration(frozenset(comps), frozenset(map(Interaction, bindings)),
-                          state_pairs),
-            dict(store))
+    if parts is None:
+        parts = {}
+    sets = parts.get((comps, bindings))
+    if sets is None:
+        sets = parts[comps, bindings] = (frozenset(comps),
+                                         frozenset(map(Interaction, bindings)))
+    return Configuration(*sets, state_pairs), dict(store)
 
 
 def _key_table(sid: SID) -> dict:
@@ -157,54 +168,75 @@ def _key_table(sid: SID) -> dict:
 # model enumeration for predicate-free formulas
 
 def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],
-                        free: Sequence[Var], states: Iterable[str]) -> Iterator[tuple]:
-    """All models of an exists-prefixed qpf formula, up to component renaming.
+                        free: Sequence[Var], states: Iterable[str],
+                        plans: dict | None = None) -> Iterator[tuple]:
+    """All models of an exists-prefixed qpf formula, up to component renaming;
+    each variable of the formula is free or bound.
 
     Yields the exact forms of (configuration, store) pairs whose carrier
     covers the store range (see `from_exact`); junk existentials (classes
     touching no spatial atom and no free variable) are dropped, since the
-    infinite pool always satisfies them.
+    infinite pool always satisfies them.  The state-free part of the work is
+    a plan (`_plan`), kept in `plans` under the formula's variables and
+    non-state atoms, so formulas that differ only in state atoms share it.
     """
-    states = sorted(states)
-    comp_atoms, inter_atoms, state_atoms, eqs, neqs = split_atoms(atoms)
+    comp_vars, inter_atoms, state_atoms, eqs, neqs = split_atoms(atoms)
+    key = (tuple(free), tuple(binders), tuple(comp_vars), tuple(inter_atoms),
+           tuple(eqs), tuple(neqs))
+    if plans is None:
+        plans = {}
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _plan(*key)
+    return _instantiate(plan, state_atoms, sorted(states))
 
-    # free variables and binders first, then each atom's other variables
-    # sorted (none, for an unfolding)
-    allvars = dict.fromkeys([*free, *binders])
-    for a in atoms:
-        new = {v for v in atom_vars(a) if v not in allvars}
-        if new:
-            allvars.update(dict.fromkeys(sorted(new)))
-    classes = Partition(allvars, eqs).classes()
 
-    cls_of: dict[Var, int] = {}
-    for ci, cls in enumerate(classes):
-        for v in cls:
-            cls_of[v] = ci
+def _plan(free: Sequence[Var], binders: Sequence[Var], comp_vars: Sequence[Var],
+          inter_atoms: Sequence[Inter], eqs: Sequence[tuple[Var, Var]],
+          neqs: Sequence[tuple[Var, Var]]) -> tuple[dict, list]:
+    """The class of each variable, and per merge of the classes that the
+    disequalities and interaction atoms allow: the bucket of each class, the
+    name of each relevant bucket, the relevant buckets sorted, and the
+    sorted components, sorted bindings and store that its exact forms share.
 
+    Equalities fix the classes, free variables first, then binders; each
+    component atom opens a present bucket, and every other class joins one
+    (`_merges`).  Interaction atoms bind distinct buckets within an atom
+    and distinct tuples across atoms.  Relevant buckets are the present
+    ones and those an interaction or the store touches."""
+    classes = Partition([*free, *binders], eqs).classes()
+    cls_of = {v: ci for ci, cls in enumerate(classes) for v in cls}
     comp_classes: list[int] = []
-    seen_comp: set[int] = set()
-    for v in comp_atoms:
-        ci = cls_of[v]
-        if ci in seen_comp:
-            return  # two component atoms forced equal: unsatisfiable
-        seen_comp.add(ci)
-        comp_classes.append(ci)
-    other_classes = [ci for ci in range(len(classes)) if ci not in seen_comp]
-
-    neq_cls = []
-    for a, b in neqs:
-        ca, cb = cls_of[a], cls_of[b]
-        if ca == cb:
-            return  # x != x
-        neq_cls.append((ca, cb))
+    for v in comp_vars:
+        if cls_of[v] in comp_classes:
+            return cls_of, []  # two component atoms forced equal: unsatisfiable
+        comp_classes.append(cls_of[v])
+    other_classes = [ci for ci in range(len(classes)) if ci not in comp_classes]
+    neq_cls = [(cls_of[a], cls_of[b]) for a, b in neqs]
+    if any(ca == cb for ca, cb in neq_cls):
+        return cls_of, []  # x != x
 
     ncomp = len(comp_classes)
+    merges = []
     for assign in _merges(other_classes, ncomp, 0, {}, 0):
         bucket = {ci: k for k, ci in enumerate(comp_classes)}
         bucket.update(assign)
-        yield from _instantiate(bucket, cls_of, inter_atoms, state_atoms,
-                                neq_cls, free, states, ncomp)
+        if any(bucket[ca] == bucket[cb] for ca, cb in neq_cls):
+            continue
+        tuples = [tuple((bucket[cls_of[v]], p) for v, p in a.bindings) for a in inter_atoms]
+        if (len(set(tuples)) != len(tuples)
+                or any(len({b for b, _ in t}) != len(t) for t in tuples)):
+            continue
+        relevant = {*range(ncomp), *(b for t in tuples for b, _ in t),
+                    *(bucket[cls_of[v]] for v in free)}
+        # junk buckets (absent, untouched by interactions and store) are
+        # sound to drop: the infinite pool supplies them in any pinned state
+        names = {b: f"n{b}" for b in relevant}
+        merges.append((bucket, names, sorted(relevant),
+                       tuple(sorted(names[b] for b in range(ncomp))),
+                       tuple(sorted(tuple((names[b], p) for b, p in t) for t in tuples)),
+                       tuple((v, names[bucket[cls_of[v]]]) for v in free)))
+    return cls_of, merges
 
 
 def _merges(other_classes: Sequence[int], ncomp: int, i: int,
@@ -221,48 +253,21 @@ def _merges(other_classes: Sequence[int], ncomp: int, i: int,
                            nabs + (1 if b == ncomp + nabs else 0))
 
 
-def _instantiate(bucket, cls_of, inter_atoms, state_atoms, neq_cls, free,
-                 states, ncomp):
-    def bucket_of_var(v: Var) -> int:
-        return bucket[cls_of[v]]
-
-    for ca, cb in neq_cls:
-        if bucket[ca] == bucket[cb]:
-            return
-
-    # interactions: within-atom distinct, across atoms distinct
-    tuples = []
-    for a in inter_atoms:
-        t = tuple((bucket_of_var(v), p) for v, p in a.bindings)
-        comps = [b for b, _ in t]
-        if len(set(comps)) != len(comps):
-            return
-        tuples.append(t)
-    if len(set(tuples)) != len(tuples):
-        return
-
-    pins: dict[int, str] = {}
-    for a in state_atoms:
-        b = bucket_of_var(a.var)
-        if pins.setdefault(b, a.state) != a.state:
-            return
-
-    present = set(range(ncomp))
-    relevant = set(present)
-    for t in tuples:
-        relevant |= {b for b, _ in t}
-    relevant |= {bucket_of_var(v) for v in free}
-
-    # junk buckets (absent, untouched by interactions and store) are sound to
-    # drop: the infinite pool supplies them in any pinned state
-    names = {b: f"n{b}" for b in relevant}
-    comps = [names[b] for b in present]
-    bindings = [tuple((names[b], p) for b, p in t) for t in tuples]
-    store = [(v, names[bucket_of_var(v)]) for v in free]
-    pinned = [(names[b], q) for b, q in pins.items() if b in relevant]
-    unpinned = [names[b] for b in sorted(relevant) if b not in pins]
-    for choice in itertools.product(states, repeat=len(unpinned)):
-        yield exact_form(comps, bindings, [*pinned, *zip(unpinned, choice)], store)
+def _instantiate(plan: tuple[dict, list], state_atoms: Sequence[StateAtom],
+                 states: list[str]) -> Iterator[tuple]:
+    """The exact forms of a plan under a formula's state atoms: per merge,
+    the state atoms pin their buckets (a bucket pinned to two states drops
+    the merge), and the other relevant buckets range over the states."""
+    cls_of, merges = plan
+    pin_cls = [(cls_of[a.var], a.state) for a in state_atoms]
+    for bucket, names, relevant, comps, bindings, store in merges:
+        pins: dict[int, str] = {}
+        if any(pins.setdefault(bucket[ci], q) != q for ci, q in pin_cls):
+            continue
+        pinned = [(names[b], q) for b, q in pins.items() if b in names]
+        unpinned = [names[b] for b in relevant if b not in pins]
+        for choice in itertools.product(states, repeat=len(unpinned)):
+            yield comps, bindings, tuple(sorted([*pinned, *zip(unpinned, choice)])), store
 
 
 def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
@@ -275,7 +280,9 @@ def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
     unfolds there alike; sets are shared between callers, so do not modify
     one (successor keys are filled in as they are first asked for).  Each
     distinct candidate is keyed once per root SID (see `_key_table`), and
-    a configuration is built only for a candidate that is keyed or kept."""
+    a configuration is built only for a candidate that is keyed or kept.
+    Within one call, each skeleton (the unfoldings' shared non-state atoms)
+    is planned once and its component and interaction sets built once."""
     closed, (atom,) = f
     while sid._base is not None and atom.name in sid._base.predicates:
         sid = sid._base
@@ -284,15 +291,18 @@ def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
         free = [v for v in atom.args if v not in closed]
         table = _key_table(sid)
         ms = ModelSet()
+        plans: dict = {}
+        parts: dict = {}
         for k, (binders, atoms) in enumerate(complete_unfoldings(sid, f, depth)):
-            for exact in enumerate_pf_models(binders, atoms, free, sid.behavior.states):
+            for exact in enumerate_pf_models(binders, atoms, free, sid.behavior.states,
+                                             plans):
                 value = None
                 key = table.get(exact)
                 if key is None:
-                    value = from_exact(exact)
+                    value = from_exact(exact, parts)
                     key = table[exact] = canonical_model(*value)
                 if key not in ms.entries:
-                    g, nu = value or from_exact(exact)
+                    g, nu = value or from_exact(exact, parts)
                     ms.entries[key] = Model(g, nu, f"unfolding#{k}", key)
         memo[f, depth] = ms
     return memo[f, depth]

@@ -190,14 +190,16 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
 
     part = Partition([("1", p) for p in d1.predicates] + [("2", p) for p in d2.predicates])
     pairing = [(i, first2[k]) for i, k in enumerate(keys1)]
-    for side1, own, keys, side2, other, first in (("1", d1, keys1, "2", d2, first2),
-                                                  ("2", d2, keys2, "1", d1, first1)):
-        for r, k in zip(own.rules, keys):
-            s = other.rules[first[k]]
-            # the keys are equal, so the two rules have as many calls
-            for p1, p2 in zip((r.head, *(p.name for p in r.preds)),
-                              (s.head, *(p.name for p in s.preds))):
-                part.union((side1, p1), (side2, p2))
+    # each rule's head and call names, read once; the keys are equal, so
+    # two paired rules have as many calls.  A repeated pair of name tuples
+    # unites classes that are already one, so each is united once
+    names1 = [(r.head, *(r.atoms[i].name for i in r.calls)) for r in d1.rules]
+    names2 = [(r.head, *(r.atoms[i].name for i in r.calls)) for r in d2.rules]
+    united = dict.fromkeys([("1", n, "2", names2[first2[k]]) for n, k in zip(names1, keys1)]
+                           + [("2", n, "1", names1[first1[k]]) for n, k in zip(names2, keys2)])
+    for side1, own, side2, other in united:
+        for p1, p2 in zip(own, other):
+            part.union((side1, p1), (side2, p2))
     rel = sorted({(x[1], part.items[r][1])
                   for x, r in part.roots().items() if part.items[r] != x})
     return ClassEquivResult("equivalent", pairing, rel)

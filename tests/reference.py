@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from clhavoc.automata import AlphabetSymbol, TaTransition, TreeAutomaton, symbol_text
 from clhavoc.core import Behavior, Configuration, Interaction, degree
-from clhavoc.eqform import EMPTY_EQ, EqFormula
+from clhavoc.eqform import EMPTY_EQ, EqFormula, Partition
 from clhavoc.logic import (Atom, Comp, Eq, Pred, Prenex, Rule, SID, StateAtom, Var,
-                           param, substitute, unfold_formula)
-from clhavoc.oracle import enumerate_models
+                           atom_vars, param, split_atoms, substitute, unfold_formula)
+from clhavoc.oracle import enumerate_models, exact_form
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +256,117 @@ def degree_sample(sid: SID, pred: str, depth: int) -> int:
     for model in enumerate_models(sid, ((), (sid.atom(pred),)), depth).models():
         best = max(best, degree(model.config))
     return best
+
+
+def reference_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],
+                        free: Sequence[Var], states: Iterable[str]) -> Iterator[tuple]:
+    """All models of an exists-prefixed qpf formula, up to component renaming:
+    `oracle.enumerate_pf_models` as it was before it planned each skeleton
+    once, which builds the classes, merges and interactions per formula.
+
+    Yields the exact forms of (configuration, store) pairs whose carrier
+    covers the store range (see `from_exact`); junk existentials (classes
+    touching no spatial atom and no free variable) are dropped, since the
+    infinite pool always satisfies them.
+    """
+    states = sorted(states)
+    comp_atoms, inter_atoms, state_atoms, eqs, neqs = split_atoms(atoms)
+
+    # free variables and binders first, then each atom's other variables
+    # sorted (none, for an unfolding)
+    allvars = dict.fromkeys([*free, *binders])
+    for a in atoms:
+        new = {v for v in atom_vars(a) if v not in allvars}
+        if new:
+            allvars.update(dict.fromkeys(sorted(new)))
+    classes = Partition(allvars, eqs).classes()
+
+    cls_of: dict[Var, int] = {}
+    for ci, cls in enumerate(classes):
+        for v in cls:
+            cls_of[v] = ci
+
+    comp_classes: list[int] = []
+    seen_comp: set[int] = set()
+    for v in comp_atoms:
+        ci = cls_of[v]
+        if ci in seen_comp:
+            return  # two component atoms forced equal: unsatisfiable
+        seen_comp.add(ci)
+        comp_classes.append(ci)
+    other_classes = [ci for ci in range(len(classes)) if ci not in seen_comp]
+
+    neq_cls = []
+    for a, b in neqs:
+        ca, cb = cls_of[a], cls_of[b]
+        if ca == cb:
+            return  # x != x
+        neq_cls.append((ca, cb))
+
+    ncomp = len(comp_classes)
+    for assign in _reference_merges(other_classes, ncomp, 0, {}, 0):
+        bucket = {ci: k for k, ci in enumerate(comp_classes)}
+        bucket.update(assign)
+        yield from _reference_instantiate(bucket, cls_of, inter_atoms, state_atoms,
+                                neq_cls, free, states, ncomp)
+
+
+def _reference_merges(other_classes: Sequence[int], ncomp: int, i: int,
+            assign: dict[int, int], nabs: int) -> Iterator[dict[int, int]]:
+    """Merges of other_classes[i:]: each non-component class joins a component
+    bucket, an earlier absent bucket, or opens a fresh absent bucket
+    (restricted growth)."""
+    if i == len(other_classes):
+        yield assign
+        return
+    ci = other_classes[i]
+    for b in range(ncomp + nabs + 1):
+        yield from _reference_merges(other_classes, ncomp, i + 1, {**assign, ci: b},
+                           nabs + (1 if b == ncomp + nabs else 0))
+
+
+def _reference_instantiate(bucket, cls_of, inter_atoms, state_atoms, neq_cls, free,
+                 states, ncomp):
+    def bucket_of_var(v: Var) -> int:
+        return bucket[cls_of[v]]
+
+    for ca, cb in neq_cls:
+        if bucket[ca] == bucket[cb]:
+            return
+
+    # interactions: within-atom distinct, across atoms distinct
+    tuples = []
+    for a in inter_atoms:
+        t = tuple((bucket_of_var(v), p) for v, p in a.bindings)
+        comps = [b for b, _ in t]
+        if len(set(comps)) != len(comps):
+            return
+        tuples.append(t)
+    if len(set(tuples)) != len(tuples):
+        return
+
+    pins: dict[int, str] = {}
+    for a in state_atoms:
+        b = bucket_of_var(a.var)
+        if pins.setdefault(b, a.state) != a.state:
+            return
+
+    present = set(range(ncomp))
+    relevant = set(present)
+    for t in tuples:
+        relevant |= {b for b, _ in t}
+    relevant |= {bucket_of_var(v) for v in free}
+
+    # junk buckets (absent, untouched by interactions and store) are sound to
+    # drop: the infinite pool supplies them in any pinned state
+    names = {b: f"n{b}" for b in relevant}
+    comps = [names[b] for b in present]
+    bindings = [tuple((names[b], p) for b, p in t) for t in tuples]
+    store = [(v, names[bucket_of_var(v)]) for v in free]
+    pinned = [(names[b], q) for b, q in pins.items() if b in relevant]
+    unpinned = [names[b] for b in sorted(relevant) if b not in pins]
+    for choice in itertools.product(states, repeat=len(unpinned)):
+        yield exact_form(comps, bindings, [*pinned, *zip(unpinned, choice)], store)
 
 
 # ---------------------------------------------------------------------------

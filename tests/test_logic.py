@@ -477,6 +477,26 @@ def test_complete_unfoldings_match_reference_under_binders(ring):
         assert_walk_matches_reference(ring.sid, f, depth)
 
 
+def assert_binders_by_position(forms):
+    for binders, _ in forms:
+        assert binders == tuple(Var("%u", (k,)) for k in range(len(binders)))
+
+
+@pytest.mark.parametrize("name", corpus())
+def test_complete_unfoldings_name_binders_by_position(name):
+    # so unfoldings of one structure have equal atoms but for state atoms
+    sid = parse_system(corpus_text(name)).sid
+    assert_binders_by_position([u for pred in sid.predicates
+                                for u in complete_unfoldings(sid, ((), (sid.atom(pred),)), 4)])
+
+
+def test_complete_unfoldings_name_binders_by_position_under_binders(ring):
+    f = ((Y,), (Pred("Chain_1_1", (X, Y)), Pred("Chain_0_1", (Y, X))))
+    forms = complete_unfoldings(ring.sid, f, 4)
+    assert forms and all(binders[0] == Var("%u", (0,)) for binders, _ in forms)
+    assert_binders_by_position(forms)
+
+
 @pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
 def test_complete_unfoldings_of_derived_predicates(name, pred, depth):
     result = reduce_havoc_to_entailment(load(name).sid, pred, assume_tight=True)

@@ -26,6 +26,7 @@ from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
 from clhavoc.transducer import transducer_step
 
 from conftest import REUSE_CASES, corpus, corpus_text, source_fixtures
+from reference import TOKEN, reference_pf_models
 
 X1, X2 = Var("x1"), Var("x2")
 
@@ -833,3 +834,124 @@ def test_recursive_helpers_leave_no_cycles():
         gc.garbage.clear()
     assert not {f.__name__ for f in funcs} & {"merges", "solve", "emit", "choose"}
     assert not [f for f in funcs if f.__module__ in ("clhavoc.logic", "clhavoc.oracle")]
+
+
+# ---------------------------------------------------------------------------
+# one plan per skeleton: candidates as the per-formula enumeration built them
+
+def assert_planned_like_reference(binders, atoms, free, states, plans):
+    assert (list(enumerate_pf_models(binders, atoms, free, states, plans))
+            == list(reference_pf_models(binders, atoms, free, states)))
+
+
+# tll_original `Node` has one depth-3 unfolding with millions of candidates
+PLAN_DEPTHS = {"tll.clsys": 3, "tll_pcr.clsys": 3, "tll_original.clsys": 2}
+
+
+@pytest.mark.parametrize("name", corpus())
+def test_planned_models_match_reference_on_every_unfolding(name):
+    # one plan dict for every predicate and depth, as enumerate_models keeps
+    # one per call: a plan is keyed by the free variables too
+    sid = parse_system(corpus_text(name)).sid
+    plans = {}
+    for pred in sid.predicates:
+        f = ((), (sid.atom(pred),))
+        for depth in range(PLAN_DEPTHS.get(name, 4) + 1):
+            for binders, atoms in complete_unfoldings(sid, f, depth):
+                assert_planned_like_reference(binders, atoms, list(sid.atom(pred).args),
+                                              sid.behavior.states, plans)
+
+
+U0, U1, U2 = (Var("%u", (k,)) for k in range(3))
+PLAN_VARS = [X1, X2, U0, U1, U2]
+
+
+def _plan_atoms():
+    v = st.sampled_from(PLAN_VARS)
+    return st.one_of(
+        st.builds(Comp, v),
+        st.builds(StateAtom, v, st.sampled_from(["H", "T"])),
+        st.integers(1, 2).flatmap(lambda n: st.builds(
+            lambda vs, ports: logic.Inter(tuple(zip(vs, ports))),
+            st.lists(v, min_size=n, max_size=n),
+            st.lists(st.sampled_from(["in", "out"]), min_size=n, max_size=n))),
+        st.builds(Eq, v, v),
+        st.builds(Neq, v, v),
+    )
+
+
+def flip_states(atoms):
+    return tuple(StateAtom(a.var, "T" if a.state == "H" else "H")
+                 if isinstance(a, StateAtom) else a for a in atoms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_plan_atoms(), max_size=6), st.integers(0, 2))
+def test_planned_models_match_reference_randomized(atoms, nfree):
+    # every variable is free or bound; the same formula with other states
+    # reuses the plan
+    free, binders = [X1, X2][:nfree], (U0, U1, U2, *[X1, X2][nfree:])
+    plans = {}
+    assert_planned_like_reference(binders, atoms, free, TOKEN.states, plans)
+    assert_planned_like_reference(binders, flip_states(atoms), free, TOKEN.states, plans)
+    assert len(plans) == 1
+
+
+H_OUT_IN = logic.Inter(((U0, "out"), (U1, "in")))
+
+
+@pytest.mark.parametrize("atoms", [
+    # two component atoms on one class: no model
+    (Comp(U0), Comp(U1), Eq(U0, U1), StateAtom(U0, "H")),
+    # x != x: no model
+    (Comp(U0), Eq(U0, U1), Neq(U1, U0)),
+    # a repeated interaction needs another component pair
+    (Comp(X1), H_OUT_IN, H_OUT_IN, StateAtom(U1, "T")),
+    # a state atom on a binder that occurs nowhere else pins a merged class
+    (Comp(X1), Comp(U0), StateAtom(U2, "H"), StateAtom(X1, "T")),
+    (H_OUT_IN, StateAtom(U2, "T"), StateAtom(U2, "H")),
+])
+def test_planned_models_match_reference_on_edge_cases(atoms):
+    plans = {}
+    for f in (atoms, flip_states(atoms)):
+        assert_planned_like_reference((U0, U1, U2), f, [X1], TOKEN.states, plans)
+    assert len(plans) == 1
+
+
+def test_state_atom_on_unbound_variable_fails_loudly():
+    # the per-formula enumeration took such a variable as an existential;
+    # a plan knows only the free variables and the binders
+    loose = Var("w")
+    atoms = (Comp(U0), StateAtom(loose, "H"))
+    assert list(reference_pf_models((U0,), atoms, [], TOKEN.states))
+    with pytest.raises(KeyError):
+        list(enumerate_pf_models((U0,), atoms, [], TOKEN.states))
+
+
+@pytest.mark.parametrize("pred, plans, unfoldings", [("Ring_0_0", 7, 127),
+                                                     ("Ring_1_1", 6, 126)])
+def test_enumerate_models_plans_each_skeleton_once(pred, plans, unfoldings, monkeypatch):
+    # a chain's steps differ only in their state atoms, so its unfoldings
+    # of one length share a plan
+    built = []
+    plan = oracle._plan
+    monkeypatch.setattr(oracle, "_plan", lambda *args: built.append(args) or plan(*args))
+    sid = parse_system(XVAL_TEXTS["ring.clsys"]).sid
+    f = ((), (sid.atom(pred),))
+    assert len(complete_unfoldings(sid, f, 8)) == unfoldings
+    enumerate_models(sid, f, 8)
+    assert len(built) == plans
+    # plans live for one call: another depth plans afresh
+    enumerate_models(sid, f, 7)
+    assert len(built) == 2 * plans - 1
+
+
+def test_candidates_of_one_skeleton_share_their_sets():
+    sid = parse_system(XVAL_TEXTS["ring.clsys"]).sid
+    ms = enumerate_models(sid, ((), (sid.atom("Ring_1_1"),)), 6)
+    by_size = {}
+    for m in ms.entries.values():
+        by_size.setdefault(len(m.config.components), []).append(m.config)
+    for configs in by_size.values():
+        assert len({id(g.components) for g in configs}) == 1
+        assert len({id(g.interactions) for g in configs}) == 1
