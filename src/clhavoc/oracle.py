@@ -13,13 +13,20 @@ entailment checks decide membership by canonical key.  Each
 model keeps the keys of its one-step successors, so the direct check and
 cross-validation key each successor once.
 
+A key has two halves.  The skeleton form (`skeleton_form`) is the
+candidate without its states, searched once per connected part of its
+carrier; `state_key` writes a candidate's states through the labellings
+that reach each part's least form.  Enumeration computes one skeleton form
+per (components, bindings, store) per call and keys each candidate from it;
+a successor that misses the table is keyed by `canonical_model`, both
+halves at once.
+
 A candidate is written as its exact form (`exact_form`), and its key is
 computed once per distinct exact form: the root of an SID's `_base` chain
 holds a table from exact forms to keys, which enumeration and successor
-keying both read before they call `canonical_model`.  A key depends only on
-the candidate, so the table is shared by every extension of the root, while
-model sets stay per SID.  A configuration is built from an exact form only
-to key it or to keep it in a set.
+keying both read first.  A key depends only on the candidate, so the table
+is shared by every extension of the root, while model sets stay per SID.
+Enumeration builds a configuration only for a model it keeps.
 """
 
 from __future__ import annotations
@@ -38,24 +45,99 @@ from .logic import (Atom, Inter, Prenex, SID, StateAtom, Var, complete_unfolding
 # canonical forms
 
 def canonical_model(g: Configuration, nu: Mapping[Var, str]) -> tuple:
-    """Least serialized form over the leaves of an individualisation-refinement
-    search (McKay & Piperno, Practical Graph Isomorphism II, 2014).
+    """The canonical key of a configuration and store: its states written
+    through the labellings of its skeleton form."""
+    return state_key(skeleton_form(g.components, (i.bindings for i in g.interactions),
+                                   (c for c, _ in g.state_pairs), nu.items()),
+                     g.state_pairs)
+
+
+def skeleton_form(components: Iterable[str],
+                  bindings: Iterable[tuple[tuple[str, str], ...]],
+                  carrier: Iterable[str], store: Iterable[tuple[Var, str]]) -> tuple:
+    """The state-free half of a canonical key, one entry per connected part
+    of the carrier (ids are linked when one interaction binds them): the
+    part's least serialized form (components, bindings, store) over the
+    leaves of an individualisation-refinement search (McKay & Piperno,
+    Practical Graph Isomorphism II, 2014), and every leaf labelling that
+    reaches it.
 
     Colours are isomorphism-invariant: refinement ranks the distinct colour
-    values, and the search branches on every member of an invariantly chosen
-    cell.  So renamed copies reach the same set of leaves.
+    values, and the search branches on the members of an invariantly chosen
+    cell.  So renamed copies reach the same set of leaves.  Two ids of a part
+    are twins when they are both present or both absent, are named by the
+    same store variables and have equal incidences with the id itself
+    masked.  Twins share no interaction, so swapping two of them is an
+    automorphism that fixes every other id, and the search branches on one
+    member per twin group: the leaves below a skipped member are those below
+    a kept one composed with twin swaps, which `state_key` cannot tell apart.
+
+    A part is (form, labels, groups, labellings): its labels in sorted
+    order, its twin groups, and per labelling, for each label in that
+    order, the index of its state among the groups' sorted states laid end
+    to end.
     """
-    rho = g.state_map
-    ids = list(rho)
-    inc: dict[str, list] = {c: [] for c in ids}
-    for i in g.interactions:
-        for pos, c in enumerate(i.components):
-            inc[c].append((i.itype, pos, i.components))
-    return _search(g, nu, ids, inc, _refine(
-        ids, inc, {c: (c in g.components, rho[c],
-                       tuple(sorted((t, pos) for t, pos, _ in inc[c])),
-                       tuple(sorted(var_text(v) for v, d in nu.items() if d == c)))
-                   for c in ids}))
+    comps = set(components)
+    carrier = list(carrier)
+    inc: dict[str, list] = {c: [] for c in carrier}
+    names: dict[str, list] = {c: [] for c in carrier}
+    links = Partition(carrier)
+    for b in bindings:
+        ids = tuple(c for c, _ in b)
+        itype = tuple(p for _, p in b)
+        for pos, c in enumerate(ids):
+            inc[c].append((itype, pos, ids))
+            links.union(c, ids[0])
+    for v, c in store:
+        names[c].append(var_text(v))
+    parts = []
+    for ids in links.classes():
+        # the part's interactions, each from its first id
+        own = [tuple(zip(d, t)) for c in ids for t, pos, d in inc[c] if pos == 0]
+        col, by_signature = {}, {}
+        for c in ids:
+            present, named = c in comps, tuple(sorted(names[c]))
+            col[c] = (present, tuple(sorted((t, pos) for t, pos, _ in inc[c])), named)
+            masked = tuple(sorted((t, pos, d[:pos] + d[pos + 1:]) for t, pos, d in inc[c]))
+            by_signature.setdefault((present, named, masked), []).append(c)
+        groups = tuple(by_signature.values())
+        twin = {c: k for k, grp in enumerate(groups) for c in grp}
+        best, labellings = None, set()
+        for leaf in _leaves(ids, inc, _refine(ids, inc, col), twin):
+            ren = {c: f"m{leaf[c]}" for c in ids}
+            form = (tuple(sorted(ren[c] for c in ids if c in comps)),
+                    tuple(sorted(tuple((ren[d], p) for d, p in b) for b in own)),
+                    tuple(sorted((x, ren[c]) for c in ids for x in names[c])))
+            if best is None or form < best:
+                best, labellings = form, set()
+            if form == best:
+                flat = [label for grp in groups for label in sorted(ren[c] for c in grp)]
+                labellings.add(tuple(k for _, k in sorted(zip(flat, itertools.count()))))
+        parts.append((best, tuple(sorted(f"m{k}" for k in range(len(ids)))), groups,
+                      tuple(labellings)))
+    return tuple(parts)
+
+
+def state_key(skel: tuple, state_pairs: Iterable[tuple[str, str]]) -> tuple:
+    """A candidate's canonical key from its skeleton form and its states:
+    per part, the least (label, state) table over the part's labellings,
+    where each twin group's states, sorted, go to its labels, sorted.
+
+    Keys are equal exactly for renamed copies.  A renaming maps the leaves
+    of a part onto the leaves of its copy's part, and twin groups onto twin
+    groups, so the least table is the same; a disjoint union is fixed by the
+    multiset of its parts.  Conversely, a table is the part's states moved
+    by a permutation of twins, an automorphism of the skeleton, and written
+    through a labelling, so the (form, table) pairs describe the candidate
+    up to renaming.
+    """
+    rho = dict(state_pairs)
+    key = []
+    for form, labels, groups, labellings in skel:
+        flat = [q for grp in groups for q in sorted(rho[c] for c in grp)]
+        table = min(tuple(map(flat.__getitem__, slots)) for slots in labellings)
+        key.append((form, tuple(zip(labels, table))))
+    return tuple(sorted(key))
 
 
 def _refine(ids: list[str], inc: dict[str, list], col: dict) -> dict[str, int]:
@@ -74,26 +156,24 @@ def _refine(ids: list[str], inc: dict[str, list], col: dict) -> dict[str, int]:
                for c in ids}
 
 
-def _search(g: Configuration, nu: Mapping[Var, str], ids: list[str],
-            inc: dict[str, list], col: dict[str, int]) -> tuple:
-    """The least serialized leaf below the refined colouring col."""
+def _leaves(ids: list[str], inc: dict[str, list], col: dict[str, int],
+            twin: dict[str, int]) -> Iterator[dict[str, int]]:
+    """The discrete colourings below the refined colouring col, branching on
+    one member of each twin group in the target cell."""
     cells: dict[int, list[str]] = {}
     for c in ids:
         cells.setdefault(col[c], []).append(c)
-    if len(cells) < len(ids):
-        # smallest non-singleton cell, ties broken by colour
-        _, k = min((len(m), k) for k, m in cells.items() if len(m) > 1)
-        return min(_search(g, nu, ids, inc,
-                           _refine(ids, inc, {c: 2 * col[c] + (c == v) for c in ids}))
-                   for v in cells[k])
-    ren = {c: f"m{col[c]}" for c in ids}
-    return (
-        tuple(sorted(ren[c] for c in g.components)),
-        tuple(sorted(tuple((ren[c], p) for c, p in i.bindings)
-                     for i in g.interactions)),
-        tuple(sorted((ren[c], q) for c, q in g.state_pairs)),
-        tuple(sorted((var_text(v), ren[c]) for v, c in nu.items())),
-    )
+    if len(cells) == len(ids):
+        yield col
+        return
+    # smallest non-singleton cell, ties broken by colour
+    _, k = min((len(m), k) for k, m in cells.items() if len(m) > 1)
+    tried = set()
+    for v in cells[k]:
+        if twin[v] not in tried:
+            tried.add(twin[v])
+            yield from _leaves(ids, inc, _refine(ids, inc, {c: 2 * col[c] + (c == v)
+                                                            for c in ids}), twin)
 
 
 @dataclass
@@ -142,19 +222,11 @@ def exact_form(components: Iterable[str], bindings: Iterable[tuple[tuple[str, st
             tuple(sorted(state_pairs)), tuple(store))
 
 
-def from_exact(exact: tuple, parts: dict | None = None
-               ) -> tuple[Configuration, dict[Var, str]]:
-    """The configuration and store that an exact form writes out.  `parts`
-    keeps the component and interaction sets per (components, bindings), so
-    candidates of one skeleton share them."""
+def from_exact(exact: tuple) -> tuple[Configuration, dict[Var, str]]:
+    """The configuration and store that an exact form writes out."""
     comps, bindings, state_pairs, store = exact
-    if parts is None:
-        parts = {}
-    sets = parts.get((comps, bindings))
-    if sets is None:
-        sets = parts[comps, bindings] = (frozenset(comps),
-                                         frozenset(map(Interaction, bindings)))
-    return Configuration(*sets, state_pairs), dict(store)
+    return (Configuration(frozenset(comps), frozenset(map(Interaction, bindings)), state_pairs),
+            dict(store))
 
 
 def _key_table(sid: SID) -> dict:
@@ -280,9 +352,11 @@ def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
     unfolds there alike; sets are shared between callers, so do not modify
     one (successor keys are filled in as they are first asked for).  Each
     distinct candidate is keyed once per root SID (see `_key_table`), and
-    a configuration is built only for a candidate that is keyed or kept.
-    Within one call, each skeleton (the unfoldings' shared non-state atoms)
-    is planned once and its component and interaction sets built once."""
+    a configuration is built only for a model that is kept.  Within one
+    call, each skeleton of the unfoldings (their shared non-state atoms) is
+    planned once, and the candidates with equal components, bindings and
+    store share their component and interaction sets and one skeleton form,
+    formed when the first of them is keyed."""
     closed, (atom,) = f
     while sid._base is not None and atom.name in sid._base.predicates:
         sid = sid._base
@@ -292,18 +366,27 @@ def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
         table = _key_table(sid)
         ms = ModelSet()
         plans: dict = {}
-        parts: dict = {}
+        # per (components, bindings, store): [skeleton form or None,
+        # component set, interaction set]
+        shapes: dict = {}
         for k, (binders, atoms) in enumerate(complete_unfoldings(sid, f, depth)):
             for exact in enumerate_pf_models(binders, atoms, free, sid.behavior.states,
                                              plans):
-                value = None
                 key = table.get(exact)
+                if key is not None and key in ms.entries:
+                    continue
+                comps, bindings, pairs, store = exact
+                shape = shapes.get((comps, bindings, store))
+                if shape is None:
+                    shape = shapes[comps, bindings, store] = [
+                        None, frozenset(comps), frozenset(map(Interaction, bindings))]
                 if key is None:
-                    value = from_exact(exact, parts)
-                    key = table[exact] = canonical_model(*value)
+                    if shape[0] is None:
+                        shape[0] = skeleton_form(comps, bindings, (c for c, _ in pairs), store)
+                    key = table[exact] = state_key(shape[0], pairs)
                 if key not in ms.entries:
-                    g, nu = value or from_exact(exact, parts)
-                    ms.entries[key] = Model(g, nu, f"unfolding#{k}", key)
+                    ms.entries[key] = Model(Configuration(shape[1], shape[2], pairs),
+                                            dict(store), f"unfolding#{k}", key)
         memo[f, depth] = ms
     return memo[f, depth]
 

@@ -19,7 +19,8 @@ from clhavoc.automata import AlphabetSymbol, TaTransition, TreeAutomaton, symbol
 from clhavoc.core import Behavior, Configuration, Interaction, degree
 from clhavoc.eqform import EMPTY_EQ, EqFormula, Partition
 from clhavoc.logic import (Atom, Comp, Eq, Pred, Prenex, Rule, SID, StateAtom, Var,
-                           atom_vars, param, split_atoms, substitute, unfold_formula)
+                           atom_vars, param, split_atoms, substitute, unfold_formula,
+                           var_text)
 from clhavoc.oracle import enumerate_models, exact_form
 
 
@@ -367,6 +368,43 @@ def _reference_instantiate(bucket, cls_of, inter_atoms, state_atoms, neq_cls, fr
     unpinned = [names[b] for b in sorted(relevant) if b not in pins]
     for choice in itertools.product(states, repeat=len(unpinned)):
         yield exact_form(comps, bindings, [*pinned, *zip(unpinned, choice)], store)
+
+
+# ---------------------------------------------------------------------------
+# canonical keys by permutation
+
+def reference_key(g, nu):
+    """The least serialization over every id order that keeps each group of
+    equal three-round signatures together, groups in signature order."""
+    ids = sorted(g.carrier)
+    rho = g.state_map
+    sig = {c: (c in g.components, rho[c],
+               tuple(sorted((i.itype, pos) for i in g.interactions
+                            for pos, cid in enumerate(i.components) if cid == c)),
+               tuple(sorted(var_text(v) for v, cid in nu.items() if cid == c)))
+           for c in ids}
+    for _ in range(2):
+        sig = {c: (sig[c], tuple(sorted(tuple(sig[d] for d in i.components)
+                                        for i in g.interactions if c in i.components)))
+               for c in ids}
+    groups = {}
+    for c in ids:
+        groups.setdefault(sig[c], []).append(c)
+    best = None
+    for perm_choice in itertools.product(*[itertools.permutations(groups[k])
+                                           for k in sorted(groups)]):
+        order = [c for grp in perm_choice for c in grp]
+        ren = {c: f"m{i}" for i, c in enumerate(order)}
+        key = (
+            tuple(sorted(ren[c] for c in g.components)),
+            tuple(sorted(tuple((ren[c], p) for c, p in i.bindings)
+                         for i in g.interactions)),
+            tuple(sorted((ren[c], q) for c, q in g.state_pairs)),
+            tuple(sorted((var_text(v), ren[c]) for v, c in nu.items())),
+        )
+        if best is None or key < best:
+            best = key
+    return best
 
 
 # ---------------------------------------------------------------------------

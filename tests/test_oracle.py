@@ -2,7 +2,6 @@
 
 import gc
 import hashlib
-import itertools
 import json
 import random
 import types
@@ -21,12 +20,13 @@ from clhavoc.oracle import (Counterexample, CrossReport, EntailReport, HavocRepo
                             Model, _model_order, _successor_keys, _successors,
                             canonical_model, cross_validate_reduction,
                             enumerate_models, enumerate_pf_models, entails_bounded,
-                            exact_form, from_exact, havoc_invariant_bounded)
+                            from_exact, havoc_invariant_bounded, skeleton_form,
+                            state_key)
 from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
 from clhavoc.transducer import transducer_step
 
 from conftest import REUSE_CASES, corpus, corpus_text, source_fixtures
-from reference import TOKEN, reference_pf_models
+from reference import TOKEN, reference_key, reference_pf_models
 
 X1, X2 = Var("x1"), Var("x2")
 
@@ -322,40 +322,6 @@ def test_reports_match_reference_loops(name, depth, request):
 # ---------------------------------------------------------------------------
 # canonical keys against the permutation reference
 
-def reference_key(g, nu):
-    """The least serialization over every id order that keeps each group of
-    equal three-round signatures together, groups in signature order."""
-    ids = sorted(g.carrier)
-    rho = g.state_map
-    sig = {c: (c in g.components, rho[c],
-               tuple(sorted((i.itype, pos) for i in g.interactions
-                            for pos, cid in enumerate(i.components) if cid == c)),
-               tuple(sorted(var_text(v) for v, cid in nu.items() if cid == c)))
-           for c in ids}
-    for _ in range(2):
-        sig = {c: (sig[c], tuple(sorted(tuple(sig[d] for d in i.components)
-                                        for i in g.interactions if c in i.components)))
-               for c in ids}
-    groups = {}
-    for c in ids:
-        groups.setdefault(sig[c], []).append(c)
-    best = None
-    for perm_choice in itertools.product(*[itertools.permutations(groups[k])
-                                           for k in sorted(groups)]):
-        order = [c for grp in perm_choice for c in grp]
-        ren = {c: f"m{i}" for i, c in enumerate(order)}
-        key = (
-            tuple(sorted(ren[c] for c in g.components)),
-            tuple(sorted(tuple((ren[c], p) for c, p in i.bindings)
-                         for i in g.interactions)),
-            tuple(sorted((ren[c], q) for c, q in g.state_pairs)),
-            tuple(sorted((var_text(v), ren[c]) for v, c in nu.items())),
-        )
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def renamed(g, nu, ren):
     return (Configuration.make(
         (ren[c] for c in g.components),
@@ -471,28 +437,160 @@ def test_canonical_model_where_refinement_is_blind():
                          (rings(3, 3, names=six[::-1]), {})])
 
 
-@pytest.mark.parametrize("fixture, pred, depth, count, digest", [
-    ("ring", "Ring_0_0", 6, 21,
-     "98590dd2d1386233692af5354087309002f937ab684796e61b1797785ecb89f4"),
-    ("tll", "Root", 3, 8,
-     "f9df52751bad71c33972a822f88dba432aea44d4da75d0d1d69a045a46a982da"),
-    ("pcring", "PcRing_1_1", 4, 22,
-     "ac011521b7444053771fdae1d1dc5dc94933cae4970405b8486de9daff69cad6"),
-    # the smallest fixture case where visiting the classes in another order
-    # keeps other models (reversing the class order changes this digest)
-    ("tll_original", "Root", 2, 16,
-     "48a619ff2cd6eac00ebbdf69def7d823b16a5806ac448acb2aaeed44585ea78c"),
+# ---------------------------------------------------------------------------
+# symmetric models: parts, twins and their labellings
+
+EIGHT = [f"v{k}" for k in range(8)]
+SYMMETRIC = f"""
+behavior {{
+  ports in, out;
+  states H, T;
+  trans H -out-> T;
+  trans T -in-> H;
+}}
+sid {{
+  PinnedBag() <- exists {", ".join(EIGHT)} . {" * ".join(f"comp({v} : H)" for v in EIGHT)};
+  Bag() <- exists {", ".join(EIGHT)} . {" * ".join(f"comp({v})" for v in EIGHT)};
+  Star() <- exists h, {", ".join(EIGHT)} . comp(h : H)
+            * {" * ".join(f"comp({v}) * <h.out, {v}.in>" for v in EIGHT)};
+  Rings() <- exists {", ".join(f"a{k}, b{k}" for k in range(8))} .
+            {" * ".join(f"comp(a{k} : H) * comp(b{k} : T) * <a{k}.out, b{k}.in> * <b{k}.out, a{k}.in>"
+                        for k in range(8))};
+}}
+"""
+
+
+@pytest.mark.parametrize("pred, models, parts, labellings", [
+    # eight isolated components: eight parts of one id each
+    ("PinnedBag", 1, 8, 1),
+    ("Bag", 9, 8, 1),
+    # eight twin leaves: the search branches on one of them at each level
+    ("Star", 9, 1, 1),
+    # a 2-ring's rotation is no twin swap, so each ring keeps both leaves
+    ("Rings", 1, 8, 2),
 ])
-def test_enumerated_models_pinned(request, fixture, pred, depth, count, digest):
+def test_symmetric_models_key_by_parts_and_twins(pred, models, parts, labellings):
+    sid = parse_system(SYMMETRIC).sid
+    ms = enumerate_models(sid, ((), (sid.atom(pred),)), 2)
+    assert len(ms) == models
+    rnd = random.Random(pred)
+    for m in ms.models():
+        g = m.config
+        skel = skeleton_form(g.components, (i.bindings for i in g.interactions),
+                             (c for c, _ in g.state_pairs), m.store.items())
+        assert len(skel) == parts
+        assert all(len(part[3]) == labellings for part in skel)
+        assert canonical_model(m.config, m.store) == m.key
+        for _ in range(3):
+            assert canonical_model(*renamed(m.config, m.store,
+                                            random_renaming(m.config, rnd))) == m.key
+
+
+def test_twins_agree_on_presence_and_store():
+    # l1 and l2 have equal incidences with themselves masked; swapping their
+    # states renames the model only when they are also both present or both
+    # absent and named by the same store variables
+    def star(q1, q2, comps, nu):
+        inters = [Interaction.make(("h", "out"), (leaf, "in")) for leaf in ("l1", "l2")]
+        return Configuration.make(comps, inters, {"h": "H", "l1": q1, "l2": q2}), nu
+
+    def swap_renames(comps, nu):
+        return canonical_model(*star("H", "T", comps, nu)) == \
+            canonical_model(*star("T", "H", comps, nu))
+
+    assert swap_renames(["h", "l1", "l2"], {}) and swap_renames(["h"], {})
+    assert not swap_renames(["h", "l1"], {})
+    assert not swap_renames(["h", "l1", "l2"], {X1: "l1"})
+
+
+@st.composite
+def symmetric_models(draw):
+    """Small models with twin copies of an id, isolated absent ids and a
+    disjoint copy of the whole, and the (id, copy) pairs."""
+    ids = [f"c{k}" for k in range(draw(st.integers(min_value=1, max_value=3)))]
+    pairs = []
+    binding = st.tuples(st.sampled_from(ids), st.sampled_from(["in", "out"]))
+    inters = draw(st.lists(st.lists(binding, min_size=1, max_size=3,
+                                    unique_by=lambda b: b[0]), max_size=3))
+    present = draw(st.lists(st.sampled_from(ids), unique=True))
+    for k in range(draw(st.integers(min_value=0, max_value=2))):
+        c, t = draw(st.sampled_from(ids)), f"t{k}"
+        inters += [[(t if d == c else d, p) for d, p in b]
+                   for b in inters if any(d == c for d, _ in b)]
+        # now and then a copy that is present where c is absent, or the
+        # other way round: equal incidences, yet no twin
+        if (c in present) != (draw(st.integers(min_value=0, max_value=3)) == 0):
+            present.append(t)
+        ids.append(t)
+        pairs.append((c, t))
+    ids += [f"a{k}" for k in range(draw(st.integers(min_value=0, max_value=2)))]
+    # at most 8 ids, so that the permutation reference stays quick
+    if len(ids) <= 4 and draw(st.booleans()):
+        inters += [[("x" + d, p) for d, p in b] for b in inters]
+        present += ["x" + c for c in present]
+        ids += ["x" + c for c in ids]
+    g = Configuration.make(present, (Interaction(tuple(b)) for b in inters),
+                           {c: draw(st.sampled_from(["H", "T"])) for c in ids})
+    nu = draw(st.dictionaries(st.sampled_from([X1, X2]), st.sampled_from(ids), max_size=2))
+    return g, nu, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_models(), st.randoms(use_true_random=False))
+def test_canonical_model_matches_reference_on_symmetric_models(m, rnd):
+    # the same skeleton with the states of an id and its copy swapped, or all
+    # states shuffled, is a renamed copy exactly when that moves the states
+    # by a symmetry
+    g, nu, pairs = m
+    ids = sorted(g.carrier)
+    states = [q for _, q in g.state_pairs]
+    i, j = map(ids.index, rnd.choice(pairs)) if pairs else (0, len(ids) - 1)
+    swapped = list(states)
+    swapped[i], swapped[j] = states[j], states[i]
+    shuffled = rnd.sample(states, len(states))
+    items = [(g, nu), *((Configuration(g.components, g.interactions, tuple(zip(ids, qs))), nu)
+                  for qs in (swapped, shuffled))]
+    items += [renamed(*item, random_renaming(item[0], rnd)) for item in items]
+    assert canonical_model(*items[0]) == canonical_model(*items[3])
+    assert_same_classes(items)
+
+
+# digest takes the rows in canonical key order, so it moves with the keys'
+# encoding; unordered moves only with the kept models
+@pytest.mark.parametrize("fixture, pred, depth, count, digest, unordered", [
+    pytest.param("ring", "Ring_0_0", 6, 21,
+                 "f582936f78e1263a501d41db15d339866a5704fca4f43a8e92143f542b308c0c",
+                 "47cf59597250ba902ef3bf1a8455e96eddd8bc51c352abd1ab6a8e63ba8759b4",
+                 id="ring-Ring_0_0-6-21"),
+    pytest.param("tll", "Root", 3, 8,
+                 "5ffa15b2365b8fed696dc15a0b8e9279a74292b3b7762161b80f097d740d7b78",
+                 "f221478ea06d85fe0a21db36f88e6f01b83c38598bcadce18b8c4f125d533d7c",
+                 id="tll-Root-3-8"),
+    pytest.param("pcring", "PcRing_1_1", 4, 22,
+                 "1b241d68f1cfca759edc8910a18fcf7496aafe74cc2d20f744d2f5b80902e821",
+                 "38cbdaa3e98d7191e24be5ae81f51e5b898bb7350cc01ac61d0f684377db014b",
+                 id="pcring-PcRing_1_1-4-22"),
+    # the smallest fixture case where visiting the classes in another order
+    # keeps other models (reversing the class order changes both digests)
+    pytest.param("tll_original", "Root", 2, 16,
+                 "a285c2dee2452d917b1c90cdef7b01b6f0553d8c2434744f0aef90bad0e11e80",
+                 "ebcb740b3aa29b328538ce04f04ebc1d07371e444f012d5a16ea9d9a79ae9084",
+                 id="tll_original-Root-2-16"),
+])
+def test_enumerated_models_pinned(request, fixture, pred, depth, count, digest, unordered):
     # which concrete model a canonical key keeps depends on the order in which
     # enumerate_pf_models visits equality classes, and that model is the one a
-    # counterexample reports; the digests were recorded before the equality
-    # closures moved into eqform.Partition
+    # counterexample reports; the unordered digests were recorded with keys
+    # from one search over the whole candidate, and still hold with keys
+    # made of skeleton forms and state tables
     sid = request.getfixturevalue(fixture).sid
     rows = [[render_config("m", m.config), sorted((var_text(v), c) for v, c in m.store.items())]
             for m in enumerate_models(sid, ((), (sid.atom(pred),)), depth).models()]
     assert len(rows) == count
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+    # which models are kept, whatever order their keys sort them in
+    rows_text = "\n".join(sorted(map(json.dumps, rows)))
+    assert hashlib.sha256(rows_text.encode()).hexdigest() == unordered
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +731,10 @@ def test_direct_check_after_entailments_unfolds_nothing(name, pred, depth, monke
 def test_cross_validation_after_direct_check_keys_nothing(name, pred, depth, monkeypatch):
     sid, result = checked(name, pred, depth)
     assert havoc_invariant_bounded(sid, pred, depth).invariant
-    calls = spy_keys(monkeypatch)
+    calls, skeletons = spy_keys(monkeypatch), spy_skeletons(monkeypatch)
     cross = cross_validate_reduction(sid, pred, depth, result)
     assert cross.left_size
-    assert calls == []
+    assert calls == [] and skeletons == []
     # a stored key that the set holds is the set's own key object
     ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
     stored = [k for m in ms.entries.values() for keys in m.steps.values() for k in keys]
@@ -647,28 +745,40 @@ def test_cross_validation_after_direct_check_keys_nothing(name, pred, depth, mon
 # one canonical key per distinct candidate, in the root SID's key table
 
 def spy_keys(monkeypatch):
-    """Record every canonical_model call the oracle makes from now on."""
+    """Record every state_key call the oracle makes from now on; each key,
+    by enumeration or by canonical_model, is one."""
     calls = []
-    monkeypatch.setattr(oracle, "canonical_model",
-                        lambda *args: calls.append(args) or canonical_model(*args))
+    monkeypatch.setattr(oracle, "state_key",
+                        lambda *args: calls.append(args) or state_key(*args))
+    return calls
+
+
+def spy_skeletons(monkeypatch):
+    """Record every skeleton_form call the oracle makes from now on."""
+    calls = []
+    monkeypatch.setattr(oracle, "skeleton_form",
+                        lambda *args: calls.append(args) or skeleton_form(*args))
     return calls
 
 
 def test_entailments_key_each_distinct_candidate_once(monkeypatch):
     # a target's unfoldings are the source's with other state atoms: 510
-    # candidates are enumerated, and 240 of them are distinct
+    # candidates are enumerated and 240 of them are distinct; those have 6
+    # skeletons, each formed once per enumeration that keys one of its
+    # candidates, 11 times in all
     sid = parse_system(XVAL_TEXTS["ring.clsys"]).sid
     result = reduce_havoc_to_entailment(sid, "Ring_1_1", assume_tight=True)
     candidates = []
     monkeypatch.setattr(oracle, "enumerate_pf_models", lambda *args: (
         candidates.append(c) or c for c in enumerate_pf_models(*args)))
-    calls = spy_keys(monkeypatch)
+    calls, skeletons = spy_keys(monkeypatch), spy_skeletons(monkeypatch)
     for lhs, rhs in result.entailments:
         assert entails_bounded(result.combined_sid, lhs, rhs, 8).holds
     assert len(candidates) == 510
-    assert len(set(candidates)) == len(calls) == 240
-    assert len({exact_form(g.components, (i.bindings for i in g.interactions),
-                           g.state_pairs, nu.items()) for g, nu in calls}) == 240
+    assert len(set(candidates)) == len(calls) == len(sid._keys) == 240
+    assert len(skeletons) == 11
+    assert len({(tuple(comps), tuple(bindings), tuple(store))
+                for comps, bindings, _, store in skeletons}) == 6
     # the table lives in the source SID, and the combined SID keeps none
     assert set(sid._keys) == set(candidates) and not result.combined_sid._keys
 
@@ -677,10 +787,10 @@ def test_entailments_key_each_distinct_candidate_once(monkeypatch):
 def test_direct_check_and_cross_validation_after_check_key_nothing(
         name, pred, depth, monkeypatch):
     sid, result = checked(name, pred, depth)
-    calls = spy_keys(monkeypatch)
+    calls, skeletons = spy_keys(monkeypatch), spy_skeletons(monkeypatch)
     havoc_invariant_bounded(sid, pred, depth)
     assert cross_validate_reduction(sid, pred, depth, result).left_size
-    assert calls == []
+    assert calls == [] and skeletons == []
 
 
 # a ring with one token; at depth 12 its largest models have 11 carrier
@@ -710,9 +820,9 @@ def test_successor_over_eleven_ids_hits_the_table(monkeypatch):
         assert entails_bounded(result.combined_sid, lhs, rhs, 12).holds
     ms = enumerate_models(sid, ((), (sid.atom("Ring"),)), 12)
     assert max(len(m.config.state_pairs) for m in ms.entries.values()) >= 11
-    calls = spy_keys(monkeypatch)
+    calls, skeletons = spy_keys(monkeypatch), spy_skeletons(monkeypatch)
     assert havoc_invariant_bounded(sid, "Ring", 12).invariant
-    assert calls == []
+    assert calls == [] and skeletons == []
     assert all(m.steps for m in ms.entries.values())
 
 
@@ -745,6 +855,10 @@ def assert_models_match_reference(sid, f, depth):
             keys = _successor_keys(sid, ms, m, inter)
             assert keys == m.steps[inter] == tuple(
                 canonical_model(g2, m.store) for g2 in _successors(sid.behavior, m, inter))
+    # the two keying paths agree: every key in the table, whether enumeration
+    # wrote it by skeleton or successor keying by canonical_model
+    table = oracle._key_table(sid)
+    assert all(key == canonical_model(*from_exact(exact)) for exact, key in table.items())
 
 
 CORPUS_CASES = [(name, pred, 2 if name == "tll_original.clsys" else 3)
