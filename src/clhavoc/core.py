@@ -31,13 +31,20 @@ class Behavior:
     ports: frozenset[str]
     states: frozenset[str]
     transitions: frozenset[tuple[str, str, str]]
+    # the sorted targets per (state, port), derived from transitions once;
+    # not part of equality, hashing or repr
+    moves: dict[tuple[str, str], tuple[str, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        moves: dict[tuple[str, str], list[str]] = {}
         for q, p, q2 in self.transitions:
             if p not in self.ports:
                 raise ValueError(f"transition uses undeclared port {p!r}")
             if q not in self.states or q2 not in self.states:
                 raise ValueError(f"transition uses undeclared state {q!r} or {q2!r}")
+            moves.setdefault((q, p), []).append(q2)
+        object.__setattr__(self, "moves", {qp: tuple(sorted(ts)) for qp, ts in moves.items()})
 
     @staticmethod
     def make(ports: Iterable[str], states: Iterable[str],
@@ -46,9 +53,9 @@ class Behavior:
                         frozenset(tuple(t) for t in transitions))
 
     def targets(self, state: str, port: str) -> tuple[str, ...]:
-        """All states reachable from `state` by a transition labeled `port`."""
-        return tuple(sorted(q2 for (q, p, q2) in self.transitions
-                            if q == state and p == port))
+        """All states reachable from `state` by a transition labeled `port`,
+        sorted."""
+        return self.moves.get((state, port), ())
 
 
 @dataclass(frozen=True)

@@ -11,22 +11,28 @@ for the length of one call.  Model sets are kept canonical up to a
 component renaming that also rewrites the store, so the havoc and
 entailment checks decide membership by canonical key.  Each
 model keeps the keys of its one-step successors, so the direct check and
-cross-validation key each successor once.
+cross-validation key each successor once.  A successor is fired on its
+model's state table (`_fire`): it keeps its model's components, bindings,
+store and skeleton form, so no configuration is built for it, and
+`core.step` does not run.
 
 A key has two halves.  The skeleton form (`skeleton_form`) is the
 candidate without its states, searched once per connected part of its
 carrier; `state_key` writes a candidate's states through the labellings
 that reach each part's least form.  Enumeration computes one skeleton form
-per (components, bindings, store) per call and keys each candidate from it;
-a successor that misses the table is keyed by `canonical_model`, both
-halves at once.
+per (components, bindings, store) per call, on the `Shape` its kept models
+share, and keys each candidate from it; a successor that misses the table
+is keyed from its model's shape alike.  `canonical_model` computes both
+halves at once from a configuration.
 
-A candidate is written as its exact form (`exact_form`), and its key is
-computed once per distinct exact form: the root of an SID's `_base` chain
-holds a table from exact forms to keys, which enumeration and successor
-keying both read first.  A key depends only on the candidate, so the table
-is shared by every extension of the root, while model sets stay per SID.
-Enumeration builds a configuration only for a model it keeps.
+A candidate is written as its exact form: its present ids, interaction
+bindings and state pairs, each sorted as text, and its store items in
+argument order.  Its key is computed once per distinct exact form: the
+root of an SID's `_base` chain holds a table from exact forms to keys,
+which enumeration and successor keying both read first.  A key depends only
+on the candidate, so the table is shared by every extension of the root,
+while model sets stay per SID.  Enumeration builds a configuration only for
+a model it keeps, and firing only for a counterexample's successor.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import Behavior, Configuration, Interaction, step
+from .core import Behavior, Configuration, Interaction
 from .eqform import Partition
 from .logic import (Atom, Inter, Prenex, SID, StateAtom, Var, complete_unfoldings,
                     split_atoms, var_text)
@@ -46,7 +52,11 @@ from .logic import (Atom, Inter, Prenex, SID, StateAtom, Var, complete_unfolding
 
 def canonical_model(g: Configuration, nu: Mapping[Var, str]) -> tuple:
     """The canonical key of a configuration and store: its states written
-    through the labellings of its skeleton form."""
+    through the labellings of its skeleton form.
+
+    The checks key candidates from their shapes instead; this is the entry
+    point for keying a configuration as it stands, which the tests and the
+    benchmark tracer use."""
     return state_key(skeleton_form(g.components, (i.bindings for i in g.interactions),
                                    (c for c, _ in g.state_pairs), nu.items()),
                      g.state_pairs)
@@ -176,6 +186,45 @@ def _leaves(ids: list[str], inc: dict[str, list], col: dict[str, int],
                                                             for c in ids}), twin)
 
 
+@dataclass(eq=False)
+class Shape:
+    """What the candidates of one `enumerate_models` call with equal
+    components, bindings and store share: those three as their exact forms
+    write them, the component and interaction sets of their configurations,
+    and, each formed on first use, their skeleton form and their firing
+    plan.  The carrier is the present ids, the bound ids and the store
+    range, so the candidates of a shape share it, and their sorted state
+    tables list the same ids in the same order."""
+
+    comps: tuple[str, ...]
+    bindings: tuple[tuple[tuple[str, str], ...], ...]
+    store: tuple[tuple[Var, str], ...]
+    components: frozenset[str]
+    interactions: frozenset[Interaction]
+    skeleton: tuple | None = None
+    # per interaction, in text order: the indices of its components in the
+    # state table, its ports, and whether all its components are present
+    plan: dict[Interaction, tuple[tuple[int, ...], tuple[str, ...], bool]] | None = None
+
+    def skeleton_of(self, state_pairs: Sequence[tuple[str, str]]) -> tuple:
+        """The shape's skeleton form, given the state table of one of its
+        candidates."""
+        if self.skeleton is None:
+            self.skeleton = skeleton_form(self.comps, self.bindings,
+                                          (c for c, _ in state_pairs), self.store)
+        return self.skeleton
+
+    def firing(self, state_pairs: Sequence[tuple[str, str]]) -> dict:
+        """The shape's firing plan, given the state table of one of its
+        candidates."""
+        if self.plan is None:
+            at = {c: i for i, (c, _) in enumerate(state_pairs)}
+            self.plan = {inter: (tuple(map(at.__getitem__, inter.components)), inter.itype,
+                                 all(c in self.components for c in inter.components))
+                         for inter in sorted(self.interactions, key=repr)}
+        return self.plan
+
+
 @dataclass
 class Model:
     config: Configuration
@@ -183,6 +232,8 @@ class Model:
     provenance: str
     # its key in its set, which stored successor keys share
     key: tuple = field(repr=False, compare=False)
+    # what it shares with the other candidates of its shape
+    shape: Shape = field(repr=False, compare=False)
     # canonical keys of the one-step successors, per fired interaction,
     # filled by `_successor_keys` and freed with the model's set
     steps: dict[Interaction, tuple[tuple, ...]] = field(
@@ -209,25 +260,7 @@ class ModelSet:
 
 
 # ---------------------------------------------------------------------------
-# exact forms and the key table
-
-def exact_form(components: Iterable[str], bindings: Iterable[tuple[tuple[str, str], ...]],
-               state_pairs: Iterable[tuple[str, str]],
-               store: Iterable[tuple[Var, str]]) -> tuple:
-    """A candidate (configuration, store) as one hashable value: its present
-    ids, interaction bindings and state pairs, each sorted as text, and its
-    store items in argument order.  Equal forms are equal candidates, so they
-    have one canonical key."""
-    return (tuple(sorted(components)), tuple(sorted(bindings)),
-            tuple(sorted(state_pairs)), tuple(store))
-
-
-def from_exact(exact: tuple) -> tuple[Configuration, dict[Var, str]]:
-    """The configuration and store that an exact form writes out."""
-    comps, bindings, state_pairs, store = exact
-    return (Configuration(frozenset(comps), frozenset(map(Interaction, bindings)), state_pairs),
-            dict(store))
-
+# the key table
 
 def _key_table(sid: SID) -> dict:
     """The canonical keys by exact form of the root of sid's `_base` chain."""
@@ -246,7 +279,7 @@ def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],
     each variable of the formula is free or bound.
 
     Yields the exact forms of (configuration, store) pairs whose carrier
-    covers the store range (see `from_exact`); junk existentials (classes
+    covers the store range; junk existentials (classes
     touching no spatial atom and no free variable) are dropped, since the
     infinite pool always satisfies them.  The state-free part of the work is
     a plan (`_plan`), kept in `plans` under the formula's variables and
@@ -355,8 +388,8 @@ def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
     a configuration is built only for a model that is kept.  Within one
     call, each skeleton of the unfoldings (their shared non-state atoms) is
     planned once, and the candidates with equal components, bindings and
-    store share their component and interaction sets and one skeleton form,
-    formed when the first of them is keyed."""
+    store share one `Shape`, whose skeleton form is formed when the first
+    of them is keyed."""
     closed, (atom,) = f
     while sid._base is not None and atom.name in sid._base.predicates:
         sid = sid._base
@@ -366,9 +399,7 @@ def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
         table = _key_table(sid)
         ms = ModelSet()
         plans: dict = {}
-        # per (components, bindings, store): [skeleton form or None,
-        # component set, interaction set]
-        shapes: dict = {}
+        shapes: dict[tuple, Shape] = {}
         for k, (binders, atoms) in enumerate(complete_unfoldings(sid, f, depth)):
             for exact in enumerate_pf_models(binders, atoms, free, sid.behavior.states,
                                              plans):
@@ -378,15 +409,15 @@ def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
                 comps, bindings, pairs, store = exact
                 shape = shapes.get((comps, bindings, store))
                 if shape is None:
-                    shape = shapes[comps, bindings, store] = [
-                        None, frozenset(comps), frozenset(map(Interaction, bindings))]
+                    shape = shapes[comps, bindings, store] = Shape(
+                        comps, bindings, store, frozenset(comps),
+                        frozenset(map(Interaction, bindings)))
                 if key is None:
-                    if shape[0] is None:
-                        shape[0] = skeleton_form(comps, bindings, (c for c, _ in pairs), store)
-                    key = table[exact] = state_key(shape[0], pairs)
+                    key = table[exact] = state_key(shape.skeleton_of(pairs), pairs)
                 if key not in ms.entries:
-                    ms.entries[key] = Model(Configuration(shape[1], shape[2], pairs),
-                                            dict(store), f"unfolding#{k}", key)
+                    ms.entries[key] = Model(Configuration(shape.components, shape.interactions,
+                                                          pairs),
+                                            dict(store), f"unfolding#{k}", key, shape)
         memo[f, depth] = ms
     return memo[f, depth]
 
@@ -414,27 +445,56 @@ def _model_order(ms: ModelSet) -> list[tuple[tuple, Model]]:
     return sorted(ms.entries.items(), key=lambda kv: (len(kv[1].config.components), kv[0]))
 
 
-def _successors(behavior: Behavior, model: Model, inter: Interaction) -> list[Configuration]:
-    return sorted(step(behavior, model.config, inter), key=lambda c: c.state_pairs)
+def _firing(model: Model) -> dict:
+    """The firing plan of the model's shape (`Shape.firing`)."""
+    return model.shape.firing(model.config.state_pairs)
+
+
+def _fire(behavior: Behavior, model: Model, inter: Interaction) -> list[tuple]:
+    """The state tables of the successors of firing inter in the model,
+    distinct and sorted: the model's table with each bound component's
+    entry replaced by a target of its port, one table per choice of
+    targets."""
+    pairs = model.config.state_pairs
+    idx, ports, _ = _firing(model)[inter]
+    tables = set()
+    for combo in itertools.product(*(behavior.targets(pairs[i][1], p)
+                                     for i, p in zip(idx, ports))):
+        table = list(pairs)
+        for i, q in zip(idx, combo):
+            table[i] = (table[i][0], q)
+        tables.add(tuple(table))
+    return sorted(tables)
 
 
 def _successor_keys(sid: SID, ms: ModelSet, model: Model,
                     inter: Interaction) -> tuple[tuple, ...]:
     """Canonical keys of the successors of firing inter in the model, a
-    member of sid's set ms, in `_successors` order; computed once per model
-    and interaction, and looked up by exact form in sid's key table first.
-    A key that ms holds is stored as its member's own key, so the stored
-    keys copy none of ms's."""
+    member of sid's set ms, in the order of `core.step`'s successors sorted
+    by `state_pairs`; computed once per model and interaction, and looked up
+    by exact form in sid's key table first.  A key that ms holds is stored
+    as its member's own key, so the stored keys copy none of ms's.
+
+    Firing changes states and never ids, so a successor has its model's
+    components, bindings, store and carrier: its model's shape.  The
+    model's `state_pairs` is sorted by id, so writing targets into its
+    entries in place keeps it sorted, and each table `_fire` returns is its
+    successor's sorted state pairs.  The successor's exact form is then the
+    shape's components, bindings and store around that table, and its key
+    is the table written through the shape's skeleton form.  `core.step`
+    returns one configuration per distinct table, and configurations of one
+    shape order as their tables, so sorting the distinct tables gives its
+    successors in the order of their sorted `state_pairs`."""
     keys = model.steps.get(inter)
     if keys is None:
         table = _key_table(sid)
+        shape = model.shape
         keys = []
-        for g2 in _successors(sid.behavior, model, inter):
-            exact = exact_form(g2.components, (i.bindings for i in g2.interactions),
-                               g2.state_pairs, model.store.items())
+        for pairs in _fire(sid.behavior, model, inter):
+            exact = (shape.comps, shape.bindings, pairs, shape.store)
             key = table.get(exact)
             if key is None:
-                key = table[exact] = canonical_model(g2, model.store)
+                key = table[exact] = state_key(shape.skeleton_of(pairs), pairs)
             member = ms.entries.get(key)
             keys.append(key if member is None else member.key)
         keys = model.steps[inter] = tuple(keys)
@@ -450,13 +510,14 @@ def havoc_invariant_bounded(sid: SID, pred: str, depth: int) -> HavocReport:
     """
     ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
     for _, model in _model_order(ms):
-        for inter in sorted(model.config.interactions, key=repr):
+        for inter in _firing(model):
             for k, key in enumerate(_successor_keys(sid, ms, model, inter)):
                 if key not in ms:
-                    g2 = _successors(sid.behavior, model, inter)[k]
+                    g = model.config
+                    g2 = Configuration(g.components, g.interactions,
+                                       _fire(sid.behavior, model, inter)[k])
                     return HavocReport(False, depth, len(ms),
-                                       Counterexample(model.config, model.store,
-                                                      inter, g2))
+                                       Counterexample(g, model.store, inter, g2))
     return HavocReport(True, depth, len(ms), None)
 
 
@@ -513,8 +574,8 @@ def cross_validate_reduction(sid: SID, pred: str, depth: int,
     left: set[tuple] = set()
     ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
     for model in ms.entries.values():
-        for inter in model.config.interactions:
-            if all(c in model.config.components for c in inter.components):
+        for inter, (_, _, present) in _firing(model).items():
+            if present:
                 left.update(_successor_keys(sid, ms, model, inter))
     right: dict[tuple, Model] = {}
     for target in result.targets:

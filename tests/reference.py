@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from clhavoc.automata import AlphabetSymbol, TaTransition, TreeAutomaton, symbol_text
-from clhavoc.core import Behavior, Configuration, Interaction, degree
+from clhavoc.core import Behavior, Configuration, Interaction, degree, step
 from clhavoc.eqform import EMPTY_EQ, EqFormula, Partition
 from clhavoc.logic import (Atom, Comp, Eq, Pred, Prenex, Rule, SID, StateAtom, Var,
                            atom_vars, param, split_atoms, substitute, unfold_formula,
                            var_text)
-from clhavoc.oracle import enumerate_models, exact_form
+from clhavoc.oracle import Model, enumerate_models
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +257,35 @@ def degree_sample(sid: SID, pred: str, depth: int) -> int:
     for model in enumerate_models(sid, ((), (sid.atom(pred),)), depth).models():
         best = max(best, degree(model.config))
     return best
+
+
+# ---------------------------------------------------------------------------
+# exact forms and one-step successors
+
+def exact_form(components: Iterable[str], bindings: Iterable[tuple[tuple[str, str], ...]],
+               state_pairs: Iterable[tuple[str, str]],
+               store: Iterable[tuple[Var, str]]) -> tuple:
+    """A candidate (configuration, store) as the oracle writes it: its
+    present ids, interaction bindings and state pairs, each sorted as text,
+    and its store items in argument order.  Equal forms are equal
+    candidates, so they have one canonical key."""
+    return (tuple(sorted(components)), tuple(sorted(bindings)),
+            tuple(sorted(state_pairs)), tuple(store))
+
+
+def from_exact(exact: tuple) -> tuple[Configuration, dict[Var, str]]:
+    """The configuration and store that an exact form writes out."""
+    comps, bindings, state_pairs, store = exact
+    return (Configuration(frozenset(comps), frozenset(map(Interaction, bindings)), state_pairs),
+            dict(store))
+
+
+def reference_successors(behavior: Behavior, model: Model,
+                         inter: Interaction) -> list[Configuration]:
+    """The successors of firing inter in a model, built by `core.step` and
+    sorted by `state_pairs`: the order in which `oracle._successor_keys`
+    keys them."""
+    return sorted(step(behavior, model.config, inter), key=lambda c: c.state_pairs)
 
 
 def reference_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from clhavoc.core import (EMPTY, Behavior, Configuration, Interaction,
                           StateMapMismatch, UnknownInteraction, compose,
                           degree, havoc_closure, is_tight, step, successors)
+from clhavoc.frontend import parse_system
 
+from conftest import source_fixtures
 from reference import TOKEN, ring_config
 
 def test_compose_two_half_rings():
@@ -56,6 +58,24 @@ def test_interaction_derived_tuples_stay_out_of_identity():
     assert a == b and hash(a) == hash(b) == hash((a.bindings,))
     assert repr(a) == "<c1.out, c2.in>"
     assert a != Interaction.make(("c1", "in"), ("c2", "out"))
+
+
+def test_behavior_targets_read_its_table():
+    # every fixture behavior and a nondeterministic one: the table gives the
+    # sorted scan of the transitions, and stays out of equality, hash and repr
+    nondet = Behavior.make(["p"], ["q", "q1", "q2"], [("q", "p", "q2"), ("q", "p", "q1")])
+    behaviors = [parse_system(p.read_text()).sid.behavior for p in source_fixtures()]
+    for b in [*behaviors, TOKEN, nondet]:
+        for q in b.states:
+            for p in b.ports:
+                assert b.targets(q, p) == tuple(sorted(
+                    q2 for q1, p1, q2 in b.transitions if q1 == q and p1 == p))
+        same = Behavior(b.ports, b.states, b.transitions)
+        assert same == b and hash(same) == hash(b) == hash((b.ports, b.states, b.transitions))
+        assert repr(b) == (f"Behavior(ports={b.ports!r}, states={b.states!r}, "
+                           f"transitions={b.transitions!r})")
+    assert nondet.targets("q", "p") == ("q1", "q2")
+    assert nondet.targets("q1", "p") == ()
 
 
 def test_step_moves_token():

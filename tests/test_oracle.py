@@ -4,29 +4,30 @@ import gc
 import hashlib
 import json
 import random
+import sys
 import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clhavoc import logic, oracle
+from clhavoc import core, logic, oracle
 from clhavoc.automata import sid_to_ta
 from clhavoc.core import Behavior, Configuration, Interaction, step
 from clhavoc.frontend import parse_system, render_config
 from clhavoc.logic import (Comp, Eq, Neq, Pred, SID, StateAtom, Var, complete_unfoldings,
                            eval_bounded, eval_pf, unfold_formula, var_text)
 from clhavoc.oracle import (Counterexample, CrossReport, EntailReport, HavocReport,
-                            Model, _model_order, _successor_keys, _successors,
+                            Model, _firing, _model_order, _successor_keys,
                             canonical_model, cross_validate_reduction,
                             enumerate_models, enumerate_pf_models, entails_bounded,
-                            from_exact, havoc_invariant_bounded, skeleton_form,
-                            state_key)
+                            havoc_invariant_bounded, skeleton_form, state_key)
 from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
 from clhavoc.transducer import transducer_step
 
 from conftest import REUSE_CASES, corpus, corpus_text, source_fixtures
-from reference import TOKEN, reference_key, reference_pf_models
+from reference import (TOKEN, from_exact, reference_key, reference_pf_models,
+                       reference_successors)
 
 X1, X2 = Var("x1"), Var("x2")
 
@@ -208,8 +209,7 @@ def test_one_step_closure_iff_multi_step(name, pred, depth, request):
 def one_step_successors(sid, ms):
     for _, model in _model_order(ms):
         for inter in sorted(model.config.interactions, key=repr):
-            for g2 in sorted(step(sid.behavior, model.config, inter),
-                             key=lambda c: c.state_pairs):
+            for g2 in reference_successors(sid.behavior, model, inter):
                 yield model, inter, g2
 
 
@@ -793,6 +793,49 @@ def test_direct_check_and_cross_validation_after_check_key_nothing(
     assert calls == [] and skeletons == []
 
 
+# ---------------------------------------------------------------------------
+# successors fired on state tables
+
+def spy_configuration_firing(monkeypatch):
+    """Record every `core.step` and `canonical_model` call from now on, in
+    every clhavoc module that holds either."""
+    calls = []
+    modules = [m for n, m in list(sys.modules.items())
+               if n == "clhavoc" or n.startswith("clhavoc.")]
+    for name, fn in (("step", core.step), ("canonical_model", canonical_model)):
+        for module in modules:
+            if module.__dict__.get(name) is fn:
+                monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name:
+                                    calls.append(name) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
+def test_direct_check_and_cross_validation_build_no_successor(name, pred, depth, monkeypatch):
+    sid, result = checked(name, pred, depth)
+    calls = spy_configuration_firing(monkeypatch)
+    assert havoc_invariant_bounded(sid, pred, depth).invariant
+    assert cross_validate_reduction(sid, pred, depth, result).left_size
+    assert calls == []
+    # the spy sees both boundaries
+    m = enumerate_models(sid, ((), (sid.atom(pred),)), depth).models()[-1]
+    core.step(sid.behavior, m.config, next(iter(m.config.interactions)))
+    oracle.canonical_model(m.config, m.store)
+    assert calls == ["step", "canonical_model"]
+
+
+@pytest.mark.parametrize("fixture,pred,depth", [("bad", "TH", 3), ("anchored", "Anchored", 6)])
+def test_counterexample_successor_is_the_reference_successor(fixture, pred, depth, request):
+    # the first successor, in the reference's order, whose key is not a model
+    sid = request.getfixturevalue(fixture).sid
+    rep = havoc_invariant_bounded(sid, pred, depth)
+    ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
+    model, inter, g2 = next((m, inter, g2) for m, inter, g2 in one_step_successors(sid, ms)
+                            if canonical_model(g2, m.store) not in ms)
+    assert not rep.invariant
+    assert rep.counterexample == Counterexample(model.config, model.store, inter, g2)
+
+
 # a ring with one token; at depth 12 its largest models have 11 carrier
 # ids, where the text order of ids (n10 before n2) is not their number order
 ONE_TOKEN = """
@@ -828,7 +871,8 @@ def test_successor_over_eleven_ids_hits_the_table(monkeypatch):
 
 def reference_models(sid, f, depth):
     """enumerate_models' entries as they were when each candidate was
-    keyed afresh, with no key table and no memo."""
+    keyed afresh, with no key table and no memo: per key, the first
+    candidate's (key, configuration, store items, provenance)."""
     closed, (atom,) = f
     free = [v for v in atom.args if v not in closed]
     entries = {}
@@ -837,7 +881,7 @@ def reference_models(sid, f, depth):
             g, nu = from_exact(exact)
             key = canonical_model(g, nu)
             if key not in entries:
-                entries[key] = Model(g, dict(nu), f"unfolding#{k}", key)
+                entries[key] = (key, g, list(nu.items()), f"unfolding#{k}")
     return entries
 
 
@@ -846,15 +890,17 @@ def assert_models_match_reference(sid, f, depth):
     keys per candidate."""
     ms = enumerate_models(sid, f, depth)
     want = reference_models(sid, f, depth)
-    got = [(k, m.config, list(m.store.items()), m.provenance, m.key)
-           for k, m in ms.entries.items()]
-    assert got == [(k, m.config, list(m.store.items()), m.provenance, m.key)
-                   for k, m in want.items()]
+    assert list(ms.entries) == list(want) == [m.key for m in ms.entries.values()]
+    assert [(k, m.config, list(m.store.items()), m.provenance)
+            for k, m in ms.entries.items()] == list(want.values())
     for m in ms.entries.values():
+        # the shape's firing plan lists the interactions in text order
+        assert list(_firing(m)) == sorted(m.config.interactions, key=repr)
         for inter in sorted(m.config.interactions, key=repr):
             keys = _successor_keys(sid, ms, m, inter)
             assert keys == m.steps[inter] == tuple(
-                canonical_model(g2, m.store) for g2 in _successors(sid.behavior, m, inter))
+                canonical_model(g2, m.store)
+                for g2 in reference_successors(sid.behavior, m, inter))
     # the two keying paths agree: every key in the table, whether enumeration
     # wrote it by skeleton or successor keying by canonical_model
     table = oracle._key_table(sid)
