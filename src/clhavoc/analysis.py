@@ -9,10 +9,10 @@ as their normalized form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .eqform import Partition
-from .logic import Inter, SID, StateAtom, atom_vars, split_atoms, var_text
+from .logic import Inter, SID, StateAtom, atom_vars, derive, split_atoms, var_text
 
 
 def formula_size(binders, atoms) -> int:
@@ -45,22 +45,16 @@ def profile(sid: SID) -> dict[str, frozenset[int]]:
     """Greatest fixpoint of the parameter-propagation constraint.
 
     Position i survives in profile(B) only if every occurrence of B in a rule
-    body passes a caller-profile parameter at position i.
+    body passes a caller-profile parameter at position i.  Its complement is
+    the least set of dead positions, which `derive` finds: (B, i) dies once an
+    occurrence in a rule for H passes y at i and the parameter of H that is
+    y dies, at once when y is no parameter (parameters are distinct).
     """
-    prof: dict[str, set[int]] = {p: set(range(1, sid.arity(p) + 1))
-                                 for p in sid.predicates}
-    changed = True
-    while changed:
-        changed = False
-        for rule in sid.rules:
-            params = rule.params
-            for atom in rule.preds:
-                for i in sorted(prof[atom.name]):
-                    y = atom.args[i - 1]
-                    if not any(params[j - 1] == y for j in prof[rule.head]):
-                        prof[atom.name].discard(i)
-                        changed = True
-    return {p: frozenset(s) for p, s in prof.items()}
+    dead = derive((), [((a.name, i), ((r.head, r.params.index(y) + 1),) if y in r.params else ())
+                       for r in sid.rules for a in r.preds
+                       for i, y in enumerate(a.args, start=1)])
+    return {p: frozenset(i for i in range(1, sid.arity(p) + 1) if (p, i) not in dead)
+            for p in sid.predicates}
 
 
 @dataclass(frozen=True)
@@ -80,6 +74,8 @@ class RulePcr:
 @dataclass(frozen=True)
 class PcrReport:
     rules: tuple[RulePcr, ...]
+    # the SID's profile, which the classification reads and the table prints
+    profile: dict[str, frozenset[int]] = field(compare=False)
 
     @property
     def progressing(self) -> bool:
@@ -158,12 +154,11 @@ def check_pcr(sid: SID) -> PcrReport:
 
         rows.append(RulePcr(rule.head, idx, progressing, connected, erestricted,
                             tuple(reasons)))
-    return PcrReport(tuple(rows))
+    return PcrReport(tuple(rows), prof)
 
 
 def render_pcr_table(sid: SID, report: PcrReport) -> str:
     """Stable text table: one row per rule plus profile and metrics lines."""
-    prof = profile(sid)
     lines = ["rule  head                 P C R"]
     for row in report.rules:
         flags = " ".join("y" if b else "n"
@@ -176,7 +171,7 @@ def render_pcr_table(sid: SID, report: PcrReport) -> str:
                  f"e-restricted={'y' if report.erestricted else 'n'} "
                  f"pcr={'y' if report.sid_pcr else 'n'}")
     for p in sid.predicates:
-        members = ",".join(map(str, sorted(prof[p]))) or "-"
+        members = ",".join(map(str, sorted(report.profile[p]))) or "-"
         lines.append(f"profile {p}: {{{members}}}")
     size, maxarity, maxinter, maxpreds = sid_metrics(sid)
     lines.append(f"metrics: size={size} maxarity={maxarity} "

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 from .core import Behavior
 from .logic import (Atom, Pred, Rule, SID, Var, atom_text, atom_vars, boundvar,
-                    param, substitute, var_text)
+                    derive, param, substitute, var_text)
 
 
 @dataclass(frozen=True)
@@ -170,38 +170,15 @@ def ta_to_sid(ta: TreeAutomaton, behavior: Behavior,
 def ta_trim(ta: TreeAutomaton) -> TreeAutomaton:
     """Drop non-productive states; with final states, also drop useless ones.
 
-    Both passes are worklists (TATA, ch. 1): a transition becomes usable once
-    its count of non-productive child slots drops to zero.
+    Both passes are one `derive` each (TATA, ch. 1): a state is productive
+    once every child of one of its transitions is, and useful once it is a
+    child of a transition with a useful result and productive children.
     """
-    missing = [len(tr.children) for tr in ta.transitions]
-    waiting: dict[object, list[int]] = {}
-    by_result: dict[object, list[int]] = {}
-    for t, tr in enumerate(ta.transitions):
-        for c in tr.children:
-            waiting.setdefault(c, []).append(t)
-        by_result.setdefault(tr.result, []).append(t)
-    productive: set = set()
-    work = [tr.result for tr in ta.transitions if not tr.children]
-    while work:
-        s = work.pop()
-        if s not in productive:
-            productive.add(s)
-            for t in waiting.get(s, ()):
-                missing[t] -= 1
-                if not missing[t]:
-                    work.append(ta.transitions[t].result)
-    keep = productive
+    keep = productive = derive((), [(tr.result, tr.children) for tr in ta.transitions])
     if ta.finals:
-        useful: set = set()
-        work = [s for s in ta.finals if s in productive]
-        while work:
-            s = work.pop()
-            if s not in useful:
-                useful.add(s)
-                for t in by_result.get(s, ()):
-                    if not missing[t]:
-                        work.extend(ta.transitions[t].children)
-        keep = useful
+        keep = derive([s for s in ta.finals if s in productive],
+                      [(c, (tr.result,)) for tr in ta.transitions
+                       if all(map(productive.__contains__, tr.children)) for c in tr.children])
     transitions = tuple(tr for tr in ta.transitions
                         if tr.result in keep and all(c in keep for c in tr.children))
     states = tuple(s for s in ta.states if s in keep)

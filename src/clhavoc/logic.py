@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Behavior, Configuration
 from .eqform import Partition
@@ -446,45 +446,53 @@ def unfold_formula(sid: SID, f: Prenex, depth: int) -> list[tuple[Prenex, bool]]
     return results
 
 
+def derive(facts: Iterable, rules: Iterable[tuple[object, Sequence]]) -> dict:
+    """The atoms that the facts and the Horn rules (head, body) derive.
+
+    Unit propagation (Dowling & Gallier 1984): each rule counts the body
+    atoms not yet derived, once per occurrence, and fires when the count
+    reaches zero.  The queue is first in, first out.  The result maps each
+    derived atom, in derivation order, to the index of the first rule that
+    derived it, or None for a fact.  Heights (a fact 0, a rule's head one more
+    than its highest body atom) reach the queue in non-decreasing order, so
+    the first rule to derive an atom gives it its least height.
+    """
+    rules = list(rules)
+    missing = [len(body) for _, body in rules]
+    waiting: dict[object, list[int]] = {}  # atom -> rules, once per occurrence
+    derived = dict.fromkeys(facts)
+    for k, (head, body) in enumerate(rules):
+        for a in body:
+            waiting.setdefault(a, []).append(k)
+        if not body:
+            derived.setdefault(head, k)
+    queue = list(derived)
+    for a in queue:  # the loop also visits what it appends
+        for k in waiting.get(a, ()):
+            missing[k] -= 1
+            head = rules[k][0]
+            if not missing[k] and head not in derived:
+                derived[head] = k
+                queue.append(head)
+    return derived
+
+
 def least_heights(sid: SID, roots: Iterable[str]) -> dict[str, float]:
     """The least completion height of each predicate reachable from roots.
 
     A rule with no predicate atom has height 1, any other 1 + the largest
     height of its body predicates; a predicate takes the least height of
-    its rules, or inf when none of them ever completes.  Heights are found
-    level by level: each rule counts its body predicates still without one.
+    its rules, or inf when none of them ever completes.  One `derive` finds
+    the reachable predicates, a second their rules' heads; heights follow
+    in derivation order from each head's first deriving rule.
     """
-    callers: dict[str, list[int]] = {}  # predicate -> rules calling it
-    waiting: list[int] = []  # per rule, its body predicates without a height
-    heads: list[str] = []
+    calls = [(r.head, tuple([r.atoms[i].name for i in r.calls])) for r in sid.rules]
+    reach = derive(roots, [(c, (head,)) for head, body in calls for c in body])
+    rules = [rule for rule in calls if rule[0] in reach]
     heights: dict[str, float] = {}
-    level: list[str] = []
-    seen = dict.fromkeys(roots)
-    todo = list(seen)
-    while todo:
-        for r in sid.rules_of(todo.pop()):
-            called = {a.name for a in r.preds}
-            for name in called:
-                callers.setdefault(name, []).append(len(heads))
-                if name not in seen:
-                    seen[name] = None
-                    todo.append(name)
-            waiting.append(len(called))
-            heads.append(r.head)
-            if not called and r.head not in heights:
-                heights[r.head] = 1
-                level.append(r.head)
-    h = 1
-    while level:
-        h += 1
-        done, level = level, []
-        for name in done:
-            for k in callers.get(name, ()):
-                waiting[k] -= 1
-                if waiting[k] == 0 and heads[k] not in heights:
-                    heights[heads[k]] = h
-                    level.append(heads[k])
-    return {name: heights.get(name, math.inf) for name in seen}
+    for head, k in derive((), rules).items():
+        heights[head] = 1 + max(map(heights.__getitem__, rules[k][1]), default=0)
+    return {name: heights.get(name, math.inf) for name in reach}
 
 
 def complete_unfoldings(sid: SID, f: Prenex, depth: int) -> list[Prenex]:

@@ -228,16 +228,19 @@ class Shape:
 @dataclass
 class Model:
     config: Configuration
-    store: dict[Var, str]
     provenance: str
     # its key in its set, which stored successor keys share
     key: tuple = field(repr=False, compare=False)
-    # what it shares with the other candidates of its shape
+    # what it shares with the other candidates of its shape, its store too
     shape: Shape = field(repr=False, compare=False)
     # canonical keys of the one-step successors, per fired interaction,
     # filled by `_successor_keys` and freed with the model's set
     steps: dict[Interaction, tuple[tuple, ...]] = field(
         default_factory=dict, repr=False, compare=False)
+
+    @property
+    def store(self) -> dict[Var, str]:
+        return dict(self.shape.store)
 
 
 class ModelSet:
@@ -417,7 +420,7 @@ def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
                 if key not in ms.entries:
                     ms.entries[key] = Model(Configuration(shape.components, shape.interactions,
                                                           pairs),
-                                            dict(store), f"unfolding#{k}", key, shape)
+                                            f"unfolding#{k}", key, shape)
         memo[f, depth] = ms
     return memo[f, depth]
 

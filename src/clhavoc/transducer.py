@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import Behavior
 from .eqform import EqFormula, Partition
-from .logic import Comp, Eq, Inter, SID, StateAtom, Var, beginvar, endvar, param
+from .logic import Comp, Eq, Inter, SID, StateAtom, Var, beginvar, derive, endvar, param
 from .automata import AlphabetSymbol, TaTransition, TreeAutomaton
 
 
@@ -327,13 +327,8 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID,
     """
     maxarity = max((sid.arity(p) for p in sid.predicates), default=0)
     taus = sorted(interaction_types(sid))
-    below, grew = {root_state}, True
-    while grew:
-        grew = False
-        for tr in ta.transitions:
-            if tr.result in below and not below.issuperset(tr.children):
-                below.update(tr.children)
-                grew = True
+    below = derive([root_state], [(c, (tr.result,)) for tr in ta.transitions
+                                  for c in tr.children])
     rules = [tr for tr in ta.transitions if tr.result in below]
     transitions: dict[TaTransition, list[Witness]] = {}
     discovered: list[ProductState] = []

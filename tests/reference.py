@@ -12,6 +12,7 @@ modules share, so that no test module imports another.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -19,8 +20,8 @@ from clhavoc.automata import AlphabetSymbol, TaTransition, TreeAutomaton, symbol
 from clhavoc.core import Behavior, Configuration, Interaction, degree, step
 from clhavoc.eqform import EMPTY_EQ, EqFormula, Partition
 from clhavoc.logic import (Atom, Comp, Eq, Pred, Prenex, Rule, SID, StateAtom, Var,
-                           atom_vars, param, split_atoms, substitute, unfold_formula,
-                           var_text)
+                           atom_vars, least_heights, param, split_atoms, substitute,
+                           unfold_formula, var_text)
 from clhavoc.oracle import Model, enumerate_models
 
 
@@ -236,6 +237,23 @@ def models(phi: EqFormula, universe, domain_size):
     return set(out)
 
 
+def reference_derive(facts, rules) -> dict:
+    """Each atom that the facts and the Horn rules (head, body) derive, with
+    its least height: a fact 0, a rule's head one more than its highest body
+    atom.  Every rule is re-scanned until no height changes."""
+    heights = dict.fromkeys(facts, 0)
+    changed = True
+    while changed:
+        changed = False
+        for head, body in rules:
+            if all(b in heights for b in body):
+                h = 1 + max((heights[b] for b in body), default=0)
+                if h < heights.get(head, math.inf):
+                    heights[head] = h
+                    changed = True
+    return heights
+
+
 def brute_force_profile(sid, depth=4):
     """Position i survives for B iff no partial unfolding of any root passes a
     non-root-parameter variable at position i of a B atom."""
@@ -249,6 +267,21 @@ def brute_force_profile(sid, depth=4):
                         if v not in params:
                             alive[a.name].discard(i)
     return {p: frozenset(s) for p, s in alive.items()}
+
+
+def assert_heights_match_brute_force(sid, preds, max_depth=5):
+    """`least_heights` against the least depth at which the full unfolding
+    walk completes each predicate, up to max_depth."""
+    heights = least_heights(sid, preds)
+    for pred in preds:
+        least = next((d for d in range(max_depth + 1)
+                      if any(done for _, done in
+                             unfold_formula(sid, ((), (sid.atom(pred),)), d))),
+                     None)
+        if least is None:
+            assert heights[pred] > max_depth, pred
+        else:
+            assert heights[pred] == least, pred
 
 
 def degree_sample(sid: SID, pred: str, depth: int) -> int:

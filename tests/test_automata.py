@@ -19,8 +19,9 @@ from clhavoc.reduction import class_equiv
 from clhavoc.transducer import image
 
 from conftest import FIXTURES, load, sha256, source_fixtures
-from reference import (BadAddress, Tree, char_formula, char_formula_closed, comp_in,
-                       dump_ta, enumerate_trees, from_exact, nodevar, reference_ta_to_sid)
+from reference import (BadAddress, Tree, assert_heights_match_brute_force, char_formula,
+                       char_formula_closed, comp_in, dump_ta, enumerate_trees, from_exact,
+                       nodevar, reference_ta_to_sid)
 
 
 def leaf_symbol(q, a0=3):
@@ -214,7 +215,8 @@ def test_ta_to_sid_single_transition():
 def assert_round_trip(ta, behavior):
     """sid_to_ta(ta_to_sid(ta)) gives back ta's transitions, in order, with
     each state read back as the predicate named for it; ta_to_sid's rules
-    equal the reference's one instantiation per transition, in order."""
+    equal the reference's one instantiation per transition, in order.
+    Returns the derived SID."""
     names = {q: f"S{k}" for k, q in enumerate(ta.states)}
     derived = ta_to_sid(ta, behavior, names.__getitem__)
     assert derived.rules == reference_ta_to_sid(ta, behavior, names.__getitem__).rules
@@ -222,6 +224,7 @@ def assert_round_trip(ta, behavior):
     assert back.transitions == tuple(
         TaTransition(tr.symbol, tuple(names[c] for c in tr.children), names[tr.result])
         for tr in ta.transitions)
+    return derived
 
 
 @pytest.mark.parametrize("path", source_fixtures(), ids=lambda p: p.name)
@@ -236,13 +239,20 @@ def test_ta_to_sid_inverts_sid_to_ta(path):
                           sid.behavior)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_ta_to_sid_inverts_sid_to_ta_on_ring_family(k):
+def ring_family_image(k):
+    """The token ring with budgets 0..k and the image of its rule automaton
+    at Ring_k_k."""
     sid = parse_system((FIXTURES / "ring.clsys").read_text()
                        .replace("=0..1", f"=0..{k}")).sid
     ta, _ = sid_to_ta(sid)
-    assert_round_trip(ta_trim(image(ta, f"Ring_{k}_{k}", sid, sid.behavior).automaton),
-                      sid.behavior)
+    return sid, image(ta, f"Ring_{k}_{k}", sid, sid.behavior).automaton
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_ta_to_sid_inverts_sid_to_ta_on_ring_family(k):
+    sid, product = ring_family_image(k)
+    derived = assert_round_trip(ta_trim(product), sid.behavior)
+    assert_heights_match_brute_force(derived, derived.predicates)
 
 
 def test_ta_to_sid_passes_tied_variables_to_the_call():
@@ -345,9 +355,11 @@ def test_trim_matches_reference_fixpoint(spec, finals):
 
 
 def test_trim_matches_reference_on_images(ring, pcring, tll):
+    products = [ring_family_image(k)[1] for k in (2, 3, 4, 5)]
     for sf, pred in ((ring, "Ring_1_1"), (pcring, "PcRing_1_1"), (tll, "Root")):
         ta, _ = sid_to_ta(sf.sid)
-        product = image(ta, pred, sf.sid, sf.sid.behavior).automaton
+        products.append(image(ta, pred, sf.sid, sf.sid.behavior).automaton)
+    for product in products:
         assert ta_trim(product) == reference_trim(product)
 
 

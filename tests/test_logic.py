@@ -19,13 +19,13 @@ from clhavoc.core import Configuration, Interaction
 from clhavoc.frontend import ParseError, parse_system, render_var
 from clhavoc.logic import (SID, Comp, Eq, Inter, Neq, Pred, Rule, StateAtom,
                            UnboundVariable, UndefinedPredicate, Var, atom_text,
-                           atom_vars, complete_unfoldings, eval_bounded, eval_pf,
+                           atom_vars, complete_unfoldings, derive, eval_bounded, eval_pf,
                            least_heights, prenex, substitute, unfold_formula,
                            var_text)
 from clhavoc.reduction import reduce_havoc_to_entailment
 
 from conftest import REUSE_CASES, corpus, corpus_text, load
-from reference import TOKEN, comp_in
+from reference import TOKEN, assert_heights_match_brute_force, comp_in, reference_derive
 
 X, Y, Z, U = Var("x"), Var("y"), Var("z"), Var("u")
 
@@ -449,19 +449,6 @@ def assert_walk_matches_reference(sid, f, depth):
     assert [binders_ranked(u) for u in complete_unfoldings(sid, f, depth)] == want
 
 
-def assert_heights_match_brute_force(sid, preds, max_depth=5):
-    heights = least_heights(sid, preds)
-    for pred in preds:
-        least = next((d for d in range(max_depth + 1)
-                      if any(done for _, done in
-                             unfold_formula(sid, ((), (sid.atom(pred),)), d))),
-                     None)
-        if least is None:
-            assert heights[pred] > max_depth, pred
-        else:
-            assert heights[pred] == least, pred
-
-
 @pytest.mark.parametrize("name", corpus())
 def test_complete_unfoldings_match_reference(name):
     sid = parse_system(corpus_text(name)).sid
@@ -505,6 +492,25 @@ def test_complete_unfoldings_of_derived_predicates(name, pred, depth):
         for d in range(depth + 1):
             assert_walk_matches_reference(sid, ((), (sid.atom(p),)), d)
     assert_heights_match_brute_force(sid, result.derived_sid.predicates)
+
+
+_horn_atoms = st.integers(0, 5)
+_horn_rules = st.lists(st.tuples(_horn_atoms, st.lists(_horn_atoms, max_size=3).map(tuple)),
+                       max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_horn_atoms, max_size=3), _horn_rules)
+def test_derive_matches_reference(facts, rules):
+    # bodies may be empty or repeat an atom, and rules may form cycles
+    derived = derive(facts, rules)
+    want = reference_derive(facts, rules)
+    assert derived.keys() == want.keys()
+    heights = {}
+    for atom, k in derived.items():
+        heights[atom] = 0 if k is None else 1 + max(map(heights.__getitem__, rules[k][1]),
+                                                     default=0)
+    assert heights == want
 
 
 def test_predicate_that_never_completes():
