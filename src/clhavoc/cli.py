@@ -20,7 +20,7 @@ from .analysis import render_pcr_table, check_pcr
 from .core import havoc_closure
 from .frontend import (ParseError, SystemFile, parse_system, render_config,
                        render_system)
-from .logic import least_heights, var_text
+from .logic import var_text
 from .oracle import (cross_validate_reduction, entails_bounded,
                      havoc_invariant_bounded)
 from .reduction import (ReductionResult, TightnessNotEstablished,
@@ -88,7 +88,7 @@ def _write_reduction(sf: SystemFile, result: ReductionResult, path: str,
 
 def _incomplete(sf: SystemFile, pred: str, depth: int) -> str | None:
     """Why the bounded check of pred enumerates nothing, if it does not."""
-    height = least_heights(sf.sid, [pred])[pred]
+    height = sf.sid.heights[pred]
     if height <= depth:
         return None
     least = f"least height {height}" if height < math.inf else "none ever completes"

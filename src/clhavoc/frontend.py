@@ -47,6 +47,9 @@ class SystemFile:
 
 _PUNCT = ["<-", "->", "!=", "|=", "..", "{", "}", "(", ")", "<", ">", "[", "]",
           ",", ";", ".", ":", "*", "=", "-", "+"]
+# index literals are ASCII: str.isdigit also holds for "²", which int()
+# refuses, and for "٣", which int() reads as 3
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -84,9 +87,9 @@ def _lex(text: str) -> list[Tok]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(Tok("int", text[i:j], line, col))
             col += j - i

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Behavior, Configuration
@@ -228,10 +229,11 @@ class SID:
     # the SID this one extends (see `extend`); its predicates unfold here as
     # there, so `oracle` keeps their model sets in the base's memo
     _base: SID | None = field(default=None, init=False, repr=False, compare=False)
-    # canonical keys of bounded-model candidates by exact form, which
-    # `oracle` alone reads and fills, in the root of the `_base` chain only:
-    # a key is a function of the candidate, so extensions share it
-    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the shapes of bounded-model candidates (`oracle.Shape`) by components,
+    # bindings and store, which `oracle` alone reads and fills, in the root
+    # of the `_base` chain only: the keys a shape keeps are functions of the
+    # candidate, so extensions share them
+    _shapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arities: dict[str, int] = {}
@@ -273,6 +275,11 @@ class SID:
 
     def rules_of(self, name: str) -> tuple[Rule, ...]:
         return self._by_head.get(name, ())
+
+    @cached_property
+    def heights(self) -> dict[str, float]:
+        """Each predicate's least completion height (`least_heights`)."""
+        return least_heights(self)
 
     def atom(self, name: str) -> Pred:
         """The predicate atom over canonical parameters x1..xN."""
@@ -477,22 +484,21 @@ def derive(facts: Iterable, rules: Iterable[tuple[object, Sequence]]) -> dict:
     return derived
 
 
-def least_heights(sid: SID, roots: Iterable[str]) -> dict[str, float]:
-    """The least completion height of each predicate reachable from roots.
+def least_heights(sid: SID) -> dict[str, float]:
+    """The least completion height of each predicate of sid.
 
     A rule with no predicate atom has height 1, any other 1 + the largest
     height of its body predicates; a predicate takes the least height of
-    its rules, or inf when none of them ever completes.  One `derive` finds
-    the reachable predicates, a second their rules' heads; heights follow
-    in derivation order from each head's first deriving rule.
+    its rules, or inf when none of them ever completes.  A height does not
+    depend on who calls the predicate, so one `derive` over every rule
+    derives the heads; heights follow in derivation order from each head's
+    first deriving rule.  `SID.heights` keeps the result per SID.
     """
-    calls = [(r.head, tuple([r.atoms[i].name for i in r.calls])) for r in sid.rules]
-    reach = derive(roots, [(c, (head,)) for head, body in calls for c in body])
-    rules = [rule for rule in calls if rule[0] in reach]
+    rules = [(r.head, tuple([r.atoms[i].name for i in r.calls])) for r in sid.rules]
     heights: dict[str, float] = {}
     for head, k in derive((), rules).items():
         heights[head] = 1 + max(map(heights.__getitem__, rules[k][1]), default=0)
-    return {name: heights.get(name, math.inf) for name in reach}
+    return {name: heights.get(name, math.inf) for name in sid.predicates}
 
 
 def complete_unfoldings(sid: SID, f: Prenex, depth: int) -> list[Prenex]:
@@ -501,14 +507,14 @@ def complete_unfoldings(sid: SID, f: Prenex, depth: int) -> list[Prenex]:
     They come in the order of the complete entries of `unfold_formula`, but
     the walk keeps only states from which one is still reachable: it expands
     an atom with budget b only by rules whose body predicates have least
-    completion heights <= b - 1 (`least_heights`).  Binder k of each
+    completion heights <= b - 1 (`SID.heights`).  Binder k of each
     unfolding is `%u`k, so unfoldings of one structure have equal atoms
     except for their state atoms; the names rank as `unfold_formula`'s do.
     """
     start = _start(sid, f, depth, itertools.count())
     _, atoms0, pending0 = start
     roots = [atoms0[i].name for i, _ in pending0]
-    heights = least_heights(sid, roots)
+    heights = sid.heights
     if any(heights[name] > depth for name in roots):
         return []
     # for each predicate reached, its rules with their heights

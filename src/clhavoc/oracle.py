@@ -19,26 +19,24 @@ store and skeleton form, so no configuration is built for it, and
 A key has two halves.  The skeleton form (`skeleton_form`) is the
 candidate without its states, searched once per connected part of its
 carrier; `state_key` writes a candidate's states through the labellings
-that reach each part's least form.  Enumeration computes one skeleton form
-per (components, bindings, store) per call, on the `Shape` its kept models
-share, and keys each candidate from it; a successor that misses the table
-is keyed from its model's shape alike.  `canonical_model` computes both
-halves at once from a configuration.
+that reach each part's least form.  `canonical_model` computes both halves
+at once from a configuration.
 
-A candidate is written as its exact form: its present ids, interaction
-bindings and state pairs, each sorted as text, and its store items in
-argument order.  Its key is computed once per distinct exact form: the
-root of an SID's `_base` chain holds a table from exact forms to keys,
-which enumeration and successor keying both read first.  A key depends only
-on the candidate, so the table is shared by every extension of the root,
-while model sets stay per SID.  Enumeration builds a configuration only for
-a model it keeps, and firing only for a counterexample's successor.
+A candidate is a `Shape`, its components, bindings and store, with a state
+table over the shape's carrier.  The root of an SID's `_base` chain holds
+the table of shapes, so each shape's skeleton form is searched once, and
+each shape keys each of its state tables once (`Shape.key`), for
+enumeration and successors alike.  A key depends only on the candidate, so
+the table is shared by every extension of the root, while model sets stay
+per SID.  Enumeration builds a configuration only for a model it keeps,
+and firing only for a counterexample's successor.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction
@@ -188,41 +186,53 @@ def _leaves(ids: list[str], inc: dict[str, list], col: dict[str, int],
 
 @dataclass(eq=False)
 class Shape:
-    """What the candidates of one `enumerate_models` call with equal
-    components, bindings and store share: those three as their exact forms
-    write them, the component and interaction sets of their configurations,
-    and, each formed on first use, their skeleton form and their firing
-    plan.  The carrier is the present ids, the bound ids and the store
-    range, so the candidates of a shape share it, and their sorted state
-    tables list the same ids in the same order."""
+    """What the candidates with equal components, bindings and store share:
+    those three, sorted as text but the store in argument order, and,
+    each formed on first use, their carrier, their component and
+    interaction sets, their skeleton form and their firing plan.  The
+    carrier is the present ids, the bound ids and the store range, sorted,
+    so it is the id column of each candidate's sorted state table.  `keys`
+    holds the canonical key of each state table keyed so far."""
 
     comps: tuple[str, ...]
     bindings: tuple[tuple[tuple[str, str], ...], ...]
     store: tuple[tuple[Var, str], ...]
-    components: frozenset[str]
-    interactions: frozenset[Interaction]
-    skeleton: tuple | None = None
-    # per interaction, in text order: the indices of its components in the
-    # state table, its ports, and whether all its components are present
-    plan: dict[Interaction, tuple[tuple[int, ...], tuple[str, ...], bool]] | None = None
+    keys: dict[tuple[tuple[str, str], ...], tuple] = field(default_factory=dict, repr=False)
 
-    def skeleton_of(self, state_pairs: Sequence[tuple[str, str]]) -> tuple:
-        """The shape's skeleton form, given the state table of one of its
-        candidates."""
-        if self.skeleton is None:
-            self.skeleton = skeleton_form(self.comps, self.bindings,
-                                          (c for c, _ in state_pairs), self.store)
-        return self.skeleton
+    @cached_property
+    def carrier(self) -> tuple[str, ...]:
+        return tuple(sorted({*self.comps, *(c for b in self.bindings for c, _ in b),
+                             *(c for _, c in self.store)}))
 
-    def firing(self, state_pairs: Sequence[tuple[str, str]]) -> dict:
-        """The shape's firing plan, given the state table of one of its
-        candidates."""
-        if self.plan is None:
-            at = {c: i for i, (c, _) in enumerate(state_pairs)}
-            self.plan = {inter: (tuple(map(at.__getitem__, inter.components)), inter.itype,
-                                 all(c in self.components for c in inter.components))
-                         for inter in sorted(self.interactions, key=repr)}
-        return self.plan
+    @cached_property
+    def components(self) -> frozenset[str]:
+        return frozenset(self.comps)
+
+    @cached_property
+    def interactions(self) -> frozenset[Interaction]:
+        return frozenset(map(Interaction, self.bindings))
+
+    @cached_property
+    def skeleton(self) -> tuple:
+        return skeleton_form(self.comps, self.bindings, self.carrier, self.store)
+
+    @cached_property
+    def firing(self) -> dict[Interaction, tuple[tuple[int, ...], tuple[str, ...], bool]]:
+        """Per interaction, in text order: the indices of its components in
+        the state table, its ports, and whether all its components are
+        present."""
+        at = {c: i for i, c in enumerate(self.carrier)}
+        return {inter: (tuple(map(at.__getitem__, inter.components)), inter.itype,
+                        all(c in self.components for c in inter.components))
+                for inter in sorted(self.interactions, key=repr)}
+
+    def key(self, state_pairs: tuple[tuple[str, str], ...]) -> tuple:
+        """The canonical key of the candidate with this state table, keyed
+        once."""
+        key = self.keys.get(state_pairs)
+        if key is None:
+            key = self.keys[state_pairs] = state_key(self.skeleton, state_pairs)
+        return key
 
 
 @dataclass
@@ -263,26 +273,18 @@ class ModelSet:
 
 
 # ---------------------------------------------------------------------------
-# the key table
-
-def _key_table(sid: SID) -> dict:
-    """The canonical keys by exact form of the root of sid's `_base` chain."""
-    while sid._base is not None:
-        sid = sid._base
-    return sid._keys
-
-
-# ---------------------------------------------------------------------------
 # model enumeration for predicate-free formulas
 
 def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],
                         free: Sequence[Var], states: Iterable[str],
-                        plans: dict | None = None) -> Iterator[tuple]:
+                        plans: dict | None = None,
+                        shapes: dict | None = None) -> Iterator[tuple[Shape, tuple]]:
     """All models of an exists-prefixed qpf formula, up to component renaming;
     each variable of the formula is free or bound.
 
-    Yields the exact forms of (configuration, store) pairs whose carrier
-    covers the store range; junk existentials (classes
+    Yields (configuration, store) pairs whose carrier covers the store range,
+    each as its shape, from `shapes` under its components, bindings and
+    store, and its sorted state table; junk existentials (classes
     touching no spatial atom and no free variable) are dropped, since the
     infinite pool always satisfies them.  The state-free part of the work is
     a plan (`_plan`), kept in `plans` under the formula's variables and
@@ -296,7 +298,7 @@ def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],
     plan = plans.get(key)
     if plan is None:
         plan = plans[key] = _plan(*key)
-    return _instantiate(plan, state_atoms, sorted(states))
+    return _instantiate(plan, state_atoms, sorted(states), {} if shapes is None else shapes)
 
 
 def _plan(free: Sequence[Var], binders: Sequence[Var], comp_vars: Sequence[Var],
@@ -305,7 +307,7 @@ def _plan(free: Sequence[Var], binders: Sequence[Var], comp_vars: Sequence[Var],
     """The class of each variable, and per merge of the classes that the
     disequalities and interaction atoms allow: the bucket of each class, the
     name of each relevant bucket, the relevant buckets sorted, and the
-    sorted components, sorted bindings and store that its exact forms share.
+    components, bindings and store of its candidates' shape.
 
     Equalities fix the classes, free variables first, then binders; each
     component atom opens a present bucket, and every other class joins one
@@ -341,9 +343,9 @@ def _plan(free: Sequence[Var], binders: Sequence[Var], comp_vars: Sequence[Var],
         # sound to drop: the infinite pool supplies them in any pinned state
         names = {b: f"n{b}" for b in relevant}
         merges.append((bucket, names, sorted(relevant),
-                       tuple(sorted(names[b] for b in range(ncomp))),
-                       tuple(sorted(tuple((names[b], p) for b, p in t) for t in tuples)),
-                       tuple((v, names[bucket[cls_of[v]]]) for v in free)))
+                       (tuple(sorted(names[b] for b in range(ncomp))),
+                        tuple(sorted(tuple((names[b], p) for b, p in t) for t in tuples)),
+                        tuple((v, names[bucket[cls_of[v]]]) for v in free))))
     return cls_of, merges
 
 
@@ -362,20 +364,23 @@ def _merges(other_classes: Sequence[int], ncomp: int, i: int,
 
 
 def _instantiate(plan: tuple[dict, list], state_atoms: Sequence[StateAtom],
-                 states: list[str]) -> Iterator[tuple]:
-    """The exact forms of a plan under a formula's state atoms: per merge,
+                 states: list[str], shapes: dict) -> Iterator[tuple[Shape, tuple]]:
+    """The candidates of a plan under a formula's state atoms: per merge,
     the state atoms pin their buckets (a bucket pinned to two states drops
     the merge), and the other relevant buckets range over the states."""
     cls_of, merges = plan
     pin_cls = [(cls_of[a.var], a.state) for a in state_atoms]
-    for bucket, names, relevant, comps, bindings, store in merges:
+    for bucket, names, relevant, form in merges:
         pins: dict[int, str] = {}
         if any(pins.setdefault(bucket[ci], q) != q for ci, q in pin_cls):
             continue
+        shape = shapes.get(form)
+        if shape is None:
+            shape = shapes[form] = Shape(*form)
         pinned = [(names[b], q) for b, q in pins.items() if b in names]
         unpinned = [names[b] for b in relevant if b not in pins]
         for choice in itertools.product(states, repeat=len(unpinned)):
-            yield comps, bindings, tuple(sorted([*pinned, *zip(unpinned, choice)])), store
+            yield shape, tuple(sorted([*pinned, *zip(unpinned, choice)]))
 
 
 def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
@@ -387,36 +392,25 @@ def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
     its base's memo for a predicate of the base (see `SID.extend`), which
     unfolds there alike; sets are shared between callers, so do not modify
     one (successor keys are filled in as they are first asked for).  Each
-    distinct candidate is keyed once per root SID (see `_key_table`), and
-    a configuration is built only for a model that is kept.  Within one
-    call, each skeleton of the unfoldings (their shared non-state atoms) is
-    planned once, and the candidates with equal components, bindings and
-    store share one `Shape`, whose skeleton form is formed when the first
-    of them is keyed."""
+    candidate comes with its shape from the root SID's shape table, which
+    keys it once per root SID, and a configuration is built only for a
+    model that is kept.  Within one call, each skeleton of the unfoldings
+    (their shared non-state atoms) is planned once."""
     closed, (atom,) = f
     while sid._base is not None and atom.name in sid._base.predicates:
         sid = sid._base
     memo = sid._memo
     if (f, depth) not in memo:
         free = [v for v in atom.args if v not in closed]
-        table = _key_table(sid)
+        root = sid
+        while root._base is not None:
+            root = root._base
         ms = ModelSet()
         plans: dict = {}
-        shapes: dict[tuple, Shape] = {}
         for k, (binders, atoms) in enumerate(complete_unfoldings(sid, f, depth)):
-            for exact in enumerate_pf_models(binders, atoms, free, sid.behavior.states,
-                                             plans):
-                key = table.get(exact)
-                if key is not None and key in ms.entries:
-                    continue
-                comps, bindings, pairs, store = exact
-                shape = shapes.get((comps, bindings, store))
-                if shape is None:
-                    shape = shapes[comps, bindings, store] = Shape(
-                        comps, bindings, store, frozenset(comps),
-                        frozenset(map(Interaction, bindings)))
-                if key is None:
-                    key = table[exact] = state_key(shape.skeleton_of(pairs), pairs)
+            for shape, pairs in enumerate_pf_models(binders, atoms, free, sid.behavior.states,
+                                                    plans, root._shapes):
+                key = shape.key(pairs)
                 if key not in ms.entries:
                     ms.entries[key] = Model(Configuration(shape.components, shape.interactions,
                                                           pairs),
@@ -448,18 +442,13 @@ def _model_order(ms: ModelSet) -> list[tuple[tuple, Model]]:
     return sorted(ms.entries.items(), key=lambda kv: (len(kv[1].config.components), kv[0]))
 
 
-def _firing(model: Model) -> dict:
-    """The firing plan of the model's shape (`Shape.firing`)."""
-    return model.shape.firing(model.config.state_pairs)
-
-
 def _fire(behavior: Behavior, model: Model, inter: Interaction) -> list[tuple]:
     """The state tables of the successors of firing inter in the model,
     distinct and sorted: the model's table with each bound component's
     entry replaced by a target of its port, one table per choice of
     targets."""
     pairs = model.config.state_pairs
-    idx, ports, _ = _firing(model)[inter]
+    idx, ports, _ = model.shape.firing[inter]
     tables = set()
     for combo in itertools.product(*(behavior.targets(pairs[i][1], p)
                                      for i, p in zip(idx, ports))):
@@ -474,30 +463,24 @@ def _successor_keys(sid: SID, ms: ModelSet, model: Model,
                     inter: Interaction) -> tuple[tuple, ...]:
     """Canonical keys of the successors of firing inter in the model, a
     member of sid's set ms, in the order of `core.step`'s successors sorted
-    by `state_pairs`; computed once per model and interaction, and looked up
-    by exact form in sid's key table first.  A key that ms holds is stored
-    as its member's own key, so the stored keys copy none of ms's.
+    by `state_pairs`; computed once per model and interaction.  A key that
+    ms holds is stored as its member's own key, so the stored keys copy none
+    of ms's.
 
     Firing changes states and never ids, so a successor has its model's
     components, bindings, store and carrier: its model's shape.  The
     model's `state_pairs` is sorted by id, so writing targets into its
     entries in place keeps it sorted, and each table `_fire` returns is its
-    successor's sorted state pairs.  The successor's exact form is then the
-    shape's components, bindings and store around that table, and its key
-    is the table written through the shape's skeleton form.  `core.step`
-    returns one configuration per distinct table, and configurations of one
-    shape order as their tables, so sorting the distinct tables gives its
-    successors in the order of their sorted `state_pairs`."""
+    successor's sorted state pairs, which the shape keys (`Shape.key`).
+    `core.step` returns one configuration per distinct table, and
+    configurations of one shape order as their tables, so sorting the
+    distinct tables gives its successors in the order of their sorted
+    `state_pairs`."""
     keys = model.steps.get(inter)
     if keys is None:
-        table = _key_table(sid)
-        shape = model.shape
         keys = []
         for pairs in _fire(sid.behavior, model, inter):
-            exact = (shape.comps, shape.bindings, pairs, shape.store)
-            key = table.get(exact)
-            if key is None:
-                key = table[exact] = state_key(shape.skeleton_of(pairs), pairs)
+            key = model.shape.key(pairs)
             member = ms.entries.get(key)
             keys.append(key if member is None else member.key)
         keys = model.steps[inter] = tuple(keys)
@@ -513,7 +496,7 @@ def havoc_invariant_bounded(sid: SID, pred: str, depth: int) -> HavocReport:
     """
     ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
     for _, model in _model_order(ms):
-        for inter in _firing(model):
+        for inter in model.shape.firing:
             for k, key in enumerate(_successor_keys(sid, ms, model, inter)):
                 if key not in ms:
                     g = model.config
@@ -544,9 +527,8 @@ def entails_bounded(sid: SID, lhs: str, rhs: str, depth: int) -> EntailReport:
     ms = enumerate_models(sid, ((), (sid.atom(lhs),)), depth)
     if not ms:  # no model to check: skip unfolding the right-hand side
         return EntailReport(True, depth, 0, None)
-    rhs_models = enumerate_models(
-        sid, (tuple(Var(f"x{i}") for i in range(na + 1, nb + 1)), (sid.atom(rhs),)),
-        depth)
+    rhs_atom = sid.atom(rhs)
+    rhs_models = enumerate_models(sid, (rhs_atom.args[na:], (rhs_atom,)), depth)
     for key, model in _model_order(ms):
         if key not in rhs_models:
             return EntailReport(False, depth, len(ms),
@@ -577,7 +559,7 @@ def cross_validate_reduction(sid: SID, pred: str, depth: int,
     left: set[tuple] = set()
     ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
     for model in ms.entries.values():
-        for inter, (_, _, present) in _firing(model).items():
+        for inter, (_, _, present) in model.shape.firing.items():
             if present:
                 left.update(_successor_keys(sid, ms, model, inter))
     right: dict[tuple, Model] = {}

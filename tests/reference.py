@@ -20,7 +20,7 @@ from clhavoc.automata import AlphabetSymbol, TaTransition, TreeAutomaton, symbol
 from clhavoc.core import Behavior, Configuration, Interaction, degree, step
 from clhavoc.eqform import EMPTY_EQ, EqFormula, Partition
 from clhavoc.logic import (Atom, Comp, Eq, Pred, Prenex, Rule, SID, StateAtom, Var,
-                           atom_vars, least_heights, param, split_atoms, substitute,
+                           atom_vars, param, split_atoms, substitute,
                            unfold_formula, var_text)
 from clhavoc.oracle import Model, enumerate_models
 
@@ -269,11 +269,12 @@ def brute_force_profile(sid, depth=4):
     return {p: frozenset(s) for p, s in alive.items()}
 
 
-def assert_heights_match_brute_force(sid, preds, max_depth=5):
-    """`least_heights` against the least depth at which the full unfolding
+def assert_heights_match_brute_force(sid, max_depth=5):
+    """`SID.heights` against the least depth at which the full unfolding
     walk completes each predicate, up to max_depth."""
-    heights = least_heights(sid, preds)
-    for pred in preds:
+    heights = sid.heights
+    assert list(heights) == list(sid.predicates)
+    for pred in sid.predicates:
         least = next((d for d in range(max_depth + 1)
                       if any(done for _, done in
                              unfold_formula(sid, ((), (sid.atom(pred),)), d))),
@@ -304,6 +305,13 @@ def exact_form(components: Iterable[str], bindings: Iterable[tuple[tuple[str, st
     candidates, so they have one canonical key."""
     return (tuple(sorted(components)), tuple(sorted(bindings)),
             tuple(sorted(state_pairs)), tuple(store))
+
+
+def exact_of(candidate: tuple) -> tuple:
+    """The exact form of a candidate as `oracle.enumerate_pf_models` yields
+    it, its shape and its state table."""
+    shape, state_pairs = candidate
+    return shape.comps, shape.bindings, state_pairs, shape.store
 
 
 def from_exact(exact: tuple) -> tuple[Configuration, dict[Var, str]]:

@@ -20,8 +20,8 @@ from clhavoc.transducer import image
 
 from conftest import FIXTURES, load, sha256, source_fixtures
 from reference import (BadAddress, Tree, assert_heights_match_brute_force, char_formula,
-                       char_formula_closed, comp_in, dump_ta, enumerate_trees, from_exact,
-                       nodevar, reference_ta_to_sid)
+                       char_formula_closed, comp_in, dump_ta, enumerate_trees, exact_of,
+                       from_exact, nodevar, reference_ta_to_sid)
 
 
 def leaf_symbol(q, a0=3):
@@ -252,7 +252,7 @@ def ring_family_image(k):
 def test_ta_to_sid_inverts_sid_to_ta_on_ring_family(k):
     sid, product = ring_family_image(k)
     derived = assert_round_trip(ta_trim(product), sid.behavior)
-    assert_heights_match_brute_force(derived, derived.predicates)
+    assert_heights_match_brute_force(derived)
 
 
 def test_ta_to_sid_passes_tied_variables_to_the_call():
@@ -373,8 +373,8 @@ def height(t: Tree) -> int:
 def enumerate_formula_models(formula, free, behavior):
     """The canonical keys of the models of a predicate-free prenex form."""
     binders, atoms = formula
-    return {canonical_model(*from_exact(exact))
-            for exact in enumerate_pf_models(binders, atoms, free, behavior.states)}
+    return {canonical_model(*from_exact(exact_of(c)))
+            for c in enumerate_pf_models(binders, atoms, free, behavior.states)}
 
 
 def tree_model_keys(sid, ta, state, arity, depth, max_nodes=None):
@@ -467,7 +467,8 @@ def test_loose_leaf_rules_break_the_walk_property(tll_original):
 
 
 def _pf_models(atoms, free, behavior):
-    return map(from_exact, enumerate_pf_models([], atoms, free, behavior.states))
+    return (from_exact(exact_of(c))
+            for c in enumerate_pf_models([], atoms, free, behavior.states))
 
 
 

@@ -22,12 +22,18 @@ def test_parse_dumps_canonical_text(capsys):
     assert "sid {" in out and "behavior {" in out
 
 
-def test_parse_error_exit_3(tmp_path, capsys):
+@pytest.mark.parametrize("body, error", [
+    ("A() <- <x.out y.in>;", "1:54: expected"),
+    # int() refuses the superscript; the Arabic-Indic three read as 3
+    ("P[h=0..\u00b2]() <- emp;", "1:47: unexpected character"),
+    ("P[\u0663]() <- emp;", "1:42: unexpected character"),
+], ids=["missing-comma", "superscript", "arabic-indic"])
+def test_parse_error_exit_3(tmp_path, capsys, body, error):
     bad = tmp_path / "broken.clsys"
-    bad.write_text("behavior { ports in; states q; } sid { A() <- <x.out y.in>; }")
+    bad.write_text("behavior { ports in; states q; } sid { " + body + " }", encoding="utf-8")
     code, out, err = run(capsys, "parse", str(bad))
-    assert code == 3
-    assert "expected" in err
+    assert code == 3 and out == ""
+    assert error in err
 
 
 def test_missing_file_exit_3(capsys):

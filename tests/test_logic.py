@@ -455,7 +455,7 @@ def test_complete_unfoldings_match_reference(name):
     for pred in sid.predicates:
         for depth in range(MAX_DEPTH.get(name, 5) + 1):
             assert_walk_matches_reference(sid, ((), (sid.atom(pred),)), depth)
-    assert_heights_match_brute_force(sid, sid.predicates)
+    assert_heights_match_brute_force(sid)
 
 
 def test_complete_unfoldings_match_reference_under_binders(ring):
@@ -491,7 +491,7 @@ def test_complete_unfoldings_of_derived_predicates(name, pred, depth):
     for p in result.derived_sid.predicates:
         for d in range(depth + 1):
             assert_walk_matches_reference(sid, ((), (sid.atom(p),)), d)
-    assert_heights_match_brute_force(sid, result.derived_sid.predicates)
+    assert_heights_match_brute_force(sid)
 
 
 _horn_atoms = st.integers(0, 5)
@@ -519,7 +519,7 @@ def test_predicate_that_never_completes():
     maybe = [Rule("Maybe", (X,), (), (Pred("Loop", (X,)),)),
              Rule("Maybe", (X,), (), (Comp(X), StateAtom(X, "H")))]
     sid = SID((loop, *maybe), TOKEN)
-    assert least_heights(sid, ["Maybe"]) == {"Maybe": 1, "Loop": math.inf}
+    assert least_heights(sid) == sid.heights == {"Maybe": 1, "Loop": math.inf}
     loop_f, maybe_f = ((), (Pred("Loop", (X,)),)), ((), (Pred("Maybe", (X,)),))
     for depth in range(4):
         assert complete_unfoldings(sid, loop_f, depth) == []

@@ -18,7 +18,7 @@ from clhavoc.frontend import parse_system, render_config
 from clhavoc.logic import (Comp, Eq, Neq, Pred, SID, StateAtom, Var, complete_unfoldings,
                            eval_bounded, eval_pf, unfold_formula, var_text)
 from clhavoc.oracle import (Counterexample, CrossReport, EntailReport, HavocReport,
-                            Model, _firing, _model_order, _successor_keys,
+                            Model, _model_order, _successor_keys,
                             canonical_model, cross_validate_reduction,
                             enumerate_models, enumerate_pf_models, entails_bounded,
                             havoc_invariant_bounded, skeleton_form, state_key)
@@ -26,7 +26,7 @@ from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
 from clhavoc.transducer import transducer_step
 
 from conftest import REUSE_CASES, corpus, corpus_text, source_fixtures
-from reference import (TOKEN, from_exact, reference_key, reference_pf_models,
+from reference import (TOKEN, exact_of, from_exact, reference_key, reference_pf_models,
                        reference_successors)
 
 X1, X2 = Var("x1"), Var("x2")
@@ -694,12 +694,12 @@ def test_cross_validation_reuses_built_models(name, pred, depth, monkeypatch):
 
 def test_model_memo_belongs_to_one_sid_object():
     a, b = parse_system(XVAL_TEXTS["ring.clsys"]).sid, parse_system(XVAL_TEXTS["ring.clsys"]).sid
-    assert a._memo is not b._memo and a._keys is not b._keys
+    assert a._memo is not b._memo and a._shapes is not b._shapes
     ms = enumerate_models(a, ((), (a.atom("Ring_1_1"),)), 3)
     assert enumerate_models(a, ((), (a.atom("Ring_1_1"),)), 3) is ms
     assert a._memo and not b._memo
-    assert a._keys and not b._keys
-    # equality, hash and text ignore the memo and the key table
+    assert a._shapes and not b._shapes
+    # equality, hash and text ignore the memo and the shape table
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     other = enumerate_models(b, ((), (b.atom("Ring_1_1"),)), 3)
     assert other is not ms and other.keys() == ms.keys()
@@ -742,7 +742,7 @@ def test_cross_validation_after_direct_check_keys_nothing(name, pred, depth, mon
 
 
 # ---------------------------------------------------------------------------
-# one canonical key per distinct candidate, in the root SID's key table
+# one canonical key per distinct candidate, in the root SID's shape table
 
 def spy_keys(monkeypatch):
     """Record every state_key call the oracle makes from now on; each key,
@@ -764,8 +764,7 @@ def spy_skeletons(monkeypatch):
 def test_entailments_key_each_distinct_candidate_once(monkeypatch):
     # a target's unfoldings are the source's with other state atoms: 510
     # candidates are enumerated and 240 of them are distinct; those have 6
-    # skeletons, each formed once per enumeration that keys one of its
-    # candidates, 11 times in all
+    # shapes, each forming its skeleton once
     sid = parse_system(XVAL_TEXTS["ring.clsys"]).sid
     result = reduce_havoc_to_entailment(sid, "Ring_1_1", assume_tight=True)
     candidates = []
@@ -775,12 +774,15 @@ def test_entailments_key_each_distinct_candidate_once(monkeypatch):
     for lhs, rhs in result.entailments:
         assert entails_bounded(result.combined_sid, lhs, rhs, 8).holds
     assert len(candidates) == 510
-    assert len(set(candidates)) == len(calls) == len(sid._keys) == 240
-    assert len(skeletons) == 11
+    assert len(set(candidates)) == len(calls) == 240
+    assert sum(len(shape.keys) for shape in sid._shapes.values()) == 240
+    assert len(skeletons) == len(sid._shapes) == 6
     assert len({(tuple(comps), tuple(bindings), tuple(store))
                 for comps, bindings, _, store in skeletons}) == 6
     # the table lives in the source SID, and the combined SID keeps none
-    assert set(sid._keys) == set(candidates) and not result.combined_sid._keys
+    assert ({(shape, pairs) for shape in sid._shapes.values() for pairs in shape.keys}
+            == set(candidates))
+    assert not result.combined_sid._shapes
 
 
 @pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
@@ -871,14 +873,14 @@ def test_successor_over_eleven_ids_hits_the_table(monkeypatch):
 
 def reference_models(sid, f, depth):
     """enumerate_models' entries as they were when each candidate was
-    keyed afresh, with no key table and no memo: per key, the first
+    keyed afresh, with no shape table and no memo: per key, the first
     candidate's (key, configuration, store items, provenance)."""
     closed, (atom,) = f
     free = [v for v in atom.args if v not in closed]
     entries = {}
     for k, (binders, atoms) in enumerate(complete_unfoldings(sid, f, depth)):
-        for exact in enumerate_pf_models(binders, atoms, free, sid.behavior.states):
-            g, nu = from_exact(exact)
+        for c in enumerate_pf_models(binders, atoms, free, sid.behavior.states):
+            g, nu = from_exact(exact_of(c))
             key = canonical_model(g, nu)
             if key not in entries:
                 entries[key] = (key, g, list(nu.items()), f"unfolding#{k}")
@@ -894,17 +896,22 @@ def assert_models_match_reference(sid, f, depth):
     assert [(k, m.config, list(m.store.items()), m.provenance)
             for k, m in ms.entries.items()] == list(want.values())
     for m in ms.entries.values():
-        # the shape's firing plan lists the interactions in text order
-        assert list(_firing(m)) == sorted(m.config.interactions, key=repr)
+        # the shape's carrier is the id column of the model's state table,
+        # and its firing plan lists the interactions in text order
+        assert m.shape.carrier == tuple(c for c, _ in m.config.state_pairs)
+        assert list(m.shape.firing) == sorted(m.config.interactions, key=repr)
         for inter in sorted(m.config.interactions, key=repr):
             keys = _successor_keys(sid, ms, m, inter)
             assert keys == m.steps[inter] == tuple(
                 canonical_model(g2, m.store)
                 for g2 in reference_successors(sid.behavior, m, inter))
-    # the two keying paths agree: every key in the table, whether enumeration
-    # wrote it by skeleton or successor keying by canonical_model
-    table = oracle._key_table(sid)
-    assert all(key == canonical_model(*from_exact(exact)) for exact, key in table.items())
+    # every key of every shape in the root's table, whether enumeration or
+    # successor keying asked for it, is the candidate's canonical_model
+    root = sid
+    while root._base is not None:
+        root = root._base
+    assert all(key == canonical_model(*from_exact(exact_of((shape, pairs))))
+               for shape in root._shapes.values() for pairs, key in shape.keys.items())
 
 
 CORPUS_CASES = [(name, pred, 2 if name == "tll_original.clsys" else 3)
@@ -922,7 +929,7 @@ def test_keyed_models_match_fresh_keys(name, pred, depth):
 def test_keyed_models_of_combined_sid_match_fresh_keys(name, pred, depth):
     # after the check, the entailments have filled the table
     sid, result = checked(name, pred, depth)
-    assert sid._keys
+    assert sid._shapes
     combined = result.combined_sid
     for p in (pred, *result.derived_sid.predicates):
         assert_models_match_reference(combined, ((), (combined.atom(p),)), depth)
@@ -1000,7 +1007,7 @@ def test_recursive_helpers_leave_no_cycles():
 # one plan per skeleton: candidates as the per-formula enumeration built them
 
 def assert_planned_like_reference(binders, atoms, free, states, plans):
-    assert (list(enumerate_pf_models(binders, atoms, free, states, plans))
+    assert (list(map(exact_of, enumerate_pf_models(binders, atoms, free, states, plans)))
             == list(reference_pf_models(binders, atoms, free, states)))
 
 
