@@ -21,7 +21,7 @@ from .core import havoc_closure
 from .frontend import (ParseError, SystemFile, parse_system, render_config,
                        render_system)
 from .logic import var_text
-from .oracle import (cross_validate_reduction, entails_bounded,
+from .oracle import (Counterexample, cross_validate_reduction, entails_bounded,
                      havoc_invariant_bounded)
 from .reduction import (ReductionResult, TightnessNotEstablished,
                         UnallocatedStateAtom, manifest_dict,
@@ -84,6 +84,14 @@ def _write_reduction(sf: SystemFile, result: ReductionResult, path: str,
     with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest_dict(result), indent=2, sort_keys=True) + "\n")
     return reduced_path
+
+
+def _counterexample(name: str, ce: Counterexample) -> str:
+    """A counterexample's configuration, then its store, if it has one."""
+    text = render_config(name, ce.config)
+    if ce.store:
+        text += "\nstore: " + ", ".join(f"{var_text(v)} = {c}" for v, c in ce.store.items())
+    return text
 
 
 def _incomplete(sf: SystemFile, pred: str, depth: int) -> str | None:
@@ -209,7 +217,7 @@ def _run(sf: SystemFile, args) -> int:
             _emit(text, args.output)
             return 0
         text += "\nverdict: Counterexample\n"
-        text += render_config("counterexample", bad.counterexample.config) + "\n"
+        text += _counterexample("counterexample", bad.counterexample) + "\n"
         _emit(text, args.output)
         return 1
 
@@ -224,7 +232,7 @@ def _run(sf: SystemFile, args) -> int:
         else:
             ce = rep.counterexample
             lines.append("direct: Counterexample")
-            lines.append(render_config("model", ce.config))
+            lines.append(_counterexample("model", ce))
             lines.append(f"fires {ce.interaction!r} reaching")
             lines.append(render_config("successor", ce.successor))
         try:

@@ -213,6 +213,26 @@ class Rule:
         """The predicate-free atoms of the body, in order."""
         return tuple(a for i, a in enumerate(self.atoms) if i not in self.calls)
 
+    @cached_property
+    def skeleton(self) -> tuple:
+        """The rule's positional key: its parameter and binder counts, then
+        each non-state atom in body order as its kind, the positions of its
+        variables among params + binders and its ports.  A predicate atom is
+        its positions only, so rules that differ only in state atoms and
+        predicate names have one key."""
+        at = {v: i for i, v in enumerate(self.params + self.binders)}
+        return (len(self.params), len(self.binders),
+                tuple((type(a), tuple(at[v] for v in atom_vars(a)),
+                       tuple(p for _, p in a.bindings) if type(a) is Inter else ())
+                      for a in self.atoms if type(a) is not StateAtom))
+
+    @cached_property
+    def state_slots(self) -> tuple[tuple[int, str], ...]:
+        """Each state atom of the body as the position of its variable
+        among params + binders (an index into `Node.fills`), and its state."""
+        at = {v: i for i, v in enumerate(self.params + self.binders)}
+        return tuple((at[a.var], a.state) for a in self.atoms if type(a) is StateAtom)
+
 
 @dataclass(frozen=True)
 class SID:
@@ -234,6 +254,11 @@ class SID:
     # of the `_base` chain only: the keys a shape keeps are functions of the
     # candidate, so extensions share them
     _shapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the skeleton tries of `complete_unfoldings`, one root `Node` per formula
+    # skeleton, in the root of the `_base` chain only: a node is a function
+    # of its root and the positional keys of the rules expanded below it, so
+    # extensions, other depths and other predicate names share it
+    _nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arities: dict[str, int] = {}
@@ -267,6 +292,14 @@ class SID:
     @property
     def predicates(self) -> tuple[str, ...]:
         return tuple(self._by_head)
+
+    @property
+    def root(self) -> SID:
+        """The root of this SID's `_base` chain."""
+        sid = self
+        while sid._base is not None:
+            sid = sid._base
+        return sid
 
     def arity(self, name: str) -> int:
         if name not in self._by_head:
@@ -501,39 +534,114 @@ def least_heights(sid: SID) -> dict[str, float]:
     return {name: heights.get(name, math.inf) for name in sid.predicates}
 
 
-def complete_unfoldings(sid: SID, f: Prenex, depth: int) -> list[Prenex]:
-    """The complete unfoldings of f at height <= depth, as prenex forms.
+class Node:
+    """A skeleton: a partial unfolding without its state atoms.
+
+    `binders` are `%u`0, `%u`1, ... by position, and `atoms` the
+    unfolding's other atoms in order, each pending predicate atom as the
+    tuple of its arguments: its name, like its budget and the state atoms,
+    belongs to the walk's path (`complete_unfoldings`).  `free` are the
+    root's variables that no binder binds, in argument order, and `fills`
+    the variables that the expansion making this node put in for the rule's
+    parameters and binders, in that order.  `children` maps a rule's positional key
+    (`Rule.skeleton`) to the node that expanding the first pending atom by
+    that rule makes, materialised with one substitution on first use; equal
+    keys give equal atoms in equal order.  `plan` is the bounded oracle's,
+    built on first use."""
+
+    __slots__ = ("binders", "atoms", "free", "fills", "at", "children", "plan")
+
+    def __init__(self, binders: tuple[Var, ...], atoms: tuple, free: tuple[Var, ...],
+                 fills: tuple[Var, ...] = ()) -> None:
+        self.binders, self.atoms, self.free, self.fills = binders, atoms, free, fills
+        # the first pending predicate atom, which the walk expands next
+        self.at = next((i for i, a in enumerate(atoms) if type(a) is tuple), None)
+        self.children: dict[tuple, Node] = {}
+        self.plan = None
+
+    def child(self, rule: Rule) -> Node:
+        """The node that expanding the first pending atom by the rule makes:
+        parameters go to the atom's arguments and binders to the next `%u`
+        variables."""
+        key = rule.skeleton
+        node = self.children.get(key)
+        if node is None:
+            _, nbinders, body = key
+            n, at = len(self.binders), self.at
+            fresh = tuple(Var("%u", (k,)) for k in range(n, n + nbinders))
+            fills = self.atoms[at] + fresh
+            made = []
+            for kind, slots, ports in body:
+                args = tuple(map(fills.__getitem__, slots))
+                made.append(args if kind is Pred else
+                            Inter(tuple(zip(args, ports))) if kind is Inter else kind(*args))
+            node = self.children[key] = Node(
+                self.binders + fresh, self.atoms[:at] + tuple(made) + self.atoms[at + 1:],
+                self.free, fills)
+        return node
+
+    def form(self, states: Iterable[tuple[Var, str]]) -> Prenex:
+        """The prenex form of this complete node under the given state atoms."""
+        return self.binders, self.atoms + tuple(StateAtom(v, q) for v, q in states)
+
+
+def complete_unfoldings(sid: SID, f: Prenex,
+                        depth: int) -> list[tuple[Node, tuple[tuple[Var, str], ...]]]:
+    """The complete unfoldings of f at height <= depth, each as its skeleton
+    node and its state atoms, as (variable, state) pairs.
 
     They come in the order of the complete entries of `unfold_formula`, but
-    the walk keeps only states from which one is still reachable: it expands
+    the walk keeps only paths from which one is still reachable: it expands
     an atom with budget b only by rules whose body predicates have least
-    completion heights <= b - 1 (`SID.heights`).  Binder k of each
-    unfolding is `%u`k, so unfoldings of one structure have equal atoms
-    except for their state atoms; the names rank as `unfold_formula`'s do.
+    completion heights <= b - 1 (`SID.heights`).  A path is a node, the
+    names and budgets of its pending predicate atoms and the state atoms so
+    far.  Nodes live in the root SID's `_nodes`, under f's skeleton, so the
+    source, the targets of a reduction and every depth walk the same trie.
+    Binder k of each unfolding is `%u`k, so `node.form(states)` has the
+    atoms of the matching complete entry of `unfold_formula`, and binders
+    that rank as its do.
     """
-    start = _start(sid, f, depth, itertools.count())
-    _, atoms0, pending0 = start
-    roots = [atoms0[i].name for i, _ in pending0]
+    binders, atoms = prenex(f, prefix="%u")
+    for a in atoms:
+        if type(a) is Pred and a.name not in sid._by_head:
+            raise UndefinedPredicate(a.name)
     heights = sid.heights
-    if any(heights[name] > depth for name in roots):
+    pending = tuple((a.name, depth) for a in atoms if type(a) is Pred)
+    if any(heights[name] > depth for name, _ in pending):
         return []
-    # for each predicate reached, its rules with their heights
-    ranked: dict[str, list[tuple[float, Rule]]] = {}
-    results: list[Prenex] = []
-    stack = [start]
+    skeleton = tuple(a.args if type(a) is Pred else a for a in atoms if type(a) is not StateAtom)
+    nodes = sid.root._nodes
+    root = nodes.get((binders, skeleton))
+    if root is None:
+        root = nodes[binders, skeleton] = Node(binders, skeleton, tuple(
+            v for a in skeleton for v in (a if type(a) is tuple else atom_vars(a))
+            if v not in binders))
+    # per (predicate, budget) reached, the rules that may expand it, last
+    # first, each with its positional key, its state atoms and the pending
+    # atoms its body calls
+    ranked: dict[tuple[str, int], list] = {}
+    results = []
+    stack = [(root, pending, tuple((a.var, a.state) for a in atoms if type(a) is StateAtom))]
     while stack:
-        state = stack.pop()
-        binders, atoms, pending = state
+        node, pending, states = stack.pop()
         if not pending:
-            results.append((binders, atoms))
+            results.append((node, states))
             continue
-        at, budget = pending[0]
-        name = atoms[at].name
-        if name not in ranked:
-            ranked[name] = [(1 + max((heights[a.name] for a in r.preds), default=0), r)
-                            for r in sid.rules_of(name)]
-        stack.extend(reversed([_expand(state, r, itertools.count(len(binders)))
-                               for h, r in ranked[name] if h <= budget]))
+        steps = ranked.get(pending[0])
+        if steps is None:
+            name, budget = pending[0]
+            steps = ranked[pending[0]] = []
+            for r in reversed(sid.rules_of(name)):
+                calls = tuple(r.atoms[i].name for i in r.calls)
+                if 1 + max(map(heights.__getitem__, calls), default=0) <= budget:
+                    steps.append((r, r.skeleton, r.state_slots,
+                                  tuple((c, budget - 1) for c in calls)))
+        rest = pending[1:]
+        for r, key, slots, called in steps:
+            child = node.children.get(key) or node.child(r)
+            fills = child.fills
+            stack.append((child, called + rest,
+                          states + tuple([(fills[i], q) for i, q in slots])))
     return results
 
 
@@ -544,4 +652,5 @@ def eval_bounded(g: Configuration, nu: Mapping[Var, str], f: Prenex,
     Sound for satisfaction; a False answer only rules out models arising
     from unfoldings within the depth bound.
     """
-    return any(eval_pf(g, nu, u) for u in complete_unfoldings(sid, f, depth))
+    return any(eval_pf(g, nu, node.form(states))
+               for node, states in complete_unfoldings(sid, f, depth))

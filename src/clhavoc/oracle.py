@@ -5,13 +5,14 @@ equalities fix a base partition of the variables, the remaining classes are
 optionally merged (a store may identify variables that no atom separates),
 and unpinned carrier ids range over the behavior's states.  The state-free
 part of that work is a plan per skeleton, the unfolding without its state
-atoms: `complete_unfoldings` names binders by position, so unfoldings that
-differ only in state atoms share one plan, which `enumerate_models` keeps
-for the length of one call.  Model sets are kept canonical up to a
-component renaming that also rewrites the store, so the havoc and
-entailment checks decide membership by canonical key.  Each
-model keeps the keys of its one-step successors, so the direct check and
-cross-validation key each successor once.  A successor is fired on its
+atoms.  `complete_unfoldings` walks a trie of skeleton nodes and yields each
+complete unfolding as its node and its state atoms; a node's plan is built
+on first use and kept on the node, which lives in the root SID, so the
+source predicate, the reduction's targets and every depth share it.  Model
+sets are kept canonical up to a component renaming that also rewrites the
+store, so the havoc and entailment checks decide membership by canonical
+key.  Each model keeps the keys of its one-step successors, so the direct
+check and cross-validation key each successor once.  A successor is fired on its
 model's state table (`_fire`): it keeps its model's components, bindings,
 store and skeleton form, so no configuration is built for it, and
 `core.step` does not run.
@@ -41,7 +42,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction
 from .eqform import Partition
-from .logic import (Atom, Inter, Prenex, SID, StateAtom, Var, complete_unfoldings,
+from .logic import (Atom, Inter, Node, Prenex, SID, StateAtom, Var, complete_unfoldings,
                     split_atoms, var_text)
 
 
@@ -275,30 +276,30 @@ class ModelSet:
 # ---------------------------------------------------------------------------
 # model enumeration for predicate-free formulas
 
-def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],
-                        free: Sequence[Var], states: Iterable[str],
-                        plans: dict | None = None,
-                        shapes: dict | None = None) -> Iterator[tuple[Shape, tuple]]:
+def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom], free: Sequence[Var],
+                        states: Iterable[str]) -> Iterator[tuple[Shape, tuple]]:
     """All models of an exists-prefixed qpf formula, up to component renaming;
     each variable of the formula is free or bound.
 
-    Yields (configuration, store) pairs whose carrier covers the store range,
-    each as its shape, from `shapes` under its components, bindings and
-    store, and its sorted state table; junk existentials (classes
-    touching no spatial atom and no free variable) are dropped, since the
-    infinite pool always satisfies them.  The state-free part of the work is
-    a plan (`_plan`), kept in `plans` under the formula's variables and
-    non-state atoms, so formulas that differ only in state atoms share it.
+    Yields each candidate, whose carrier covers the store range, as its
+    shape and its sorted state table; junk existentials (classes touching
+    no spatial atom and no free variable) are dropped, since the infinite
+    pool always satisfies them.  The formula's skeleton, its atoms but the
+    state atoms, is a `Node` of its own, planned for this call;
+    `enumerate_models` plans the nodes of its walk once per root SID.
     """
-    comp_vars, inter_atoms, state_atoms, eqs, neqs = split_atoms(atoms)
-    key = (tuple(free), tuple(binders), tuple(comp_vars), tuple(inter_atoms),
-           tuple(eqs), tuple(neqs))
-    if plans is None:
-        plans = {}
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = _plan(*key)
-    return _instantiate(plan, state_atoms, sorted(states), {} if shapes is None else shapes)
+    node = Node(tuple(binders), tuple(a for a in atoms if type(a) is not StateAtom),
+                tuple(free))
+    pins = [(a.var, a.state) for a in atoms if type(a) is StateAtom]
+    return _instantiate(_node_plan(node), pins, sorted(states), {})
+
+
+def _node_plan(node: Node) -> tuple[dict, list]:
+    """The node's plan, built on first use and kept on the node."""
+    if node.plan is None:
+        comps, inters, _, eqs, neqs = split_atoms(node.atoms)
+        node.plan = _plan(node.free, node.binders, comps, inters, eqs, neqs)
+    return node.plan
 
 
 def _plan(free: Sequence[Var], binders: Sequence[Var], comp_vars: Sequence[Var],
@@ -363,13 +364,14 @@ def _merges(other_classes: Sequence[int], ncomp: int, i: int,
                            nabs + (1 if b == ncomp + nabs else 0))
 
 
-def _instantiate(plan: tuple[dict, list], state_atoms: Sequence[StateAtom],
+def _instantiate(plan: tuple[dict, list], state_atoms: Iterable[tuple[Var, str]],
                  states: list[str], shapes: dict) -> Iterator[tuple[Shape, tuple]]:
-    """The candidates of a plan under a formula's state atoms: per merge,
-    the state atoms pin their buckets (a bucket pinned to two states drops
-    the merge), and the other relevant buckets range over the states."""
+    """The candidates of a plan under a formula's state atoms, given as
+    (variable, state) pairs: per merge, the state atoms pin their buckets (a
+    bucket pinned to two states drops the merge), and the other relevant
+    buckets range over the states."""
     cls_of, merges = plan
-    pin_cls = [(cls_of[a.var], a.state) for a in state_atoms]
+    pin_cls = [(cls_of[v], q) for v, q in state_atoms]
     for bucket, names, relevant, form in merges:
         pins: dict[int, str] = {}
         if any(pins.setdefault(bucket[ci], q) != q for ci, q in pin_cls):
@@ -394,22 +396,19 @@ def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
     one (successor keys are filled in as they are first asked for).  Each
     candidate comes with its shape from the root SID's shape table, which
     keys it once per root SID, and a configuration is built only for a
-    model that is kept.  Within one call, each skeleton of the unfoldings
-    (their shared non-state atoms) is planned once."""
-    closed, (atom,) = f
+    model that is kept.  Each complete unfolding comes as its skeleton node
+    and its state atoms (`complete_unfoldings`); a node, and so its plan,
+    lives in the root SID, so each skeleton is planned once per root SID,
+    for every depth, predicate name and extension."""
+    _, (atom,) = f
     while sid._base is not None and atom.name in sid._base.predicates:
         sid = sid._base
     memo = sid._memo
     if (f, depth) not in memo:
-        free = [v for v in atom.args if v not in closed]
-        root = sid
-        while root._base is not None:
-            root = root._base
+        shapes, states = sid.root._shapes, sorted(sid.behavior.states)
         ms = ModelSet()
-        plans: dict = {}
-        for k, (binders, atoms) in enumerate(complete_unfoldings(sid, f, depth)):
-            for shape, pairs in enumerate_pf_models(binders, atoms, free, sid.behavior.states,
-                                                    plans, root._shapes):
+        for k, (node, pins) in enumerate(complete_unfoldings(sid, f, depth)):
+            for shape, pairs in _instantiate(_node_plan(node), pins, states, shapes):
                 key = shape.key(pairs)
                 if key not in ms.entries:
                     ms.entries[key] = Model(Configuration(shape.components, shape.interactions,

@@ -277,6 +277,56 @@ def test_oracle_bad_counterexample(capsys, tmp_path):
     assert "direct: Counterexample" in out
 
 
+@pytest.mark.parametrize("name, pred, model", [
+    ("bad.clsys", "TH", "  comps n0, n1;\n"
+                        "  inters <n0.out, n1.in>;\n"
+                        "  states n0: T, n1: H;\n"),
+    ("misc.clsys", "Linked", "  comps n0, n1;\n"
+                             "  inters <n0.ping, n1.pong>;\n"
+                             "  states n0: idle, n1: busy;\n"),
+])
+def test_direct_counterexample_shows_its_store(name, pred, model, capsys):
+    # the store says which id each parameter names, in argument order
+    code, out, _ = run(capsys, "oracle", str(FIXTURES / name), "--pred", pred,
+                       "--depth", "3", "--assume-tight")
+    assert code == 1
+    assert ("direct: Counterexample\nconfig model {\n" + model
+            + "}\nstore: x1 = n0, x2 = n1\nfires ") in out
+
+
+@pytest.mark.parametrize("name, pred, config", [
+    ("bad.clsys", "TH", "  comps n0, n1;\n"
+                        "  inters <n0.out, n1.in>;\n"
+                        "  states n0: H, n1: T;\n"),
+    ("misc.clsys", "Linked", "  comps n0, n1;\n"
+                             "  inters <n0.ping, n1.pong>;\n"
+                             "  states n0: busy, n1: idle;\n"),
+])
+def test_check_counterexample_shows_its_store(name, pred, config, capsys):
+    code, out, _ = run(capsys, "check", str(FIXTURES / name), "--pred", pred,
+                       "--depth", "3", "--assume-tight")
+    assert code == 1
+    assert out.endswith("verdict: Counterexample\nconfig counterexample {\n" + config
+                        + "}\nstore: x1 = n0, x2 = n1\n")
+
+
+def test_zero_arity_counterexample_has_no_store(capsys, tmp_path):
+    # bad.clsys's token edge under a closed predicate: no store to show
+    src = tmp_path / "closed.clsys"
+    src.write_text((FIXTURES / "bad.clsys").read_text().replace(
+        "TH(x, y) <-", "TH() <- exists x, y ."))
+    args = (str(src), "--pred", "TH", "--depth", "3", "--assume-tight")
+    code, out, _ = run(capsys, "oracle", *args)
+    assert code == 1
+    assert ("config model {\n  comps n0, n1;\n  inters <n0.out, n1.in>;\n"
+            "  states n0: T, n1: H;\n}\nfires ") in out
+    code, out, _ = run(capsys, "check", *args)
+    assert code == 1
+    assert out.endswith("verdict: Counterexample\nconfig counterexample {\n  comps n0, n1;\n"
+                        "  inters <n0.out, n1.in>;\n  states n0: H, n1: T;\n}\n")
+    assert "store" not in out
+
+
 def test_oracle_without_targets_unknown(capsys):
     # the reduction of tll_pcr's Root leaves no target: an empty right side
     # says nothing about the reduction
@@ -371,11 +421,11 @@ def test_trace_transducer_pinned(capsys, tmp_path):
 # fixture; tll_original stops at the tightness gate
 ORACLE_RUNS = {
     "bad.clsys": (("TH", "2", "--assume-tight"), 1,
-                  "26253172fa5510f25f69e1fb11a2283ae4cc8b7e2bc635a971ab13a582571162"),
+                  "3f9fe0aeb2a08bc8020d3f7cdeaa5b21bd9c477d2bd3f8f77676b3c493d28f92"),
     "chain.clsys": (("Chain_1_1", "3"), 1,
                     "118a4d9cef1af0f2192076c9e2e663a8397ea3babf48898161ec218652a525f1"),
     "misc.clsys": (("Linked", "3", "--assume-tight"), 1,
-                   "f687880b94127ab6b6c525fb66b9cb55832547330c29e327ca1796a98dacd418"),
+                   "d4a7729cb195260d8d79b0c461792229a438766e3a897c4f9998a2f67737b745"),
     "pcring.clsys": (("PcRing_1_1", "3"), 1,
                      "3ea7ecc68846b8c698be87f7be0b888b3d0387c74df01270da48a4e94d59c0e0"),
     "ring.clsys": (("Ring_1_1", "3", "--assume-tight"), 0,

@@ -24,7 +24,7 @@ from clhavoc.logic import (SID, Comp, Eq, Inter, Neq, Pred, Rule, StateAtom,
                            var_text)
 from clhavoc.reduction import reduce_havoc_to_entailment
 
-from conftest import REUSE_CASES, corpus, corpus_text, load
+from conftest import FIXTURES, REUSE_CASES, corpus, corpus_text, load
 from reference import TOKEN, assert_heights_match_brute_force, comp_in, reference_derive
 
 X, Y, Z, U = Var("x"), Var("y"), Var("z"), Var("u")
@@ -444,9 +444,22 @@ def binders_ranked(form):
     return tuple(rank[b] for b in binders), tuple(substitute(a, rank) for a in atoms)
 
 
+def walk_forms(sid, f, depth):
+    """The prenex form the node walk builds for each complete unfolding."""
+    return [node.form(states) for node, states in complete_unfoldings(sid, f, depth)]
+
+
+def ranked_multiset(form):
+    """binders_ranked, with the atoms as a multiset: the node walk puts an
+    unfolding's state atoms after its other atoms."""
+    binders, atoms = binders_ranked(form)
+    return binders, sorted(atoms, key=repr)
+
+
 def assert_walk_matches_reference(sid, f, depth):
-    want = [binders_ranked(u) for u, done in unfold_formula(sid, f, depth) if done]
-    assert [binders_ranked(u) for u in complete_unfoldings(sid, f, depth)] == want
+    # same order, same binders up to an order-preserving renaming, same atoms
+    want = [ranked_multiset(u) for u, done in unfold_formula(sid, f, depth) if done]
+    assert [ranked_multiset(u) for u in walk_forms(sid, f, depth)] == want
 
 
 @pytest.mark.parametrize("name", corpus())
@@ -464,6 +477,73 @@ def test_complete_unfoldings_match_reference_under_binders(ring):
         assert_walk_matches_reference(ring.sid, f, depth)
 
 
+def test_complete_unfoldings_match_reference_with_top_level_state_atoms(ring):
+    # eval_bounded's case: several top-level atoms, state atoms among them
+    # before, between and after the predicate atoms, one on a binder
+    f = ((Y,), (StateAtom(X, "H"), Pred("Chain_1_1", (X, Y)), StateAtom(Y, "T"),
+                Inter(((Y, "out"), (Z, "in"))), Comp(Z), Pred("Chain_0_0", (U, U)),
+                StateAtom(Z, "T")))
+    for depth in range(5):
+        assert_walk_matches_reference(ring.sid, f, depth)
+    g = Configuration.make(["a", "b", "c", "d"],
+                           [Interaction((("a", "out"), ("b", "in"))),
+                            Interaction((("b", "out"), ("c", "in")))],
+                           {"a": "H", "b": "T", "c": "T", "d": "H"})
+    for nu, holds in (({X: "a", Z: "c", U: "d"}, True), ({X: "a", Z: "b", U: "d"}, False)):
+        for depth in range(4):
+            assert eval_bounded(g, nu, f, ring.sid, depth) == any(
+                eval_pf(g, nu, u) for u, done in unfold_formula(ring.sid, f, depth) if done)
+        assert eval_bounded(g, nu, f, ring.sid, 3) == holds
+
+
+def test_complete_unfoldings_match_reference_on_closed_right_hand_sides():
+    # entails_bounded's right-hand form: the right-hand atom over the
+    # combined SID, its arguments past the left-hand arity closed
+    for name in corpus():
+        sid = parse_system(corpus_text(name)).sid
+        for pred in sid.predicates:
+            atom = sid.atom(pred)
+            for n in range(len(atom.args)):
+                for depth in range(3 if name == "tll_original.clsys" else 5):
+                    assert_walk_matches_reference(sid, (atom.args[n:], (atom,)), depth)
+
+
+def test_complete_unfoldings_tell_rules_apart_by_ports_and_call_positions():
+    # the second rule differs from the first only in its ports, the third
+    # only in the positions of its call's arguments, and the fourth calls
+    # another predicate with the first's key, whose rules have other ports:
+    # a node's children must keep them all apart
+    step = (Comp(X), Inter(((X, "out"), (Z, "in"))), Pred("P", (Z, Y)))
+    sid = SID((Rule("P", (X, Y), (Z,), step),
+               Rule("P", (X, Y), (Z,), (Comp(X), Inter(((X, "in"), (Z, "out"))),
+                                        Pred("P", (Z, Y)))),
+               Rule("P", (X, Y), (Z,), step[:2] + (Pred("P", (Y, Z)),)),
+               Rule("P", (X, Y), (Z,), step[:2] + (StateAtom(X, "T"), Pred("Q", (Z, Y)))),
+               Rule("P", (X, Y), (), (Eq(X, Y), Comp(X), StateAtom(X, "H"))),
+               Rule("Q", (X, Y), (Z,), (Comp(X), Inter(((Z, "out"), (X, "in"))),
+                                        Pred("P", (Z, Y)))),
+               Rule("Q", (X, Y), (), (Eq(X, Y), Comp(X)))), TOKEN)
+    for depth in range(5):
+        assert_walk_matches_reference(sid, ((), (Pred("P", (X, Y)),)), depth)
+        assert_walk_matches_reference(sid, ((Y,), (Pred("Q", (X, Y)), Pred("P", (Y, X)))),
+                                      depth)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_complete_unfoldings_match_reference_on_ring_family(k):
+    # the token ring with budgets 0..k: every source and derived predicate
+    # of the reduction at Ring_k_k, and each entailment's right-hand form
+    sid = parse_system((FIXTURES / "ring.clsys").read_text()
+                       .replace("=0..1", f"=0..{k}")).sid
+    result = reduce_havoc_to_entailment(sid, f"Ring_{k}_{k}", assume_tight=True)
+    combined = result.combined_sid
+    for pred in combined.predicates:
+        assert_walk_matches_reference(combined, ((), (combined.atom(pred),)), 3)
+    for lhs, rhs in result.entailments:
+        atom = combined.atom(rhs)
+        assert_walk_matches_reference(combined, (atom.args[combined.arity(lhs):], (atom,)), 3)
+
+
 def assert_binders_by_position(forms):
     for binders, _ in forms:
         assert binders == tuple(Var("%u", (k,)) for k in range(len(binders)))
@@ -474,12 +554,12 @@ def test_complete_unfoldings_name_binders_by_position(name):
     # so unfoldings of one structure have equal atoms but for state atoms
     sid = parse_system(corpus_text(name)).sid
     assert_binders_by_position([u for pred in sid.predicates
-                                for u in complete_unfoldings(sid, ((), (sid.atom(pred),)), 4)])
+                                for u in walk_forms(sid, ((), (sid.atom(pred),)), 4)])
 
 
 def test_complete_unfoldings_name_binders_by_position_under_binders(ring):
     f = ((Y,), (Pred("Chain_1_1", (X, Y)), Pred("Chain_0_1", (Y, X))))
-    forms = complete_unfoldings(ring.sid, f, 4)
+    forms = walk_forms(ring.sid, f, 4)
     assert forms and all(binders[0] == Var("%u", (0,)) for binders, _ in forms)
     assert_binders_by_position(forms)
 
@@ -525,7 +605,7 @@ def test_predicate_that_never_completes():
         assert complete_unfoldings(sid, loop_f, depth) == []
         assert_walk_matches_reference(sid, loop_f, depth)
         assert_walk_matches_reference(sid, maybe_f, depth)
-    assert complete_unfoldings(sid, maybe_f, 3) == [((), (Comp(X), StateAtom(X, "H")))]
+    assert walk_forms(sid, maybe_f, 3) == [((), (Comp(X), StateAtom(X, "H")))]
 
 
 # ---------------------------------------------------------------------------

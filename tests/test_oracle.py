@@ -694,11 +694,12 @@ def test_cross_validation_reuses_built_models(name, pred, depth, monkeypatch):
 
 def test_model_memo_belongs_to_one_sid_object():
     a, b = parse_system(XVAL_TEXTS["ring.clsys"]).sid, parse_system(XVAL_TEXTS["ring.clsys"]).sid
-    assert a._memo is not b._memo and a._shapes is not b._shapes
+    assert a._memo is not b._memo and a._shapes is not b._shapes and a._nodes is not b._nodes
     ms = enumerate_models(a, ((), (a.atom("Ring_1_1"),)), 3)
     assert enumerate_models(a, ((), (a.atom("Ring_1_1"),)), 3) is ms
     assert a._memo and not b._memo
     assert a._shapes and not b._shapes
+    assert a._nodes and not b._nodes
     # equality, hash and text ignore the memo and the shape table
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     other = enumerate_models(b, ((), (b.atom("Ring_1_1"),)), 3)
@@ -768,8 +769,9 @@ def test_entailments_key_each_distinct_candidate_once(monkeypatch):
     sid = parse_system(XVAL_TEXTS["ring.clsys"]).sid
     result = reduce_havoc_to_entailment(sid, "Ring_1_1", assume_tight=True)
     candidates = []
-    monkeypatch.setattr(oracle, "enumerate_pf_models", lambda *args: (
-        candidates.append(c) or c for c in enumerate_pf_models(*args)))
+    instantiate = oracle._instantiate
+    monkeypatch.setattr(oracle, "_instantiate", lambda *args: (
+        candidates.append(c) or c for c in instantiate(*args)))
     calls, skeletons = spy_keys(monkeypatch), spy_skeletons(monkeypatch)
     for lhs, rhs in result.entailments:
         assert entails_bounded(result.combined_sid, lhs, rhs, 8).holds
@@ -779,10 +781,11 @@ def test_entailments_key_each_distinct_candidate_once(monkeypatch):
     assert len(skeletons) == len(sid._shapes) == 6
     assert len({(tuple(comps), tuple(bindings), tuple(store))
                 for comps, bindings, _, store in skeletons}) == 6
-    # the table lives in the source SID, and the combined SID keeps none
+    # the tables live in the source SID, and the combined SID keeps none
     assert ({(shape, pairs) for shape in sid._shapes.values() for pairs in shape.keys}
             == set(candidates))
     assert not result.combined_sid._shapes
+    assert sid._nodes and not result.combined_sid._nodes
 
 
 @pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
@@ -873,14 +876,17 @@ def test_successor_over_eleven_ids_hits_the_table(monkeypatch):
 
 def reference_models(sid, f, depth):
     """enumerate_models' entries as they were when each candidate was
-    keyed afresh, with no shape table and no memo: per key, the first
-    candidate's (key, configuration, store items, provenance)."""
+    keyed afresh, with no shape table, no memo, no skeleton node and no
+    plan: the reference walk's complete unfoldings, each enumerated on its
+    own, and per key the first candidate's (key, configuration, store items,
+    provenance)."""
     closed, (atom,) = f
     free = [v for v in atom.args if v not in closed]
     entries = {}
-    for k, (binders, atoms) in enumerate(complete_unfoldings(sid, f, depth)):
-        for c in enumerate_pf_models(binders, atoms, free, sid.behavior.states):
-            g, nu = from_exact(exact_of(c))
+    complete = [u for u, done in unfold_formula(sid, f, depth) if done]
+    for k, (binders, atoms) in enumerate(complete):
+        for c in reference_pf_models(binders, atoms, free, sid.behavior.states):
+            g, nu = from_exact(c)
             key = canonical_model(g, nu)
             if key not in entries:
                 entries[key] = (key, g, list(nu.items()), f"unfolding#{k}")
@@ -907,11 +913,8 @@ def assert_models_match_reference(sid, f, depth):
                 for g2 in reference_successors(sid.behavior, m, inter))
     # every key of every shape in the root's table, whether enumeration or
     # successor keying asked for it, is the candidate's canonical_model
-    root = sid
-    while root._base is not None:
-        root = root._base
     assert all(key == canonical_model(*from_exact(exact_of((shape, pairs))))
-               for shape in root._shapes.values() for pairs, key in shape.keys.items())
+               for shape in sid.root._shapes.values() for pairs, key in shape.keys.items())
 
 
 CORPUS_CASES = [(name, pred, 2 if name == "tll_original.clsys" else 3)
@@ -1006,9 +1009,21 @@ def test_recursive_helpers_leave_no_cycles():
 # ---------------------------------------------------------------------------
 # one plan per skeleton: candidates as the per-formula enumeration built them
 
-def assert_planned_like_reference(binders, atoms, free, states, plans):
-    assert (list(map(exact_of, enumerate_pf_models(binders, atoms, free, states, plans)))
-            == list(reference_pf_models(binders, atoms, free, states)))
+def assert_planned_like_reference(binders, forms, free, states):
+    """Each form, atoms with other state atoms on one skeleton, as
+    enumerate_pf_models enumerates it, and as one node planned once
+    instantiates it, against the per-formula reference."""
+    skeleton = tuple(a for a in forms[0] if not isinstance(a, StateAtom))
+    node = logic.Node(tuple(binders), skeleton, tuple(free))
+    plan = oracle._node_plan(node)
+    for atoms in forms:
+        assert tuple(a for a in atoms if not isinstance(a, StateAtom)) == skeleton
+        want = list(reference_pf_models(binders, atoms, free, states))
+        assert list(map(exact_of, enumerate_pf_models(binders, atoms, free, states))) == want
+        pins = [(a.var, a.state) for a in atoms if isinstance(a, StateAtom)]
+        assert list(map(exact_of, oracle._instantiate(oracle._node_plan(node), pins,
+                                                      sorted(states), {}))) == want
+    assert node.plan is plan
 
 
 # tll_original `Node` has one depth-3 unfolding with millions of candidates
@@ -1017,16 +1032,20 @@ PLAN_DEPTHS = {"tll.clsys": 3, "tll_pcr.clsys": 3, "tll_original.clsys": 2}
 
 @pytest.mark.parametrize("name", corpus())
 def test_planned_models_match_reference_on_every_unfolding(name):
-    # one plan dict for every predicate and depth, as enumerate_models keeps
-    # one per call: a plan is keyed by the free variables too
+    # the nodes of the walk, planned once each for every predicate and
+    # depth, as enumerate_models plans them: a node's plan holds the root's
+    # free variables too
     sid = parse_system(corpus_text(name)).sid
-    plans = {}
     for pred in sid.predicates:
         f = ((), (sid.atom(pred),))
         for depth in range(PLAN_DEPTHS.get(name, 4) + 1):
-            for binders, atoms in complete_unfoldings(sid, f, depth):
-                assert_planned_like_reference(binders, atoms, list(sid.atom(pred).args),
-                                              sid.behavior.states, plans)
+            for node, pins in complete_unfoldings(sid, f, depth):
+                binders, atoms = node.form(pins)
+                assert node.free == sid.atom(pred).args
+                assert (list(map(exact_of, oracle._instantiate(
+                    oracle._node_plan(node), pins, sorted(sid.behavior.states), {})))
+                    == list(reference_pf_models(binders, atoms, node.free,
+                                                sid.behavior.states)))
 
 
 U0, U1, U2 = (Var("%u", (k,)) for k in range(3))
@@ -1058,10 +1077,8 @@ def test_planned_models_match_reference_randomized(atoms, nfree):
     # every variable is free or bound; the same formula with other states
     # reuses the plan
     free, binders = [X1, X2][:nfree], (U0, U1, U2, *[X1, X2][nfree:])
-    plans = {}
-    assert_planned_like_reference(binders, atoms, free, TOKEN.states, plans)
-    assert_planned_like_reference(binders, flip_states(atoms), free, TOKEN.states, plans)
-    assert len(plans) == 1
+    assert_planned_like_reference(binders, [tuple(atoms), flip_states(atoms)], free,
+                                  TOKEN.states)
 
 
 H_OUT_IN = logic.Inter(((U0, "out"), (U1, "in")))
@@ -1079,10 +1096,8 @@ H_OUT_IN = logic.Inter(((U0, "out"), (U1, "in")))
     (H_OUT_IN, StateAtom(U2, "T"), StateAtom(U2, "H")),
 ])
 def test_planned_models_match_reference_on_edge_cases(atoms):
-    plans = {}
-    for f in (atoms, flip_states(atoms)):
-        assert_planned_like_reference((U0, U1, U2), f, [X1], TOKEN.states, plans)
-    assert len(plans) == 1
+    assert_planned_like_reference((U0, U1, U2), [atoms, flip_states(atoms)], [X1],
+                                  TOKEN.states)
 
 
 def test_state_atom_on_unbound_variable_fails_loudly():
@@ -1095,22 +1110,50 @@ def test_state_atom_on_unbound_variable_fails_loudly():
         list(enumerate_pf_models((U0,), atoms, [], TOKEN.states))
 
 
+def spy_plans(monkeypatch):
+    """Record every plan the oracle builds from now on."""
+    built = []
+    plan = oracle._plan
+    monkeypatch.setattr(oracle, "_plan", lambda *args: built.append(args) or plan(*args))
+    return built
+
+
 @pytest.mark.parametrize("pred, plans, unfoldings", [("Ring_0_0", 7, 127),
                                                      ("Ring_1_1", 6, 126)])
 def test_enumerate_models_plans_each_skeleton_once(pred, plans, unfoldings, monkeypatch):
     # a chain's steps differ only in their state atoms, so its unfoldings
-    # of one length share a plan
-    built = []
-    plan = oracle._plan
-    monkeypatch.setattr(oracle, "_plan", lambda *args: built.append(args) or plan(*args))
+    # of one length share a node, and so a plan
+    built = spy_plans(monkeypatch)
     sid = parse_system(XVAL_TEXTS["ring.clsys"]).sid
     f = ((), (sid.atom(pred),))
     assert len(complete_unfoldings(sid, f, 8)) == unfoldings
     enumerate_models(sid, f, 8)
     assert len(built) == plans
-    # plans live for one call: another depth plans afresh
+    # plans live on the nodes of the root SID: another depth plans nothing
     enumerate_models(sid, f, 7)
-    assert len(built) == 2 * plans - 1
+    assert len(built) == plans
+
+
+# the benchmark's checked instances (fixture, predicate, depth)
+PLAN_SHARING_CASES = [("ring.clsys", "Ring_1_1", 8), ("ring.clsys", "Ring_0_0", 8),
+                      ("chain.clsys", "Chain_1_1", 6), ("tll.clsys", "Root", 4),
+                      ("pcring.clsys", "PcRing_1_1", 5)]
+
+
+@pytest.mark.parametrize("name,pred,depth", PLAN_SHARING_CASES)
+def test_targets_plan_nothing_after_the_source(name, pred, depth, monkeypatch):
+    # a derived rule is a source rule with other state atoms and predicate
+    # names, so every target walks the source's nodes and plans
+    sid = parse_system(XVAL_TEXTS[name]).sid
+    result = reduce_havoc_to_entailment(sid, pred, assume_tight=True)
+    assert result.targets
+    assert enumerate_models(sid, ((), (sid.atom(pred),)), depth)
+    built = spy_plans(monkeypatch)
+    combined = result.combined_sid
+    for t in result.targets:
+        enumerate_models(combined, ((), (combined.atom(t),)), depth)
+    assert built == []
+    assert not combined._nodes
 
 
 def test_candidates_of_one_skeleton_share_their_sets():
