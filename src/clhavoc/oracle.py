@@ -13,24 +13,24 @@ sets are kept canonical up to a component renaming that also rewrites the
 store, so the havoc and entailment checks decide membership by canonical
 key.  Each model keeps the keys of its one-step successors, so the direct
 check and cross-validation key each successor once.  A successor is fired on its
-model's state table (`_fire`): it keeps its model's components, bindings,
+model's column (`_fire`): it keeps its model's components, bindings,
 store and skeleton form, so no configuration is built for it, and
 `core.step` does not run.
 
 A key has two halves.  The skeleton form (`skeleton_form`) is the
 candidate without its states, searched once per connected part of its
-carrier; `state_key` writes a candidate's states through the labellings
-that reach each part's least form.  `canonical_model` computes both halves
-at once from a configuration.
+carrier; `state_key` reads a candidate's states through the labellings
+that reach each part's least form, laid over the carrier (`column_layout`).
+`canonical_model` computes both halves at once from a configuration.
 
-A candidate is a `Shape`, its components, bindings and store, with a state
-table over the shape's carrier.  The root of an SID's `_base` chain holds
-the table of shapes, so each shape's skeleton form is searched once, and
-each shape keys each of its state tables once (`Shape.key`), for
-enumeration and successors alike.  A key depends only on the candidate, so
-the table is shared by every extension of the root, while model sets stay
-per SID.  Enumeration builds a configuration only for a model it keeps,
-and firing only for a counterexample's successor.
+A candidate is a `Shape`, its components, bindings and store, with a
+column: the state of each carrier id, in carrier order.  The root of an
+SID's `_base` chain holds the table of shapes, so each shape's skeleton
+form is searched once, and each shape keys each of its columns once
+(`Shape.key`), for enumeration and successors alike.  A key depends only
+on the candidate, so the table is shared by every extension of the root,
+while model sets stay per SID.  A model builds its configuration on first
+read, so only a counterexample, the command line and the tests build one.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Behavior, Configuration, Interaction
 from .eqform import Partition
-from .logic import (Atom, Inter, Node, Prenex, SID, StateAtom, Var, complete_unfoldings,
-                    split_atoms, var_text)
+from .logic import (Inter, Node, Prenex, SID, Var, complete_unfoldings, split_atoms,
+                    var_text)
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +54,11 @@ def canonical_model(g: Configuration, nu: Mapping[Var, str]) -> tuple:
     through the labellings of its skeleton form.
 
     The checks key candidates from their shapes instead; this is the entry
-    point for keying a configuration as it stands, which the tests and the
-    benchmark tracer use."""
-    return state_key(skeleton_form(g.components, (i.bindings for i in g.interactions),
-                                   (c for c, _ in g.state_pairs), nu.items()),
-                     g.state_pairs)
+    point for keying a configuration as it stands, carrier included, which
+    the tests and the benchmark tracer use."""
+    carrier = [c for c, _ in g.state_pairs]
+    skel = skeleton_form(g.components, (i.bindings for i in g.interactions), carrier, nu.items())
+    return state_key(column_layout(skel, carrier), [q for _, q in g.state_pairs])
 
 
 def skeleton_form(components: Iterable[str],
@@ -127,10 +127,27 @@ def skeleton_form(components: Iterable[str],
     return tuple(parts)
 
 
-def state_key(skel: tuple, state_pairs: Iterable[tuple[str, str]]) -> tuple:
-    """A candidate's canonical key from its skeleton form and its states:
-    per part, the least (label, state) table over the part's labellings,
-    where each twin group's states, sorted, go to its labels, sorted.
+def column_layout(skel: tuple, carrier: Sequence[str]) -> tuple:
+    """A skeleton form laid over a column, the state of each carrier id in
+    carrier order: per part (form, labels, twins, perms), its twin groups of
+    more than one id as sorted column indices, and per labelling the column
+    index of each label's state once each twin group's states are sorted
+    into the group's indices."""
+    at = {c: i for i, c in enumerate(carrier)}
+    layout = []
+    for form, labels, groups, labellings in skel:
+        groups = [sorted(map(at.__getitem__, grp)) for grp in groups]
+        index = [i for grp in groups for i in grp]
+        layout.append((form, labels, tuple(tuple(grp) for grp in groups if len(grp) > 1),
+                       tuple(tuple(map(index.__getitem__, slots)) for slots in labellings)))
+    return tuple(layout)
+
+
+def state_key(layout: tuple, column: Sequence[str]) -> tuple:
+    """A candidate's canonical key from its skeleton form, laid over its
+    carrier (`column_layout`), and its column: per part, the least (label,
+    state) table over the part's labellings, where each twin group's
+    states, sorted, go to its labels, sorted.
 
     Keys are equal exactly for renamed copies.  A renaming maps the leaves
     of a part onto the leaves of its copy's part, and twin groups onto twin
@@ -140,11 +157,14 @@ def state_key(skel: tuple, state_pairs: Iterable[tuple[str, str]]) -> tuple:
     through a labelling, so the (form, table) pairs describe the candidate
     up to renaming.
     """
-    rho = dict(state_pairs)
     key = []
-    for form, labels, groups, labellings in skel:
-        flat = [q for grp in groups for q in sorted(rho[c] for c in grp)]
-        table = min(tuple(map(flat.__getitem__, slots)) for slots in labellings)
+    for form, labels, twins, perms in layout:
+        if twins:
+            column = list(column)
+            for grp in twins:
+                for i, q in zip(grp, sorted(column[i] for i in grp)):
+                    column[i] = q
+        table = min(tuple(map(column.__getitem__, perm)) for perm in perms)
         key.append((form, tuple(zip(labels, table))))
     return tuple(sorted(key))
 
@@ -190,15 +210,16 @@ class Shape:
     """What the candidates with equal components, bindings and store share:
     those three, sorted as text but the store in argument order, and,
     each formed on first use, their carrier, their component and
-    interaction sets, their skeleton form and their firing plan.  The
-    carrier is the present ids, the bound ids and the store range, sorted,
-    so it is the id column of each candidate's sorted state table.  `keys`
-    holds the canonical key of each state table keyed so far."""
+    interaction sets, their skeleton form laid over the carrier and their
+    firing plan.  The carrier is the present ids, the bound ids and the
+    store range, sorted; a candidate of the shape is its column, the state
+    of each carrier id in carrier order.  `keys` holds the canonical key of
+    each column keyed so far."""
 
     comps: tuple[str, ...]
     bindings: tuple[tuple[tuple[str, str], ...], ...]
     store: tuple[tuple[Var, str], ...]
-    keys: dict[tuple[tuple[str, str], ...], tuple] = field(default_factory=dict, repr=False)
+    keys: dict[tuple[str, ...], tuple] = field(default_factory=dict, repr=False)
 
     @cached_property
     def carrier(self) -> tuple[str, ...]:
@@ -214,44 +235,58 @@ class Shape:
         return frozenset(map(Interaction, self.bindings))
 
     @cached_property
-    def skeleton(self) -> tuple:
-        return skeleton_form(self.comps, self.bindings, self.carrier, self.store)
+    def layout(self) -> tuple:
+        return column_layout(skeleton_form(self.comps, self.bindings, self.carrier, self.store),
+                             self.carrier)
 
     @cached_property
     def firing(self) -> dict[Interaction, tuple[tuple[int, ...], tuple[str, ...], bool]]:
         """Per interaction, in text order: the indices of its components in
-        the state table, its ports, and whether all its components are
-        present."""
+        the column, its ports, and whether all its components are present."""
         at = {c: i for i, c in enumerate(self.carrier)}
         return {inter: (tuple(map(at.__getitem__, inter.components)), inter.itype,
                         all(c in self.components for c in inter.components))
                 for inter in sorted(self.interactions, key=repr)}
 
-    def key(self, state_pairs: tuple[tuple[str, str], ...]) -> tuple:
-        """The canonical key of the candidate with this state table, keyed
+    def key(self, column: tuple[str, ...]) -> tuple:
+        """The canonical key of the candidate with this column, keyed
         once."""
-        key = self.keys.get(state_pairs)
+        key = self.keys.get(column)
         if key is None:
-            key = self.keys[state_pairs] = state_key(self.skeleton, state_pairs)
+            key = self.keys[column] = state_key(self.layout, column)
         return key
 
 
-@dataclass
+@dataclass(eq=False)
 class Model:
-    config: Configuration
+    """A kept candidate, its shape and column, and the unfolding it came
+    from.  Its configuration is built on first read; two models are equal
+    when their configurations and provenances are."""
+
     provenance: str
     # its key in its set, which stored successor keys share
-    key: tuple = field(repr=False, compare=False)
+    key: tuple = field(repr=False)
     # what it shares with the other candidates of its shape, its store too
-    shape: Shape = field(repr=False, compare=False)
+    shape: Shape = field(repr=False)
+    column: tuple[str, ...]
     # canonical keys of the one-step successors, per fired interaction,
     # filled by `_successor_keys` and freed with the model's set
-    steps: dict[Interaction, tuple[tuple, ...]] = field(
-        default_factory=dict, repr=False, compare=False)
+    steps: dict[Interaction, tuple[tuple, ...]] = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def config(self) -> Configuration:
+        shape = self.shape
+        return Configuration(shape.components, shape.interactions,
+                             tuple(zip(shape.carrier, self.column)))
 
     @property
     def store(self) -> dict[Var, str]:
         return dict(self.shape.store)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Model:
+            return NotImplemented
+        return (self.config, self.provenance) == (other.config, other.provenance)
 
 
 class ModelSet:
@@ -274,25 +309,7 @@ class ModelSet:
 
 
 # ---------------------------------------------------------------------------
-# model enumeration for predicate-free formulas
-
-def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom], free: Sequence[Var],
-                        states: Iterable[str]) -> Iterator[tuple[Shape, tuple]]:
-    """All models of an exists-prefixed qpf formula, up to component renaming;
-    each variable of the formula is free or bound.
-
-    Yields each candidate, whose carrier covers the store range, as its
-    shape and its sorted state table; junk existentials (classes touching
-    no spatial atom and no free variable) are dropped, since the infinite
-    pool always satisfies them.  The formula's skeleton, its atoms but the
-    state atoms, is a `Node` of its own, planned for this call;
-    `enumerate_models` plans the nodes of its walk once per root SID.
-    """
-    node = Node(tuple(binders), tuple(a for a in atoms if type(a) is not StateAtom),
-                tuple(free))
-    pins = [(a.var, a.state) for a in atoms if type(a) is StateAtom]
-    return _instantiate(_node_plan(node), pins, sorted(states), {})
-
+# model enumeration
 
 def _node_plan(node: Node) -> tuple[dict, list]:
     """The node's plan, built on first use and kept on the node."""
@@ -307,7 +324,7 @@ def _plan(free: Sequence[Var], binders: Sequence[Var], comp_vars: Sequence[Var],
           neqs: Sequence[tuple[Var, Var]]) -> tuple[dict, list]:
     """The class of each variable, and per merge of the classes that the
     disequalities and interaction atoms allow: the bucket of each class, the
-    name of each relevant bucket, the relevant buckets sorted, and the
+    carrier index of each relevant bucket, in bucket order, and the
     components, bindings and store of its candidates' shape.
 
     Equalities fix the classes, free variables first, then binders; each
@@ -338,12 +355,13 @@ def _plan(free: Sequence[Var], binders: Sequence[Var], comp_vars: Sequence[Var],
         if (len(set(tuples)) != len(tuples)
                 or any(len({b for b, _ in t}) != len(t) for t in tuples)):
             continue
-        relevant = {*range(ncomp), *(b for t in tuples for b, _ in t),
-                    *(bucket[cls_of[v]] for v in free)}
+        relevant = sorted({*range(ncomp), *(b for t in tuples for b, _ in t),
+                           *(bucket[cls_of[v]] for v in free)})
         # junk buckets (absent, untouched by interactions and store) are
         # sound to drop: the infinite pool supplies them in any pinned state
         names = {b: f"n{b}" for b in relevant}
-        merges.append((bucket, names, sorted(relevant),
+        carrier = sorted(names.values())
+        merges.append((bucket, {b: carrier.index(names[b]) for b in relevant},
                        (tuple(sorted(names[b] for b in range(ncomp))),
                         tuple(sorted(tuple((names[b], p) for b, p in t) for t in tuples)),
                         tuple((v, names[bucket[cls_of[v]]]) for v in free))))
@@ -367,22 +385,28 @@ def _merges(other_classes: Sequence[int], ncomp: int, i: int,
 def _instantiate(plan: tuple[dict, list], state_atoms: Iterable[tuple[Var, str]],
                  states: list[str], shapes: dict) -> Iterator[tuple[Shape, tuple]]:
     """The candidates of a plan under a formula's state atoms, given as
-    (variable, state) pairs: per merge, the state atoms pin their buckets (a
-    bucket pinned to two states drops the merge), and the other relevant
-    buckets range over the states."""
+    (variable, state) pairs, each as its shape and its column: per merge,
+    the state atoms pin their buckets (a bucket pinned to two states drops
+    the merge), and the other relevant buckets range over the states, in
+    bucket order."""
     cls_of, merges = plan
     pin_cls = [(cls_of[v], q) for v, q in state_atoms]
-    for bucket, names, relevant, form in merges:
+    for bucket, at, form in merges:
         pins: dict[int, str] = {}
         if any(pins.setdefault(bucket[ci], q) != q for ci, q in pin_cls):
             continue
         shape = shapes.get(form)
         if shape is None:
             shape = shapes[form] = Shape(*form)
-        pinned = [(names[b], q) for b, q in pins.items() if b in names]
-        unpinned = [names[b] for b in relevant if b not in pins]
+        column = [""] * len(at)
+        for b, q in pins.items():
+            if b in at:
+                column[at[b]] = q
+        unpinned = [i for b, i in at.items() if b not in pins]
         for choice in itertools.product(states, repeat=len(unpinned)):
-            yield shape, tuple(sorted([*pinned, *zip(unpinned, choice)]))
+            for i, q in zip(unpinned, choice):
+                column[i] = q
+            yield shape, tuple(column)
 
 
 def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
@@ -394,12 +418,13 @@ def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
     its base's memo for a predicate of the base (see `SID.extend`), which
     unfolds there alike; sets are shared between callers, so do not modify
     one (successor keys are filled in as they are first asked for).  Each
-    candidate comes with its shape from the root SID's shape table, which
-    keys it once per root SID, and a configuration is built only for a
-    model that is kept.  Each complete unfolding comes as its skeleton node
-    and its state atoms (`complete_unfoldings`); a node, and so its plan,
-    lives in the root SID, so each skeleton is planned once per root SID,
-    for every depth, predicate name and extension."""
+    candidate comes as its shape from the root SID's shape table, which
+    keys it once per root SID, and its column; a model keeps both and
+    builds no configuration until one is read.  Each complete unfolding
+    comes as its skeleton node and its state atoms (`complete_unfoldings`);
+    a node, and so its plan, lives in the root SID, so each skeleton is
+    planned once per root SID, for every depth, predicate name and
+    extension."""
     _, (atom,) = f
     while sid._base is not None and atom.name in sid._base.predicates:
         sid = sid._base
@@ -408,12 +433,10 @@ def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
         shapes, states = sid.root._shapes, sorted(sid.behavior.states)
         ms = ModelSet()
         for k, (node, pins) in enumerate(complete_unfoldings(sid, f, depth)):
-            for shape, pairs in _instantiate(_node_plan(node), pins, states, shapes):
-                key = shape.key(pairs)
+            for shape, column in _instantiate(_node_plan(node), pins, states, shapes):
+                key = shape.key(column)
                 if key not in ms.entries:
-                    ms.entries[key] = Model(Configuration(shape.components, shape.interactions,
-                                                          pairs),
-                                            f"unfolding#{k}", key, shape)
+                    ms.entries[key] = Model(f"unfolding#{k}", key, shape, column)
         memo[f, depth] = ms
     return memo[f, depth]
 
@@ -438,24 +461,24 @@ class HavocReport:
 
 
 def _model_order(ms: ModelSet) -> list[tuple[tuple, Model]]:
-    return sorted(ms.entries.items(), key=lambda kv: (len(kv[1].config.components), kv[0]))
+    return sorted(ms.entries.items(), key=lambda kv: (len(kv[1].shape.comps), kv[0]))
 
 
 def _fire(behavior: Behavior, model: Model, inter: Interaction) -> list[tuple]:
-    """The state tables of the successors of firing inter in the model,
-    distinct and sorted: the model's table with each bound component's
-    entry replaced by a target of its port, one table per choice of
+    """The columns of the successors of firing inter in the model, distinct
+    and sorted: copies of the model's column with each bound component's
+    state replaced by a target of its port, one column per choice of
     targets."""
-    pairs = model.config.state_pairs
+    column = model.column
     idx, ports, _ = model.shape.firing[inter]
-    tables = set()
-    for combo in itertools.product(*(behavior.targets(pairs[i][1], p)
+    columns = set()
+    for combo in itertools.product(*(behavior.targets(column[i], p)
                                      for i, p in zip(idx, ports))):
-        table = list(pairs)
+        successor = list(column)
         for i, q in zip(idx, combo):
-            table[i] = (table[i][0], q)
-        tables.add(tuple(table))
-    return sorted(tables)
+            successor[i] = q
+        columns.add(tuple(successor))
+    return sorted(columns)
 
 
 def _successor_keys(sid: SID, ms: ModelSet, model: Model,
@@ -467,19 +490,18 @@ def _successor_keys(sid: SID, ms: ModelSet, model: Model,
     of ms's.
 
     Firing changes states and never ids, so a successor has its model's
-    components, bindings, store and carrier: its model's shape.  The
-    model's `state_pairs` is sorted by id, so writing targets into its
-    entries in place keeps it sorted, and each table `_fire` returns is its
-    successor's sorted state pairs, which the shape keys (`Shape.key`).
-    `core.step` returns one configuration per distinct table, and
-    configurations of one shape order as their tables, so sorting the
-    distinct tables gives its successors in the order of their sorted
-    `state_pairs`."""
+    components, bindings, store and carrier: its model's shape.  So each
+    column `_fire` returns is its successor's column, which the shape keys
+    (`Shape.key`), and zipped with the carrier it is its successor's
+    sorted `state_pairs`.  `core.step` returns one configuration per
+    distinct column, and configurations of one shape order as their
+    columns, so sorting the distinct columns gives its successors in the
+    order of their sorted `state_pairs`."""
     keys = model.steps.get(inter)
     if keys is None:
         keys = []
-        for pairs in _fire(sid.behavior, model, inter):
-            key = model.shape.key(pairs)
+        for column in _fire(sid.behavior, model, inter):
+            key = model.shape.key(column)
             member = ms.entries.get(key)
             keys.append(key if member is None else member.key)
         keys = model.steps[inter] = tuple(keys)
@@ -499,8 +521,8 @@ def havoc_invariant_bounded(sid: SID, pred: str, depth: int) -> HavocReport:
             for k, key in enumerate(_successor_keys(sid, ms, model, inter)):
                 if key not in ms:
                     g = model.config
-                    g2 = Configuration(g.components, g.interactions,
-                                       _fire(sid.behavior, model, inter)[k])
+                    g2 = Configuration(g.components, g.interactions, tuple(
+                        zip(model.shape.carrier, _fire(sid.behavior, model, inter)[k])))
                     return HavocReport(False, depth, len(ms),
                                        Counterexample(g, model.store, inter, g2))
     return HavocReport(True, depth, len(ms), None)

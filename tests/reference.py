@@ -19,10 +19,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 from clhavoc.automata import AlphabetSymbol, TaTransition, TreeAutomaton, symbol_text
 from clhavoc.core import Behavior, Configuration, Interaction, degree, step
 from clhavoc.eqform import EMPTY_EQ, EqFormula, Partition
-from clhavoc.logic import (Atom, Comp, Eq, Pred, Prenex, Rule, SID, StateAtom, Var,
+from clhavoc.logic import (Atom, Comp, Eq, Node, Pred, Prenex, Rule, SID, StateAtom, Var,
                            atom_vars, param, split_atoms, substitute,
                            unfold_formula, var_text)
-from clhavoc.oracle import Model, enumerate_models
+from clhavoc.oracle import Model, Shape, _instantiate, _node_plan, enumerate_models
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +308,10 @@ def exact_form(components: Iterable[str], bindings: Iterable[tuple[tuple[str, st
 
 
 def exact_of(candidate: tuple) -> tuple:
-    """The exact form of a candidate as `oracle.enumerate_pf_models` yields
-    it, its shape and its state table."""
-    shape, state_pairs = candidate
-    return shape.comps, shape.bindings, state_pairs, shape.store
+    """The exact form of a candidate as the oracle enumerates it, its shape
+    and its column: the column's states go to the shape's carrier ids."""
+    shape, column = candidate
+    return shape.comps, shape.bindings, tuple(zip(shape.carrier, column)), shape.store
 
 
 def from_exact(exact: tuple) -> tuple[Configuration, dict[Var, str]]:
@@ -329,11 +329,29 @@ def reference_successors(behavior: Behavior, model: Model,
     return sorted(step(behavior, model.config, inter), key=lambda c: c.state_pairs)
 
 
+def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom], free: Sequence[Var],
+                        states: Iterable[str]) -> Iterator[tuple[Shape, tuple]]:
+    """All models of an exists-prefixed qpf formula, up to component renaming;
+    each variable of the formula is free or bound.
+
+    Yields each candidate, whose carrier covers the store range, as
+    `oracle.enumerate_models` instantiates it, its shape and its column;
+    junk existentials (classes touching no spatial atom and no free
+    variable) are dropped, since the infinite pool always satisfies them.
+    The formula's skeleton, its atoms but the state atoms, is a `Node` of
+    its own, planned for this call.
+    """
+    node = Node(tuple(binders), tuple(a for a in atoms if type(a) is not StateAtom),
+                tuple(free))
+    pins = [(a.var, a.state) for a in atoms if type(a) is StateAtom]
+    return _instantiate(_node_plan(node), pins, sorted(states), {})
+
+
 def reference_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],
                         free: Sequence[Var], states: Iterable[str]) -> Iterator[tuple]:
     """All models of an exists-prefixed qpf formula, up to component renaming:
-    `oracle.enumerate_pf_models` as it was before it planned each skeleton
-    once, which builds the classes, merges and interactions per formula.
+    `enumerate_pf_models` as it was before it planned each skeleton once,
+    which builds the classes, merges and interactions per formula.
 
     Yields the exact forms of (configuration, store) pairs whose carrier
     covers the store range (see `from_exact`); junk existentials (classes
@@ -441,7 +459,21 @@ def _reference_instantiate(bucket, cls_of, inter_atoms, state_atoms, neq_cls, fr
 
 
 # ---------------------------------------------------------------------------
-# canonical keys by permutation
+# canonical keys
+
+def reference_state_key(skel: tuple, state_pairs: Iterable[tuple[str, str]]) -> tuple:
+    """`oracle.state_key` as it was when a candidate was its state pairs,
+    sorted by id: per part of the skeleton form (`oracle.skeleton_form`),
+    the least (label, state) table over the part's labellings, where each
+    twin group's states, sorted, go to its labels, sorted."""
+    rho = dict(state_pairs)
+    key = []
+    for form, labels, groups, labellings in skel:
+        flat = [q for grp in groups for q in sorted(rho[c] for c in grp)]
+        table = min(tuple(map(flat.__getitem__, slots)) for slots in labellings)
+        key.append((form, tuple(zip(labels, table))))
+    return tuple(sorted(key))
+
 
 def reference_key(g, nu):
     """The least serialization over every id order that keeps each group of

@@ -14,14 +14,14 @@ from clhavoc.automata import (TaTransition, TreeAutomaton, make_symbol, sid_to_t
 from clhavoc.frontend import parse_system
 from clhavoc.logic import (Comp, Eq, Inter, Pred, StateAtom, Var, atom_vars, boundvar,
                            param, substitute)
-from clhavoc.oracle import canonical_model, enumerate_models, enumerate_pf_models
+from clhavoc.oracle import canonical_model, enumerate_models
 from clhavoc.reduction import class_equiv
 from clhavoc.transducer import image
 
 from conftest import FIXTURES, load, sha256, source_fixtures
 from reference import (BadAddress, Tree, assert_heights_match_brute_force, char_formula,
-                       char_formula_closed, comp_in, dump_ta, enumerate_trees, exact_of,
-                       from_exact, nodevar, reference_ta_to_sid)
+                       char_formula_closed, comp_in, dump_ta, enumerate_pf_models,
+                       enumerate_trees, exact_of, from_exact, nodevar, reference_ta_to_sid)
 
 
 def leaf_symbol(q, a0=3):

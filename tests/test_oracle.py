@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -18,16 +19,16 @@ from clhavoc.frontend import parse_system, render_config
 from clhavoc.logic import (Comp, Eq, Neq, Pred, SID, StateAtom, Var, complete_unfoldings,
                            eval_bounded, eval_pf, unfold_formula, var_text)
 from clhavoc.oracle import (Counterexample, CrossReport, EntailReport, HavocReport,
-                            Model, _model_order, _successor_keys,
+                            Model, Shape, _model_order, _successor_keys,
                             canonical_model, cross_validate_reduction,
-                            enumerate_models, enumerate_pf_models, entails_bounded,
+                            enumerate_models, entails_bounded,
                             havoc_invariant_bounded, skeleton_form, state_key)
 from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
 from clhavoc.transducer import transducer_step
 
 from conftest import REUSE_CASES, corpus, corpus_text, source_fixtures
-from reference import (TOKEN, exact_of, from_exact, reference_key, reference_pf_models,
-                       reference_successors)
+from reference import (TOKEN, enumerate_pf_models, exact_of, from_exact, reference_key,
+                       reference_pf_models, reference_state_key, reference_successors)
 
 X1, X2 = Var("x1"), Var("x2")
 
@@ -579,7 +580,7 @@ def test_canonical_model_matches_reference_on_symmetric_models(m, rnd):
 ])
 def test_enumerated_models_pinned(request, fixture, pred, depth, count, digest, unordered):
     # which concrete model a canonical key keeps depends on the order in which
-    # enumerate_pf_models visits equality classes, and that model is the one a
+    # enumeration visits equality classes, and that model is the one a
     # counterexample reports; the unordered digests were recorded with keys
     # from one search over the whole candidate, and still hold with keys
     # made of skeleton forms and state tables
@@ -782,7 +783,7 @@ def test_entailments_key_each_distinct_candidate_once(monkeypatch):
     assert len({(tuple(comps), tuple(bindings), tuple(store))
                 for comps, bindings, _, store in skeletons}) == 6
     # the tables live in the source SID, and the combined SID keeps none
-    assert ({(shape, pairs) for shape in sid._shapes.values() for pairs in shape.keys}
+    assert ({(shape, column) for shape in sid._shapes.values() for column in shape.keys}
             == set(candidates))
     assert not result.combined_sid._shapes
     assert sid._nodes and not result.combined_sid._nodes
@@ -1165,3 +1166,87 @@ def test_candidates_of_one_skeleton_share_their_sets():
     for configs in by_size.values():
         assert len({id(g.components) for g in configs}) == 1
         assert len({id(g.interactions) for g in configs}) == 1
+
+
+# ---------------------------------------------------------------------------
+# a candidate is its shape and its column, the state of each carrier id
+
+def assert_column_keys_equal_pairs_keys(shape, columns):
+    """Each column's key, value for value, is the key the pairs-based
+    state_key gives the candidate's sorted state pairs."""
+    skel = skeleton_form(shape.comps, shape.bindings, shape.carrier, shape.store)
+    for column in columns:
+        assert shape.key(column) == reference_state_key(skel, zip(shape.carrier, column))
+
+
+@pytest.mark.parametrize("name", corpus())
+def test_column_keys_equal_pairs_keys_on_every_candidate(name):
+    # every candidate of every predicate's walk, as enumerate_models
+    # instantiates it from the root SID's shape table
+    sid = parse_system(corpus_text(name)).sid
+    depth = 2 if name == "tll_original.clsys" else 4
+    states = sorted(sid.behavior.states)
+    candidates = {}
+    for pred in sid.predicates:
+        for node, pins in complete_unfoldings(sid, ((), (sid.atom(pred),)), depth):
+            for shape, column in oracle._instantiate(oracle._node_plan(node), pins, states,
+                                                     sid.root._shapes):
+                candidates.setdefault(shape, set()).add(column)
+    assert candidates
+    for shape, columns in candidates.items():
+        assert_column_keys_equal_pairs_keys(shape, columns)
+
+
+@pytest.mark.parametrize("pred, twins", [("Bag", 0), ("Star", 1)])
+def test_column_keys_equal_pairs_keys_on_twins(pred, twins):
+    # Bag's eight components are eight parts of one id each; Star's eight
+    # leaves are one twin group of eight, whose states are sorted into the
+    # group's column indices before a labelling reads them
+    sid = parse_system(SYMMETRIC).sid
+    for m in enumerate_models(sid, ((), (sid.atom(pred),)), 2).models():
+        assert [len(grp) for part in m.shape.layout for grp in part[2]] == [8] * twins
+        assert_column_keys_equal_pairs_keys(m.shape, itertools.product(
+            "HT", repeat=len(m.shape.carrier)))
+
+
+def test_column_keys_equal_pairs_keys_on_a_hub_of_isomorphic_arms():
+    # a hub with three arms of two components: permuting the arms is an
+    # automorphism but no twin swap, so the part keeps 6 labellings, each
+    # its own index permutation into the column
+    arms = [(f"a{k}", f"b{k}") for k in range(3)]
+    bindings = [(("h", "out"), (a, "in")) for a, _ in arms]
+    bindings += [((a, "out"), (b, "in")) for a, b in arms]
+    shape = Shape(tuple(sorted(["h", *itertools.chain(*arms)])), tuple(sorted(bindings)),
+                  ((X1, "h"),))
+    (part,) = shape.layout
+    assert len(part[3]) == 6 and part[2] == ()
+    assert_column_keys_equal_pairs_keys(shape, itertools.product("HT", repeat=7))
+
+
+def spy_configurations(monkeypatch):
+    """Record every Configuration built from now on."""
+    built = []
+    post_init = core.Configuration.__post_init__
+    monkeypatch.setattr(core.Configuration, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    return built
+
+
+def test_enumeration_builds_no_configuration(monkeypatch):
+    sid = parse_system(XVAL_TEXTS["ring.clsys"]).sid
+    result = reduce_havoc_to_entailment(sid, "Ring_1_1", assume_tight=True)
+    bad = parse_system(XVAL_TEXTS["bad.clsys"]).sid
+    built = spy_configurations(monkeypatch)
+    for lhs, rhs in result.entailments:
+        assert entails_bounded(result.combined_sid, lhs, rhs, 8).holds
+    assert havoc_invariant_bounded(sid, "Ring_1_1", 8).invariant
+    assert cross_validate_reduction(sid, "Ring_1_1", 8, result).equal
+    assert built == []
+    # a counterexample builds two: its model's and its successor's
+    ce = havoc_invariant_bounded(bad, "TH", 3).counterexample
+    assert built == [ce.config, ce.successor]
+    (model,) = enumerate_models(bad, ((), (bad.atom("TH"),)), 3).models()
+    assert built[0] is model.config
+    # models are equal when their configurations and provenances are
+    assert model == Model(model.provenance, (), model.shape, model.column)
+    assert model != Model("unfolding#1", model.key, model.shape, model.column)
