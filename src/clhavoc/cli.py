@@ -3,7 +3,7 @@
 Exit codes: 0 verdict-positive, 1 verdict-negative (counterexample or
 mismatch), 2 unknown/gated (tightness not established, a state atom on a
 variable its rule does not allocate, no entailment or target to check, or
-no unfolding of the predicate completes within the depth), 3 input error
+no model of the predicate within the depth), 3 input error
 (malformed input, a usage error, or an -o path that cannot be written).
 Diagnostics go to stderr; results to stdout or the -o path.
 """
@@ -22,7 +22,7 @@ from .frontend import (ParseError, SystemFile, parse_system, render_config,
                        render_system)
 from .logic import var_text
 from .oracle import (Counterexample, cross_validate_reduction, entails_bounded,
-                     havoc_invariant_bounded)
+                     enumerate_models, havoc_invariant_bounded)
 from .reduction import (ReductionResult, TightnessNotEstablished,
                         UnallocatedStateAtom, manifest_dict,
                         reduce_havoc_to_entailment)
@@ -95,12 +95,16 @@ def _counterexample(name: str, ce: Counterexample) -> str:
 
 
 def _incomplete(sf: SystemFile, pred: str, depth: int) -> str | None:
-    """Why the bounded check of pred enumerates nothing, if it does not."""
+    """Why the bounded check of pred enumerates nothing, if it does not:
+    no unfolding completes, or none has a model.  The model set is the
+    oracle's memoised one, which the checks read again."""
     height = sf.sid.heights[pred]
-    if height <= depth:
-        return None
-    least = f"least height {height}" if height < math.inf else "none ever completes"
-    return f"no unfolding of {pred} completes within depth {depth}; {least}"
+    if height > depth:
+        least = f"least height {height}" if height < math.inf else "none ever completes"
+        return f"no unfolding of {pred} completes within depth {depth}; {least}"
+    if not enumerate_models(sf.sid, ((), (sf.sid.atom(pred),)), depth):
+        return f"no model of {pred} within depth {depth}"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:

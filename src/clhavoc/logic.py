@@ -220,11 +220,16 @@ class Rule:
         variables among params + binders and its ports.  A predicate atom is
         its positions only, so rules that differ only in state atoms and
         predicate names have one key."""
-        at = {v: i for i, v in enumerate(self.params + self.binders)}
-        return (len(self.params), len(self.binders),
-                tuple((type(a), tuple(at[v] for v in atom_vars(a)),
-                       tuple(p for _, p in a.bindings) if type(a) is Inter else ())
-                      for a in self.atoms if type(a) is not StateAtom))
+        at = {v: i for i, v in enumerate(self.params + self.binders)}.__getitem__
+        body = []
+        for a in self.atoms:
+            kind = type(a)
+            if kind is Inter:
+                body.append((kind, tuple([at(v) for v, _ in a.bindings]),
+                             tuple([p for _, p in a.bindings])))
+            elif kind is not StateAtom:
+                body.append((kind, tuple(map(at, atom_vars(a))), ()))
+        return len(self.params), len(self.binders), tuple(body)
 
     @cached_property
     def state_slots(self) -> tuple[tuple[int, str], ...]:
@@ -249,15 +254,11 @@ class SID:
     # the SID this one extends (see `extend`); its predicates unfold here as
     # there, so `oracle` keeps their model sets in the base's memo
     _base: SID | None = field(default=None, init=False, repr=False, compare=False)
-    # the shapes of bounded-model candidates (`oracle.Shape`) by components,
-    # bindings and store, which `oracle` alone reads and fills, in the root
-    # of the `_base` chain only: the keys a shape keeps are functions of the
-    # candidate, so extensions share them
-    _shapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the skeleton tries of `complete_unfoldings`, one root `Node` per formula
     # skeleton, in the root of the `_base` chain only: a node is a function
     # of its root and the positional keys of the rules expanded below it, so
-    # extensions, other depths and other predicate names share it
+    # extensions, other depths and other predicate names share it, and with
+    # it the oracle's plan and the shapes and keys the plan holds
     _nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -547,7 +548,7 @@ class Node:
     (`Rule.skeleton`) to the node that expanding the first pending atom by
     that rule makes, materialised with one substitution on first use; equal
     keys give equal atoms in equal order.  `plan` is the bounded oracle's,
-    built on first use."""
+    built on first use, with the shape of each merge's candidates."""
 
     __slots__ = ("binders", "atoms", "free", "fills", "at", "children", "plan")
 

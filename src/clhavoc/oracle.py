@@ -24,13 +24,14 @@ that reach each part's least form, laid over the carrier (`column_layout`).
 `canonical_model` computes both halves at once from a configuration.
 
 A candidate is a `Shape`, its components, bindings and store, with a
-column: the state of each carrier id, in carrier order.  The root of an
-SID's `_base` chain holds the table of shapes, so each shape's skeleton
+column: the state of each carrier id, in carrier order.  Each merge of a
+node's plan holds the shape of its candidates, so each shape's skeleton
 form is searched once, and each shape keys each of its columns once
 (`Shape.key`), for enumeration and successors alike.  A key depends only
-on the candidate, so the table is shared by every extension of the root,
-while model sets stay per SID.  A model builds its configuration on first
-read, so only a counterexample, the command line and the tests build one.
+on the candidate, so the shapes on the root SID's trie serve every
+extension of the root, while model sets stay per SID.  A model builds its
+configuration on first read, so only a counterexample, the command line
+and the tests build one.
 """
 
 from __future__ import annotations
@@ -207,14 +208,14 @@ def _leaves(ids: list[str], inc: dict[str, list], col: dict[str, int],
 
 @dataclass(eq=False)
 class Shape:
-    """What the candidates with equal components, bindings and store share:
-    those three, sorted as text but the store in argument order, and,
-    each formed on first use, their carrier, their component and
-    interaction sets, their skeleton form laid over the carrier and their
-    firing plan.  The carrier is the present ids, the bound ids and the
-    store range, sorted; a candidate of the shape is its column, the state
-    of each carrier id in carrier order.  `keys` holds the canonical key of
-    each column keyed so far."""
+    """What the candidates of one merge of a node's plan share (`_plan`):
+    their components, bindings and store, sorted as text but the store in
+    argument order, and, each formed on first use, their carrier, their
+    component and interaction sets, their skeleton form laid over the
+    carrier and their firing plan.  The carrier is the present ids, the
+    bound ids and the store range, sorted; a candidate of the shape is its
+    column, the state of each carrier id in carrier order.  `keys` holds the
+    canonical key of each column keyed so far."""
 
     comps: tuple[str, ...]
     bindings: tuple[tuple[tuple[str, str], ...], ...]
@@ -289,25 +290,6 @@ class Model:
         return (self.config, self.provenance) == (other.config, other.provenance)
 
 
-class ModelSet:
-    """Models deduplicated by canonical key; iteration order is by key."""
-
-    def __init__(self) -> None:
-        self.entries: dict[tuple, Model] = {}
-
-    def keys(self) -> list[tuple]:
-        return sorted(self.entries)
-
-    def models(self) -> list[Model]:
-        return [self.entries[k] for k in self.keys()]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self.entries
-
-
 # ---------------------------------------------------------------------------
 # model enumeration
 
@@ -324,8 +306,8 @@ def _plan(free: Sequence[Var], binders: Sequence[Var], comp_vars: Sequence[Var],
           neqs: Sequence[tuple[Var, Var]]) -> tuple[dict, list]:
     """The class of each variable, and per merge of the classes that the
     disequalities and interaction atoms allow: the bucket of each class, the
-    carrier index of each relevant bucket, in bucket order, and the
-    components, bindings and store of its candidates' shape.
+    carrier index of each relevant bucket, in bucket order, and the `Shape`
+    of its candidates, their components, bindings and store.
 
     Equalities fix the classes, free variables first, then binders; each
     component atom opens a present bucket, and every other class joins one
@@ -362,9 +344,9 @@ def _plan(free: Sequence[Var], binders: Sequence[Var], comp_vars: Sequence[Var],
         names = {b: f"n{b}" for b in relevant}
         carrier = sorted(names.values())
         merges.append((bucket, {b: carrier.index(names[b]) for b in relevant},
-                       (tuple(sorted(names[b] for b in range(ncomp))),
-                        tuple(sorted(tuple((names[b], p) for b, p in t) for t in tuples)),
-                        tuple((v, names[bucket[cls_of[v]]]) for v in free))))
+                       Shape(tuple(sorted(names[b] for b in range(ncomp))),
+                             tuple(sorted(tuple((names[b], p) for b, p in t) for t in tuples)),
+                             tuple((v, names[bucket[cls_of[v]]]) for v in free))))
     return cls_of, merges
 
 
@@ -383,21 +365,18 @@ def _merges(other_classes: Sequence[int], ncomp: int, i: int,
 
 
 def _instantiate(plan: tuple[dict, list], state_atoms: Iterable[tuple[Var, str]],
-                 states: list[str], shapes: dict) -> Iterator[tuple[Shape, tuple]]:
+                 states: list[str]) -> Iterator[tuple[Shape, tuple]]:
     """The candidates of a plan under a formula's state atoms, given as
-    (variable, state) pairs, each as its shape and its column: per merge,
-    the state atoms pin their buckets (a bucket pinned to two states drops
-    the merge), and the other relevant buckets range over the states, in
-    bucket order."""
+    (variable, state) pairs, each as its merge's shape and its column: per
+    merge, the state atoms pin their buckets (a bucket pinned to two states
+    drops the merge), and the other relevant buckets range over the states,
+    in bucket order."""
     cls_of, merges = plan
     pin_cls = [(cls_of[v], q) for v, q in state_atoms]
-    for bucket, at, form in merges:
+    for bucket, at, shape in merges:
         pins: dict[int, str] = {}
         if any(pins.setdefault(bucket[ci], q) != q for ci, q in pin_cls):
             continue
-        shape = shapes.get(form)
-        if shape is None:
-            shape = shapes[form] = Shape(*form)
         column = [""] * len(at)
         for b, q in pins.items():
             if b in at:
@@ -409,34 +388,35 @@ def _instantiate(plan: tuple[dict, list], state_atoms: Iterable[tuple[Var, str]]
             yield shape, tuple(column)
 
 
-def enumerate_models(sid: SID, f: Prenex, depth: int) -> ModelSet:
+def enumerate_models(sid: SID, f: Prenex, depth: int) -> dict[tuple, Model]:
     """Canonical models over all complete unfoldings of f = (closed, (atom,)),
     one predicate atom with some of its arguments existentially closed; the
-    store ranges over the atom's other arguments, in argument order.
+    store ranges over the atom's other arguments, in argument order.  The
+    set maps each model's canonical key to the model, in order of first
+    enumeration.
 
     Built once per SID object, formula and depth, in the SID's memo, or in
     its base's memo for a predicate of the base (see `SID.extend`), which
     unfolds there alike; sets are shared between callers, so do not modify
     one (successor keys are filled in as they are first asked for).  Each
-    candidate comes as its shape from the root SID's shape table, which
-    keys it once per root SID, and its column; a model keeps both and
-    builds no configuration until one is read.  Each complete unfolding
-    comes as its skeleton node and its state atoms (`complete_unfoldings`);
-    a node, and so its plan, lives in the root SID, so each skeleton is
-    planned once per root SID, for every depth, predicate name and
-    extension."""
+    complete unfolding comes as its skeleton node and its state atoms
+    (`complete_unfoldings`); a node, and so its plan, lives in the root
+    SID, so each skeleton is planned once per root SID, for every depth,
+    predicate name and extension.  Each candidate comes as its merge's
+    shape, which keys it once per root SID, and its column; a model keeps
+    both and builds no configuration until one is read."""
     _, (atom,) = f
     while sid._base is not None and atom.name in sid._base.predicates:
         sid = sid._base
     memo = sid._memo
     if (f, depth) not in memo:
-        shapes, states = sid.root._shapes, sorted(sid.behavior.states)
-        ms = ModelSet()
+        states = sorted(sid.behavior.states)
+        ms: dict[tuple, Model] = {}
         for k, (node, pins) in enumerate(complete_unfoldings(sid, f, depth)):
-            for shape, column in _instantiate(_node_plan(node), pins, states, shapes):
+            for shape, column in _instantiate(_node_plan(node), pins, states):
                 key = shape.key(column)
-                if key not in ms.entries:
-                    ms.entries[key] = Model(f"unfolding#{k}", key, shape, column)
+                if key not in ms:
+                    ms[key] = Model(f"unfolding#{k}", key, shape, column)
         memo[f, depth] = ms
     return memo[f, depth]
 
@@ -460,8 +440,8 @@ class HavocReport:
     counterexample: Counterexample | None
 
 
-def _model_order(ms: ModelSet) -> list[tuple[tuple, Model]]:
-    return sorted(ms.entries.items(), key=lambda kv: (len(kv[1].shape.comps), kv[0]))
+def _model_order(ms: dict[tuple, Model]) -> list[tuple[tuple, Model]]:
+    return sorted(ms.items(), key=lambda kv: (len(kv[1].shape.comps), kv[0]))
 
 
 def _fire(behavior: Behavior, model: Model, inter: Interaction) -> list[tuple]:
@@ -481,7 +461,7 @@ def _fire(behavior: Behavior, model: Model, inter: Interaction) -> list[tuple]:
     return sorted(columns)
 
 
-def _successor_keys(sid: SID, ms: ModelSet, model: Model,
+def _successor_keys(sid: SID, ms: dict[tuple, Model], model: Model,
                     inter: Interaction) -> tuple[tuple, ...]:
     """Canonical keys of the successors of firing inter in the model, a
     member of sid's set ms, in the order of `core.step`'s successors sorted
@@ -502,7 +482,7 @@ def _successor_keys(sid: SID, ms: ModelSet, model: Model,
         keys = []
         for column in _fire(sid.behavior, model, inter):
             key = model.shape.key(column)
-            member = ms.entries.get(key)
+            member = ms.get(key)
             keys.append(key if member is None else member.key)
         keys = model.steps[inter] = tuple(keys)
     return keys
@@ -579,7 +559,7 @@ def cross_validate_reduction(sid: SID, pred: str, depth: int,
     the direct check stored, where it has run."""
     left: set[tuple] = set()
     ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
-    for model in ms.entries.values():
+    for model in ms.values():
         for inter, (_, _, present) in model.shape.firing.items():
             if present:
                 left.update(_successor_keys(sid, ms, model, inter))
@@ -587,7 +567,7 @@ def cross_validate_reduction(sid: SID, pred: str, depth: int,
     for target in result.targets:
         right.update(enumerate_models(result.combined_sid,
                                       ((), (result.combined_sid.atom(target),)),
-                                      depth).entries)
+                                      depth))
     left_only = sorted(k for k in left if k not in right)
     right_only = sorted(k for k in right if k not in left)
     return CrossReport(not left_only and not right_only, depth,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .analysis import check_pcr
 from .automata import sid_to_ta, ta_to_sid, ta_trim
 from .eqform import Partition
-from .logic import Comp, Inter, Pred, Rule, SID, StateAtom, atom_vars, var_text
+from .logic import Comp, Pred, Rule, SID, StateAtom, var_text
 from .transducer import ProductState, image, interaction_types
 
 
@@ -143,24 +143,18 @@ class ClassEquivResult:
 
 
 def _rule_key(rule: Rule) -> tuple:
-    """The rule as plain data, its parameters and binders numbered by
-    position: the two counts, each non-state atom as its kind, its
-    variables' positions and an interaction's ports, then each call's
-    argument positions.  State atoms and predicate names are left out."""
-    pos = {v: i for i, v in enumerate(rule.params + rule.binders)}
+    """The rule's positional key (`Rule.skeleton`) with its calls moved
+    last: the two counts, each non-call entry in body order, then each
+    call's argument positions.  State atoms and predicate names are left
+    out."""
+    nparams, nbinders, body = rule.skeleton
     atoms, calls = [], []
-    for a in rule.atoms:
-        kind = type(a)
-        if kind is StateAtom:
-            continue
-        at = tuple(map(pos.__getitem__, atom_vars(a)))
-        if kind is Pred:
-            calls.append(at)
-        elif kind is Inter:
-            atoms.append((kind, at, tuple(p for _, p in a.bindings)))
+    for entry in body:
+        if entry[0] is Pred:
+            calls.append(entry[1])
         else:
-            atoms.append((kind, at))
-    return len(rule.params), len(rule.binders), tuple(atoms), tuple(calls)
+            atoms.append(entry)
+    return nparams, nbinders, tuple(atoms), tuple(calls)
 
 
 def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
@@ -169,10 +163,10 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
     Each rule pairs with the first rule of the other SID whose body is equal
     to its own up to state atoms and predicate names: the same atoms in the
     same order, parameters and binders numbered by position.  The key
-    (`_rule_key`) is plain data built in one pass over the body: tuples of
-    atom kinds, variable positions and ports, so no atom is rebuilt or
-    hashed.  The pairs unite their heads and calls position by position
-    into the class relation.  Equality is syntactic, so atoms written in
+    (`_rule_key`) is read off the rule's cached skeleton: tuples of atom
+    kinds, variable positions and ports, so no atom is rebuilt or hashed.
+    The pairs unite their heads and calls position by position into the
+    class relation.  Equality is syntactic, so atoms written in
     another order do not pair; a derived rule is its source rule with other
     state atoms and predicate names (`ta_to_sid` inverts `sid_to_ta`), so
     the reduction's output always pairs with its source.

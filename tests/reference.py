@@ -285,10 +285,28 @@ def assert_heights_match_brute_force(sid, max_depth=5):
             assert heights[pred] == least, pred
 
 
+def models_by_key(ms: dict[tuple, Model]) -> list[Model]:
+    """The models of a bounded model set (`oracle.enumerate_models`), in
+    order of their canonical keys."""
+    return [ms[key] for key in sorted(ms)]
+
+
+def trie_shapes(sid: SID) -> list[Shape]:
+    """The shapes of a root SID's planned skeleton nodes, one per merge of
+    each node's plan (`oracle._plan`), over every trie in `SID._nodes`."""
+    shapes, stack = [], list(sid._nodes.values())
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children.values())
+        if node.plan is not None:
+            shapes += [shape for _, _, shape in node.plan[1]]
+    return shapes
+
+
 def degree_sample(sid: SID, pred: str, depth: int) -> int:
     """Maximum degree over all bounded models; an empirical lower bound only."""
     best = 0
-    for model in enumerate_models(sid, ((), (sid.atom(pred),)), depth).models():
+    for model in enumerate_models(sid, ((), (sid.atom(pred),)), depth).values():
         best = max(best, degree(model.config))
     return best
 
@@ -344,7 +362,7 @@ def enumerate_pf_models(binders: Sequence[Var], atoms: Sequence[Atom], free: Seq
     node = Node(tuple(binders), tuple(a for a in atoms if type(a) is not StateAtom),
                 tuple(free))
     pins = [(a.var, a.state) for a in atoms if type(a) is StateAtom]
-    return _instantiate(_node_plan(node), pins, sorted(states), {})
+    return _instantiate(_node_plan(node), pins, sorted(states))
 
 
 def reference_pf_models(binders: Sequence[Var], atoms: Sequence[Atom],

@@ -21,7 +21,8 @@ from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
 from clhavoc.automata import sid_to_ta
 
 from conftest import FIXTURES
-from reference import TOKEN, all_partitions, brute_force_profile, models, ring_config
+from reference import (TOKEN, all_partitions, brute_force_profile, models, models_by_key,
+                       ring_config)
 
 
 class Budget:
@@ -151,7 +152,7 @@ def test_criterion_10_one_step_iff_multi_step(name, pred, depth, request):
         keys = set(ms.keys())
         one = True
         multi = True
-        for m in ms.models():
+        for m in models_by_key(ms):
             for inter in m.config.interactions:
                 for g2 in step(sid.behavior, m.config, inter):
                     if canonical_model(g2, m.store) not in keys:
@@ -191,7 +192,7 @@ def test_criterion_13_pcr_tight_sampling(name, request):
     with Budget(13, f"all bounded models of the PCR fixture are tight [{name}]", 60):
         assert check_pcr(sf.sid).sid_pcr
         for pred in sf.sid.predicates:
-            for m in enumerate_models(sf.sid, ((), (sf.sid.atom(pred),)), 4).models():
+            for m in enumerate_models(sf.sid, ((), (sf.sid.atom(pred),)), 4).values():
                 assert is_tight(m.config)
 
 

@@ -179,7 +179,7 @@ def test_pcr_sids_have_tight_models(name, request):
     sf = request.getfixturevalue(name)
     assert check_pcr(sf.sid).sid_pcr
     for pred in sf.sid.predicates:
-        for model in enumerate_models(sf.sid, ((), (sf.sid.atom(pred),)), 4).models():
+        for model in enumerate_models(sf.sid, ((), (sf.sid.atom(pred),)), 4).values():
             assert is_tight(model.config), (pred, model.config)
 
 

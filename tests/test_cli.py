@@ -205,6 +205,15 @@ def test_check_without_complete_unfoldings_unknown(capsys, tmp_path):
     assert out == f"verdict: Unknown ({INCOMPLETE})\n"
 
 
+def test_check_without_models_unknown(capsys):
+    # Ring_0_0 has least height 2, but its height-2 unfolding has no model:
+    # every entailment would hold on zero models
+    code, out, _ = run(capsys, "check", RING, "--pred", "Ring_0_0", "--depth", "2",
+                       "--assume-tight")
+    assert code == 2
+    assert out == "verdict: Unknown (no model of Ring_0_0 within depth 2)\n"
+
+
 # ring.clsys's behavior with a predicate R whose rewritten component x has a
 # second state atom: a repeat on x, one on a variable equal to x, one in a
 # called rule; the expected refusal names the rule and the variable
@@ -346,6 +355,17 @@ def test_oracle_without_complete_unfoldings_unknown(capsys, tmp_path):
     assert out == ("models(Ring_2_2, depth=3): 0\n"
                    f"direct: Unknown ({INCOMPLETE})\n"
                    f"cross-validation: Unknown ({INCOMPLETE})\n")
+
+
+def test_oracle_without_models_unknown(capsys):
+    # an unfolding completes, but none has a model: the direct check and the
+    # comparison of two empty sides would pass vacuously
+    code, out, _ = run(capsys, "oracle", RING, "--pred", "Ring_0_0", "--depth", "2",
+                       "--assume-tight")
+    assert code == 2
+    assert out == ("models(Ring_0_0, depth=2): 0\n"
+                   "direct: Unknown (no model of Ring_0_0 within depth 2)\n"
+                   "cross-validation: Unknown (no model of Ring_0_0 within depth 2)\n")
 
 
 def test_oracle_predicate_that_never_completes(capsys, tmp_path):

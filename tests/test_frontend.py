@@ -205,7 +205,7 @@ def test_shadowing_binder_has_the_models_of_a_renamed_one():
     for depth in range(4):
         got = enumerate_models(sid, ((), (sid.atom("P"),)), depth)
         want = enumerate_models(renamed.sid, ((), (renamed.sid.atom("P"),)), depth)
-        assert set(got.entries) == set(want.entries)
+        assert set(got) == set(want)
         assert len(got) == len(want)
 
 

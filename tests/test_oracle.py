@@ -27,8 +27,9 @@ from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
 from clhavoc.transducer import transducer_step
 
 from conftest import REUSE_CASES, corpus, corpus_text, source_fixtures
-from reference import (TOKEN, enumerate_pf_models, exact_of, from_exact, reference_key,
-                       reference_pf_models, reference_state_key, reference_successors)
+from reference import (TOKEN, enumerate_pf_models, exact_of, from_exact, models_by_key,
+                       reference_key, reference_pf_models, reference_state_key,
+                       reference_successors, trie_shapes)
 
 X1, X2 = Var("x1"), Var("x2")
 
@@ -36,7 +37,7 @@ X1, X2 = Var("x1"), Var("x2")
 def test_chain_base_single_model(ring):
     ms = enumerate_models(ring.sid, ((), (Pred("Chain_0_1", (X1, X1)),)), 1)
     assert len(ms) == 1
-    m = ms.models()[0]
+    m = models_by_key(ms)[0]
     assert len(m.config.components) == 1
     assert not m.config.interactions
     c = next(iter(m.config.components))
@@ -106,7 +107,7 @@ def test_loose_models_enumerate_absent_states(tll_original):
     assert len(ms) > 0
     assert any(not all(c in m.config.components
                        for i in m.config.interactions for c in i.components)
-               for m in ms.models())
+               for m in models_by_key(ms))
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +185,10 @@ def test_one_step_closure_iff_multi_step(name, pred, depth, request):
             yield from step(sid.behavior, model.config, inter)
 
     one_step = all(canonical_model(g2, m.store) in keys
-                   for m in ms.models() for g2 in successors_of(m))
+                   for m in models_by_key(ms) for g2 in successors_of(m))
 
     multi = True
-    for m in ms.models():
+    for m in models_by_key(ms):
         seen = {m.config}
         frontier = [m.config]
         while frontier:
@@ -226,7 +227,7 @@ def test_model_key_membership_matches_eval_pf_on_successors(name, depth, request
     outcomes = set()
     for pred in sid.predicates:
         ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
-        candidates = [(m.config, m.store) for m in ms.models()]
+        candidates = [(m.config, m.store) for m in models_by_key(ms)]
         candidates += [(g2, m.store) for m, _, g2 in one_step_successors(sid, ms)]
         for other in sid.predicates:
             if sid.arity(other) != sid.arity(pred):
@@ -360,7 +361,7 @@ def test_canonical_model_matches_reference_classes(name, depth, request):
     items = []
     for pred in sid.predicates:
         ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
-        items += [(m.config, m.store) for m in ms.models()]
+        items += [(m.config, m.store) for m in models_by_key(ms)]
         items += [(g2, m.store) for m, _, g2 in one_step_successors(sid, ms)]
     items += [renamed(g, nu, random_renaming(g, rnd)) for g, nu in items]
     assert assert_same_classes(items) <= len(items) // 2
@@ -475,7 +476,7 @@ def test_symmetric_models_key_by_parts_and_twins(pred, models, parts, labellings
     ms = enumerate_models(sid, ((), (sid.atom(pred),)), 2)
     assert len(ms) == models
     rnd = random.Random(pred)
-    for m in ms.models():
+    for m in models_by_key(ms):
         g = m.config
         skel = skeleton_form(g.components, (i.bindings for i in g.interactions),
                              (c for c, _ in g.state_pairs), m.store.items())
@@ -586,7 +587,7 @@ def test_enumerated_models_pinned(request, fixture, pred, depth, count, digest, 
     # made of skeleton forms and state tables
     sid = request.getfixturevalue(fixture).sid
     rows = [[render_config("m", m.config), sorted((var_text(v), c) for v, c in m.store.items())]
-            for m in enumerate_models(sid, ((), (sid.atom(pred),)), depth).models()]
+            for m in models_by_key(enumerate_models(sid, ((), (sid.atom(pred),)), depth))]
     assert len(rows) == count
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
     # which models are kept, whatever order their keys sort them in
@@ -609,7 +610,7 @@ def reference_cross_validate(sid, pred, depth, result):
     right: dict[tuple, Model] = {}
     for target in result.targets:
         right.update(enumerate_models(result.derived_sid,
-                                      ((), (result.derived_sid.atom(target),)), depth).entries)
+                                      ((), (result.derived_sid.atom(target),)), depth))
     left_only = sorted(k for k in left if k not in right)
     right_only = sorted(k for k in right if k not in left)
     return CrossReport(not left_only and not right_only, depth,
@@ -651,8 +652,8 @@ def test_cross_validation_matches_reference(name, pred, depth):
                                    depth)
         combined = enumerate_models(result.combined_sid, ((), (result.combined_sid.atom(t),)), depth)
         assert derived.keys() == combined.keys(), t
-        assert [m.provenance for m in derived.models()] == \
-            [m.provenance for m in combined.models()], t
+        assert [m.provenance for m in models_by_key(derived)] == \
+            [m.provenance for m in models_by_key(combined)], t
 
 
 def checked(name, pred, depth):
@@ -695,16 +696,17 @@ def test_cross_validation_reuses_built_models(name, pred, depth, monkeypatch):
 
 def test_model_memo_belongs_to_one_sid_object():
     a, b = parse_system(XVAL_TEXTS["ring.clsys"]).sid, parse_system(XVAL_TEXTS["ring.clsys"]).sid
-    assert a._memo is not b._memo and a._shapes is not b._shapes and a._nodes is not b._nodes
+    assert a._memo is not b._memo and a._nodes is not b._nodes
     ms = enumerate_models(a, ((), (a.atom("Ring_1_1"),)), 3)
     assert enumerate_models(a, ((), (a.atom("Ring_1_1"),)), 3) is ms
     assert a._memo and not b._memo
-    assert a._shapes and not b._shapes
+    assert trie_shapes(a) and not trie_shapes(b)
     assert a._nodes and not b._nodes
-    # equality, hash and text ignore the memo and the shape table
+    # equality, hash and text ignore the memo and the tries
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     other = enumerate_models(b, ((), (b.atom("Ring_1_1"),)), 3)
     assert other is not ms and other.keys() == ms.keys()
+    assert not set(trie_shapes(a)) & set(trie_shapes(b))
 
 
 # ---------------------------------------------------------------------------
@@ -739,12 +741,12 @@ def test_cross_validation_after_direct_check_keys_nothing(name, pred, depth, mon
     assert calls == [] and skeletons == []
     # a stored key that the set holds is the set's own key object
     ms = enumerate_models(sid, ((), (sid.atom(pred),)), depth)
-    stored = [k for m in ms.entries.values() for keys in m.steps.values() for k in keys]
-    assert stored and all(k is ms.entries[k].key for k in stored if k in ms)
+    stored = [k for m in ms.values() for keys in m.steps.values() for k in keys]
+    assert stored and all(k is ms[k].key for k in stored if k in ms)
 
 
 # ---------------------------------------------------------------------------
-# one canonical key per distinct candidate, in the root SID's shape table
+# one canonical key per distinct candidate, in the shapes of the root SID's trie
 
 def spy_keys(monkeypatch):
     """Record every state_key call the oracle makes from now on; each key,
@@ -778,14 +780,14 @@ def test_entailments_key_each_distinct_candidate_once(monkeypatch):
         assert entails_bounded(result.combined_sid, lhs, rhs, 8).holds
     assert len(candidates) == 510
     assert len(set(candidates)) == len(calls) == 240
-    assert sum(len(shape.keys) for shape in sid._shapes.values()) == 240
-    assert len(skeletons) == len(sid._shapes) == 6
+    shapes = trie_shapes(sid)
+    assert sum(len(shape.keys) for shape in shapes) == 240
+    assert len(skeletons) == len(shapes) == 6
     assert len({(tuple(comps), tuple(bindings), tuple(store))
                 for comps, bindings, _, store in skeletons}) == 6
-    # the tables live in the source SID, and the combined SID keeps none
-    assert ({(shape, column) for shape in sid._shapes.values() for column in shape.keys}
-            == set(candidates))
-    assert not result.combined_sid._shapes
+    # the shapes live on the source SID's trie, and the combined SID keeps none
+    assert {(shape, column) for shape in shapes for column in shape.keys} == set(candidates)
+    assert not trie_shapes(result.combined_sid)
     assert sid._nodes and not result.combined_sid._nodes
 
 
@@ -824,7 +826,7 @@ def test_direct_check_and_cross_validation_build_no_successor(name, pred, depth,
     assert cross_validate_reduction(sid, pred, depth, result).left_size
     assert calls == []
     # the spy sees both boundaries
-    m = enumerate_models(sid, ((), (sid.atom(pred),)), depth).models()[-1]
+    m = models_by_key(enumerate_models(sid, ((), (sid.atom(pred),)), depth))[-1]
     core.step(sid.behavior, m.config, next(iter(m.config.interactions)))
     oracle.canonical_model(m.config, m.store)
     assert calls == ["step", "canonical_model"]
@@ -868,18 +870,18 @@ def test_successor_over_eleven_ids_hits_the_table(monkeypatch):
     for lhs, rhs in result.entailments:
         assert entails_bounded(result.combined_sid, lhs, rhs, 12).holds
     ms = enumerate_models(sid, ((), (sid.atom("Ring"),)), 12)
-    assert max(len(m.config.state_pairs) for m in ms.entries.values()) >= 11
+    assert max(len(m.config.state_pairs) for m in ms.values()) >= 11
     calls, skeletons = spy_keys(monkeypatch), spy_skeletons(monkeypatch)
     assert havoc_invariant_bounded(sid, "Ring", 12).invariant
     assert calls == [] and skeletons == []
-    assert all(m.steps for m in ms.entries.values())
+    assert all(m.steps for m in ms.values())
 
 
 def reference_models(sid, f, depth):
     """enumerate_models' entries as they were when each candidate was
-    keyed afresh, with no shape table, no memo, no skeleton node and no
-    plan: the reference walk's complete unfoldings, each enumerated on its
-    own, and per key the first candidate's (key, configuration, store items,
+    keyed afresh, with no shape, no memo, no skeleton node and no plan:
+    the reference walk's complete unfoldings, each enumerated on its own,
+    and per key the first candidate's (key, configuration, store items,
     provenance)."""
     closed, (atom,) = f
     free = [v for v in atom.args if v not in closed]
@@ -899,10 +901,10 @@ def assert_models_match_reference(sid, f, depth):
     keys per candidate."""
     ms = enumerate_models(sid, f, depth)
     want = reference_models(sid, f, depth)
-    assert list(ms.entries) == list(want) == [m.key for m in ms.entries.values()]
+    assert list(ms) == list(want) == [m.key for m in ms.values()]
     assert [(k, m.config, list(m.store.items()), m.provenance)
-            for k, m in ms.entries.items()] == list(want.values())
-    for m in ms.entries.values():
+            for k, m in ms.items()] == list(want.values())
+    for m in ms.values():
         # the shape's carrier is the id column of the model's state table,
         # and its firing plan lists the interactions in text order
         assert m.shape.carrier == tuple(c for c, _ in m.config.state_pairs)
@@ -912,10 +914,10 @@ def assert_models_match_reference(sid, f, depth):
             assert keys == m.steps[inter] == tuple(
                 canonical_model(g2, m.store)
                 for g2 in reference_successors(sid.behavior, m, inter))
-    # every key of every shape in the root's table, whether enumeration or
+    # every key of every shape on the root's trie, whether enumeration or
     # successor keying asked for it, is the candidate's canonical_model
     assert all(key == canonical_model(*from_exact(exact_of((shape, pairs))))
-               for shape in sid.root._shapes.values() for pairs, key in shape.keys.items())
+               for shape in trie_shapes(sid.root) for pairs, key in shape.keys.items())
 
 
 CORPUS_CASES = [(name, pred, 2 if name == "tll_original.clsys" else 3)
@@ -931,9 +933,9 @@ def test_keyed_models_match_fresh_keys(name, pred, depth):
 
 @pytest.mark.parametrize("name,pred,depth", REUSE_CASES)
 def test_keyed_models_of_combined_sid_match_fresh_keys(name, pred, depth):
-    # after the check, the entailments have filled the table
+    # after the check, the entailments have filled the shapes' key tables
     sid, result = checked(name, pred, depth)
-    assert sid._shapes
+    assert any(shape.keys for shape in trie_shapes(sid))
     combined = result.combined_sid
     for p in (pred, *result.derived_sid.predicates):
         assert_models_match_reference(combined, ((), (combined.atom(p),)), depth)
@@ -960,8 +962,8 @@ def test_reductions_of_one_parse_stay_apart():
             got = enumerate_models(result.combined_sid, ((), (result.combined_sid.atom(p),)), depth)
             want = enumerate_models(alone.combined_sid, ((), (alone.combined_sid.atom(p),)), depth)
             assert got.keys() == want.keys(), (result.predicate, p)
-            assert [m.provenance for m in got.models()] == \
-                [m.provenance for m in want.models()], (result.predicate, p)
+            assert [m.provenance for m in models_by_key(got)] == \
+                [m.provenance for m in models_by_key(want)], (result.predicate, p)
 
 
 def test_extend_refuses_a_rule_for_a_base_predicate(ring):
@@ -994,7 +996,7 @@ def test_recursive_helpers_leave_no_cycles():
         assert len(transducer_step(("out", "in"), leaf, [], sf.sid.behavior, 2)) > 1
         # the matcher of the reference semantics
         f = ((), (sf.sid.atom("Ring_1_1"),))
-        model = enumerate_models(sf.sid, f, 3).models()[0]
+        model = models_by_key(enumerate_models(sf.sid, f, 3))[0]
         assert eval_bounded(model.config, model.store, f, sf.sid, 3)
         assert any(eval_pf(model.config, model.store, u)
                    for u, complete in unfold_formula(sf.sid, f, 3) if complete)
@@ -1023,7 +1025,7 @@ def assert_planned_like_reference(binders, forms, free, states):
         assert list(map(exact_of, enumerate_pf_models(binders, atoms, free, states))) == want
         pins = [(a.var, a.state) for a in atoms if isinstance(a, StateAtom)]
         assert list(map(exact_of, oracle._instantiate(oracle._node_plan(node), pins,
-                                                      sorted(states), {}))) == want
+                                                      sorted(states)))) == want
     assert node.plan is plan
 
 
@@ -1044,7 +1046,7 @@ def test_planned_models_match_reference_on_every_unfolding(name):
                 binders, atoms = node.form(pins)
                 assert node.free == sid.atom(pred).args
                 assert (list(map(exact_of, oracle._instantiate(
-                    oracle._node_plan(node), pins, sorted(sid.behavior.states), {})))
+                    oracle._node_plan(node), pins, sorted(sid.behavior.states))))
                     == list(reference_pf_models(binders, atoms, node.free,
                                                 sid.behavior.states)))
 
@@ -1161,7 +1163,7 @@ def test_candidates_of_one_skeleton_share_their_sets():
     sid = parse_system(XVAL_TEXTS["ring.clsys"]).sid
     ms = enumerate_models(sid, ((), (sid.atom("Ring_1_1"),)), 6)
     by_size = {}
-    for m in ms.entries.values():
+    for m in ms.values():
         by_size.setdefault(len(m.config.components), []).append(m.config)
     for configs in by_size.values():
         assert len({id(g.components) for g in configs}) == 1
@@ -1182,15 +1184,14 @@ def assert_column_keys_equal_pairs_keys(shape, columns):
 @pytest.mark.parametrize("name", corpus())
 def test_column_keys_equal_pairs_keys_on_every_candidate(name):
     # every candidate of every predicate's walk, as enumerate_models
-    # instantiates it from the root SID's shape table
+    # instantiates it, each shape from its node's plan
     sid = parse_system(corpus_text(name)).sid
     depth = 2 if name == "tll_original.clsys" else 4
     states = sorted(sid.behavior.states)
     candidates = {}
     for pred in sid.predicates:
         for node, pins in complete_unfoldings(sid, ((), (sid.atom(pred),)), depth):
-            for shape, column in oracle._instantiate(oracle._node_plan(node), pins, states,
-                                                     sid.root._shapes):
+            for shape, column in oracle._instantiate(oracle._node_plan(node), pins, states):
                 candidates.setdefault(shape, set()).add(column)
     assert candidates
     for shape, columns in candidates.items():
@@ -1203,7 +1204,7 @@ def test_column_keys_equal_pairs_keys_on_twins(pred, twins):
     # leaves are one twin group of eight, whose states are sorted into the
     # group's column indices before a labelling reads them
     sid = parse_system(SYMMETRIC).sid
-    for m in enumerate_models(sid, ((), (sid.atom(pred),)), 2).models():
+    for m in models_by_key(enumerate_models(sid, ((), (sid.atom(pred),)), 2)):
         assert [len(grp) for part in m.shape.layout for grp in part[2]] == [8] * twins
         assert_column_keys_equal_pairs_keys(m.shape, itertools.product(
             "HT", repeat=len(m.shape.carrier)))
@@ -1245,7 +1246,7 @@ def test_enumeration_builds_no_configuration(monkeypatch):
     # a counterexample builds two: its model's and its successor's
     ce = havoc_invariant_bounded(bad, "TH", 3).counterexample
     assert built == [ce.config, ce.successor]
-    (model,) = enumerate_models(bad, ((), (bad.atom("TH"),)), 3).models()
+    (model,) = models_by_key(enumerate_models(bad, ((), (bad.atom("TH"),)), 3))
     assert built[0] is model.config
     # models are equal when their configurations and provenances are
     assert model == Model(model.provenance, (), model.shape, model.column)
