@@ -128,15 +128,6 @@ class Configuration:
         rho.update(updates)
         return Configuration(self.components, self.interactions, tuple(sorted(rho.items())))
 
-    def extend_carrier(self, extra: Mapping[str, str]) -> "Configuration":
-        """Add fresh ids to the carrier; existing entries must not change."""
-        rho = self.state_map
-        for c, q in extra.items():
-            if c in rho and rho[c] != q:
-                raise StateMapMismatch(f"carrier id {c!r} already mapped to {rho[c]!r}")
-            rho[c] = q
-        return Configuration(self.components, self.interactions, tuple(sorted(rho.items())))
-
 
 EMPTY = Configuration.make((), (), {})
 

@@ -98,36 +98,7 @@ class EqFormula:
         """Partition generated by `pairs` over `vars` plus the pair variables."""
         return EqFormula(frozenset(frozenset(c) for c in Partition(vars, pairs).classes()))
 
-    @property
-    def vars(self) -> frozenset[Var]:
-        return frozenset(v for cls in self.classes for v in cls)
-
-    def class_of(self, v: Var) -> frozenset[Var] | None:
-        for cls in self.classes:
-            if v in cls:
-                return cls
-        return None
-
-    def entails(self, x: Var, y: Var) -> bool:
-        """True iff x = y holds in every model of the partition."""
-        if x == y:
-            return True
-        cx = self.class_of(x)
-        return cx is not None and y in cx
-
-    def qelim(self, drop: Iterable[Var]) -> "EqFormula":
-        """Existentially project away `drop`; kept singletons survive."""
-        dropped = set(drop)
-        out = []
-        for cls in self.classes:
-            kept = cls - dropped
-            if kept:
-                out.append(frozenset(kept))
-        return EqFormula(frozenset(out))
-
     def render(self, var_text) -> str:
         parts = sorted("=".join(sorted(var_text(v) for v in cls)) for cls in self.classes)
         return "{" + " | ".join(parts) + "}"
 
-
-EMPTY_EQ = EqFormula(frozenset())

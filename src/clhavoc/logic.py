@@ -165,13 +165,12 @@ def substitute(a: Atom, mapping: Mapping[Var, Var]) -> Atom:
     raise TypeError(a)
 
 
-def prenex(f: Prenex, counter: itertools.count | None = None,
-           prefix: str = "%q") -> Prenex:
-    """f with its binders renamed apart, in order, to fresh `prefix` variables."""
+def prenex(f: Prenex, counter: itertools.count | None = None) -> Prenex:
+    """f with its binders renamed apart, in order, to fresh `%u` variables."""
     binders, atoms = f
     if counter is None:
         counter = itertools.count()
-    fresh = tuple(Var(prefix, (next(counter),)) for _ in binders)
+    fresh = tuple(Var("%u", (next(counter),)) for _ in binders)
     mapping = dict(zip(binders, fresh))
     return fresh, tuple(substitute(a, mapping) for a in atoms)
 
@@ -183,25 +182,53 @@ def prenex(f: Prenex, counter: itertools.count | None = None,
 class Rule:
     """head(params) <- exists binders . *atoms, the one form of a rule.
 
-    Binders keep their written names; `calls` holds the positions of the
-    predicate atoms among `atoms`."""
+    Binders keep their written names.  The body is read once, when the rule
+    is built, with each variable as its position among params + binders; an
+    unbound variable is refused.  `calls` holds the positions of the
+    predicate atoms among `atoms`.  `skeleton` is the rule's positional key:
+    its parameter and binder counts, then each non-state atom in body order
+    as its kind, the positions of its variables and its ports.  A predicate
+    atom is its positions only, so rules that differ only in state atoms and
+    predicate names have one key.  `state_slots` holds each state atom as
+    the position of its variable (an index into `Node.fills`) and its
+    state."""
 
     head: str
     params: tuple[Var, ...]
     binders: tuple[Var, ...]
     atoms: tuple[Atom, ...]
     calls: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    skeleton: tuple = field(init=False, repr=False, compare=False)
+    state_slots: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = self.params + self.binders
-        if len(set(names)) != len(names):
+        at = {v: i for i, v in enumerate(names)}
+        if len(at) != len(names):
             raise ValueError(f"rule for {self.head}: parameters and binders must be distinct")
-        object.__setattr__(self, "calls", tuple(i for i, a in enumerate(self.atoms)
-                                                if isinstance(a, Pred)))
-        extra = {v for a in self.atoms for v in atom_vars(a)}.difference(names)
-        if extra:
+        calls, body, slots = [], [], []
+        try:
+            for i, a in enumerate(self.atoms):
+                kind = type(a)
+                if kind is StateAtom:
+                    slots.append((at[a.var], a.state))
+                elif kind is Comp:
+                    body.append((kind, (at[a.var],), ()))
+                elif kind is Inter:
+                    body.append((kind, tuple([at[v] for v, _ in a.bindings]),
+                                 tuple([p for _, p in a.bindings])))
+                elif kind is Pred:
+                    calls.append(i)
+                    body.append((kind, tuple([at[v] for v in a.args]), ()))
+                else:
+                    body.append((kind, tuple([at[v] for v in atom_vars(a)]), ()))
+        except KeyError:
+            extra = {v for a in self.atoms for v in atom_vars(a)}.difference(names)
             raise ValueError(f"rule for {self.head}: unbound body variables "
-                             f"{sorted(var_text(v) for v in extra)}")
+                             f"{sorted(var_text(v) for v in extra)}") from None
+        object.__setattr__(self, "calls", tuple(calls))
+        object.__setattr__(self, "skeleton", (len(self.params), len(self.binders), tuple(body)))
+        object.__setattr__(self, "state_slots", tuple(slots))
 
     @property
     def preds(self) -> tuple[Pred, ...]:
@@ -212,31 +239,6 @@ class Rule:
     def pf_atoms(self) -> tuple[Atom, ...]:
         """The predicate-free atoms of the body, in order."""
         return tuple(a for i, a in enumerate(self.atoms) if i not in self.calls)
-
-    @cached_property
-    def skeleton(self) -> tuple:
-        """The rule's positional key: its parameter and binder counts, then
-        each non-state atom in body order as its kind, the positions of its
-        variables among params + binders and its ports.  A predicate atom is
-        its positions only, so rules that differ only in state atoms and
-        predicate names have one key."""
-        at = {v: i for i, v in enumerate(self.params + self.binders)}.__getitem__
-        body = []
-        for a in self.atoms:
-            kind = type(a)
-            if kind is Inter:
-                body.append((kind, tuple([at(v) for v, _ in a.bindings]),
-                             tuple([p for _, p in a.bindings])))
-            elif kind is not StateAtom:
-                body.append((kind, tuple(map(at, atom_vars(a))), ()))
-        return len(self.params), len(self.binders), tuple(body)
-
-    @cached_property
-    def state_slots(self) -> tuple[tuple[int, str], ...]:
-        """Each state atom of the body as the position of its variable
-        among params + binders (an index into `Node.fills`), and its state."""
-        at = {v: i for i, v in enumerate(self.params + self.binders)}
-        return tuple((at[a.var], a.state) for a in self.atoms if type(a) is StateAtom)
 
 
 @dataclass(frozen=True)
@@ -270,21 +272,22 @@ class SID:
                 if prev != len(r.params):
                     raise ValueError(f"{r.head} defined with arities {prev} and {len(r.params)}")
                 by_head.setdefault(r.head, []).append(r)
+            states, ports = self.behavior.states, self.behavior.ports
             for k, r in enumerate(self.rules):
-                for a in r.atoms:
-                    if isinstance(a, Pred):
-                        if a.name not in arities:
-                            raise UndefinedPredicate(
-                                f"{a.name} used in {r.head} but never defined")
-                        if len(a.args) != arities[a.name]:
-                            raise ValueError(f"{a.name} used with arity {len(a.args)}, "
-                                             f"defined with {arities[a.name]}")
-                    if isinstance(a, StateAtom) and a.state not in self.behavior.states:
-                        raise ValueError(f"undeclared state {a.state!r} in rule for {r.head}")
-                    if isinstance(a, Inter):
-                        for _, p in a.bindings:
-                            if p not in self.behavior.ports:
-                                raise ValueError(f"undeclared port {p!r} in rule for {r.head}")
+                for i in r.calls:
+                    a = r.atoms[i]
+                    if a.name not in arities:
+                        raise UndefinedPredicate(f"{a.name} used in {r.head} but never defined")
+                    if len(a.args) != arities[a.name]:
+                        raise ValueError(f"{a.name} used with arity {len(a.args)}, "
+                                         f"defined with {arities[a.name]}")
+                for _, q in r.state_slots:
+                    if q not in states:
+                        raise ValueError(f"undeclared state {q!r} in rule for {r.head}")
+                for _, _, used in r.skeleton[2]:
+                    for p in used:
+                        if p not in ports:
+                            raise ValueError(f"undeclared port {p!r} in rule for {r.head}")
         except ValueError as e:
             e.rule = k  # the offending rule's position in `rules`
             raise
@@ -438,7 +441,7 @@ _State = tuple[tuple[Var, ...], tuple[Atom, ...], tuple[tuple[int, int], ...]]
 
 def _start(sid: SID, f: Prenex, depth: int, counter: itertools.count) -> _State:
     """The state an unfolding walk of f starts from."""
-    binders, atoms = prenex(f, counter, prefix="%u")
+    binders, atoms = prenex(f, counter)
     defined = set(sid.predicates)
     for a in atoms:
         if isinstance(a, Pred) and a.name not in defined:
@@ -602,7 +605,7 @@ def complete_unfoldings(sid: SID, f: Prenex,
     atoms of the matching complete entry of `unfold_formula`, and binders
     that rank as its do.
     """
-    binders, atoms = prenex(f, prefix="%u")
+    binders, atoms = prenex(f)
     for a in atoms:
         if type(a) is Pred and a.name not in sid._by_head:
             raise UndefinedPredicate(a.name)

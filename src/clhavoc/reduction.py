@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .analysis import check_pcr
 from .automata import sid_to_ta, ta_to_sid, ta_trim
 from .eqform import Partition
-from .logic import Comp, Pred, Rule, SID, StateAtom, var_text
+from .logic import Comp, Pred, Rule, SID, var_text
 from .transducer import ProductState, image, interaction_types
 
 
@@ -32,13 +32,13 @@ def check_state_atoms(sid: SID) -> None:
     """Raise UnallocatedStateAtom for the first rule with a state atom on a
     variable that no component atom of the same body allocates."""
     for rule in sid.rules:
-        comps = {a.var for a in rule.atoms if isinstance(a, Comp)}
-        for a in rule.atoms:
-            if isinstance(a, StateAtom) and a.var not in comps:
+        comps = {slots[0] for kind, slots, _ in rule.skeleton[2] if kind is Comp}
+        for i, _ in rule.state_slots:
+            if i not in comps:
                 k = sid.rules_of(rule.head).index(rule) + 1
                 raise UnallocatedStateAtom(
                     f"rule {k} of {rule.head} has a state atom on "
-                    f"{var_text(a.var)}, "
+                    f"{var_text((rule.params + rule.binders)[i])}, "
                     "which has no comp atom in the same body; the reduction "
                     "rewrites a state only with its component")
 
@@ -80,7 +80,7 @@ def reduce_havoc_to_entailment(sid: SID, pred: str,
             "pass assume_tight to proceed")
 
     ta, _ = sid_to_ta(sid)
-    info = image(ta, pred, sid, sid.behavior)
+    info = image(ta, pred, sid)
     trimmed = ta_trim(info.automaton)
 
     def state_key(s: ProductState) -> tuple:
@@ -163,8 +163,9 @@ def class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
     Each rule pairs with the first rule of the other SID whose body is equal
     to its own up to state atoms and predicate names: the same atoms in the
     same order, parameters and binders numbered by position.  The key
-    (`_rule_key`) is read off the rule's cached skeleton: tuples of atom
-    kinds, variable positions and ports, so no atom is rebuilt or hashed.
+    (`_rule_key`) is read off the skeleton the rule stored when it was
+    built: tuples of atom kinds, variable positions and ports, so no atom is
+    rebuilt or hashed.
     The pairs unite their heads and calls position by position into the
     class relation.  Equality is syntactic, so atoms written in
     another order do not pair; a derived rule is its source rule with other

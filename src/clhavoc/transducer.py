@@ -35,8 +35,8 @@ InteractionType = tuple[str, ...]
 
 def interaction_types(sid: SID) -> frozenset[InteractionType]:
     """All ordered port tuples of interaction atoms occurring in the rules."""
-    return frozenset(tuple(p for _, p in a.bindings)
-                     for rule in sid.rules for a in rule.atoms if isinstance(a, Inter))
+    return frozenset(ports for rule in sid.rules
+                     for kind, _, ports in rule.skeleton[2] if kind is Inter)
 
 
 def ttvars(tau: InteractionType, maxarity: int) -> frozenset[Var]:
@@ -309,9 +309,9 @@ def new_combos(pools: Sequence[Sequence], seen: Sequence[int] | None) -> Iterato
             yield (x, *t)
 
 
-def image(ta: TreeAutomaton, root_state: object, sid: SID,
-          behavior: Behavior) -> ImageResult:
-    """Image of the trees accepted at root_state under the union transducer.
+def image(ta: TreeAutomaton, root_state: object, sid: SID) -> ImageResult:
+    """Image of the trees accepted at root_state under the union transducer
+    of sid's behavior.
 
     One product component per interaction type occurring in the SID; states
     are (rule-automaton state, transducer state) pairs discovered from the
@@ -362,7 +362,7 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID,
                     results = steps.get(skey)
                     if results is None:
                         results = steps[skey] = transducer_step(tau, tr.symbol, list(phis),
-                                                                behavior, maxarity)
+                                                                sid.behavior, maxarity)
                     for out_sym, phi, wit in results:
                         ps = found.get((tr.result, phi))
                         if ps is None:

@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from clhavoc.automata import AlphabetSymbol, TaTransition, TreeAutomaton, symbol_text
 from clhavoc.core import Behavior, Configuration, Interaction, degree, step
-from clhavoc.eqform import EMPTY_EQ, EqFormula, Partition
-from clhavoc.logic import (Atom, Comp, Eq, Node, Pred, Prenex, Rule, SID, StateAtom, Var,
+from clhavoc.eqform import EqFormula, Partition
+from clhavoc.logic import (Atom, Comp, Eq, Inter, Node, Pred, Prenex, Rule, SID, StateAtom, Var,
                            atom_vars, param, split_atoms, substitute,
                            unfold_formula, var_text)
 from clhavoc.oracle import Model, Shape, _instantiate, _node_plan, enumerate_models
@@ -203,7 +203,7 @@ def all_partitions(vars):
     """Every partition of `vars`, as a list of EqFormula."""
     vars = list(vars)
     if not vars:
-        return [EMPTY_EQ]
+        return [EqFormula(frozenset())]
     out = []
 
     def go(i, blocks):
@@ -221,6 +221,11 @@ def all_partitions(vars):
 
     go(0, [])
     return out
+
+
+def eq_class(phi: EqFormula, v: Var) -> frozenset[Var]:
+    """The class of v in the partition; empty when v does not occur."""
+    return next((cls for cls in phi.classes if v in cls), frozenset())
 
 
 def models(phi: EqFormula, universe, domain_size):
@@ -474,6 +479,28 @@ def _reference_instantiate(bucket, cls_of, inter_atoms, state_atoms, neq_cls, fr
     unpinned = [names[b] for b in sorted(relevant) if b not in pins]
     for choice in itertools.product(states, repeat=len(unpinned)):
         yield exact_form(comps, bindings, [*pinned, *zip(unpinned, choice)], store)
+
+
+# ---------------------------------------------------------------------------
+# rule positions
+
+def reference_skeleton(rule: Rule) -> tuple[tuple, tuple[tuple[int, str], ...]]:
+    """`Rule.skeleton` and `Rule.state_slots` as two separate walks over the
+    atoms, each with its own map from a variable to its position among
+    params + binders."""
+    at = {v: i for i, v in enumerate(rule.params + rule.binders)}.__getitem__
+    body = []
+    for a in rule.atoms:
+        kind = type(a)
+        if kind is Inter:
+            body.append((kind, tuple([at(v) for v, _ in a.bindings]),
+                         tuple([p for _, p in a.bindings])))
+        elif kind is not StateAtom:
+            body.append((kind, tuple(map(at, atom_vars(a))), ()))
+    skeleton = len(rule.params), len(rule.binders), tuple(body)
+    at = {v: i for i, v in enumerate(rule.params + rule.binders)}
+    slots = tuple((at[a.var], a.state) for a in rule.atoms if type(a) is StateAtom)
+    return skeleton, slots
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from clhavoc.analysis import check_pcr, profile
 from clhavoc.core import (Configuration, Interaction, compose, degree, havoc_closure,
                           is_tight, step)
+from clhavoc.eqform import EqFormula, Partition
 from clhavoc.frontend import Query, SystemFile, parse_system, render_system
 from clhavoc.logic import Var
 from clhavoc.oracle import (canonical_model, cross_validate_reduction,
@@ -168,14 +169,20 @@ def test_criterion_11_eqformula_oracle():
         vars = [Var(c) for c in "abcd"]
         for phi in all_partitions(vars):
             sem = models(phi, vars, 4)
+            pairs = [(min(cls), v) for cls in phi.classes for v in cls]
+            assert EqFormula.make(vars, pairs) == phi
+            part = Partition(vars, pairs)
+            roots = part.roots()
             for x, y in itertools.combinations(vars, 2):
                 i, j = vars.index(x), vars.index(y)
-                assert phi.entails(x, y) == all(m[i] == m[j] for m in sem)
+                assert (roots[x] == roots[y]) == all(m[i] == m[j] for m in sem)
+            # cutting the classes down to the kept variables projects
             for k in range(5):
                 for drop in itertools.combinations(vars, k):
                     keep = [v for v in vars if v not in drop]
                     proj = {tuple(m[vars.index(v)] for v in keep) for m in sem}
-                    assert models(phi.qelim(drop), keep, 4) == proj
+                    cut = EqFormula(frozenset(map(frozenset, part.classes(among=keep))))
+                    assert models(cut, keep, 4) == proj
 
 
 @pytest.mark.parametrize("name", ["ring", "chain", "pcring", "tll",

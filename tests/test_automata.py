@@ -21,7 +21,8 @@ from clhavoc.transducer import image
 from conftest import FIXTURES, load, sha256, source_fixtures
 from reference import (BadAddress, Tree, assert_heights_match_brute_force, char_formula,
                        char_formula_closed, comp_in, dump_ta, enumerate_pf_models,
-                       enumerate_trees, exact_of, from_exact, nodevar, reference_ta_to_sid)
+                       enumerate_trees, eq_class, exact_of, from_exact, nodevar,
+                       reference_ta_to_sid)
 
 
 def leaf_symbol(q, a0=3):
@@ -235,7 +236,7 @@ def test_ta_to_sid_inverts_sid_to_ta(path):
     ta, _ = sid_to_ta(sid)
     assert_round_trip(ta, sid.behavior)
     for pred in sid.predicates:
-        assert_round_trip(ta_trim(image(ta, pred, sid, sid.behavior).automaton),
+        assert_round_trip(ta_trim(image(ta, pred, sid).automaton),
                           sid.behavior)
 
 
@@ -245,7 +246,7 @@ def ring_family_image(k):
     sid = parse_system((FIXTURES / "ring.clsys").read_text()
                        .replace("=0..1", f"=0..{k}")).sid
     ta, _ = sid_to_ta(sid)
-    return sid, image(ta, f"Ring_{k}_{k}", sid, sid.behavior).automaton
+    return sid, image(ta, f"Ring_{k}_{k}", sid).automaton
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -358,7 +359,7 @@ def test_trim_matches_reference_on_images(ring, pcring, tll):
     products = [ring_family_image(k)[1] for k in (2, 3, 4, 5)]
     for sf, pred in ((ring, "Ring_1_1"), (pcring, "PcRing_1_1"), (tll, "Root")):
         ta, _ = sid_to_ta(sf.sid)
-        products.append(image(ta, pred, sf.sid, sf.sid.behavior).automaton)
+        products.append(image(ta, pred, sf.sid).automaton)
     for product in products:
         assert ta_trim(product) == reference_trim(product)
 
@@ -448,7 +449,7 @@ def test_walks_witness_store_coincidences(tll):
             for v in comp_vars:
                 for w in inter_vars:
                     if nu[v] == nu[w]:
-                        assert eq.entails(v, w), (t, v, w)
+                        assert w in eq_class(eq, v), (t, v, w)
                         checked += 1
     assert checked > 0
 

@@ -178,11 +178,11 @@ def test_check_gated_unknown_to_output_file(capsys, tmp_path):
 
 
 def test_check_without_entailments_unknown(capsys, tmp_path):
-    # the reduction of tll_pcr's Root leaves no target: a positive verdict
+    # the reduction of tll_pcr's Leaf leaves no target: a positive verdict
     # would rest on zero checked entailments
     src = tmp_path / "tll_pcr.clsys"
     shutil.copy(FIXTURES / "tll_pcr.clsys", src)
-    code, out, _ = run(capsys, "check", str(src), "--pred", "Root", "--depth", "3")
+    code, out, _ = run(capsys, "check", str(src), "--pred", "Leaf", "--depth", "3")
     assert code == 2
     assert out == "verdict: Unknown (no entailment to check)\n"
 
@@ -337,9 +337,9 @@ def test_zero_arity_counterexample_has_no_store(capsys, tmp_path):
 
 
 def test_oracle_without_targets_unknown(capsys):
-    # the reduction of tll_pcr's Root leaves no target: an empty right side
+    # the reduction of tll_pcr's Leaf leaves no target: an empty right side
     # says nothing about the reduction
-    code, out, _ = run(capsys, "oracle", str(FIXTURES / "tll_pcr.clsys"), "--pred", "Root",
+    code, out, _ = run(capsys, "oracle", str(FIXTURES / "tll_pcr.clsys"), "--pred", "Leaf",
                        "--depth", "3")
     assert code == 2
     assert out.endswith("direct: InvariantUpToDepth(3)\n"

@@ -56,12 +56,16 @@ def test_library_keeps_what_the_commands_run():
     # no walk over one is defined, and no module can prenex or walk a rule
     # body again.  A bounded model set is a dict from key to model, and a
     # shape hangs on its plan merge, so no model set class and no SID table
-    # of shapes is defined
+    # of shapes is defined.  Equality formulas are read through their
+    # classes, and a configuration's carrier is fixed when it is made, so
+    # the partition queries, the projection and carrier extension had no
+    # caller either
     gone = {"Tree", "char_formula", "enumerate_trees", "dump_ta", "ta_membership",
             "is_sid_compatible", "degree_sample", "nodevar", "nodeex",
             "Emp", "SepConj", "Exists", "Formula", "sep", "exists", "free_vars",
             "atoms_of", "_prenex_into", "satisfies", "enumerate_pf_models",
-            "ModelSet", "_shapes"}
+            "ModelSet", "_shapes", "vars", "class_of", "entails", "qelim", "EMPTY_EQ",
+            "extend_carrier"}
 
     def names(node):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -143,4 +147,33 @@ def test_plans_live_on_skeleton_nodes():
                     if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                             and call.func.id == "_plan"):
                         bad.append(f"{rel(path)}:{call.lineno}: {fn.name} calls _plan")
+    assert not bad, "\n".join(bad)
+
+
+def test_syntax_checks_read_rule_positions():
+    # a rule reads its body once, when it is built, into `calls`, `skeleton`
+    # and `state_slots`: the SID's checks, the state-atom gate and the type
+    # scan read those fields and sort no atom by kind, and Rule computes
+    # nothing on first read
+    readers = {"logic.py": "SID.__post_init__", "reduction.py": "check_state_atoms",
+               "transducer.py": "interaction_types"}
+    bad = []
+
+    def visit(path, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                if scope == "Rule" and isinstance(child, ast.FunctionDef) and any(
+                        "cached_property" in ast.unparse(d) for d in child.decorator_list):
+                    bad.append(f"{rel(path)}:{child.lineno}: Rule.{child.name} "
+                               "is a cached_property")
+                visit(path, child, inner)
+                continue
+            if (scope == readers.get(path.name) and isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name) and child.func.id == "isinstance"):
+                bad.append(f"{rel(path)}:{child.lineno}: {scope} calls isinstance")
+            visit(path, child, scope)
+
+    for path in SRC:
+        visit(path, ast.parse(path.read_text()), "")
     assert not bad, "\n".join(bad)

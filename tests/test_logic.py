@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clhavoc.core import Configuration, Interaction
+from clhavoc.core import Behavior, Configuration, Interaction
 from clhavoc.frontend import ParseError, parse_system, render_var
 from clhavoc.logic import (SID, Comp, Eq, Inter, Neq, Pred, Rule, StateAtom,
                            UnboundVariable, UndefinedPredicate, Var, atom_text,
@@ -24,8 +24,9 @@ from clhavoc.logic import (SID, Comp, Eq, Inter, Neq, Pred, Rule, StateAtom,
                            var_text)
 from clhavoc.reduction import reduce_havoc_to_entailment
 
-from conftest import FIXTURES, REUSE_CASES, corpus, corpus_text, load
-from reference import TOKEN, assert_heights_match_brute_force, comp_in, reference_derive
+from conftest import FIXTURES, REUSE_CASES, corpus, corpus_text, load, source_fixtures
+from reference import (TOKEN, assert_heights_match_brute_force, comp_in, reference_derive,
+                       reference_skeleton)
 
 X, Y, Z, U = Var("x"), Var("y"), Var("z"), Var("u")
 
@@ -41,7 +42,7 @@ def naive_eval(g, nu, f, states=("H", "T")):
         return naive_sep(g, nu, atoms)
     pool = set(g.carrier) | set(nu.values())
     fresh = {f"~{q}~{i}": q for q in sorted(states) for i in range(len(binders))}
-    g2 = g.extend_carrier(fresh)
+    g2 = Configuration.make(g.components, g.interactions, {**g.state_map, **fresh})
     return any(naive_sep(g2, {**nu, **dict(zip(binders, values))}, atoms)
                for values in itertools.product(sorted(pool | set(fresh)),
                                                repeat=len(binders)))
@@ -111,10 +112,10 @@ def test_prenex_renames_binders_apart():
     counter = itertools.count(3)
     u3, u4 = Var("%u", (3,)), Var("%u", (4,))
     f = ((Y, Z), (Pred("P", (X, Y)), Neq(Y, Z)))
-    assert prenex(f, counter, prefix="%u") == ((u3, u4), (Pred("P", (X, u3)), Neq(u3, u4)))
+    assert prenex(f, counter) == ((u3, u4), (Pred("P", (X, u3)), Neq(u3, u4)))
     assert next(counter) == 5
-    assert prenex(((X,), (Comp(X), Comp(Y)))) == ((Var("%q", (0,)),),
-                                                 (Comp(Var("%q", (0,))), Comp(Y)))
+    assert prenex(((X,), (Comp(X), Comp(Y)))) == ((Var("%u", (0,)),),
+                                                 (Comp(Var("%u", (0,))), Comp(Y)))
     assert prenex(((), (Eq(X, Y),))) == ((), (Eq(X, Y),))
 
 
@@ -366,7 +367,7 @@ class _Pending:
 
 def reference_unfold_formula(sid, f, depth):
     counter = itertools.count()
-    binders0, atoms0 = prenex(f, counter, prefix="%u")
+    binders0, atoms0 = prenex(f, counter)
     defined = set(sid.predicates)
 
     def wrap(items):
@@ -394,7 +395,7 @@ def reference_unfold_formula(sid, f, depth):
             continue
         successors = []
         for rule in sid.rules_of(pend.atom.name):
-            rbinders, ratoms = prenex((rule.binders, rule.atoms), counter, prefix="%u")
+            rbinders, ratoms = prenex((rule.binders, rule.atoms), counter)
             mapping = dict(zip(rule.params, pend.atom.args))
             spliced = []
             for a in ratoms:
@@ -635,6 +636,59 @@ def test_rules_keep_their_prenex_form():
             assert list(rule.preds) == [rule.atoms[i] for i in rule.calls]
             assert list(rule.pf_atoms) == [
                 a for a in rule.atoms if not isinstance(a, Pred)]
+
+
+def reduction_rules():
+    """Every rule of every fixture, every derived rule of the reduction of
+    each fixture predicate, then every derived rule of the ring family's
+    reductions at Ring_k_k, k = 2..5."""
+    for path in source_fixtures():
+        sid = load(path.name).sid
+        yield from sid.rules
+        for pred in sid.predicates:
+            yield from reduce_havoc_to_entailment(sid, pred, assume_tight=True).derived_sid.rules
+    ring = (FIXTURES / "ring.clsys").read_text()
+    for k in (2, 3, 4, 5):
+        sid = parse_system(ring.replace("=0..1", f"=0..{k}")).sid
+        yield from reduce_havoc_to_entailment(sid, f"Ring_{k}_{k}",
+                                              assume_tight=True).derived_sid.rules
+
+
+def test_rule_positions_match_reference():
+    # the positional form a rule stores when it is built is what separate
+    # walks over its atoms compute
+    count = 0
+    for rule in reduction_rules():
+        assert (rule.skeleton, rule.state_slots) == reference_skeleton(rule), rule
+        count += 1
+    assert count > 1000
+
+
+def test_sid_and_rule_errors_name_their_fault():
+    beh = Behavior.make(["p"], ["q"], [])
+    ok = Rule("Q", (X,), (), (Comp(X),))
+
+    def refused(*bodies):
+        with pytest.raises(ValueError) as e:
+            SID((ok, *(Rule("P", (X,), (Y,), body) for body in bodies)), beh)
+        return str(e.value), e.value.rule
+
+    assert refused((Comp(X), Pred("R", (X,)))) == ("R used in P but never defined", 1)
+    assert refused((Comp(X), StateAtom(Y, "r"))) == ("undeclared state 'r' in rule for P", 1)
+    assert refused((Comp(X), Inter(((X, "p"), (Y, "o"))))) == (
+        "undeclared port 'o' in rule for P", 1)
+    # a rule with several faults names its calls first, then its states,
+    # then its ports, whatever their order in the body
+    assert refused((Comp(X),), (Inter(((X, "o"),)), StateAtom(X, "r"), Pred("R", (X,)))) == (
+        "R used in P but never defined", 2)
+    assert refused((Inter(((X, "o"),)), StateAtom(X, "r"))) == (
+        "undeclared state 'r' in rule for P", 1)
+    with pytest.raises(ValueError) as e:
+        Rule("P", (X,), (), (Comp(Z), Eq(Y, X)))
+    assert str(e.value) == "rule for P: unbound body variables ['y', 'z']"
+    with pytest.raises(ValueError) as e:
+        Rule("P", (X,), (Y, Y), (Comp(X),))
+    assert str(e.value) == "rule for P: parameters and binders must be distinct"
 
 
 @pytest.mark.parametrize("name", corpus())
