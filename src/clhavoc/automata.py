@@ -10,11 +10,11 @@ the tests check that lemma against the tree semantics of `tests/reference.py`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .core import Behavior
-from .logic import (Atom, Pred, Rule, SID, Var, atom_text, atom_vars, boundvar,
-                    derive, param, substitute, var_text)
+from .logic import (Atom, Pred, Rule, SID, Var, atom_text, boundvar, derive, param,
+                    substitute, var_text)
 
 
 @dataclass(frozen=True)
@@ -42,31 +42,8 @@ class AlphabetSymbol:
         return self._hash
 
     @property
-    def arities(self) -> tuple[int, ...]:
-        """The head's arity, then each child's."""
-        return (self.arity, *map(len, self.args))
-
-    @property
     def rank(self) -> int:
         return len(self.args)
-
-
-def make_symbol(binders: Sequence[Var], atoms: Sequence[Atom], arity: int,
-                args: Sequence[Sequence[Var]] = ()) -> AlphabetSymbol:
-    """Canonicalize binder names positionally and validate the variable layout."""
-    ren = {b: boundvar(k) for k, b in enumerate(binders, start=1)}
-    if len(ren) != len(binders):
-        raise ValueError("duplicate existential binders")
-    catoms = tuple(substitute(a, ren) for a in atoms)
-    cargs = tuple(tuple(ren.get(v, v) for v in vs) for vs in args)
-    # a parameter may be unused (leaf rules often ignore trailing parameters),
-    # but no variable outside the parameters and binders may occur
-    extra = set().union(*map(atom_vars, catoms), *cargs) - set(ren.values())
-    extra -= {param(i) for i in range(1, arity + 1)}
-    if extra:
-        raise ValueError(f"symbol variables exceed arity {arity}: "
-                         f"{sorted(var_text(v) for v in extra)}")
-    return AlphabetSymbol(tuple(ren.values()), catoms, arity, cargs)
 
 
 def symbol_text(sym: AlphabetSymbol) -> str:
@@ -124,17 +101,22 @@ class TreeAutomaton:
 def sid_to_ta(sid: SID) -> tuple[TreeAutomaton, dict[str, object]]:
     """One symbol and transition per rule, one state per defined predicate.
 
-    The symbol keeps the arguments of the rule's predicate atoms as its
-    `args`; structurally equal symbols are shared across rules.
+    A symbol is its rule under one renaming, of parameter j to `param(j)`
+    and binder k to `boundvar(k)`: its atoms are the renamed predicate-free
+    atoms, and its `args` the renamed arguments of the predicate atoms.
+    `Rule` has refused repeated names and unbound variables, so no other
+    variable occurs.  Structurally equal symbols are shared across rules.
     """
     transitions: list[TaTransition] = []
     symcache: dict[AlphabetSymbol, AlphabetSymbol] = {}
     for rule in sid.rules:
         preds = rule.preds
-        mapping = {x: param(j) for j, x in enumerate(rule.params, start=1)}
-        atoms = [substitute(a, mapping) for a in rule.pf_atoms]
-        args = [[mapping.get(z, z) for z in pa.args] for pa in preds]
-        sym = make_symbol(rule.binders, atoms, len(rule.params), args)
+        exvars = tuple(map(boundvar, range(1, len(rule.binders) + 1)))
+        ren = {x: param(j) for j, x in enumerate(rule.params, start=1)}
+        ren.update(zip(rule.binders, exvars))
+        atoms = tuple(substitute(a, ren) for a in rule.pf_atoms)
+        args = tuple(tuple(ren[v] for v in p.args) for p in preds)
+        sym = AlphabetSymbol(exvars, atoms, len(rule.params), args)
         sym = symcache.setdefault(sym, sym)
         transitions.append(TaTransition(sym, tuple(p.name for p in preds), rule.head))
     ta = TreeAutomaton.make(transitions, states=tuple(sid.predicates))

@@ -129,9 +129,6 @@ class Configuration:
         return Configuration(self.components, self.interactions, tuple(sorted(rho.items())))
 
 
-EMPTY = Configuration.make((), (), {})
-
-
 def compose(g1: Configuration, g2: Configuration) -> Configuration | None:
     """Disjoint union of components and interactions under a shared state map.
 

@@ -9,8 +9,9 @@ plain predicates named `Chain_0_1` and so on.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .core import Behavior, Configuration, Interaction
 from .logic import (Atom, Comp, Eq, Inter, Neq, Pred, Rule, SID, StateAtom,
@@ -47,13 +48,18 @@ class SystemFile:
 
 _PUNCT = ["<-", "->", "!=", "|=", "..", "{", "}", "(", ")", "<", ">", "[", "]",
           ",", ";", ".", ":", "*", "=", "-", "+"]
-# index literals are ASCII: str.isdigit also holds for "²", which int()
-# refuses, and for "٣", which int() reads as 3
-_DIGITS = frozenset("0123456789")
+# one alternative per token kind and skip, tried in order.  Index literals
+# are ASCII: \d also matches "²", which int() refuses, and "٣", which int()
+# reads as 3.  For str patterns \w is str.isalnum() or "_", so a name is the
+# longest run of those; one that starts with neither a letter nor "_" is an
+# unexpected character.  Punctuation is listed longest first
+_TOKEN = re.compile("|".join([
+    r"(?P<newline>\n)", r"(?P<blank>[ \t\r]+)", r"(?P<comment>#[^\n]*)",
+    r"(?P<int>[0-9]+)", r"(?P<ident>\w+)",
+    "(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")"]))
 
 
-@dataclass(frozen=True)
-class Tok:
+class Tok(NamedTuple):
     kind: str  # "ident" | "int" | "punct" | "eof"
     value: str
     line: int
@@ -61,48 +67,24 @@ class Tok:
 
 
 def _lex(text: str) -> list[Tok]:
+    """One `_TOKEN` match per token or skip; a comment takes no column."""
     toks: list[Tok] = []
     i, line, col = 0, 1, 1
     n = len(text)
+    match = _TOKEN.match
     while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Tok("ident", text[i:j], line, col))
+        m = match(text, i)
+        kind = m and m.lastgroup
+        if kind is None or (kind == "ident" and not (text[i].isalpha() or text[i] == "_")):
+            raise ParseError(f"unexpected character {text[i]!r}", line, col)
+        j = m.end()
+        if kind == "newline":
+            line, col = line + 1, 1
+        elif kind != "comment":
+            if kind != "blank":
+                toks.append(Tok(kind, m.group(), line, col))
             col += j - i
-            i = j
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Tok("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
+        i = j
     toks.append(Tok("eof", "", line, col))
     return toks
 

@@ -264,11 +264,11 @@ class SID:
     _nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        arities: dict[str, int] = {}
+        arity: dict[str, int] = {}
         by_head: dict[str, list[Rule]] = {}
         try:
             for k, r in enumerate(self.rules):
-                prev = arities.setdefault(r.head, len(r.params))
+                prev = arity.setdefault(r.head, len(r.params))
                 if prev != len(r.params):
                     raise ValueError(f"{r.head} defined with arities {prev} and {len(r.params)}")
                 by_head.setdefault(r.head, []).append(r)
@@ -276,11 +276,11 @@ class SID:
             for k, r in enumerate(self.rules):
                 for i in r.calls:
                     a = r.atoms[i]
-                    if a.name not in arities:
+                    if a.name not in arity:
                         raise UndefinedPredicate(f"{a.name} used in {r.head} but never defined")
-                    if len(a.args) != arities[a.name]:
+                    if len(a.args) != arity[a.name]:
                         raise ValueError(f"{a.name} used with arity {len(a.args)}, "
-                                         f"defined with {arities[a.name]}")
+                                         f"defined with {arity[a.name]}")
                 for _, q in r.state_slots:
                     if q not in states:
                         raise ValueError(f"undeclared state {q!r} in rule for {r.head}")

@@ -15,7 +15,7 @@ from .analysis import check_pcr
 from .automata import sid_to_ta, ta_to_sid, ta_trim
 from .eqform import Partition
 from .logic import Comp, Pred, Rule, SID, var_text
-from .transducer import ProductState, image, interaction_types
+from .transducer import InteractionType, ProductState, image
 
 
 class TightnessNotEstablished(RuntimeError):
@@ -41,6 +41,11 @@ def check_state_atoms(sid: SID) -> None:
                     f"{var_text((rule.params + rule.binders)[i])}, "
                     "which has no comp atom in the same body; the reduction "
                     "rewrites a state only with its component")
+
+
+def _type_text(tau: InteractionType) -> str:
+    """An interaction type as the manifest prints it: `(out,in)`."""
+    return "(" + ",".join(tau) + ")"
 
 
 @dataclass
@@ -103,14 +108,13 @@ def reduce_havoc_to_entailment(sid: SID, pred: str,
     combined = sid.extend(derived.rules)
     entailments = tuple((t, pred) for t in targets)
     stats = {
-        "interaction_types": ["(" + ",".join(tau) + ")" for tau in
-                              sorted(interaction_types(sid))],
+        # image steps every interaction type of the SID and counts each one's states
+        "interaction_types": [_type_text(tau) for tau in sorted(info.per_tau_states)],
         "product_states": len(trimmed.states),
         "product_transitions": len(trimmed.transitions),
         "product_alphabet": len(trimmed.alphabet),
         "targets": len(targets),
-        "per_type_states": {"(" + ",".join(t) + ")": n
-                            for t, n in sorted(info.per_tau_states.items())},
+        "per_type_states": {_type_text(t): n for t, n in sorted(info.per_tau_states.items())},
     }
     return ReductionResult(pred, sid, derived, targets, entailments, combined,
                            tightness, names, stats, info.witnesses)
@@ -124,7 +128,7 @@ def manifest_dict(result: ReductionResult) -> dict:
         "targets": list(result.targets),
         "entailments": [f"{a} |= {b}" for a, b in result.entailments],
         "states": {name: {"base": str(s.base),
-                          "type": "(" + ",".join(s.tau) + ")",
+                          "type": _type_text(s.tau),
                           "partition": s.phi.render(var_text)}
                    for s, name in sorted(result.state_names.items(),
                                          key=lambda kv: kv[1])},

@@ -19,8 +19,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from clhavoc.automata import AlphabetSymbol, TaTransition, TreeAutomaton, symbol_text
 from clhavoc.core import Behavior, Configuration, Interaction, degree, step
 from clhavoc.eqform import EqFormula, Partition
+from clhavoc.frontend import ParseError, Tok
 from clhavoc.logic import (Atom, Comp, Eq, Inter, Node, Pred, Prenex, Rule, SID, StateAtom, Var,
-                           atom_vars, param, split_atoms, substitute,
+                           atom_vars, boundvar, param, split_atoms, substitute,
                            unfold_formula, var_text)
 from clhavoc.oracle import Model, Shape, _instantiate, _node_plan, enumerate_models
 
@@ -178,6 +179,31 @@ def dump_ta(ta: TreeAutomaton, name_of: Callable[[object], str] = str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def make_symbol(binders: Sequence[Var], atoms: Sequence[Atom], arity: int,
+                args: Sequence[Sequence[Var]] = ()) -> AlphabetSymbol:
+    """A symbol whose binders are renamed positionally to `boundvar(k)`;
+    atoms and arguments are otherwise taken as written."""
+    ren = {b: boundvar(k) for k, b in enumerate(binders, start=1)}
+    return AlphabetSymbol(tuple(ren.values()), tuple(substitute(a, ren) for a in atoms),
+                          arity, tuple(tuple(ren.get(v, v) for v in vs) for vs in args))
+
+
+def reference_sid_to_ta(sid: SID) -> TreeAutomaton:
+    """`sid_to_ta` in two renamings: the parameters first, then the binders
+    through `make_symbol`."""
+    transitions: list[TaTransition] = []
+    symcache: dict[AlphabetSymbol, AlphabetSymbol] = {}
+    for rule in sid.rules:
+        preds = rule.preds
+        mapping = {x: param(j) for j, x in enumerate(rule.params, start=1)}
+        atoms = [substitute(a, mapping) for a in rule.pf_atoms]
+        args = [[mapping.get(z, z) for z in pa.args] for pa in preds]
+        sym = make_symbol(rule.binders, atoms, len(rule.params), args)
+        sym = symcache.setdefault(sym, sym)
+        transitions.append(TaTransition(sym, tuple(p.name for p in preds), rule.head))
+    return TreeAutomaton.make(transitions, states=tuple(sid.predicates))
+
+
 def reference_ta_to_sid(ta: TreeAutomaton, behavior: Behavior,
                         name_of: Callable[[object], str] = str) -> SID:
     """`ta_to_sid` as one instantiation per transition: each rule renames
@@ -194,6 +220,65 @@ def reference_ta_to_sid(ta: TreeAutomaton, behavior: Behavior,
                   for q, vs in zip(tr.children, sym.args)]
         rules.append(Rule(name_of(tr.result), params, binders, tuple(atoms)))
     return SID(tuple(rules), behavior)
+
+
+# ---------------------------------------------------------------------------
+# the lexer, one character at a time
+
+_PUNCT = ["<-", "->", "!=", "|=", "..", "{", "}", "(", ")", "<", ">", "[", "]",
+          ",", ";", ".", ":", "*", "=", "-", "+"]
+# index literals are ASCII: str.isdigit also holds for "²", which int()
+# refuses, and for "٣", which int() reads as 3
+_DIGITS = frozenset("0123456789")
+
+
+def reference_lex(text: str) -> list[Tok]:
+    """`frontend._lex` as a loop over characters that tries each
+    punctuation string in turn."""
+    toks: list[Tok] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(Tok("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c in _DIGITS:
+            j = i
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            toks.append(Tok("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                toks.append(Tok("punct", p, line, col))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+    toks.append(Tok("eof", "", line, col))
+    return toks
 
 
 # ---------------------------------------------------------------------------

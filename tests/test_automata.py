@@ -9,20 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clhavoc.automata import (TaTransition, TreeAutomaton, make_symbol, sid_to_ta,
-                              ta_to_sid, ta_trim)
+from clhavoc.automata import TaTransition, TreeAutomaton, sid_to_ta, ta_to_sid, ta_trim
 from clhavoc.frontend import parse_system
 from clhavoc.logic import (Comp, Eq, Inter, Pred, StateAtom, Var, atom_vars, boundvar,
                            param, substitute)
 from clhavoc.oracle import canonical_model, enumerate_models
-from clhavoc.reduction import class_equiv
+from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
 from clhavoc.transducer import image
 
 from conftest import FIXTURES, load, sha256, source_fixtures
 from reference import (BadAddress, Tree, assert_heights_match_brute_force, char_formula,
                        char_formula_closed, comp_in, dump_ta, enumerate_pf_models,
-                       enumerate_trees, eq_class, exact_of, from_exact, nodevar,
-                       reference_ta_to_sid)
+                       enumerate_trees, eq_class, exact_of, from_exact, make_symbol, nodevar,
+                       reference_sid_to_ta, reference_ta_to_sid)
 
 
 def leaf_symbol(q, a0=3):
@@ -103,9 +102,10 @@ def test_tll_automaton_shape(tll):
     assert shapes == {(1, ("Node",), "Root"),
                       (2, ("Node", "Node"), "Node"),
                       (0, (), "Node"), (0, (), "Node")} or len(shapes) == 4
-    assert alpha.arities == (0, 3)
-    assert beta.arities == (3, 3, 3)
-    assert g0.arities == (3,) and g1.arities == (3,)
+    assert (alpha.arity, *map(len, alpha.args)) == (0, 3)
+    assert (beta.arity, *map(len, beta.args)) == (3, 3, 3)
+    assert (g0.arity, *map(len, g0.args)) == (3,)
+    assert (g1.arity, *map(len, g1.args)) == (3,)
 
 
 def test_tll_original_automaton_shape(tll_original):
@@ -121,7 +121,8 @@ def test_single_emp_rule():
     ta, smap = sid_to_ta(sid)
     assert len(ta.transitions) == 1
     assert len(ta.states) == 1
-    assert ta.transitions[0].symbol.arities == (0,)
+    sym = ta.transitions[0].symbol
+    assert (sym.arity, *map(len, sym.args)) == (0,)
 
 
 def test_symbol_dedup_across_rules(ring):
@@ -137,20 +138,33 @@ def test_symbol_canonical_alpha_renaming():
     s2 = make_symbol([y], [Comp(param(1)), Eq(y, param(1))], 1, [(y, param(1))])
     assert s1 == s2
     assert s1.args == ((boundvar(1), param(1)),)
-    assert s1.arities == (1, 2) and s1.rank == 1
+    assert (s1.arity, *map(len, s1.args)) == (1, 2) and s1.rank == 1
 
 
-def test_make_symbol_rejects_variables_outside_its_layout():
-    """Atoms and arguments may use the parameters up to the head's arity and
-    the binders, nothing else."""
-    x = Var("u")
-    with pytest.raises(ValueError, match="exceed arity 1"):
-        make_symbol([], [Comp(param(1))], 1, [(param(2),)])
-    with pytest.raises(ValueError, match="exceed arity 1"):
-        make_symbol([], [Comp(param(1))], 1, [(param(1),), (x,)])
-    with pytest.raises(ValueError, match="exceed arity 0"):
-        make_symbol([], [Comp(param(1))], 0)
-    assert make_symbol([x], [], 1, [(x,), ()]).arities == (1, 1, 0)
+def assert_matches_reference(sid):
+    """One renaming per rule builds the automaton that renaming the
+    parameters and then the binders built."""
+    ta, _ = sid_to_ta(sid)
+    want = reference_sid_to_ta(sid)
+    assert ta == want
+    assert [tr.symbol.exvars for tr in ta.transitions] == [
+        tr.symbol.exvars for tr in want.transitions]
+
+
+def test_sid_to_ta_matches_reference_on_fixtures():
+    # each fixture SID, and the combined SID of each predicate's reduction
+    for path in source_fixtures():
+        sid = load(path.name).sid
+        assert_matches_reference(sid)
+        for pred in sid.predicates:
+            assert_matches_reference(
+                reduce_havoc_to_entailment(sid, pred, assume_tight=True).combined_sid)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_sid_to_ta_matches_reference_on_ring_family(k):
+    assert_matches_reference(parse_system((FIXTURES / "ring.clsys").read_text()
+                                          .replace("=0..1", f"=0..{k}")).sid)
 
 
 def test_args_length_is_the_child_arity():

@@ -2,13 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clhavoc.core import (EMPTY, Behavior, Configuration, Interaction,
+from clhavoc.core import (Behavior, Configuration, Interaction,
                           StateMapMismatch, UnknownInteraction, compose,
                           degree, havoc_closure, is_tight, step, successors)
 from clhavoc.frontend import parse_system
 
 from conftest import source_fixtures
 from reference import TOKEN, ring_config
+
+EMPTY = Configuration.make((), (), {})
+
 
 def test_compose_two_half_rings():
     rho = {"c1": "H", "c2": "T"}

@@ -1,8 +1,12 @@
+import re
+import sys
+
 import pytest
 
-from clhavoc.frontend import ParseError, parse_system, render_system
+from clhavoc.frontend import ParseError, _lex, parse_system, render_system
 
-from conftest import corpus, corpus_text, load, sha256, source_fixtures
+from conftest import FIXTURES, corpus, corpus_text, load, sha256, source_fixtures
+from reference import reference_lex
 
 
 def test_ring_expansion_arithmetic(ring):
@@ -231,3 +235,55 @@ def test_nested_exists_groups_render_as_one():
     assert ("P(x) <- exists y, y_1 . comp(x) * <x.a, y.b> * comp(y_1) * <y_1.a, x.b>;"
             in render_system(sf))
     assert parse_system(render_system(sf)).sid == sf.sid
+
+
+# ---------------------------------------------------------------------------
+# the lexer is one regular-expression scan; it reads what the character
+# loop of tests/reference.py reads
+
+ROOT = FIXTURES.parent
+
+
+def lexed(lex, text):
+    """The tokens of `text`, or the message of the error that refuses it."""
+    try:
+        return lex(text)
+    except ParseError as err:
+        return str(err)
+
+
+def test_lex_matches_reference_on_every_input_file():
+    paths = [*source_fixtures(), *sorted((ROOT / "perfbench" / "inputs").glob("*.clsys"))]
+    assert len(paths) == 14
+    for path in paths:
+        text = path.read_text()
+        assert lexed(_lex, text) == lexed(reference_lex, text), path.name
+
+
+def test_lex_matches_reference_on_every_code_point_in_context():
+    # a lone character, a name's first and later characters, a character
+    # after a literal, in a comment and after punctuation, between lines,
+    # and inside a name that ends in a digit
+    contexts = [lambda c: c, lambda c: "a" + c, lambda c: c + "a", lambda c: "1" + c,
+                lambda c: "#" + c, lambda c: "<" + c, lambda c: "x " + c + "\n y",
+                lambda c: "_" + c + "1"]
+    for code in range(0x3000):
+        c = chr(code)
+        for context in contexts:
+            text = context(c)
+            assert lexed(_lex, text) == lexed(reference_lex, text), (hex(code), text)
+
+
+def test_word_class_is_alnum_or_underscore():
+    # the scan reads a name with \w, the character loop with str.isalnum:
+    # the two must agree on every code point of this interpreter's tables
+    word = re.compile(r"\w").fullmatch
+    bad = [hex(code) for code in range(sys.maxunicode + 1)
+           if bool(word(chr(code))) != (chr(code).isalnum() or chr(code) == "_")]
+    assert not bad
+
+
+def test_comment_takes_no_column():
+    assert str(parse_error("# only a comment")).startswith("1:1: ")
+    err = parse_error("behavior { ports p; states q; }\nsid { A() <- emp  # no semicolon")
+    assert (err.line, err.col) == (2, 19)

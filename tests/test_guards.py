@@ -59,13 +59,16 @@ def test_library_keeps_what_the_commands_run():
     # of shapes is defined.  Equality formulas are read through their
     # classes, and a configuration's carrier is fixed when it is made, so
     # the partition queries, the projection and carrier extension had no
-    # caller either
+    # caller either.  A symbol is its rule under one renaming, which Rule
+    # has checked, so no symbol builder re-checks the layout and no arity
+    # tuple is kept; the lexer is one regular-expression scan with no digit
+    # set, and the empty configuration is the tests' own
     gone = {"Tree", "char_formula", "enumerate_trees", "dump_ta", "ta_membership",
             "is_sid_compatible", "degree_sample", "nodevar", "nodeex",
             "Emp", "SepConj", "Exists", "Formula", "sep", "exists", "free_vars",
             "atoms_of", "_prenex_into", "satisfies", "enumerate_pf_models",
             "ModelSet", "_shapes", "vars", "class_of", "entails", "qelim", "EMPTY_EQ",
-            "extend_carrier"}
+            "extend_carrier", "make_symbol", "arities", "_DIGITS", "EMPTY"}
 
     def names(node):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):

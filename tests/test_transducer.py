@@ -6,13 +6,12 @@ from typing import Iterator, Sequence
 
 import pytest
 from conftest import FIXTURES
-from reference import enumerate_trees, eq_class
+from reference import enumerate_trees, eq_class, make_symbol
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clhavoc import transducer
-from clhavoc.automata import (AlphabetSymbol, TaTransition, TreeAutomaton,
-                              make_symbol, sid_to_ta, ta_trim)
+from clhavoc.automata import AlphabetSymbol, TaTransition, TreeAutomaton, sid_to_ta, ta_trim
 from clhavoc.core import Behavior
 from clhavoc.eqform import EqFormula, Partition
 from clhavoc.frontend import parse_system
@@ -386,7 +385,7 @@ class GluedSymbol:
 def glue(alpha: AlphabetSymbol) -> GluedSymbol:
     eqs = tuple(Eq(childparam(l, j), v) for l, vs in enumerate(alpha.args, start=1)
                 for j, v in enumerate(vs, start=1))
-    return GluedSymbol(alpha.exvars, alpha.atoms + eqs, alpha.arities)
+    return GluedSymbol(alpha.exvars, alpha.atoms + eqs, (alpha.arity, *map(len, alpha.args)))
 
 
 def unglue(out: GluedSymbol, alpha: AlphabetSymbol) -> AlphabetSymbol:
