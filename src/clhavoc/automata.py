@@ -130,22 +130,27 @@ def ta_to_sid(ta: TreeAutomaton, behavior: Behavior,
     makes no SID: its arity check raises ValueError.
 
     Transitions share few symbols (394 trimmed transitions of `Ring_5_5`
-    carry 6), so each distinct symbol's body is instantiated once and each
-    transition adds only its predicate names."""
-    bodies: dict[AlphabetSymbol, tuple] = {}
+    carry 6), so one checked rule is built per distinct symbol, and each
+    other transition of that symbol renames its head and calls
+    (`Rule.renamed`); `SID` checks every call name and arity."""
+    templates: dict[AlphabetSymbol, Rule] = {}
     rules = []
     for tr in ta.transitions:
         sym = tr.symbol
-        if sym not in bodies:
+        head, callees = name_of(tr.result), [name_of(q) for q in tr.children]
+        rule = templates.get(sym)
+        if rule is None:
             params = tuple(Var(f"x{j}") for j in range(1, sym.arity + 1))
             binders = tuple(Var(f"z{k}") for k in range(1, len(sym.exvars) + 1))
             mapping = dict(zip(map(param, range(1, sym.arity + 1)), params))
             mapping.update(zip(sym.exvars, binders))
-            bodies[sym] = (params, binders, tuple(substitute(a, mapping) for a in sym.atoms),
-                           tuple(tuple(mapping[v] for v in vs) for vs in sym.args))
-        params, binders, atoms, args = bodies[sym]
-        calls = tuple(Pred(name_of(q), vs) for q, vs in zip(tr.children, args))
-        rules.append(Rule(name_of(tr.result), params, binders, atoms + calls))
+            atoms = tuple(substitute(a, mapping) for a in sym.atoms)
+            calls = tuple(Pred(name, tuple(mapping[v] for v in vs))
+                          for name, vs in zip(callees, sym.args))
+            rule = templates[sym] = Rule(head, params, binders, atoms + calls)
+        else:
+            rule = rule.renamed(head, callees)
+        rules.append(rule)
     return SID(tuple(rules), behavior)
 
 

@@ -566,18 +566,33 @@ def render_var(v: Var) -> str:
     return v.name
 
 
-def render_body(rule: Rule) -> str:
-    """`exists binders . *atoms`, with comp(x) * state(x : q) as comp(x : q)."""
+def _var_list(vs: tuple[Var, ...], texts: dict[Atom | tuple[Var, ...], str]) -> str:
+    text = texts.get(vs)
+    if text is None:
+        text = texts[vs] = ", ".join(map(render_var, vs))
+    return text
+
+
+def render_body(rule: Rule, texts: dict[Atom | tuple[Var, ...], str]) -> str:
+    """`exists binders . *atoms`, with comp(x) * state(x : q) as comp(x : q).
+
+    `texts` holds the text of each atom and variable list by value, so
+    each distinct one is printed once however many rules share it."""
     out: list[str] = []
-    for i, a in enumerate(rule.atoms):
-        if isinstance(a, StateAtom) and i and rule.atoms[i - 1] == Comp(a.var):
+    prev = None
+    for a in rule.atoms:
+        if type(a) is StateAtom and type(prev) is Comp and prev.var == a.var:
             out[-1] = f"comp({render_var(a.var)} : {a.state})"
         else:
-            out.append(atom_text(a, render_var, " "))
+            text = texts.get(a)
+            if text is None:
+                text = texts[a] = atom_text(a, render_var, " ")
+            out.append(text)
+        prev = a
     body = " * ".join(out) or "emp"
     if not rule.binders:
         return body
-    return f"exists {', '.join(map(render_var, rule.binders))} . {body}"
+    return f"exists {_var_list(rule.binders, texts)} . {body}"
 
 
 def render_config(name: str, g: Configuration) -> str:
@@ -606,9 +621,9 @@ def render_system(sf: SystemFile) -> str:
     lines.append("}")
     lines.append("")
     lines.append("sid {")
+    texts: dict[Atom | tuple[Var, ...], str] = {}
     for r in sf.sid.rules:
-        params = ", ".join(render_var(v) for v in r.params)
-        lines.append(f"  {r.head}({params}) <- {render_body(r)};")
+        lines.append(f"  {r.head}({_var_list(r.params, texts)}) <- {render_body(r, texts)};")
     lines.append("}")
     for name in sf.configs:
         lines.append("")

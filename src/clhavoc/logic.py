@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import Behavior, Configuration
 from .eqform import Partition
@@ -31,9 +31,11 @@ class UndefinedPredicate(ValueError):
 # ---------------------------------------------------------------------------
 # variables
 
-@dataclass(frozen=True, order=True)
-class Var:
-    """A logical variable; the tag distinguishes canonical indexed families."""
+class Var(NamedTuple):
+    """A logical variable; the tag distinguishes canonical indexed families.
+
+    A variable is its (name, tag) tuple, so it hashes, compares and sorts in
+    C, and equals that plain pair: no container mixes the two."""
 
     name: str
     tag: tuple[int, ...] = ()
@@ -229,6 +231,18 @@ class Rule:
         object.__setattr__(self, "calls", tuple(calls))
         object.__setattr__(self, "skeleton", (len(self.params), len(self.binders), tuple(body)))
         object.__setattr__(self, "state_slots", tuple(slots))
+
+    def renamed(self, head: str, callees: Iterable[str]) -> Rule:
+        """This rule with another head and its predicate atoms, in order,
+        calling `callees`.  Its checks and positional form read only the
+        parameters, binders and variables, which stay, so the copy shares
+        them instead of reading the body again."""
+        atoms = list(self.atoms)
+        for i, name in zip(self.calls, callees, strict=True):
+            atoms[i] = Pred(name, atoms[i].args)
+        rule = object.__new__(Rule)
+        rule.__dict__.update(self.__dict__, head=head, atoms=tuple(atoms))
+        return rule
 
     @property
     def preds(self) -> tuple[Pred, ...]:

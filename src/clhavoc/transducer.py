@@ -341,6 +341,8 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID) -> ImageResult:
         # each discovered state by (base, phi), so equal states share one object
         found: dict[tuple[object, EqFormula], ProductState] = {}
         marks: dict[ProductState, MarkerSignature] = {}
+        # each distinct phi's marker status: states of many bases share it
+        statuses: dict[EqFormula, MarkerStatus] = {}
         seen: dict[int, tuple[int, ...]] = {}
         # a step depends on the symbol and child states only, not on the
         # transition's result state, so equal symbols share one computation
@@ -368,7 +370,10 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID) -> ImageResult:
                         if ps is None:
                             ps = found[tr.result, phi] = ProductState(tr.result, phi, tau)
                             discovered.append(ps)
-                            begins, ends, closed = marker_status(phi.classes, n)
+                            status = statuses.get(phi)
+                            if status is None:
+                                status = statuses[phi] = marker_status(phi.classes, n)
+                            begins, ends, closed = status
                             marks[ps] = begins, ends
                             by_base.setdefault(tr.result, []).append(ps)
                             changed = True

@@ -20,10 +20,14 @@ from clhavoc.automata import AlphabetSymbol, TaTransition, TreeAutomaton, symbol
 from clhavoc.core import Behavior, Configuration, Interaction, degree, step
 from clhavoc.eqform import EqFormula, Partition
 from clhavoc.frontend import ParseError, Tok
-from clhavoc.logic import (Atom, Comp, Eq, Inter, Node, Pred, Prenex, Rule, SID, StateAtom, Var,
-                           atom_vars, boundvar, param, split_atoms, substitute,
-                           unfold_formula, var_text)
-from clhavoc.oracle import Model, Shape, _instantiate, _node_plan, enumerate_models
+from clhavoc.logic import (Atom, Comp, Eq, Inter, Neq, Node, Pred, Prenex, Rule, SID, StateAtom,
+                           UndefinedPredicate, Var, atom_vars, beginvar, boundvar, endvar,
+                           param, prenex, split_atoms, substitute, unfold_formula, var_text)
+from clhavoc.oracle import (Model, Shape, _instantiate, _node_plan, canonical_model,
+                            enumerate_models)
+from clhavoc.reduction import ClassEquivResult
+from clhavoc.transducer import (ArityMismatch, ImageResult, InteractionType, ProductState,
+                                Witness, interaction_types, ttvars)
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +641,544 @@ def reference_key(g, nu):
         if best is None or key < best:
             best = key
     return best
+
+# ---------------------------------------------------------------------------
+# unfolding
+
+# The formula-building unfolding that the template-based one replaced, kept
+# as the reference for names, order and completeness of every unfolding.
+
+@dataclass(frozen=True)
+class _Pending:
+    atom: Pred
+    budget: int
+
+
+def reference_unfold_formula(sid, f, depth):
+    counter = itertools.count()
+    binders0, atoms0 = prenex(f, counter)
+    defined = set(sid.predicates)
+
+    def wrap(items):
+        out = []
+        for a in items:
+            if isinstance(a, Pred):
+                if a.name not in defined:
+                    raise UndefinedPredicate(a.name)
+                out.append(_Pending(a, depth))
+            else:
+                out.append(a)
+        return out
+
+    results = []
+    stack = [(binders0, wrap(atoms0))]
+    while stack:
+        binders, items = stack.pop()
+        pend_at = next((i for i, a in enumerate(items) if isinstance(a, _Pending)), None)
+        plain = [a.atom if isinstance(a, _Pending) else a for a in items]
+        results.append(((binders, tuple(plain)), pend_at is None))
+        if pend_at is None:
+            continue
+        pend = items[pend_at]
+        if pend.budget == 0:
+            continue
+        successors = []
+        for rule in sid.rules_of(pend.atom.name):
+            rbinders, ratoms = prenex((rule.binders, rule.atoms), counter)
+            mapping = dict(zip(rule.params, pend.atom.args))
+            spliced = []
+            for a in ratoms:
+                a2 = substitute(a, mapping)
+                if isinstance(a2, Pred):
+                    spliced.append(_Pending(a2, pend.budget - 1))
+                else:
+                    spliced.append(a2)
+            successors.append((binders + rbinders,
+                               items[:pend_at] + spliced + items[pend_at + 1:]))
+        stack.extend(reversed(successors))
+    return results
+
+
+# ---------------------------------------------------------------------------
+# bounded models
+
+def reference_models(sid, f, depth):
+    """enumerate_models' entries as they were when each candidate was
+    keyed afresh, with no shape, no memo, no skeleton node and no plan:
+    the reference walk's complete unfoldings, each enumerated on its own,
+    and per key the first candidate's (key, configuration, store items,
+    provenance)."""
+    closed, (atom,) = f
+    free = [v for v in atom.args if v not in closed]
+    entries = {}
+    complete = [u for u, done in unfold_formula(sid, f, depth) if done]
+    for k, (binders, atoms) in enumerate(complete):
+        for c in reference_pf_models(binders, atoms, free, sid.behavior.states):
+            g, nu = from_exact(c)
+            key = canonical_model(g, nu)
+            if key not in entries:
+                entries[key] = (key, g, list(nu.items()), f"unfolding#{k}")
+    return entries
+
+
+# ---------------------------------------------------------------------------
+# the reference: the rule-pairing search that class_equiv's key lookup
+# replaced.  It normalises each body through its equalities and matches atoms
+# as multisets under a bijection of the binders.  Each call joins the atoms
+# as a predicate atom named by its position, so calls pair position by
+# position, as their predicates do, and their arguments match under the same
+# bijection.
+
+def _norm_body(rule: Rule):
+    pmap = {p: Var(f"x{i}") for i, p in enumerate(rule.params, start=1)}
+    calls = [Pred(str(k), p.args) for k, p in enumerate(rule.preds)]
+    qpf = [substitute(a, pmap) for a in (*rule.pf_atoms, *calls)
+           if not isinstance(a, StateAtom)]
+    eqs = [a for a in qpf if isinstance(a, Eq)]
+    rest = [a for a in qpf if not isinstance(a, Eq)]
+
+    # collapse existentials through equalities; free variables are kept
+    bset = set(rule.binders)
+    rep: dict[Var, Var] = {}
+    canon_eqs: list[tuple[Var, Var]] = []
+    for c in Partition(pairs=[(a.left, a.right) for a in eqs]).classes():
+        freevs = sorted(v for v in c if v not in bset)
+        r = freevs[0] if freevs else min(c)
+        for w in c:
+            rep[w] = r
+        for w in freevs[1:]:
+            canon_eqs.append((r, w))
+
+    out_atoms = []
+    for a in rest:
+        a = substitute(a, rep)
+        out_atoms.append(Neq(*sorted((a.left, a.right))) if isinstance(a, Neq) else a)
+    out_atoms.extend(Eq(x, y) for x, y in sorted(canon_eqs))
+    live = {v for a in out_atoms for v in atom_vars(a)}
+    kept_binders = tuple(sorted({rep.get(b, b) for b in rule.binders} & live & bset))
+    pred_heads = tuple((p.name, len(p.args)) for p in rule.preds)
+    return kept_binders, tuple(out_atoms), pred_heads
+
+
+def _atoms_match(atoms1, atoms2, binders1, binders2) -> bool:
+    """Multiset equality of atom lists under a bijection of the binders."""
+    if len(atoms1) != len(atoms2):
+        return False
+    if len(binders1) != len(binders2):
+        return False
+    return _match(0, atoms1, atoms2, set(binders1), set(binders2), set(), {}, {})
+
+
+def _match(i: int, atoms1, atoms2, bset1: set[Var], bset2: set[Var],
+           used: set[int], bij: dict[Var, Var], inv: dict[Var, Var]) -> bool:
+    """Match atoms1[i:] into the unused atoms2, extending the bijection."""
+    if i == len(atoms1):
+        return True
+    a = atoms1[i]
+    for j, b in enumerate(atoms2):
+        if j in used or type(a) is not type(b):
+            continue
+        pairs = _var_pairs(a, b)
+        if pairs is None:
+            continue
+        added = []
+        ok = True
+        for x, y in pairs:
+            bx, by = x in bset1, y in bset2
+            if bx != by:
+                ok = False
+                break
+            if not bx:
+                if x != y:
+                    ok = False
+                    break
+                continue
+            if bij.get(x, y) != y or inv.get(y, x) != x:
+                ok = False
+                break
+            if x not in bij:
+                bij[x] = y
+                inv[y] = x
+                added.append((x, y))
+        if ok and _match(i + 1, atoms1, atoms2, bset1, bset2, used | {j}, bij, inv):
+            return True
+        for x, y in added:
+            del bij[x]
+            del inv[y]
+    return False
+
+
+def _var_pairs(a, b):
+    """Positional variable pairs of two atoms of one kind; None if they are
+    interaction atoms over different ports or calls at different positions."""
+    if isinstance(a, Inter) and [p for _, p in a.bindings] != [p for _, p in b.bindings]:
+        return None
+    if isinstance(a, Pred) and a.name != b.name:
+        return None
+    return list(zip(atom_vars(a), atom_vars(b)))
+
+
+def _solve(k: int, all_c: list[list[int]], n1: int, heads1, heads2,
+           arity: dict, part: Partition, pairing: list[tuple[int, int]],
+           steps: Iterator[int]) -> bool:
+    """Choose a candidate for rule k onwards (the first n1 rules of all_c are
+    d1's), uniting the paired predicates in part; raises TimeoutError after
+    200000 steps."""
+    if next(steps) > 200000:
+        raise TimeoutError
+    if k == len(all_c):
+        return True
+    saved = part.parent[:]
+    if k < n1:
+        side1, side2, own, other = "1", "2", heads1[k], heads2
+    else:
+        side1, side2, own, other = "2", "1", heads2[k - n1], heads1
+    for j in all_c[k]:
+        ok = True
+        for p1, p2 in zip(own, other[j]):
+            # each class keeps one arity, so comparing the two predicates
+            # compares their classes
+            x, y = (side1, p1), (side2, p2)
+            if arity[x] != arity[y]:
+                ok = False
+                break
+            part.union(x, y)
+        if ok:
+            if k < n1:
+                pairing.append((k, j))
+            if _solve(k + 1, all_c, n1, heads1, heads2, arity, part, pairing, steps):
+                return True
+            if k < n1:
+                pairing.pop()
+        part.parent[:] = saved
+    return False
+
+
+def reference_class_equiv(d1: SID, d2: SID) -> ClassEquivResult:
+    """Decide Def.-class equivalence by canonical rule matching.
+
+    Searches a rule pairing in both directions together with an
+    arity-preserving predicate correspondence; complete for SIDs whose rule
+    bodies differ by state renaming plus equalities on quantified variables,
+    which covers everything the reduction emits.
+    """
+    # rules share few distinct normalised bodies: number each (binders,
+    # atoms) pair once and match each pair of numbers once
+    body_ids: dict[tuple, int] = {}
+    matches: dict[tuple[int, int], bool] = {}
+
+    def norms(sid: SID) -> tuple[list, dict[tuple, list[int]]]:
+        out, by_shape = [], {}
+        for j, r in enumerate(sid.rules):
+            b, a, ph = _norm_body(r)
+            shape = (len(r.params), tuple(n for _, n in ph))
+            out.append((b, a, ph, body_ids.setdefault((b, a), len(body_ids)), shape))
+            # only rules of one shape (parameter count, head arities) can
+            # pair; each shape lists its rules in ascending order
+            by_shape.setdefault(shape, []).append(j)
+        return out, by_shape
+
+    (norm1, shapes1), (norm2, shapes2) = norms(d1), norms(d2)
+
+    def rule_candidates(i: int, norms1, norms2, shapes) -> list[int]:
+        b1, a1, _, id1, shape1 = norms1[i]
+        out = []
+        for j in shapes.get(shape1, ()):
+            b2, a2, _, id2, _ = norms2[j]
+            if (id1, id2) not in matches:
+                matches[id1, id2] = _atoms_match(a1, a2, b1, b2)
+            if matches[id1, id2]:
+                out.append(j)
+        return out
+
+    cand1 = [rule_candidates(i, norm1, norm2, shapes2) for i in range(len(d1.rules))]
+    cand2 = [rule_candidates(j, norm2, norm1, shapes1) for j in range(len(d2.rules))]
+    if any(not c for c in cand1) or any(not c for c in cand2):
+        return ClassEquivResult("inequivalent", None, None)
+
+    arity = {}
+    for sid, side in ((d1, "1"), (d2, "2")):
+        for p in sid.predicates:
+            arity[(side, p)] = sid.arity(p)
+
+    # every predicate is registered now (SIDs reject undefined ones), so a
+    # snapshot of the parent slots restores the partition exactly
+    part = Partition(arity)
+
+    # each rule's head, then its predicate atoms: paired position by position
+    # with a candidate's, they are the constraints of choosing it
+    def heads(sid: SID, norms) -> list[tuple[str, ...]]:
+        return [(r.head, *(p for p, _ in ph)) for r, (_, _, ph, _, _) in zip(sid.rules, norms)]
+
+    pairing: list[tuple[int, int]] = []
+    try:
+        if _solve(0, cand1 + cand2, len(cand1), heads(d1, norm1), heads(d2, norm2),
+                  arity, part, pairing, itertools.count(1)):
+            rel = sorted({(str(x[1]), str(part.items[r][1]))
+                          for x, r in part.roots().items() if part.items[r] != x})
+            return ClassEquivResult("equivalent", list(pairing), rel)
+        return ClassEquivResult("inequivalent", None, None)
+    except TimeoutError:
+        return ClassEquivResult("unknown", None, None)
+
+
+# ---------------------------------------------------------------------------
+# the step against its plain form: the step before its per-symbol plan, its
+# marker signatures and its one-pass marker check, kept verbatim; it reads a
+# symbol's call arguments as trailing equalities on child-parameter variables
+
+def childparam(l: int, j: int) -> Var:
+    """The variable for parameter j of child l in the glued encoding."""
+    return Var("%out", (l, j))
+
+
+@dataclass(frozen=True)
+class GluedSymbol:
+    """A symbol in the encoding the reference step reads: the call arguments
+    as trailing equalities childparam(l, j) = arg, and the arity tuple."""
+
+    exvars: tuple[Var, ...]
+    atoms: tuple
+    arities: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.arities) - 1
+
+
+def glue(alpha: AlphabetSymbol) -> GluedSymbol:
+    eqs = tuple(Eq(childparam(l, j), v) for l, vs in enumerate(alpha.args, start=1)
+                for j, v in enumerate(vs, start=1))
+    return GluedSymbol(alpha.exvars, alpha.atoms + eqs, (alpha.arity, *map(len, alpha.args)))
+
+
+def unglue(out: GluedSymbol, alpha: AlphabetSymbol) -> AlphabetSymbol:
+    """An output of the reference step on glue(alpha) as a symbol with
+    alpha's arguments; a step rewrites state atoms only, so the glue stays."""
+    k = len(alpha.atoms)
+    assert out.atoms[k:] == glue(alpha).atoms[k:]
+    return AlphabetSymbol(out.exvars, out.atoms[:k], alpha.arity, alpha.args)
+
+
+def reference_step(tau: InteractionType, alpha: AlphabetSymbol,
+                   child_states: Sequence[EqFormula], behavior: Behavior,
+                   maxarity: int, live_only: bool = True,
+                   ) -> list[tuple[AlphabetSymbol, EqFormula, Witness]]:
+    """`glued_reference_step` on alpha with its arguments glued back."""
+    return [(unglue(out, alpha), phi, wit) for out, phi, wit in
+            glued_reference_step(tau, glue(alpha), child_states, behavior, maxarity,
+                                 live_only)]
+
+def reference_state_ok(phi: EqFormula, n: int) -> bool:
+    """The non-entailment conditions on transducer states."""
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j and (beginvar(j) in eq_class(phi, beginvar(i))
+                           or endvar(j) in eq_class(phi, endvar(i))
+                           or endvar(j) in eq_class(phi, beginvar(i))):
+                return False
+    return True
+
+
+def reference_state_live(phi: EqFormula, n: int, maxarity: int) -> bool:
+    """Every open walk marker, a begin(i) or end(i) of phi with begin(i) and
+    end(i) not proven equal, is proven equal to a node parameter."""
+    for i in range(1, n + 1):
+        if endvar(i) in eq_class(phi, beginvar(i)):
+            continue
+        for m in (beginvar(i), endvar(i)):
+            cls = eq_class(phi, m)
+            if cls and not any(param(j) in cls for j in range(1, maxarity + 1)):
+                return False
+    return True
+
+
+def _reference_canonical_state(phi: EqFormula) -> EqFormula:
+    # singleton parameter classes carry no information; marker singletons do
+    keep = []
+    for cls in phi.classes:
+        if len(cls) > 1 or next(iter(cls)).name in ("%begin", "%end"):
+            keep.append(cls)
+    return EqFormula(frozenset(keep))
+
+
+def glued_reference_step(tau: InteractionType, alpha: GluedSymbol,
+                         child_states: Sequence[EqFormula], behavior: Behavior,
+                         maxarity: int, live_only: bool = True,
+                         ) -> list[tuple[GluedSymbol, EqFormula, Witness]]:
+    """All transitions (alpha, alpha')(child_states) -> state for the type tau.
+
+    Enumerates the choice of rewritten component atoms (one per fresh walk
+    position, each backed by a behavior transition over the matching port),
+    the optional guess of the fired interaction atom, and discards any result
+    that would merge distinct walk markers and, when live_only, any result
+    with an open walk marker not equal to a node parameter.
+    """
+    n = len(tau)
+    h = alpha.rank
+    if len(child_states) != h:
+        raise ArityMismatch(f"symbol of rank {h} given {len(child_states)} child states")
+    if alpha.arities[0] > maxarity:
+        raise ArityMismatch(f"symbol arity {alpha.arities[0]} exceeds maxarity {maxarity}")
+
+    # the walk positions whose begin/end markers each child state carries
+    begin_sets: list[set[int]] = []
+    end_sets: list[set[int]] = []
+    for st in child_states:
+        begins, ends = set(), set()
+        for v in itertools.chain.from_iterable(st.classes):
+            if v.name == "%begin" and v.tag[0] <= n:
+                begins.add(v.tag[0])
+            elif v.name == "%end" and v.tag[0] <= n:
+                ends.add(v.tag[0])
+        begin_sets.append(begins)
+        end_sets.append(ends)
+    for s1, s2 in itertools.combinations(begin_sets, 2):
+        if s1 & s2:
+            return []
+    if sum(1 for s in end_sets if s) > 1:
+        return []
+    used_begin = set().union(*begin_sets) if begin_sets else set()
+    ends_present = any(end_sets)
+
+    # rewrite candidates: variables carrying both a component and a state atom
+    state_idx: dict[Var, list[int]] = {}
+    comp_vars: set[Var] = set()
+    fired_candidates: list[int] = []
+    eq_pairs: list[tuple[Var, Var]] = []
+    for idx, a in enumerate(alpha.atoms):
+        if isinstance(a, Comp):
+            comp_vars.add(a.var)
+        elif isinstance(a, StateAtom):
+            state_idx.setdefault(a.var, []).append(idx)
+        elif isinstance(a, Inter) and tuple(p for _, p in a.bindings) == tau:
+            fired_candidates.append(idx)
+        elif isinstance(a, Eq):
+            eq_pairs.append((a.left, a.right))
+    candidates: dict[Var, str] = {}
+    for v in sorted(comp_vars):
+        states = {alpha.atoms[i].state for i in state_idx.get(v, [])}
+        if len(states) == 1:
+            candidates[v] = states.pop()
+
+    avail = [i for i in range(1, n + 1) if i not in used_begin]
+
+    # base conjunction shared by all choices: the equalities of the symbol
+    # itself, plus child states with their parameters rebased onto this
+    # node's childparam variables
+    base = Partition((), eq_pairs)
+    for l, st in enumerate(child_states, start=1):
+        al = alpha.arities[l]
+        ren = {param(j): childparam(l, j) for j in range(1, al + 1)}
+        for cls in st.classes:
+            members = [ren.get(v, v) for v in cls]
+            if any(v.name == "%in" for v in members):
+                raise ArityMismatch(f"child state mentions parameter beyond arity {al}")
+            for v in members:
+                base.union(members[0], v)
+
+    keepvars = ttvars(tau, maxarity)
+    results: list[tuple[AlphabetSymbol, EqFormula, Witness]] = []
+
+    fired_opts: list[int | None] = [None]
+    if not ends_present:
+        fired_opts += fired_candidates
+    for rewrites in _reference_rewrite_choices(tau, avail, candidates, behavior, 0, (), frozenset()):
+        for fired in fired_opts:
+            conj = base.copy()
+            for i, xi, _, _ in rewrites:
+                conj.union(beginvar(i), xi)
+            if fired is not None:
+                atom = alpha.atoms[fired]
+                for pos, (z, _) in enumerate(atom.bindings, start=1):
+                    conj.union(endvar(pos), z)
+            # project onto the tracking variables
+            phi = _reference_canonical_state(EqFormula(frozenset(
+                kept for cls in conj.classes() if (kept := keepvars.intersection(cls)))))
+            if not reference_state_ok(phi, n):
+                continue
+            if live_only and not reference_state_live(phi, n, maxarity):
+                continue
+            out_atoms = list(alpha.atoms)
+            for _, xi, q, q2 in rewrites:
+                out_atoms[state_idx[xi][0]] = StateAtom(xi, q2)
+            out = GluedSymbol(alpha.exvars, tuple(out_atoms), alpha.arities)
+            results.append((out, phi, Witness(tau, rewrites, fired)))
+    return results
+
+
+def _reference_rewrite_choices(tau: InteractionType, avail: Sequence[int],
+                               candidates: dict[Var, str], behavior: Behavior, idx: int,
+                               chosen: tuple[tuple[int, Var, str, str], ...],
+                               used_vars: frozenset[Var]) -> Iterator[tuple[tuple[int, Var, str, str], ...]]:
+    """`chosen` extended by every subset of the positions avail[idx:], each
+    mapped to a distinct rewritable variable with an enabled behavior
+    transition, as (position, var, q, q') rewrites; a choice comes before its
+    extensions."""
+    yield chosen
+    for k in range(idx, len(avail)):
+        i = avail[k]
+        port = tau[i - 1]
+        for xi in sorted(set(candidates) - used_vars):
+            q = candidates[xi]
+            for q2 in behavior.targets(q, port):
+                yield from _reference_rewrite_choices(tau, avail, candidates, behavior, k + 1,
+                                                      (*chosen, (i, xi, q, q2)),
+                                                      used_vars | {xi})
+
+
+# ---------------------------------------------------------------------------
+# the image
+
+def reference_image(ta, root_state, sid, behavior):
+    """The round-robin image loop that re-enumerates every pool each round
+    and steps every rule transition with the reference step that keeps dead
+    states: the reference for the semi-naive, pruned one."""
+    maxarity = max((sid.arity(p) for p in sid.predicates), default=0)
+    taus = sorted(interaction_types(sid))
+    transitions = {}
+    discovered = {}
+    finals = []
+
+    for tau in taus:
+        n = len(tau)
+        by_base = {}
+        done = set()
+        steps = {}
+        changed = True
+        while changed:
+            changed = False
+            for ti, tr in enumerate(ta.transitions):
+                pools = [by_base.get(c, []) for c in tr.children]
+                if any(not p for p in pools):
+                    continue
+                for combo in itertools.product(*pools):
+                    key = (ti, combo)
+                    if key in done:
+                        continue
+                    done.add(key)
+                    skey = (tr.symbol, combo)
+                    if skey not in steps:
+                        steps[skey] = reference_step(tau, tr.symbol, list(combo),
+                                                     behavior, maxarity, live_only=False)
+                    for out_sym, phi, wit in steps[skey]:
+                        ps = ProductState(tr.result, phi, tau)
+                        if ps not in discovered:
+                            discovered[ps] = None
+                            by_base.setdefault(tr.result, []).append(phi)
+                            changed = True
+                            if tr.result == root_state and all(
+                                    endvar(i) in eq_class(phi, beginvar(i))
+                                    for i in range(1, n + 1)):
+                                finals.append(ps)
+                        kids = tuple(ProductState(c, combo[l], tau)
+                                     for l, c in enumerate(tr.children))
+                        ptr = TaTransition(out_sym, kids, ps)
+                        transitions.setdefault(ptr, []).append(wit)
+
+    product = TreeAutomaton.make(transitions, finals=finals, states=tuple(discovered))
+    per_tau = {tau: sum(1 for s in discovered if s.tau == tau) for tau in taus}
+    return ImageResult(product, {tr: tuple(ws) for tr, ws in transitions.items()}, per_tau)
 
 
 # ---------------------------------------------------------------------------

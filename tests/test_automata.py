@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from clhavoc.automata import TaTransition, TreeAutomaton, sid_to_ta, ta_to_sid, ta_trim
 from clhavoc.frontend import parse_system
-from clhavoc.logic import (Comp, Eq, Inter, Pred, StateAtom, Var, atom_vars, boundvar,
+from clhavoc.logic import (Comp, Eq, Inter, Pred, Rule, StateAtom, Var, atom_vars, boundvar,
                            param, substitute)
 from clhavoc.oracle import canonical_model, enumerate_models
 from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
@@ -227,6 +227,16 @@ def test_ta_to_sid_single_transition():
     assert len(sid.rules[0].params) == 1
 
 
+def assert_rules_as_built(sid):
+    """Each rule, stamped from its symbol's first rule or not, equals the
+    rule built afresh from its fields, positional form included."""
+    for r in sid.rules:
+        fresh = Rule(r.head, r.params, r.binders, r.atoms)
+        assert fresh == r
+        assert (fresh.calls, fresh.skeleton, fresh.state_slots) == \
+            (r.calls, r.skeleton, r.state_slots)
+
+
 def assert_round_trip(ta, behavior):
     """sid_to_ta(ta_to_sid(ta)) gives back ta's transitions, in order, with
     each state read back as the predicate named for it; ta_to_sid's rules
@@ -235,6 +245,7 @@ def assert_round_trip(ta, behavior):
     names = {q: f"S{k}" for k, q in enumerate(ta.states)}
     derived = ta_to_sid(ta, behavior, names.__getitem__)
     assert derived.rules == reference_ta_to_sid(ta, behavior, names.__getitem__).rules
+    assert_rules_as_built(derived)
     back, _ = sid_to_ta(derived)
     assert back.transitions == tuple(
         TaTransition(tr.symbol, tuple(names[c] for c in tr.children), names[tr.result])
@@ -268,6 +279,30 @@ def test_ta_to_sid_inverts_sid_to_ta_on_ring_family(k):
     sid, product = ring_family_image(k)
     derived = assert_round_trip(ta_trim(product), sid.behavior)
     assert_heights_match_brute_force(derived)
+
+
+@pytest.mark.parametrize("path", source_fixtures(), ids=lambda p: p.name)
+def test_stamped_rules_are_as_built_on_fixture_reductions(path):
+    sid = load(path.name).sid
+    for pred in sid.predicates:
+        assert_rules_as_built(reduce_havoc_to_entailment(sid, pred, assume_tight=True).derived_sid)
+
+
+def test_ta_to_sid_checks_each_symbol_once(monkeypatch):
+    """`Rule`'s checks run once per distinct symbol of the trimmed
+    `Ring_5_5` image: 6 for its 394 transitions."""
+    sid, product = ring_family_image(5)
+    trimmed = ta_trim(product)
+    names = {q: f"S{k}" for k, q in enumerate(trimmed.states)}
+    built = []
+    check = Rule.__post_init__
+    monkeypatch.setattr(Rule, "__post_init__", lambda rule: built.append(rule) or check(rule))
+    derived = ta_to_sid(trimmed, sid.behavior, names.__getitem__)
+    assert (len(derived.rules), len(trimmed.alphabet), len(built)) == (394, 6, 6)
+    first: dict = {}  # each symbol's first transition
+    for i, tr in enumerate(trimmed.transitions):
+        first.setdefault(tr.symbol, i)
+    assert built == [derived.rules[i] for i in first.values()]
 
 
 def test_ta_to_sid_passes_tied_variables_to_the_call():

@@ -9,24 +9,29 @@ matching) must agree with it everywhere.
 
 import itertools
 import math
-from dataclasses import dataclass
+from inspect import CO_GENERATOR
+import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clhavoc
 from clhavoc.core import Behavior, Configuration, Interaction
-from clhavoc.frontend import ParseError, parse_system, render_var
+from clhavoc.eqform import Partition
+from clhavoc.frontend import ParseError, Query, SystemFile, parse_system, render_system, render_var
 from clhavoc.logic import (SID, Comp, Eq, Inter, Neq, Pred, Rule, StateAtom,
                            UnboundVariable, UndefinedPredicate, Var, atom_text,
                            atom_vars, complete_unfoldings, derive, eval_bounded, eval_pf,
                            least_heights, prenex, substitute, unfold_formula,
                            var_text)
-from clhavoc.reduction import reduce_havoc_to_entailment
+from clhavoc.oracle import cross_validate_reduction, entails_bounded, havoc_invariant_bounded
+from clhavoc.reduction import class_equiv, reduce_havoc_to_entailment
 
 from conftest import FIXTURES, REUSE_CASES, corpus, corpus_text, load, source_fixtures
 from reference import (TOKEN, assert_heights_match_brute_force, comp_in, reference_derive,
-                       reference_skeleton)
+                       reference_skeleton, reference_unfold_formula)
 
 X, Y, Z, U = Var("x"), Var("y"), Var("z"), Var("u")
 
@@ -92,6 +97,92 @@ def naive_atom(g, nu, f):
 def _subsets(items):
     for k in range(len(items) + 1):
         yield from itertools.combinations(items, k)
+
+
+# ---------------------------------------------------------------------------
+# variables
+
+def test_var_is_its_name_and_tag_pair():
+    v = Var("x", (1, 2))
+    assert hash(v) == hash(("x", (1, 2)))
+    assert hash(X) == hash(("x", ()))
+    assert v == ("x", (1, 2)) and v.name == "x" and v.tag == (1, 2)
+    assert repr(v) == "Var(name='x', tag=(1, 2))"
+    assert repr(X) == "Var(name='x', tag=())"
+    assert sorted([Var("b"), Var("a", (2,)), Var("a", (1, 3)), Var("a"), Var("%u", (10,)),
+                   Var("%u", (9,))]) == [Var("%u", (9,)), Var("%u", (10,)), Var("a"),
+                                         Var("a", (1, 3)), Var("a", (2,)), Var("b")]
+    assert Var("a", (1,)) < Var("a", (1, 0)) < Var("a", (2,)) < Var("b")
+
+
+def test_no_container_mixes_a_var_with_its_pair():
+    """A `Var` equals its plain (name, tag) pair, so a dict, set or
+    partition holding both would merge them.  None that a library call
+    holds in a local or returns, nor one inside those (a member, a value, a
+    library object's field), holds both, on every fixture predicate's
+    reduction, rendering, bounded checks and class equivalence."""
+    src = str(pathlib.Path(clhavoc.__file__).parent)
+    # id -> (length, object) of each container visited; holding the object
+    # keeps its id from being reused, so a container is scanned again only
+    # when it has grown
+    visited: dict[int, tuple[int, object]] = {}
+    bad, with_var = [], 0
+
+    def visit(where, value, depth=1):
+        nonlocal with_var
+        if isinstance(value, Partition):
+            value = value.index
+        if not isinstance(value, (dict, set, frozenset, list, tuple)):
+            if depth and type(value).__module__.startswith("clhavoc."):
+                fields = [getattr(value, a, None) for a in getattr(type(value), "__slots__", ())]
+                for item in fields + list(getattr(value, "__dict__", {}).values()):
+                    visit(where, item, depth - 1)
+            return
+        if visited.get(id(value), (None,))[0] == len(value):
+            return
+        visited[id(value)] = len(value), value
+        if not isinstance(value, (list, tuple)):
+            has_var = any(type(k) is Var for k in value)
+            with_var += has_var
+            if has_var and any(type(k) is tuple and len(k) == 2 and type(k[0]) is str
+                               and type(k[1]) is tuple for k in value):
+                bad.append(f"{where}: {sorted(map(repr, value))[:4]}")
+        if depth:
+            for item in (value.values() if isinstance(value, dict) else value):
+                visit(where, item, depth - 1)
+
+    def returns(frame, event, arg):
+        if event == "return":
+            for value in (*frame.f_locals.values(), arg):
+                visit(frame.f_code.co_name, value)
+        return returns
+
+    def calls(frame, event, arg):
+        # a generator returns at each yield; its consumer's locals are seen
+        if frame.f_code.co_filename.startswith(src) and not frame.f_code.co_flags & CO_GENERATOR:
+            frame.f_trace_lines = False
+            return returns
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        for path in source_fixtures():
+            sf = load(path.name)
+            depth = 2 if path.name == "tll_original.clsys" else 3
+            for pred in sf.sid.predicates:
+                result = reduce_havoc_to_entailment(sf.sid, pred, assume_tight=True)
+                render_system(SystemFile(sf.behavior, result.combined_sid, {},
+                                         [Query("entail", a, b) for a, b in result.entailments]))
+                for lhs, rhs in result.entailments:
+                    entails_bounded(result.combined_sid, lhs, rhs, depth)
+                havoc_invariant_bounded(sf.sid, pred, depth)
+                cross_validate_reduction(sf.sid, pred, depth, result)
+                class_equiv(sf.sid, result.derived_sid)
+    finally:
+        sys.settrace(previous)
+    assert not bad, "\n".join(bad[:20])
+    assert with_var > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -354,60 +445,6 @@ def test_eval_bounded_stable_under_depth(ring):
     f = ((), (ring.sid.atom("Ring_1_1"),))
     assert eval_bounded(g, {}, f, ring.sid, 3)
     assert eval_bounded(g, {}, f, ring.sid, 5)
-
-
-# The formula-building unfolding that the template-based one replaced, kept
-# as the reference for names, order and completeness of every unfolding.
-
-@dataclass(frozen=True)
-class _Pending:
-    atom: Pred
-    budget: int
-
-
-def reference_unfold_formula(sid, f, depth):
-    counter = itertools.count()
-    binders0, atoms0 = prenex(f, counter)
-    defined = set(sid.predicates)
-
-    def wrap(items):
-        out = []
-        for a in items:
-            if isinstance(a, Pred):
-                if a.name not in defined:
-                    raise UndefinedPredicate(a.name)
-                out.append(_Pending(a, depth))
-            else:
-                out.append(a)
-        return out
-
-    results = []
-    stack = [(binders0, wrap(atoms0))]
-    while stack:
-        binders, items = stack.pop()
-        pend_at = next((i for i, a in enumerate(items) if isinstance(a, _Pending)), None)
-        plain = [a.atom if isinstance(a, _Pending) else a for a in items]
-        results.append(((binders, tuple(plain)), pend_at is None))
-        if pend_at is None:
-            continue
-        pend = items[pend_at]
-        if pend.budget == 0:
-            continue
-        successors = []
-        for rule in sid.rules_of(pend.atom.name):
-            rbinders, ratoms = prenex((rule.binders, rule.atoms), counter)
-            mapping = dict(zip(rule.params, pend.atom.args))
-            spliced = []
-            for a in ratoms:
-                a2 = substitute(a, mapping)
-                if isinstance(a2, Pred):
-                    spliced.append(_Pending(a2, pend.budget - 1))
-                else:
-                    spliced.append(a2)
-            successors.append((binders + rbinders,
-                               items[:pend_at] + spliced + items[pend_at + 1:]))
-        stack.extend(reversed(successors))
-    return results
 
 
 # the rank-2 list fixtures have 3,486 unfoldings at depth 4 and millions at 5

@@ -28,8 +28,8 @@ from clhavoc.transducer import transducer_step
 
 from conftest import REUSE_CASES, corpus, corpus_text, source_fixtures
 from reference import (TOKEN, enumerate_pf_models, exact_of, from_exact, models_by_key,
-                       reference_key, reference_pf_models, reference_state_key,
-                       reference_successors, trie_shapes)
+                       reference_key, reference_models, reference_pf_models,
+                       reference_state_key, reference_successors, trie_shapes)
 
 X1, X2 = Var("x1"), Var("x2")
 
@@ -875,25 +875,6 @@ def test_successor_over_eleven_ids_hits_the_table(monkeypatch):
     assert havoc_invariant_bounded(sid, "Ring", 12).invariant
     assert calls == [] and skeletons == []
     assert all(m.steps for m in ms.values())
-
-
-def reference_models(sid, f, depth):
-    """enumerate_models' entries as they were when each candidate was
-    keyed afresh, with no shape, no memo, no skeleton node and no plan:
-    the reference walk's complete unfoldings, each enumerated on its own,
-    and per key the first candidate's (key, configuration, store items,
-    provenance)."""
-    closed, (atom,) = f
-    free = [v for v in atom.args if v not in closed]
-    entries = {}
-    complete = [u for u, done in unfold_formula(sid, f, depth) if done]
-    for k, (binders, atoms) in enumerate(complete):
-        for c in reference_pf_models(binders, atoms, free, sid.behavior.states):
-            g, nu = from_exact(c)
-            key = canonical_model(g, nu)
-            if key not in entries:
-                entries[key] = (key, g, list(nu.items()), f"unfolding#{k}")
-    return entries
 
 
 def assert_models_match_reference(sid, f, depth):

@@ -1,27 +1,22 @@
 """The interaction-typed transducer: single steps, constraints, image."""
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import pytest
 from conftest import FIXTURES
-from reference import enumerate_trees, eq_class, make_symbol
+from reference import (enumerate_trees, eq_class, make_symbol, reference_image,
+                       reference_state_live, reference_state_ok, reference_step)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clhavoc import transducer
-from clhavoc.automata import AlphabetSymbol, TaTransition, TreeAutomaton, sid_to_ta, ta_trim
+from clhavoc.automata import AlphabetSymbol, sid_to_ta, ta_trim
 from clhavoc.core import Behavior
-from clhavoc.eqform import EqFormula, Partition
+from clhavoc.eqform import EqFormula
 from clhavoc.frontend import parse_system
-from clhavoc.logic import (Comp, Eq, Inter, StateAtom, Var, beginvar, endvar,
-                           param)
-from clhavoc.transducer import (ArityMismatch, ImageResult, InteractionType,
-                                ProductState, Witness, image, interaction_types,
-                                join_markers, marker_status, new_combos,
-                                transducer_step, ttvars)
-
+from clhavoc.logic import Comp, Inter, StateAtom, Var, beginvar, endvar, param
+from clhavoc.transducer import (ArityMismatch, ProductState, image, interaction_types,
+                                join_markers, marker_status, new_combos, transducer_step)
 
 def test_interaction_types_ring(ring):
     assert interaction_types(ring.sid) == {("out", "in")}
@@ -229,57 +224,6 @@ def test_image_deterministic(ring):
     assert a.automaton == b.automaton
 
 
-def reference_image(ta, root_state, sid, behavior):
-    """The round-robin image loop that re-enumerates every pool each round
-    and steps every rule transition with the reference step that keeps dead
-    states: the reference for the semi-naive, pruned one."""
-    maxarity = max((sid.arity(p) for p in sid.predicates), default=0)
-    taus = sorted(interaction_types(sid))
-    transitions = {}
-    discovered = {}
-    finals = []
-
-    for tau in taus:
-        n = len(tau)
-        by_base = {}
-        done = set()
-        steps = {}
-        changed = True
-        while changed:
-            changed = False
-            for ti, tr in enumerate(ta.transitions):
-                pools = [by_base.get(c, []) for c in tr.children]
-                if any(not p for p in pools):
-                    continue
-                for combo in itertools.product(*pools):
-                    key = (ti, combo)
-                    if key in done:
-                        continue
-                    done.add(key)
-                    skey = (tr.symbol, combo)
-                    if skey not in steps:
-                        steps[skey] = reference_step(tau, tr.symbol, list(combo),
-                                                     behavior, maxarity, live_only=False)
-                    for out_sym, phi, wit in steps[skey]:
-                        ps = ProductState(tr.result, phi, tau)
-                        if ps not in discovered:
-                            discovered[ps] = None
-                            by_base.setdefault(tr.result, []).append(phi)
-                            changed = True
-                            if tr.result == root_state and all(
-                                    endvar(i) in eq_class(phi, beginvar(i))
-                                    for i in range(1, n + 1)):
-                                finals.append(ps)
-                        kids = tuple(ProductState(c, combo[l], tau)
-                                     for l, c in enumerate(tr.children))
-                        ptr = TaTransition(out_sym, kids, ps)
-                        transitions.setdefault(ptr, []).append(wit)
-
-    product = TreeAutomaton.make(transitions, finals=finals, states=tuple(discovered))
-    per_tau = {tau: sum(1 for s in discovered if s.tau == tau) for tau in taus}
-    return ImageResult(product, {tr: tuple(ws) for tr, ws in transitions.items()}, per_tau)
-
-
 IMAGE_SYSTEMS = {p.name: p.read_text() for p in FIXTURES.glob("*.clsys")
                  if "reduced" not in p.name}
 IMAGE_SYSTEMS.update({f"ring{k}": IMAGE_SYSTEMS["ring.clsys"].replace("=0..1", f"=0..{k}")
@@ -356,211 +300,6 @@ def test_cached_hash_stays_out_of_identity(ring):
     assert other == ps
     assert "_hash" not in repr(ps)
     assert repr(ps) == f"ProductState(base='Ring_1_1', phi={phi!r}, tau=('out', 'in'))"
-
-
-# ---------------------------------------------------------------------------
-# the step against its plain form: the step before its per-symbol plan, its
-# marker signatures and its one-pass marker check, kept verbatim; it reads a
-# symbol's call arguments as trailing equalities on child-parameter variables
-
-def childparam(l: int, j: int) -> Var:
-    """The variable for parameter j of child l in the glued encoding."""
-    return Var("%out", (l, j))
-
-
-@dataclass(frozen=True)
-class GluedSymbol:
-    """A symbol in the encoding the reference step reads: the call arguments
-    as trailing equalities childparam(l, j) = arg, and the arity tuple."""
-
-    exvars: tuple[Var, ...]
-    atoms: tuple
-    arities: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.arities) - 1
-
-
-def glue(alpha: AlphabetSymbol) -> GluedSymbol:
-    eqs = tuple(Eq(childparam(l, j), v) for l, vs in enumerate(alpha.args, start=1)
-                for j, v in enumerate(vs, start=1))
-    return GluedSymbol(alpha.exvars, alpha.atoms + eqs, (alpha.arity, *map(len, alpha.args)))
-
-
-def unglue(out: GluedSymbol, alpha: AlphabetSymbol) -> AlphabetSymbol:
-    """An output of the reference step on glue(alpha) as a symbol with
-    alpha's arguments; a step rewrites state atoms only, so the glue stays."""
-    k = len(alpha.atoms)
-    assert out.atoms[k:] == glue(alpha).atoms[k:]
-    return AlphabetSymbol(out.exvars, out.atoms[:k], alpha.arity, alpha.args)
-
-
-def reference_step(tau: InteractionType, alpha: AlphabetSymbol,
-                   child_states: Sequence[EqFormula], behavior: Behavior,
-                   maxarity: int, live_only: bool = True,
-                   ) -> list[tuple[AlphabetSymbol, EqFormula, Witness]]:
-    """`glued_reference_step` on alpha with its arguments glued back."""
-    return [(unglue(out, alpha), phi, wit) for out, phi, wit in
-            glued_reference_step(tau, glue(alpha), child_states, behavior, maxarity,
-                                 live_only)]
-
-def reference_state_ok(phi: EqFormula, n: int) -> bool:
-    """The non-entailment conditions on transducer states."""
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and (beginvar(j) in eq_class(phi, beginvar(i))
-                           or endvar(j) in eq_class(phi, endvar(i))
-                           or endvar(j) in eq_class(phi, beginvar(i))):
-                return False
-    return True
-
-
-def reference_state_live(phi: EqFormula, n: int, maxarity: int) -> bool:
-    """Every open walk marker, a begin(i) or end(i) of phi with begin(i) and
-    end(i) not proven equal, is proven equal to a node parameter."""
-    for i in range(1, n + 1):
-        if endvar(i) in eq_class(phi, beginvar(i)):
-            continue
-        for m in (beginvar(i), endvar(i)):
-            cls = eq_class(phi, m)
-            if cls and not any(param(j) in cls for j in range(1, maxarity + 1)):
-                return False
-    return True
-
-
-def _reference_canonical_state(phi: EqFormula) -> EqFormula:
-    # singleton parameter classes carry no information; marker singletons do
-    keep = []
-    for cls in phi.classes:
-        if len(cls) > 1 or next(iter(cls)).name in ("%begin", "%end"):
-            keep.append(cls)
-    return EqFormula(frozenset(keep))
-
-
-def glued_reference_step(tau: InteractionType, alpha: GluedSymbol,
-                         child_states: Sequence[EqFormula], behavior: Behavior,
-                         maxarity: int, live_only: bool = True,
-                         ) -> list[tuple[GluedSymbol, EqFormula, Witness]]:
-    """All transitions (alpha, alpha')(child_states) -> state for the type tau.
-
-    Enumerates the choice of rewritten component atoms (one per fresh walk
-    position, each backed by a behavior transition over the matching port),
-    the optional guess of the fired interaction atom, and discards any result
-    that would merge distinct walk markers and, when live_only, any result
-    with an open walk marker not equal to a node parameter.
-    """
-    n = len(tau)
-    h = alpha.rank
-    if len(child_states) != h:
-        raise ArityMismatch(f"symbol of rank {h} given {len(child_states)} child states")
-    if alpha.arities[0] > maxarity:
-        raise ArityMismatch(f"symbol arity {alpha.arities[0]} exceeds maxarity {maxarity}")
-
-    # the walk positions whose begin/end markers each child state carries
-    begin_sets: list[set[int]] = []
-    end_sets: list[set[int]] = []
-    for st in child_states:
-        begins, ends = set(), set()
-        for v in itertools.chain.from_iterable(st.classes):
-            if v.name == "%begin" and v.tag[0] <= n:
-                begins.add(v.tag[0])
-            elif v.name == "%end" and v.tag[0] <= n:
-                ends.add(v.tag[0])
-        begin_sets.append(begins)
-        end_sets.append(ends)
-    for s1, s2 in itertools.combinations(begin_sets, 2):
-        if s1 & s2:
-            return []
-    if sum(1 for s in end_sets if s) > 1:
-        return []
-    used_begin = set().union(*begin_sets) if begin_sets else set()
-    ends_present = any(end_sets)
-
-    # rewrite candidates: variables carrying both a component and a state atom
-    state_idx: dict[Var, list[int]] = {}
-    comp_vars: set[Var] = set()
-    fired_candidates: list[int] = []
-    eq_pairs: list[tuple[Var, Var]] = []
-    for idx, a in enumerate(alpha.atoms):
-        if isinstance(a, Comp):
-            comp_vars.add(a.var)
-        elif isinstance(a, StateAtom):
-            state_idx.setdefault(a.var, []).append(idx)
-        elif isinstance(a, Inter) and tuple(p for _, p in a.bindings) == tau:
-            fired_candidates.append(idx)
-        elif isinstance(a, Eq):
-            eq_pairs.append((a.left, a.right))
-    candidates: dict[Var, str] = {}
-    for v in sorted(comp_vars):
-        states = {alpha.atoms[i].state for i in state_idx.get(v, [])}
-        if len(states) == 1:
-            candidates[v] = states.pop()
-
-    avail = [i for i in range(1, n + 1) if i not in used_begin]
-
-    # base conjunction shared by all choices: the equalities of the symbol
-    # itself, plus child states with their parameters rebased onto this
-    # node's childparam variables
-    base = Partition((), eq_pairs)
-    for l, st in enumerate(child_states, start=1):
-        al = alpha.arities[l]
-        ren = {param(j): childparam(l, j) for j in range(1, al + 1)}
-        for cls in st.classes:
-            members = [ren.get(v, v) for v in cls]
-            if any(v.name == "%in" for v in members):
-                raise ArityMismatch(f"child state mentions parameter beyond arity {al}")
-            for v in members:
-                base.union(members[0], v)
-
-    keepvars = ttvars(tau, maxarity)
-    results: list[tuple[AlphabetSymbol, EqFormula, Witness]] = []
-
-    fired_opts: list[int | None] = [None]
-    if not ends_present:
-        fired_opts += fired_candidates
-    for rewrites in _reference_rewrite_choices(tau, avail, candidates, behavior, 0, (), frozenset()):
-        for fired in fired_opts:
-            conj = base.copy()
-            for i, xi, _, _ in rewrites:
-                conj.union(beginvar(i), xi)
-            if fired is not None:
-                atom = alpha.atoms[fired]
-                for pos, (z, _) in enumerate(atom.bindings, start=1):
-                    conj.union(endvar(pos), z)
-            # project onto the tracking variables
-            phi = _reference_canonical_state(EqFormula(frozenset(
-                kept for cls in conj.classes() if (kept := keepvars.intersection(cls)))))
-            if not reference_state_ok(phi, n):
-                continue
-            if live_only and not reference_state_live(phi, n, maxarity):
-                continue
-            out_atoms = list(alpha.atoms)
-            for _, xi, q, q2 in rewrites:
-                out_atoms[state_idx[xi][0]] = StateAtom(xi, q2)
-            out = GluedSymbol(alpha.exvars, tuple(out_atoms), alpha.arities)
-            results.append((out, phi, Witness(tau, rewrites, fired)))
-    return results
-
-
-def _reference_rewrite_choices(tau: InteractionType, avail: Sequence[int],
-                               candidates: dict[Var, str], behavior: Behavior, idx: int,
-                               chosen: tuple[tuple[int, Var, str, str], ...],
-                               used_vars: frozenset[Var]) -> Iterator[tuple[tuple[int, Var, str, str], ...]]:
-    """`chosen` extended by every subset of the positions avail[idx:], each
-    mapped to a distinct rewritable variable with an enabled behavior
-    transition, as (position, var, q, q') rewrites; a choice comes before its
-    extensions."""
-    yield chosen
-    for k in range(idx, len(avail)):
-        i = avail[k]
-        port = tau[i - 1]
-        for xi in sorted(set(candidates) - used_vars):
-            q = candidates[xi]
-            for q2 in behavior.targets(q, port):
-                yield from _reference_rewrite_choices(tau, avail, candidates, behavior, k + 1,
-                                                      (*chosen, (i, xi, q, q2)),
-                                                      used_vars | {xi})
 
 
 @pytest.mark.parametrize("name", sorted(IMAGE_SYSTEMS))
