@@ -154,18 +154,26 @@ def ta_to_sid(ta: TreeAutomaton, behavior: Behavior,
     return SID(tuple(rules), behavior)
 
 
+def useful_states(finals: Iterable, edges: Iterable[tuple[Iterable, object]]) -> dict:
+    """The states on a run that ends in one of `finals`, by one `derive`
+    (TATA, ch. 1): each final state, and each child of an edge
+    (children, result) whose result is useful.  Every child of an edge must
+    be productive; `ta_trim` and `transducer.image` both trim through it."""
+    return derive(finals, [(c, (result,)) for children, result in edges for c in children])
+
+
 def ta_trim(ta: TreeAutomaton) -> TreeAutomaton:
     """Drop non-productive states; with final states, also drop useless ones.
 
-    Both passes are one `derive` each (TATA, ch. 1): a state is productive
-    once every child of one of its transitions is, and useful once it is a
-    child of a transition with a useful result and productive children.
+    Two passes (TATA, ch. 1): one `derive` finds the productive states, each
+    with a transition whose children are all productive, and
+    `useful_states` keeps those on a run to a productive final state.
     """
     keep = productive = derive((), [(tr.result, tr.children) for tr in ta.transitions])
     if ta.finals:
-        keep = derive([s for s in ta.finals if s in productive],
-                      [(c, (tr.result,)) for tr in ta.transitions
-                       if all(map(productive.__contains__, tr.children)) for c in tr.children])
+        keep = useful_states([s for s in ta.finals if s in productive],
+                             [(tr.children, tr.result) for tr in ta.transitions
+                              if all(map(productive.__contains__, tr.children))])
     transitions = tuple(tr for tr in ta.transitions
                         if tr.result in keep and all(c in keep for c in tr.children))
     states = tuple(s for s in ta.states if s in keep)

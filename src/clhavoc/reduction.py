@@ -1,10 +1,11 @@
 """End-to-end reduction of havoc invariance to entailment instances.
 
-The pipeline translates the SID into its rule automaton, computes the image
-under the union of the interaction-typed transducers, trims, and translates
-back.  Each accepting product state yields one target predicate of the same
-arity as the checked predicate; havoc invariance holds iff every emitted
-entailment `target |= predicate` holds over the combined definitions.
+The pipeline translates the SID into its rule automaton, computes the useful
+part of its image under the union of the interaction-typed transducers, and
+translates it back.  Each accepting product state yields one target
+predicate of the same arity as the checked predicate; havoc invariance
+holds iff every emitted entailment `target |= predicate` holds over the
+combined definitions.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import check_pcr
-from .automata import sid_to_ta, ta_to_sid, ta_trim
+from .automata import sid_to_ta, ta_to_sid
 from .eqform import Partition
 from .logic import Comp, Pred, Rule, SID, var_text
 from .transducer import InteractionType, ProductState, image
@@ -86,10 +87,15 @@ def reduce_havoc_to_entailment(sid: SID, pred: str,
 
     ta, _ = sid_to_ta(sid)
     info = image(ta, pred, sid)
-    trimmed = ta_trim(info.automaton)
+    trimmed = info.automaton
+    # many states share a partition: each distinct one is rendered once
+    texts: dict[frozenset, str] = {}
 
     def state_key(s: ProductState) -> tuple:
-        return (s.tau, str(s.base), s.phi.render(var_text))
+        text = texts.get(s.phi.classes)
+        if text is None:
+            text = texts[s.phi.classes] = s.phi.render(var_text)
+        return (s.tau, str(s.base), text)
 
     ordered = sorted(trimmed.states, key=state_key)
     taken = set(sid.predicates)

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 from .core import Behavior
 from .eqform import EqFormula, Partition
 from .logic import Comp, Eq, Inter, SID, StateAtom, Var, beginvar, derive, endvar, param
-from .automata import AlphabetSymbol, TaTransition, TreeAutomaton
+from .automata import AlphabetSymbol, TaTransition, TreeAutomaton, useful_states
 
 
 class ArityMismatch(ValueError):
@@ -154,6 +154,13 @@ class _StepPlan:
                           for vs in alpha.args]
         self.keepvars = ttvars(tau, maxarity)
         self._choices: dict[int, list[Choice]] = {}  # by used begin mask
+        self._statuses: dict[frozenset, MarkerStatus | None] = {}  # by child classes
+
+    def child_status(self, st: EqFormula) -> MarkerStatus | None:
+        """The marker status of child state st, computed once per state."""
+        if st.classes not in self._statuses:
+            self._statuses[st.classes] = marker_status(st.classes, len(self.tau))
+        return self._statuses[st.classes]
 
     def choices(self, used_begin: int) -> list[Choice]:
         """The choices of rewrites at the positions not in `used_begin`, in
@@ -187,7 +194,8 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
     the optional guess of the fired interaction atom, and discards any result
     that would merge distinct walk markers or leave a walk that can no longer
     close (see `marker_status`).  What depends on the symbol and the type
-    alone comes from the symbol's step plan, built on first use.
+    alone comes from the symbol's step plan, built on first use, and so do
+    the children's marker statuses, once per distinct child state.
     """
     n = len(tau)
     h = alpha.rank
@@ -196,7 +204,10 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
     if alpha.arity > maxarity:
         raise ArityMismatch(f"symbol arity {alpha.arity} exceeds maxarity {maxarity}")
 
-    statuses = [marker_status(st.classes, n) for st in child_states]
+    plan = alpha._plans.get((tau, behavior, maxarity))
+    if plan is None:
+        plan = alpha._plans[tau, behavior, maxarity] = _StepPlan(tau, alpha, behavior, maxarity)
+    statuses = [plan.child_status(st) for st in child_states]
     # nothing above a dead child is live
     if None in statuses:
         return []
@@ -204,9 +215,6 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
     if joined is None:
         return []
     used_begin, ends_present = joined
-    plan = alpha._plans.get((tau, behavior, maxarity))
-    if plan is None:
-        plan = alpha._plans[tau, behavior, maxarity] = _StepPlan(tau, alpha, behavior, maxarity)
 
     # base conjunction shared by all choices: the equalities of the symbol
     # itself, plus child states with their parameters renamed to the
@@ -310,8 +318,8 @@ def new_combos(pools: Sequence[Sequence], seen: Sequence[int] | None) -> Iterato
 
 
 def image(ta: TreeAutomaton, root_state: object, sid: SID) -> ImageResult:
-    """Image of the trees accepted at root_state under the union transducer
-    of sid's behavior.
+    """The useful part of the image of the trees accepted at root_state
+    under the union transducer of sid's behavior.
 
     One product component per interaction type occurring in the SID; states
     are (rule-automaton state, transducer state) pairs discovered from the
@@ -324,29 +332,48 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID) -> ImageResult:
     pools were at its last visit and combines only tuples with at least one
     newer child.  Pools only grow, so states, transitions and witnesses come
     out in the order a full re-enumeration per round would give.
+
+    The fixpoint runs on integer ids: symbols, partitions and product states
+    are numbered the first time they are seen, and the pools, the step memo
+    and the transition table hold only ids.  Every state built is
+    productive, since it is built from built children, so one
+    `useful_states` pass over the id-level transitions trims the product,
+    and only what it keeps becomes a `ProductState` or `TaTransition`, in
+    discovery order: the result is `ta_trim` of the whole image.
+    `per_tau_states` still counts every state built.
     """
     maxarity = max((sid.arity(p) for p in sid.predicates), default=0)
     taus = sorted(interaction_types(sid))
     below = derive([root_state], [(c, (tr.result,)) for tr in ta.transitions
                                   for c in tr.children])
     rules = [tr for tr in ta.transitions if tr.result in below]
-    transitions: dict[TaTransition, list[Witness]] = {}
-    discovered: list[ProductState] = []
-    finals: list[ProductState] = []
+    # symbols by equality, input and output alike
+    sym_ids: dict[AlphabetSymbol, int] = {}
+    rule_syms = [sym_ids.setdefault(tr.symbol, len(sym_ids)) for tr in rules]
+    # per state id, in discovery order: (base, phi, tau), its phi's id in
+    # its type and its walk markers
+    states: list[tuple[object, EqFormula, InteractionType]] = []
+    phi_of: list[int] = []
+    marks: list[MarkerSignature] = []
+    finals: list[int] = []
+    # (output symbol, child states, result state) -> witnesses
+    edges: dict[tuple[int, tuple[int, ...], int], list[Witness]] = {}
     per_tau: dict[InteractionType, int] = {}
 
     for tau in taus:
         n = len(tau)
-        by_base: dict[object, list[ProductState]] = {}
-        # each discovered state by (base, phi), so equal states share one object
-        found: dict[tuple[object, EqFormula], ProductState] = {}
-        marks: dict[ProductState, MarkerSignature] = {}
-        # each distinct phi's marker status: states of many bases share it
-        statuses: dict[EqFormula, MarkerStatus] = {}
+        by_base: dict[object, list[int]] = {}
+        # each state by (base, phi id), so equal states share one id
+        found: dict[tuple[object, int], int] = {}
+        # partitions by their classes, with each one's marker status: states
+        # of many bases share it
+        phi_ids: dict[frozenset, int] = {}
+        phis: list[EqFormula] = []
+        statuses: list[MarkerStatus] = []
         seen: dict[int, tuple[int, ...]] = {}
         # a step depends on the symbol and child states only, not on the
         # transition's result state, so equal symbols share one computation
-        steps: dict[tuple[AlphabetSymbol, tuple[EqFormula, ...]], list] = {}
+        steps: dict[tuple[int, tuple[int, ...]], list[tuple[int, int, Witness]]] = {}
         changed = True
         while changed:
             changed = False
@@ -357,32 +384,44 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID) -> ImageResult:
                 seen[ti] = tuple(map(len, pools))
                 for combo in combos:
                     # children whose walk markers clash step to nothing
-                    if len(combo) > 1 and join_markers([marks[ps] for ps in combo]) is None:
+                    if len(combo) > 1 and join_markers([marks[s] for s in combo]) is None:
                         continue
-                    phis = tuple(ps.phi for ps in combo)
-                    skey = (tr.symbol, phis)
+                    skey = (rule_syms[ti], tuple([phi_of[s] for s in combo]))
                     results = steps.get(skey)
                     if results is None:
-                        results = steps[skey] = transducer_step(tau, tr.symbol, list(phis),
-                                                                sid.behavior, maxarity)
-                    for out_sym, phi, wit in results:
-                        ps = found.get((tr.result, phi))
-                        if ps is None:
-                            ps = found[tr.result, phi] = ProductState(tr.result, phi, tau)
-                            discovered.append(ps)
-                            status = statuses.get(phi)
-                            if status is None:
-                                status = statuses[phi] = marker_status(phi.classes, n)
-                            begins, ends, closed = status
-                            marks[ps] = begins, ends
-                            by_base.setdefault(tr.result, []).append(ps)
+                        results = steps[skey] = []
+                        for out_sym, phi, wit in transducer_step(
+                                tau, tr.symbol, [phis[k] for k in skey[1]],
+                                sid.behavior, maxarity):
+                            k = phi_ids.get(phi.classes)
+                            if k is None:
+                                k = phi_ids[phi.classes] = len(phis)
+                                phis.append(phi)
+                                statuses.append(marker_status(phi.classes, n))
+                            results.append((sym_ids.setdefault(out_sym, len(sym_ids)), k, wit))
+                    for out, k, wit in results:
+                        s = found.get((tr.result, k))
+                        if s is None:
+                            s = found[tr.result, k] = len(states)
+                            states.append((tr.result, phis[k], tau))
+                            phi_of.append(k)
+                            begins, ends, closed = statuses[k]
+                            marks.append((begins, ends))
+                            by_base.setdefault(tr.result, []).append(s)
                             changed = True
                             # final: every walk's begin is proven equal to its end
                             if tr.result == root_state and closed == n:
-                                finals.append(ps)
-                        ptr = TaTransition(out_sym, combo, ps)
-                        transitions.setdefault(ptr, []).append(wit)
+                                finals.append(s)
+                        edges.setdefault((out, combo, s), []).append(wit)
         per_tau[tau] = len(found)
 
-    product = TreeAutomaton.make(transitions, finals=finals, states=discovered)
-    return ImageResult(product, {tr: tuple(ws) for tr, ws in transitions.items()}, per_tau)
+    # without a final state every state is useful, as in `ta_trim`
+    useful = (useful_states(finals, [(kids, s) for _, kids, s in edges]) if finals
+              else range(len(states)))
+    made = {s: ProductState(*states[s]) for s in sorted(useful)}
+    symbols = list(sym_ids)
+    witnesses = {TaTransition(symbols[out], tuple([made[c] for c in kids]), made[s]): tuple(ws)
+                 for (out, kids, s), ws in edges.items() if s in made}
+    product = TreeAutomaton(tuple(made.values()), frozenset(made[s] for s in finals),
+                            tuple(witnesses))
+    return ImageResult(product, witnesses, per_tau)

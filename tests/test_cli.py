@@ -433,8 +433,9 @@ def test_trace_transducer_pinned(capsys, tmp_path):
     code, _, err = run(capsys, "reduce", str(src), "--pred", "Ring_1_1",
                        "--assume-tight", "--trace-transducer")
     assert code == 0
-    assert err.count("\n") == 133
-    assert sha256(err) == "8a9c5e9b994561e93c031ef559f8f2d8b41c2039cb18bb8370f45f14027adf8e"
+    # the witnesses of the 46 transitions of the trimmed image
+    assert err.count("\n") == 46
+    assert sha256(err) == "db1f7e447505e634ce5959de0b8c3e00b4d5dbe2cbcb5fcfa80cc1397a59709a"
 
 
 # `clhavoc oracle` arguments, exit code and sha256 of stdout for every source

@@ -171,6 +171,19 @@ def test_image_steps_each_distinct_input_once(ring3, monkeypatch):
     assert len(calls) == len(set(calls)) == 59
 
 
+def test_witnesses_follow_the_derived_rules(ring3_reduction, tll_reduction):
+    """The witnesses key one transition per derived rule, in rule order: its
+    result names the rule's head, and its children the rule's calls."""
+    for result in (ring3_reduction, tll_reduction):
+        names = result.state_names
+        rules = result.derived_sid.rules
+        assert len(result.witnesses) == len(rules)
+        for (tr, wits), rule in zip(result.witnesses.items(), rules):
+            assert wits
+            assert rule.head == names[tr.result]
+            assert [rule.atoms[i].name for i in rule.calls] == [names[c] for c in tr.children]
+
+
 def test_namespaces_disjoint(ring_reduction):
     base = set(ring_reduction.base_sid.predicates)
     derived = set(ring_reduction.derived_sid.predicates)

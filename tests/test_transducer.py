@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clhavoc import transducer
-from clhavoc.automata import AlphabetSymbol, sid_to_ta, ta_trim
+from clhavoc.automata import AlphabetSymbol, TaTransition, sid_to_ta, ta_trim
 from clhavoc.core import Behavior
 from clhavoc.eqform import EqFormula
 from clhavoc.frontend import parse_system
-from clhavoc.logic import Comp, Inter, StateAtom, Var, beginvar, endvar, param
+from clhavoc.logic import Comp, Inter, StateAtom, Var, beginvar, derive, endvar, param
 from clhavoc.transducer import (ArityMismatch, ProductState, image, interaction_types,
                                 join_markers, marker_status, new_combos, transducer_step)
 
@@ -232,11 +232,11 @@ IMAGE_SYSTEMS.update({f"ring{k}": IMAGE_SYSTEMS["ring.clsys"].replace("=0..1", f
 
 @pytest.mark.parametrize("name", sorted(IMAGE_SYSTEMS))
 def test_image_matches_reference_fixpoint(name):
-    """The pruned image builds a subset of the reference's states, and once
-    trimmed it keeps the same states, transitions, finals and witnesses, in
-    the same order, for every predicate with a final state; no state of the
-    trimmed reference has an open walk-marker class without a parameter.
-    tll's rank-2 rules take 15 rounds over its three interaction types."""
+    """The image is the trimmed reference: the same states, transitions,
+    finals and witnesses, in the same order, for every predicate with a
+    final state; no state of it has an open walk-marker class without a
+    parameter.  tll's rank-2 rules take 15 rounds over its three
+    interaction types."""
     sid = parse_system(IMAGE_SYSTEMS[name]).sid
     ta, _ = sid_to_ta(sid)
     maxarity = max(sid.arity(p) for p in sid.predicates)
@@ -246,11 +246,10 @@ def test_image_matches_reference_fixpoint(name):
         assert set(got.automaton.states) <= set(want.automaton.states)
         if not want.automaton.finals:
             continue
-        kept, want_kept = ta_trim(got.automaton), ta_trim(want.automaton)
-        assert kept.states == want_kept.states
-        assert kept.transitions == want_kept.transitions
-        assert kept.finals == want_kept.finals
-        assert ([got.witnesses[tr] for tr in kept.transitions]
+        want_kept = ta_trim(want.automaton)
+        assert got.automaton == want_kept
+        assert list(got.witnesses) == list(want_kept.transitions)
+        assert ([got.witnesses[tr] for tr in got.automaton.transitions]
                 == [want.witnesses[tr] for tr in want_kept.transitions])
         for s in want_kept.states:
             assert reference_state_live(s.phi, len(s.tau), maxarity)
@@ -304,32 +303,65 @@ def test_cached_hash_stays_out_of_identity(ring):
 
 @pytest.mark.parametrize("name", sorted(IMAGE_SYSTEMS))
 def test_step_matches_reference_on_every_reached_input(name):
-    """Every (symbol, child states) tuple the image reaches, in the product of
-    the final pools, steps to the reference's results in the same order; the
-    tuples that image skips for clashing walk markers step to nothing."""
+    """Every (symbol, child states) tuple in the product of the live
+    reference pools steps to the reference's results in the same order; the
+    tuples that image skips for clashing walk markers step to nothing.  Per
+    predicate, the live reference states below it are as many, per type, as
+    the states image builds, and hold every state it returns."""
     sid = parse_system(IMAGE_SYSTEMS[name]).sid
     ta, _ = sid_to_ta(sid)
     maxarity = max(sid.arity(p) for p in sid.predicates)
+    taus = sorted(interaction_types(sid))
+    # the reference builds the same states below every root, dead ones too
+    live = [s for s in reference_image(ta, next(iter(sid.predicates)), sid,
+                                       sid.behavior).automaton.states
+            if reference_state_ok(s.phi, len(s.tau))
+            and reference_state_live(s.phi, len(s.tau), maxarity)]
     stepped, skipped = set(), 0
     for pred in sid.predicates:
+        below = derive([pred], [(c, (tr.result,)) for tr in ta.transitions
+                                for c in tr.children])
         pools = {}
-        for s in image(ta, pred, sid).automaton.states:
-            pools.setdefault((s.tau, s.base), []).append(s.phi)
-        for tau in sorted(interaction_types(sid)):
+        for s in live:
+            if s.base in below:
+                pools.setdefault((s.tau, s.base), []).append(s.phi)
+        got = image(ta, pred, sid)
+        assert got.per_tau_states == {tau: sum(len(phis) for (t, _), phis in pools.items()
+                                               if t == tau) for tau in taus}
+        assert set(got.automaton.states) <= set(live)
+        for tau in taus:
             for tr in ta.transitions:
                 for phis in itertools.product(*(pools.get((tau, c), []) for c in tr.children)):
                     if (tau, tr.symbol, phis) in stepped:
                         continue
                     stepped.add((tau, tr.symbol, phis))
                     want = reference_step(tau, tr.symbol, list(phis), sid.behavior, maxarity)
-                    got = transducer_step(tau, tr.symbol, list(phis), sid.behavior, maxarity)
-                    assert got == want
+                    got_step = transducer_step(tau, tr.symbol, list(phis), sid.behavior, maxarity)
+                    assert got_step == want
                     if join_markers(marker_status(phi.classes, len(tau))[:2]
                                     for phi in phis) is None:
                         assert want == []
                         skipped += 1
     if name == "tll.clsys":
         assert (len(stepped), skipped) == (590, 350)
+
+
+def test_image_builds_only_what_it_keeps(monkeypatch):
+    """On Ring_5_5 the image builds the 191 states and 394 transitions of
+    its useful part, where trimming the whole image built 491 and 868; its
+    per-type counts still count all 491 live states."""
+    sf = parse_system((FIXTURES / "ring.clsys").read_text().replace("=0..1", "=0..5"))
+    ta, _ = sid_to_ta(sf.sid)
+    built = {"states": 0, "transitions": 0}
+    for cls, key in ((ProductState, "states"), (TaTransition, "transitions")):
+        def counting_init(self, real=cls.__post_init__, key=key):
+            built[key] += 1
+            real(self)
+        monkeypatch.setattr(cls, "__post_init__", counting_init)
+    info = image(ta, "Ring_5_5", sf.sid)
+    assert built == {"states": 191, "transitions": 394}
+    assert (len(info.automaton.states), len(info.automaton.transitions)) == (191, 394)
+    assert sum(info.per_tau_states.values()) == 491
 
 
 def test_image_steps_only_children_whose_markers_fit(tll, monkeypatch):
@@ -392,3 +424,28 @@ def test_step_plan_memo_stays_out_of_identity(ring):
     assert transducer_step(("out", "in"), twin, [], ring.behavior, 2) == results
     # a step that rewrites nothing emits the symbol itself
     assert any(out is leaf for out, _, wit in results if not wit.rewrites)
+
+
+def test_step_plan_keeps_child_statuses(ring, monkeypatch):
+    """A plan computes each child state's marker status once, however often
+    it steps it; a twin symbol has its own plan and computes it again."""
+    ta, _ = sid_to_ta(ring.sid)
+    tau = ("out", "in")
+    leaf = next(tr.symbol for tr in ta.transitions if not tr.children)
+    inner = next(tr.symbol for tr in ta.transitions if len(tr.children) == 1)
+    child = transducer_step(tau, leaf, [], ring.behavior, 2)[0][1]
+    calls = []
+    real_status = transducer.marker_status
+    monkeypatch.setattr(transducer, "marker_status",
+                        lambda classes, n: calls.append(classes) or real_status(classes, n))
+
+    def child_calls(sym):
+        calls.clear()
+        results = transducer_step(tau, sym, [child], ring.behavior, 2)
+        return sum(c is child.classes for c in calls), results
+
+    first, results = child_calls(inner)
+    assert first == 1 and results
+    assert child_calls(inner) == (0, results)
+    twin = AlphabetSymbol(inner.exvars, inner.atoms, inner.arity, inner.args)
+    assert child_calls(twin) == (1, results)
