@@ -57,12 +57,6 @@ class Partition:
         if ra != rb:
             self.parent[ra] = rb
 
-    def copy(self) -> "Partition":
-        """An independent partition with the same classes."""
-        out = Partition.__new__(Partition)
-        out.index, out.items, out.parent = dict(self.index), list(self.items), list(self.parent)
-        return out
-
     def roots(self) -> dict[Hashable, int]:
         """Item -> root slot, items in first-seen order."""
         return {v: self._root(i) for i, v in enumerate(self.items)}

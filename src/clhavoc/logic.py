@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -276,8 +276,10 @@ class SID:
     # extensions, other depths and other predicate names share it, and with
     # it the oracle's plan and the shapes and keys the plan holds
     _nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # how many leading rules are known to be checked (see `extend`)
+    _checked: InitVar[int] = 0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _checked: int) -> None:
         arity: dict[str, int] = {}
         by_head: dict[str, list[Rule]] = {}
         try:
@@ -287,7 +289,7 @@ class SID:
                     raise ValueError(f"{r.head} defined with arities {prev} and {len(r.params)}")
                 by_head.setdefault(r.head, []).append(r)
             states, ports = self.behavior.states, self.behavior.ports
-            for k, r in enumerate(self.rules):
+            for k, r in enumerate(self.rules[_checked:], _checked):
                 for i in r.calls:
                     a = r.atoms[i]
                     if a.name not in arity:
@@ -340,13 +342,15 @@ class SID:
         """This SID plus rules for new predicates, linked back to this one.
 
         A new rule may call this SID's predicates but not define one, so each
-        of them keeps its rules and unfolds in the extension as here."""
+        of them keeps its rules and unfolds in the extension as here.  This
+        SID's rules were checked when it was built, and none of them can call
+        a new predicate, so the extension checks only the new rules' calls,
+        states and ports."""
         rules = tuple(rules)
-        own = set(self.predicates)
-        clash = sorted({r.head for r in rules if r.head in own})
+        clash = sorted({r.head for r in rules if r.head in self._by_head})
         if clash:
             raise ValueError(f"extension redefines {', '.join(clash)}")
-        ext = SID(self.rules + rules, self.behavior)
+        ext = SID(self.rules + rules, self.behavior, len(self.rules))
         object.__setattr__(ext, "_base", self)
         return ext
 

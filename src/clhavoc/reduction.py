@@ -61,6 +61,8 @@ class ReductionResult:
     state_names: dict[ProductState, str]
     stats: dict
     witnesses: dict
+    # the text of each distinct state partition, by its classes
+    partition_texts: dict[frozenset, str]
 
 
 def reduce_havoc_to_entailment(sid: SID, pred: str,
@@ -123,7 +125,7 @@ def reduce_havoc_to_entailment(sid: SID, pred: str,
         "per_type_states": {_type_text(t): n for t, n in sorted(info.per_tau_states.items())},
     }
     return ReductionResult(pred, sid, derived, targets, entailments, combined,
-                           tightness, names, stats, info.witnesses)
+                           tightness, names, stats, info.witnesses, texts)
 
 
 def manifest_dict(result: ReductionResult) -> dict:
@@ -135,7 +137,7 @@ def manifest_dict(result: ReductionResult) -> dict:
         "entailments": [f"{a} |= {b}" for a, b in result.entailments],
         "states": {name: {"base": str(s.base),
                           "type": _type_text(s.tau),
-                          "partition": s.phi.render(var_text)}
+                          "partition": result.partition_texts[s.phi.classes]}
                    for s, name in sorted(result.state_names.items(),
                                          key=lambda kv: kv[1])},
         "stats": result.stats,

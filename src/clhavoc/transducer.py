@@ -9,6 +9,14 @@ presence is what rules out consuming the same walk twice.  A run accepts when
 every begin(i) has been proven equal to end(i).  A step renames each child
 state's parameters to the arguments its symbol passes that child.
 
+The step and the image hold a state as its key: one integer per tracking
+slot, param(1..maxarity), begin(1..n) and end(1..n) in that order, holding
+the slot's class label, classes numbered in order of first occurrence, or -1
+when the slot is absent.  A parameter alone in its class is absent; a marker
+alone in its class is kept.  Equal partitions have equal keys.  An
+`EqFormula` is built only for a state the image keeps (`formula_of`;
+`key_of` goes the other way).
+
 The product with the rule automaton is built on the fly: only live transducer
 states reachable from the trees below the checked predicate are ever
 materialized.
@@ -16,12 +24,13 @@ materialized.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .core import Behavior
-from .eqform import EqFormula, Partition
+from .eqform import EqFormula
 from .logic import Comp, Eq, Inter, SID, StateAtom, Var, beginvar, derive, endvar, param
 from .automata import AlphabetSymbol, TaTransition, TreeAutomaton, useful_states
 
@@ -39,11 +48,45 @@ def interaction_types(sid: SID) -> frozenset[InteractionType]:
                      for kind, _, ports in rule.skeleton[2] if kind is Inter)
 
 
-def ttvars(tau: InteractionType, maxarity: int) -> frozenset[Var]:
-    vs = {param(i) for i in range(1, maxarity + 1)}
-    vs |= {beginvar(i) for i in range(1, len(tau) + 1)}
-    vs |= {endvar(i) for i in range(1, len(tau) + 1)}
-    return frozenset(vs)
+Key = tuple[int, ...]
+
+
+def _tracking(n: int, maxarity: int) -> tuple[Var, ...]:
+    """The tracking variables of a type of length n, in slot order."""
+    return (*map(param, range(1, maxarity + 1)), *map(beginvar, range(1, n + 1)),
+            *map(endvar, range(1, n + 1)))
+
+
+def _canonical(roots: list[int], maxarity: int) -> Key:
+    """The key of the tracking slots' class roots, a negative root marking
+    an absent slot: a parameter alone in its class is absent, and the other
+    classes are numbered in order of first occurrence."""
+    labels: dict[int, int] = {}
+    return tuple([-1 if r < 0 or (t < maxarity and roots.count(r) == 1)
+                  else labels.setdefault(r, len(labels)) for t, r in enumerate(roots)])
+
+
+def key_of(phi: EqFormula, n: int, maxarity: int) -> Key:
+    """The key of transducer state phi under a type of length n."""
+    slot = {v: t for t, v in enumerate(_tracking(n, maxarity))}
+    roots = [-1] * len(slot)
+    for label, cls in enumerate(phi.classes):
+        for v in cls:
+            roots[slot[v]] = label
+    return _canonical(roots, maxarity)
+
+
+def _classes(key: Key, maxarity: int) -> Iterable[list[Var]]:
+    by_label: dict[int, list[Var]] = {}
+    for v, label in zip(_tracking((len(key) - maxarity) // 2, maxarity), key):
+        if label >= 0:
+            by_label.setdefault(label, []).append(v)
+    return by_label.values()
+
+
+def formula_of(key: Key, maxarity: int) -> EqFormula:
+    """The transducer state with this key; `key_of` inverts it."""
+    return EqFormula(frozenset(map(frozenset, _classes(key, maxarity))))
 
 
 MarkerSignature = tuple[int, bool]
@@ -84,6 +127,12 @@ def marker_status(classes: Iterable[Iterable[Var]], n: int) -> MarkerStatus | No
     return mask, ends, closed
 
 
+@functools.lru_cache(maxsize=4096)
+def key_status(key: Key, maxarity: int) -> MarkerStatus | None:
+    """`marker_status` of the state with this key, computed once per key."""
+    return marker_status(_classes(key, maxarity), (len(key) - maxarity) // 2)
+
+
 def join_markers(sigs: Iterable[MarkerSignature]) -> MarkerSignature | None:
     """The markers of child states taken together, or None when two children
     carry the same begin(i) or more than one carries an end: a walk is then
@@ -107,16 +156,27 @@ class Witness:
 
 
 Rewrites = tuple[tuple[int, Var, str, str], ...]
-# a choice of rewrites, its output symbol (None: the input symbol itself) and
-# its witnesses for fired atom None and then each fired candidate
-Choice = tuple[Rewrites, AlphabetSymbol | None, tuple[Witness, ...]]
+SlotPairs = tuple[tuple[int, int], ...]
+# a choice of rewrites, its output symbol (None: the input symbol itself), its
+# witnesses for fired atom None and then each fired candidate, and the
+# (begin slot, variable slot) pair of each rewrite
+Choice = tuple[Rewrites, AlphabetSymbol | None, tuple[Witness, ...], SlotPairs]
+
+
+def _unite(roots: list[int], a: int, b: int) -> None:
+    """Merge the class of slot a into that of slot b."""
+    ra, rb = roots[a], roots[b]
+    if ra != rb:
+        roots[:] = [rb if r == ra else r for r in roots]
 
 
 class _StepPlan:
     """What a step needs of its symbol under one type, behavior and maxarity,
     built once and kept in the symbol's `_plans`.
 
-    It holds no reference to the symbol, so the memo makes no cycle.
+    The symbol's variables are numbered once: the tracking slots of a key
+    come first, then the symbol's other variables.  It holds no reference
+    to the symbol, so the memo makes no cycle.
     """
 
     def __init__(self, tau: InteractionType, alpha: AlphabetSymbol,
@@ -124,21 +184,29 @@ class _StepPlan:
         self.tau = tau
         self.exvars, self.atoms = alpha.exvars, alpha.atoms
         self.arity, self.args = alpha.arity, alpha.args
+        slot = self.slot = {v: t for t, v in enumerate(_tracking(len(tau), maxarity))}
+        self.tracked = tracked = len(slot)
+
+        def at(v: Var) -> int:
+            return slot.setdefault(v, len(slot))
         # rewrite candidates: variables carrying a component atom and state
         # atoms that all name one state; a rewrite changes every one of them
         state_idx: dict[Var, list[int]] = {}
         comp_vars: set[Var] = set()
-        self.fired: list[int] = []
-        eq_pairs: list[tuple[Var, Var]] = []
+        eq_pairs: list[tuple[int, int]] = []
+        # fired atom None, then each candidate with its (end slot, variable
+        # slot) pairs
+        self.fired: list[tuple[int | None, SlotPairs]] = [(None, ())]
         for idx, a in enumerate(alpha.atoms):
             if isinstance(a, Comp):
                 comp_vars.add(a.var)
             elif isinstance(a, StateAtom):
                 state_idx.setdefault(a.var, []).append(idx)
             elif isinstance(a, Inter) and tuple(p for _, p in a.bindings) == tau:
-                self.fired.append(idx)
+                self.fired.append((idx, tuple((slot[endvar(pos)], at(z)) for pos, (z, _)
+                                              in enumerate(a.bindings, start=1))))
             elif isinstance(a, Eq):
-                eq_pairs.append((a.left, a.right))
+                eq_pairs.append((at(a.left), at(a.right)))
         self.state_idx = state_idx
         # per candidate in sorted order: its state and, per port of tau, the
         # states the behavior moves it to
@@ -148,19 +216,19 @@ class _StepPlan:
             if len(states) == 1:
                 q = states.pop()
                 self.candidates[v] = (q, {p: behavior.targets(q, p) for p in tau})
-        self.eqs = Partition((), eq_pairs)
-        # child l's parameter j is the variable the symbol passes it
-        self.renamings = [{param(j): v for j, v in enumerate(vs, start=1)}
-                          for vs in alpha.args]
-        self.keepvars = ttvars(tau, maxarity)
+                at(v)
+        # per child, the slot each slot of its key goes to: its parameter j
+        # to the variable this symbol passes it (None beyond its arity), a
+        # marker to itself
+        self.child_slots = [[at(v) for v in vs[:maxarity]] + [None] * (maxarity - len(vs))
+                            + list(range(maxarity, tracked)) for vs in alpha.args]
+        # each slot's class root under the symbol's equalities; a marker and
+        # a parameter beyond the arity start absent, with a negative root
+        roots = [-1 - t if alpha.arity <= t < tracked else t for t in range(len(slot))]
+        for a, b in eq_pairs:
+            _unite(roots, a, b)
+        self.roots = roots
         self._choices: dict[int, list[Choice]] = {}  # by used begin mask
-        self._statuses: dict[frozenset, MarkerStatus | None] = {}  # by child classes
-
-    def child_status(self, st: EqFormula) -> MarkerStatus | None:
-        """The marker status of child state st, computed once per state."""
-        if st.classes not in self._statuses:
-            self._statuses[st.classes] = marker_status(st.classes, len(self.tau))
-        return self._statuses[st.classes]
 
     def choices(self, used_begin: int) -> list[Choice]:
         """The choices of rewrites at the positions not in `used_begin`, in
@@ -178,26 +246,29 @@ class _StepPlan:
                         for idx in self.state_idx[xi]:
                             atoms[idx] = StateAtom(xi, q2)
                     sym = AlphabetSymbol(self.exvars, tuple(atoms), self.arity, self.args)
-                wits = tuple(Witness(self.tau, rewrites, fired)
-                             for fired in (None, *self.fired))
-                out.append((rewrites, sym, wits))
+                wits = tuple(Witness(self.tau, rewrites, fired) for fired, _ in self.fired)
+                begins = tuple((self.slot[beginvar(i)], self.slot[xi])
+                               for i, xi, _, _ in rewrites)
+                out.append((rewrites, sym, wits, begins))
         return out
 
 
 def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
-                    child_states: Sequence[EqFormula], behavior: Behavior,
-                    maxarity: int) -> list[tuple[AlphabetSymbol, EqFormula, Witness]]:
-    """All transitions (alpha, alpha')(child_states) -> state for the type tau.
+                    child_states: Sequence[Key], behavior: Behavior,
+                    maxarity: int) -> list[tuple[AlphabetSymbol, Key, Witness]]:
+    """All transitions (alpha, alpha')(child_states) -> state for the type
+    tau, states given and returned as keys.
 
     Enumerates the choice of rewritten component atoms (one per fresh walk
     position, each backed by a behavior transition over the matching port),
     the optional guess of the fired interaction atom, and discards any result
     that would merge distinct walk markers or leave a walk that can no longer
     close (see `marker_status`).  What depends on the symbol and the type
-    alone comes from the symbol's step plan, built on first use, and so do
-    the children's marker statuses, once per distinct child state.
+    alone comes from the symbol's step plan, built on first use.  A step
+    unites the children's classes into the plan's slot roots once; each
+    choice then only sets the roots of the markers it adds, which no child
+    carries, and reads the tracking slots off as a key.
     """
-    n = len(tau)
     h = alpha.rank
     if len(child_states) != h:
         raise ArityMismatch(f"symbol of rank {h} given {len(child_states)} child states")
@@ -207,7 +278,7 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
     plan = alpha._plans.get((tau, behavior, maxarity))
     if plan is None:
         plan = alpha._plans[tau, behavior, maxarity] = _StepPlan(tau, alpha, behavior, maxarity)
-    statuses = [plan.child_status(st) for st in child_states]
+    statuses = [key_status(key, maxarity) for key in child_states]
     # nothing above a dead child is live
     if None in statuses:
         return []
@@ -216,40 +287,39 @@ def transducer_step(tau: InteractionType, alpha: AlphabetSymbol,
         return []
     used_begin, ends_present = joined
 
-    # base conjunction shared by all choices: the equalities of the symbol
-    # itself, plus child states with their parameters renamed to the
-    # variables this node passes them
-    base = plan.eqs.copy()
-    for ren, st in zip(plan.renamings, child_states):
-        for cls in st.classes:
-            if any(v.name == "%in" and v not in ren for v in cls):
-                raise ArityMismatch(f"child state mentions parameter beyond arity {len(ren)}")
-            members = [ren.get(v, v) for v in cls]
-            for v in members:
-                base.union(members[0], v)
-
-    keepvars = plan.keepvars
-    results: list[tuple[AlphabetSymbol, EqFormula, Witness]] = []
-    fired_opts = list(enumerate((None, *plan.fired)))
-    if ends_present:
-        fired_opts = fired_opts[:1]
-    for rewrites, sym, wits in plan.choices(used_begin):
-        out = alpha if sym is None else sym
-        for k, fired in fired_opts:
-            conj = base.copy()
-            for i, xi, _, _ in rewrites:
-                conj.union(beginvar(i), xi)
-            if fired is not None:
-                for pos, (z, _) in enumerate(alpha.atoms[fired].bindings, start=1):
-                    conj.union(endvar(pos), z)
-            # project onto the tracking variables; singleton parameter classes
-            # carry no information, marker singletons do
-            classes = [cls for cls in conj.classes(keepvars)
-                       if len(cls) > 1 or cls[0].name in ("%begin", "%end")]
-            if marker_status(classes, n) is None:
+    # the roots shared by all choices: the equalities of the symbol itself,
+    # plus child states with their parameters renamed to the variables this
+    # node passes them
+    roots = list(plan.roots)
+    for slots, key in zip(plan.child_slots, child_states):
+        first: dict[int, int] = {}
+        for c, label in enumerate(key):
+            if label < 0:
                 continue
-            phi = EqFormula(frozenset(map(frozenset, classes)))
-            results.append((out, phi, wits[k]))
+            s = slots[c]
+            if s is None:
+                raise ArityMismatch(f"child state mentions parameter {c + 1} beyond its arity")
+            f = first.setdefault(label, s)
+            if f != s:
+                _unite(roots, s, f)
+            elif roots[s] < 0:  # a marker enters
+                roots[s] = s
+
+    tracked = plan.tracked
+    results: list[tuple[AlphabetSymbol, Key, Witness]] = []
+    fired_opts = plan.fired[:1] if ends_present else plan.fired
+    for rewrites, sym, wits, begins in plan.choices(used_begin):
+        out = alpha if sym is None else sym
+        for k, (_, ends) in enumerate(fired_opts):
+            # each added marker joins the class of its variable
+            conj = roots[:tracked]
+            for s, v in begins:
+                conj[s] = roots[v]
+            for s, v in ends:
+                conj[s] = roots[v]
+            key = _canonical(conj, maxarity)
+            if key_status(key, maxarity) is not None:
+                results.append((out, key, wits[k]))
     return results
 
 
@@ -333,13 +403,14 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID) -> ImageResult:
     newer child.  Pools only grow, so states, transitions and witnesses come
     out in the order a full re-enumeration per round would give.
 
-    The fixpoint runs on integer ids: symbols, partitions and product states
-    are numbered the first time they are seen, and the pools, the step memo
-    and the transition table hold only ids.  Every state built is
+    The fixpoint runs on integer ids: symbols, partition keys and product
+    states are numbered the first time they are seen, and the pools, the
+    step memo and the transition table hold only ids.  Every state built is
     productive, since it is built from built children, so one
     `useful_states` pass over the id-level transitions trims the product,
     and only what it keeps becomes a `ProductState` or `TaTransition`, in
-    discovery order: the result is `ta_trim` of the whole image.
+    discovery order: the result is `ta_trim` of the whole image.  An
+    `EqFormula` is built once per distinct key among the kept states.
     `per_tau_states` still counts every state built.
     """
     maxarity = max((sid.arity(p) for p in sid.predicates), default=0)
@@ -350,10 +421,10 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID) -> ImageResult:
     # symbols by equality, input and output alike
     sym_ids: dict[AlphabetSymbol, int] = {}
     rule_syms = [sym_ids.setdefault(tr.symbol, len(sym_ids)) for tr in rules]
-    # per state id, in discovery order: (base, phi, tau), its phi's id in
+    # per state id, in discovery order: (base, key, tau), its key's id in
     # its type and its walk markers
-    states: list[tuple[object, EqFormula, InteractionType]] = []
-    phi_of: list[int] = []
+    states: list[tuple[object, Key, InteractionType]] = []
+    key_id_of: list[int] = []
     marks: list[MarkerSignature] = []
     finals: list[int] = []
     # (output symbol, child states, result state) -> witnesses
@@ -363,13 +434,11 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID) -> ImageResult:
     for tau in taus:
         n = len(tau)
         by_base: dict[object, list[int]] = {}
-        # each state by (base, phi id), so equal states share one id
+        # each state by (base, key id), so equal states share one id
         found: dict[tuple[object, int], int] = {}
-        # partitions by their classes, with each one's marker status: states
-        # of many bases share it
-        phi_ids: dict[frozenset, int] = {}
-        phis: list[EqFormula] = []
-        statuses: list[MarkerStatus] = []
+        # keys by id: states of many bases share one
+        key_ids: dict[Key, int] = {}
+        keys: list[Key] = []
         seen: dict[int, tuple[int, ...]] = {}
         # a step depends on the symbol and child states only, not on the
         # transition's result state, so equal symbols share one computation
@@ -386,26 +455,25 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID) -> ImageResult:
                     # children whose walk markers clash step to nothing
                     if len(combo) > 1 and join_markers([marks[s] for s in combo]) is None:
                         continue
-                    skey = (rule_syms[ti], tuple([phi_of[s] for s in combo]))
+                    skey = (rule_syms[ti], tuple([key_id_of[s] for s in combo]))
                     results = steps.get(skey)
                     if results is None:
                         results = steps[skey] = []
-                        for out_sym, phi, wit in transducer_step(
-                                tau, tr.symbol, [phis[k] for k in skey[1]],
+                        for out_sym, key, wit in transducer_step(
+                                tau, tr.symbol, [keys[k] for k in skey[1]],
                                 sid.behavior, maxarity):
-                            k = phi_ids.get(phi.classes)
+                            k = key_ids.get(key)
                             if k is None:
-                                k = phi_ids[phi.classes] = len(phis)
-                                phis.append(phi)
-                                statuses.append(marker_status(phi.classes, n))
+                                k = key_ids[key] = len(keys)
+                                keys.append(key)
                             results.append((sym_ids.setdefault(out_sym, len(sym_ids)), k, wit))
                     for out, k, wit in results:
                         s = found.get((tr.result, k))
                         if s is None:
                             s = found[tr.result, k] = len(states)
-                            states.append((tr.result, phis[k], tau))
-                            phi_of.append(k)
-                            begins, ends, closed = statuses[k]
+                            states.append((tr.result, keys[k], tau))
+                            key_id_of.append(k)
+                            begins, ends, closed = key_status(keys[k], maxarity)
                             marks.append((begins, ends))
                             by_base.setdefault(tr.result, []).append(s)
                             changed = True
@@ -418,7 +486,12 @@ def image(ta: TreeAutomaton, root_state: object, sid: SID) -> ImageResult:
     # without a final state every state is useful, as in `ta_trim`
     useful = (useful_states(finals, [(kids, s) for _, kids, s in edges]) if finals
               else range(len(states)))
-    made = {s: ProductState(*states[s]) for s in sorted(useful)}
+    # one EqFormula per distinct key among the kept states, which share it
+    formulas = {key: formula_of(key, maxarity) for key in {states[s][1] for s in useful}}
+    made = {}
+    for s in sorted(useful):
+        base, key, tau = states[s]
+        made[s] = ProductState(base, formulas[key], tau)
     symbols = list(sym_ids)
     witnesses = {TaTransition(symbols[out], tuple([made[c] for c in kids]), made[s]): tuple(ws)
                  for (out, kids, s), ws in edges.items() if s in made}

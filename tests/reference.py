@@ -27,7 +27,7 @@ from clhavoc.oracle import (Model, Shape, _instantiate, _node_plan, canonical_mo
                             enumerate_models)
 from clhavoc.reduction import ClassEquivResult
 from clhavoc.transducer import (ArityMismatch, ImageResult, InteractionType, ProductState,
-                                Witness, interaction_types, ttvars)
+                                Witness, interaction_types)
 
 
 # ---------------------------------------------------------------------------
@@ -969,6 +969,15 @@ def reference_step(tau: InteractionType, alpha: AlphabetSymbol,
             glued_reference_step(tau, glue(alpha), child_states, behavior, maxarity,
                                  live_only)]
 
+def ttvars(tau: InteractionType, maxarity: int) -> frozenset[Var]:
+    """The tracking variables of type tau: param(1..maxarity), begin(i)
+    and end(i) per position."""
+    vs = {param(i) for i in range(1, maxarity + 1)}
+    vs |= {beginvar(i) for i in range(1, len(tau) + 1)}
+    vs |= {endvar(i) for i in range(1, len(tau) + 1)}
+    return frozenset(vs)
+
+
 def reference_state_ok(phi: EqFormula, n: int) -> bool:
     """The non-entailment conditions on transducer states."""
     for i in range(1, n + 1):
@@ -1063,10 +1072,10 @@ def glued_reference_step(tau: InteractionType, alpha: GluedSymbol,
 
     avail = [i for i in range(1, n + 1) if i not in used_begin]
 
-    # base conjunction shared by all choices: the equalities of the symbol
-    # itself, plus child states with their parameters rebased onto this
-    # node's childparam variables
-    base = Partition((), eq_pairs)
+    # the equalities of the base conjunction shared by all choices: those of
+    # the symbol itself, plus child states with their parameters rebased
+    # onto this node's childparam variables
+    base = list(eq_pairs)
     for l, st in enumerate(child_states, start=1):
         al = alpha.arities[l]
         ren = {param(j): childparam(l, j) for j in range(1, al + 1)}
@@ -1074,8 +1083,7 @@ def glued_reference_step(tau: InteractionType, alpha: GluedSymbol,
             members = [ren.get(v, v) for v in cls]
             if any(v.name == "%in" for v in members):
                 raise ArityMismatch(f"child state mentions parameter beyond arity {al}")
-            for v in members:
-                base.union(members[0], v)
+            base += [(members[0], v) for v in members]
 
     keepvars = ttvars(tau, maxarity)
     results: list[tuple[AlphabetSymbol, EqFormula, Witness]] = []
@@ -1085,7 +1093,7 @@ def glued_reference_step(tau: InteractionType, alpha: GluedSymbol,
         fired_opts += fired_candidates
     for rewrites in _reference_rewrite_choices(tau, avail, candidates, behavior, 0, (), frozenset()):
         for fired in fired_opts:
-            conj = base.copy()
+            conj = Partition((), base)
             for i, xi, _, _ in rewrites:
                 conj.union(beginvar(i), xi)
             if fired is not None:

@@ -728,6 +728,37 @@ def test_sid_and_rule_errors_name_their_fault():
     assert str(e.value) == "rule for P: parameters and binders must be distinct"
 
 
+def test_sid_extend_checks_the_rules_it_adds():
+    """An extension checks only its new rules, against the combined arity
+    table, and refuses them with the messages of a full SID check; a fault's
+    position counts from the start of the combined rules."""
+    beh = Behavior.make(["p"], ["q"], [])
+    base = SID((Rule("Q", (X,), (), (Comp(X),)), Rule("Q", (X,), (), (StateAtom(X, "q"),))),
+               beh)
+    ok = Rule("P", (X,), (Y,), (Comp(X), Pred("Q", (Y,))))
+
+    def refused(*rules):
+        with pytest.raises(ValueError) as e:
+            base.extend([ok, *rules])
+        return str(e.value), getattr(e.value, "rule", None)
+
+    assert refused(Rule("P2", (X,), (), (Pred("R", (X,)),))) == (
+        "R used in P2 but never defined", 3)
+    assert refused(Rule("P2", (X,), (Y,), (Pred("Q", (X, Y)),))) == (
+        "Q used with arity 2, defined with 1", 3)
+    assert refused(Rule("P", (X, Y), (), (Comp(X),))) == ("P defined with arities 1 and 2", 3)
+    assert refused(Rule("P2", (X,), (), (StateAtom(X, "r"),))) == (
+        "undeclared state 'r' in rule for P2", 3)
+    assert refused(Rule("P2", (X,), (), (Inter(((X, "o"),)),))) == (
+        "undeclared port 'o' in rule for P2", 3)
+    assert refused(Rule("Q", (X,), (), (Comp(X),))) == ("extension redefines Q", None)
+    # a new rule may call a new predicate defined after it
+    ext = base.extend([Rule("P", (X,), (), (Pred("P2", (X,)),)), Rule("P2", (X,), (), ())])
+    assert ext.predicates == ("Q", "P", "P2") and ext._base is base
+    assert ext.rules_of("Q") == base.rules_of("Q") and ext.arity("P2") == 1
+    assert SID(ext.rules, beh).rules_of("P") == ext.rules_of("P")
+
+
 @pytest.mark.parametrize("name", corpus())
 def test_sid_index_matches_linear_scan(name):
     sid = parse_system(corpus_text(name)).sid

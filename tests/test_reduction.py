@@ -9,6 +9,7 @@ from reference import reference_class_equiv
 
 from clhavoc import transducer
 from clhavoc.core import Behavior
+from clhavoc.eqform import EqFormula
 from clhavoc.frontend import Query, SystemFile, parse_system, render_system
 from clhavoc.logic import Comp, Eq, Inter, Neq, Pred, Rule, SID, StateAtom, Var
 from clhavoc.oracle import cross_validate_reduction, entails_bounded
@@ -156,6 +157,24 @@ def test_reduction_output_pinned(pcring, ring, ring_reduction, ring3, ring3_redu
         got = tuple(hashlib.sha256(t.encode()).hexdigest()
                     for t in (reduced_text(sf, result), manifest))
         assert got == PINNED_DIGESTS[result.predicate]
+
+
+def test_manifest_renders_each_partition_once(monkeypatch):
+    """On Ring_5_5 the reduction renders each of the 11 distinct partitions
+    of its 191 states once, to name the states, and the manifest reuses
+    those texts: its bytes stay pinned."""
+    ring5 = parse_system((FIXTURES / "ring.clsys").read_text().replace("=0..1", "=0..5"))
+    renders = []
+    real_render = EqFormula.render
+    monkeypatch.setattr(EqFormula, "render",
+                        lambda self, vt: renders.append(self) or real_render(self, vt))
+    result = reduce_havoc_to_entailment(ring5.sid, "Ring_5_5", assume_tight=True)
+    assert len(result.state_names) == 191
+    assert len(renders) == len(set(renders)) == 11
+    renders.clear()
+    manifest = json.dumps(manifest_dict(result), sort_keys=True)
+    assert renders == []
+    assert hashlib.sha256(manifest.encode()).hexdigest() == PINNED_DIGESTS["Ring_5_5"][1]
 
 
 def test_image_steps_each_distinct_input_once(ring3, monkeypatch):

@@ -15,8 +15,17 @@ from clhavoc.core import Behavior
 from clhavoc.eqform import EqFormula
 from clhavoc.frontend import parse_system
 from clhavoc.logic import Comp, Inter, StateAtom, Var, beginvar, derive, endvar, param
-from clhavoc.transducer import (ArityMismatch, ProductState, image, interaction_types,
-                                join_markers, marker_status, new_combos, transducer_step)
+from clhavoc.transducer import (ArityMismatch, ProductState, formula_of, image,
+                                interaction_types, join_markers, key_of, key_status,
+                                marker_status, new_combos, transducer_step)
+
+
+def formula_step(tau, alpha, child_states, behavior, maxarity):
+    """`transducer_step` on EqFormula states, through the key helpers."""
+    keys = [key_of(phi, len(tau), maxarity) for phi in child_states]
+    return [(out, formula_of(key, maxarity), wit)
+            for out, key, wit in transducer_step(tau, alpha, keys, behavior, maxarity)]
+
 
 def test_interaction_types_ring(ring):
     assert interaction_types(ring.sid) == {("out", "in")}
@@ -48,7 +57,7 @@ TOGGLE = Behavior.make(["in", "out"], ["q0", "q1"],
 
 def test_leaf_rewrite_spec_example():
     # out at position 1: the q1 leaf becomes a q0 leaf, begin(1) = param(1)
-    results = transducer_step(("out", "in"), LEAF_Q1, [], TOGGLE, 3)
+    results = formula_step(("out", "in"), LEAF_Q1, [], TOGGLE, 3)
     rewrites = [(sym, phi) for sym, phi, wit in results
                 if wit.rewrites and wit.rewrites[0][0] == 1]
     assert rewrites
@@ -60,7 +69,7 @@ def test_leaf_rewrite_spec_example():
 def test_rewrite_changes_every_state_atom_of_its_variable():
     pinned = make_symbol([], [Comp(param(1)), StateAtom(param(1), "q1"),
                               StateAtom(param(1), "q1")], 3)
-    rewritten = {sym for sym, _, wit in transducer_step(("out", "in"), pinned, [], TOGGLE, 3)
+    rewritten = {sym for sym, _, wit in formula_step(("out", "in"), pinned, [], TOGGLE, 3)
                  if wit.rewrites}
     assert rewritten == {make_symbol([], [Comp(param(1)), StateAtom(param(1), "q0"),
                                           StateAtom(param(1), "q0")], 3)}
@@ -71,7 +80,7 @@ def test_bookkeeping_step_is_identity():
     child = EqFormula.make(pairs=[(param(1), param(2))])
     sym = make_symbol([y], [Comp(param(1)), StateAtom(param(1), "q1")], 2,
                       [(param(1), y)])
-    results = transducer_step(("out", "in"), sym, [child], TOGGLE, 2)
+    results = formula_step(("out", "in"), sym, [child], TOGGLE, 2)
     plain = [(s, phi) for s, phi, wit in results
              if not wit.rewrites and wit.fired_atom is None]
     assert len(plain) == 1
@@ -84,10 +93,10 @@ def test_bookkeeping_step_is_identity():
 
 def test_used_begin_cannot_be_rechosen():
     child = EqFormula.make(vars=[beginvar(1)])
-    results = transducer_step(("out", "in"), LEAF_Q1, [], TOGGLE, 3)
+    results = formula_step(("out", "in"), LEAF_Q1, [], TOGGLE, 3)
     # leaf has no children; simulate the constraint on a unary symbol instead
     sym = make_symbol([], [Comp(param(1)), StateAtom(param(1), "q1")], 3, [(param(1),)])
-    results = transducer_step(("out", "in"), sym, [child], TOGGLE, 3)
+    results = formula_step(("out", "in"), sym, [child], TOGGLE, 3)
     for _, _, wit in results:
         assert all(i != 1 for i, *_ in wit.rewrites)
 
@@ -96,14 +105,14 @@ def test_two_children_sharing_begin_blocks_everything():
     child = EqFormula.make(vars=[beginvar(1)])
     sym = make_symbol([], [Comp(param(1)), StateAtom(param(1), "q1")], 3,
                       [(param(1),), (param(1),)])
-    assert transducer_step(("out", "in"), sym, [child, child], TOGGLE, 3) == []
+    assert formula_step(("out", "in"), sym, [child, child], TOGGLE, 3) == []
 
 
 def test_second_fired_atom_blocked_by_child_ends():
     child = EqFormula.make(pairs=[(endvar(1), param(1)), (endvar(2), param(2))])
     sym = make_symbol([], [Inter(((param(1), "out"), (param(2), "in")))], 2,
                       [(param(1), param(2))])
-    results = transducer_step(("out", "in"), sym, [child], TOGGLE, 2)
+    results = formula_step(("out", "in"), sym, [child], TOGGLE, 2)
     assert results
     for _, _, wit in results:
         assert wit.fired_atom is None
@@ -118,7 +127,7 @@ def test_step_above_a_dead_child_is_empty():
     assert marker_status(child.classes, 2) is None
     assert reference_step(("out", "in"), sym, [child], TOGGLE, 2, live_only=False)
     assert reference_step(("out", "in"), sym, [child], TOGGLE, 2) == []
-    assert transducer_step(("out", "in"), sym, [child], TOGGLE, 2) == []
+    assert formula_step(("out", "in"), sym, [child], TOGGLE, 2) == []
 
 
 def state_ok(phi: EqFormula, n: int) -> bool:
@@ -139,13 +148,13 @@ def test_repeated_variable_interaction_is_rejected():
     # <x.out, x.in> would force end(1)=end(2); no valid component model exists
     from clhavoc.logic import Inter
     sym = make_symbol([], [Inter(((param(1), "out"), (param(1), "in")))], 1)
-    for _, phi, wit in transducer_step(("out", "in"), sym, [], TOGGLE, 1):
+    for _, phi, wit in formula_step(("out", "in"), sym, [], TOGGLE, 1):
         assert wit.fired_atom is None
 
 
 def test_arity_mismatch():
     with pytest.raises(ArityMismatch):
-        transducer_step(("out", "in"), LEAF_Q1, [EqFormula(frozenset())], TOGGLE, 3)
+        formula_step(("out", "in"), LEAF_Q1, [EqFormula(frozenset())], TOGGLE, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +172,16 @@ def test_tll_two_leaf_rewrite_run(tll):
     behavior = tll.sid.behavior
 
     # leftmost leaf sits on the in side (position 2), rightmost on out (1)
-    left = [r for r in transducer_step(tau, leaf["q1"], [], behavior, 3)
+    left = [r for r in formula_step(tau, leaf["q1"], [], behavior, 3)
             if r[2].rewrites and r[2].rewrites[0][0] == 2]
-    right = [r for r in transducer_step(tau, leaf["q0"], [], behavior, 3)
+    right = [r for r in formula_step(tau, leaf["q0"], [], behavior, 3)
              if r[2].rewrites and r[2].rewrites[0][0] == 1]
     assert left and right
     lsym, lphi, _ = left[0]
     rsym, rphi, _ = right[0]
     assert lsym == leaf["q0"] and rsym == leaf["q1"]
 
-    mids = [r for r in transducer_step(tau, beta, [lphi, rphi], behavior, 3)
+    mids = [r for r in formula_step(tau, beta, [lphi, rphi], behavior, 3)
             if not r[2].rewrites and r[2].fired_atom is None]
     assert mids
     bsym, bphi, _ = mids[0]
@@ -180,7 +189,7 @@ def test_tll_two_leaf_rewrite_run(tll):
     assert param(2) in eq_class(bphi, beginvar(2))
     assert param(3) in eq_class(bphi, beginvar(1))
 
-    roots = [r for r in transducer_step(tau, alpha, [bphi], behavior, 3)
+    roots = [r for r in formula_step(tau, alpha, [bphi], behavior, 3)
              if r[2].fired_atom is not None]
     assert roots
     asym, aphi, wit = roots[0]
@@ -336,7 +345,7 @@ def test_step_matches_reference_on_every_reached_input(name):
                         continue
                     stepped.add((tau, tr.symbol, phis))
                     want = reference_step(tau, tr.symbol, list(phis), sid.behavior, maxarity)
-                    got_step = transducer_step(tau, tr.symbol, list(phis), sid.behavior, maxarity)
+                    got_step = formula_step(tau, tr.symbol, list(phis), sid.behavior, maxarity)
                     assert got_step == want
                     if join_markers(marker_status(phi.classes, len(tau))[:2]
                                     for phi in phis) is None:
@@ -348,8 +357,9 @@ def test_step_matches_reference_on_every_reached_input(name):
 
 def test_image_builds_only_what_it_keeps(monkeypatch):
     """On Ring_5_5 the image builds the 191 states and 394 transitions of
-    its useful part, where trimming the whole image built 491 and 868; its
-    per-type counts still count all 491 live states."""
+    its useful part, where trimming the whole image built 491 and 868, and
+    one EqFormula per distinct partition among them; its per-type counts
+    still count all 491 live states."""
     sf = parse_system((FIXTURES / "ring.clsys").read_text().replace("=0..1", "=0..5"))
     ta, _ = sid_to_ta(sf.sid)
     built = {"states": 0, "transitions": 0}
@@ -358,8 +368,15 @@ def test_image_builds_only_what_it_keeps(monkeypatch):
             built[key] += 1
             real(self)
         monkeypatch.setattr(cls, "__post_init__", counting_init)
+    formulas = []
+    monkeypatch.setattr(EqFormula, "__post_init__",
+                        lambda self, real=EqFormula.__post_init__: formulas.append(self)
+                        or real(self))
     info = image(ta, "Ring_5_5", sf.sid)
     assert built == {"states": 191, "transitions": 394}
+    # one partition per distinct key among the kept states, which share it
+    assert len(formulas) == len({s.phi for s in info.automaton.states}) == 11
+    assert {id(s.phi) for s in info.automaton.states} == set(map(id, formulas))
     assert (len(info.automaton.states), len(info.automaton.transitions)) == (191, 394)
     assert sum(info.per_tau_states.values()) == 491
 
@@ -417,35 +434,80 @@ def test_step_plan_memo_stays_out_of_identity(ring):
     ta, _ = sid_to_ta(ring.sid)
     leaf = next(tr.symbol for tr in ta.transitions if not tr.children)
     twin = AlphabetSymbol(leaf.exvars, leaf.atoms, leaf.arity, leaf.args)
-    results = transducer_step(("out", "in"), leaf, [], ring.behavior, 2)
+    results = formula_step(("out", "in"), leaf, [], ring.behavior, 2)
     assert leaf._plans and not twin._plans
     assert twin == leaf and hash(twin) == hash(leaf) and repr(twin) == repr(leaf)
     assert "_plans" not in repr(leaf)
-    assert transducer_step(("out", "in"), twin, [], ring.behavior, 2) == results
+    assert formula_step(("out", "in"), twin, [], ring.behavior, 2) == results
     # a step that rewrites nothing emits the symbol itself
     assert any(out is leaf for out, _, wit in results if not wit.rewrites)
 
 
-def test_step_plan_keeps_child_statuses(ring, monkeypatch):
-    """A plan computes each child state's marker status once, however often
-    it steps it; a twin symbol has its own plan and computes it again."""
+@st.composite
+def _tracked_partitions(draw):
+    """maxarity m, a type length n and two partitions of random subsets of
+    param(1..m), begin(1..n) and end(1..n), without parameter singletons;
+    the second is often the first drawn with other labels."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    tracked = [*map(param, range(1, m + 1)), *map(beginvar, range(1, n + 1)),
+               *map(endvar, range(1, n + 1))]
+    labels = st.lists(st.one_of(st.none(), st.integers(0, len(tracked) - 1)),
+                      min_size=len(tracked), max_size=len(tracked))
+
+    def partition(labelling):
+        classes = {}
+        for v, label in zip(tracked, labelling):
+            if label is not None:
+                classes.setdefault(label, set()).add(v)
+        return EqFormula(frozenset(frozenset(c) for c in classes.values()
+                                   if len(c) > 1 or next(iter(c)).name != "%in"))
+
+    first = draw(labels)
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(len(tracked))))
+        second = [None if label is None else perm[label] for label in first]
+    else:
+        second = draw(labels)
+    return m, n, partition(first), partition(second)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tracked_partitions())
+def test_key_encodes_the_partition(case):
+    """A key maps back to its partition, equal partitions and only they have
+    equal keys, and the status read from a key is the partition's."""
+    m, n, phi, psi = case
+    key = key_of(phi, n, m)
+    assert len(key) == m + 2 * n
+    assert formula_of(key, m) == phi
+    assert (key == key_of(psi, n, m)) == (phi == psi)
+    assert key_status(key, m) == marker_status(phi.classes, n)
+
+
+def test_key_status_is_computed_once_per_key(ring, monkeypatch):
+    """A state's marker status is computed once per key, however often and
+    under however many symbols it is stepped: a twin symbol, with its own
+    plan, reads the same memo."""
     ta, _ = sid_to_ta(ring.sid)
     tau = ("out", "in")
     leaf = next(tr.symbol for tr in ta.transitions if not tr.children)
     inner = next(tr.symbol for tr in ta.transitions if len(tr.children) == 1)
     child = transducer_step(tau, leaf, [], ring.behavior, 2)[0][1]
+    classes = formula_of(child, 2).classes
     calls = []
     real_status = transducer.marker_status
-    monkeypatch.setattr(transducer, "marker_status",
-                        lambda classes, n: calls.append(classes) or real_status(classes, n))
+    monkeypatch.setattr(transducer, "marker_status", lambda cls, n: calls.append(
+        frozenset(map(frozenset, cls))) or real_status(cls, n))
+    key_status.cache_clear()
 
     def child_calls(sym):
         calls.clear()
         results = transducer_step(tau, sym, [child], ring.behavior, 2)
-        return sum(c is child.classes for c in calls), results
+        return calls.count(classes), results
 
     first, results = child_calls(inner)
     assert first == 1 and results
     assert child_calls(inner) == (0, results)
     twin = AlphabetSymbol(inner.exvars, inner.atoms, inner.arity, inner.args)
-    assert child_calls(twin) == (1, results)
+    assert child_calls(twin) == (0, results)
+    assert key_status(child, 2) == real_status(classes, 2)
